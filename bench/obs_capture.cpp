@@ -1,31 +1,19 @@
 // obs_capture: record the observability plane for a pinned seeded
 // scenario and export it as artifacts. The default run is the same
-// seeded-churn scenario test_determinism pins counter-by-counter; the
-// sharding flags turn the binary into the A/B probe scripts/
-// obs_golden.sh uses to prove the parallel engine deterministic
-// (DESIGN.md §13):
+// seeded-churn scenario test_determinism pins counter-by-counter:
 //
 //   --seed N            scenario RNG seed (default 7, the pinned run)
 //   --trace-out P       event trace JSONL (default trace.jsonl)
 //   --metrics-out P     metrics registry snapshot JSON (default metrics.json)
 //   --scenario S        churn (default) or chaos (fault campaign)
-//   --shards K          0 = plain network (default); >=1 = sharded via
-//                       the parallel engine (1 = passthrough mode)
-//   --workers N         worker threads for sharded windows (default 1)
 //   --trace-cap N       trace ring capacity (default 1<<16; raise it if
-//                       a lane wraps — merged exports refuse wrapped rings)
-//   --merged            export obs::merged_trace_jsonl over all lanes
-//                       (raw per-lane records; worker-count invariant)
-//   --canonical         export obs::canonical_trace_jsonl (content-
-//                       sorted, kTimerFire elided; shard-count invariant)
-//   --normalized-snapshot  zero the sim.sched.* scheduler-mechanics
-//                       metrics before snapshotting, so snapshots
-//                       compare across shard layouts (event counts are
-//                       execution mechanics, not protocol behavior)
+//                       the ring wraps and drops the oldest records)
 //
-// Two runs with the same flags must produce byte-identical files; diff
-// divergent captures with scripts/tracediff.py to find the first event
-// where the runs disagree (see DESIGN.md §11/§13, EXPERIMENTS.md).
+// Two runs with the same flags must produce byte-identical files, and
+// scripts/obs_golden.sh pins the seed-7 churn and chaos artifacts to
+// tests/golden/obs_capture.sha256; diff divergent captures with
+// scripts/tracediff.py to find the first event where the runs disagree
+// (see DESIGN.md §11, EXPERIMENTS.md).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +21,6 @@
 #include <vector>
 
 #include "audit/invariants.hpp"
-#include "net/sharding.hpp"
 #include "obs/obs.hpp"
 #include "testbed/testbed.hpp"
 #include "workload/chaos.hpp"
@@ -49,22 +36,14 @@ struct Options {
   std::string trace_out = "trace.jsonl";
   std::string metrics_out = "metrics.json";
   std::string scenario = "churn";
-  std::uint32_t shards = 0;
-  unsigned workers = 1;
   std::size_t trace_cap = 1 << 16;
-  bool merged = false;
-  bool canonical = false;
-  bool normalized_snapshot = false;
 };
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: obs_capture [--seed N] [--trace-out P] "
                "[--metrics-out P]\n"
-               "                   [--scenario churn|chaos] [--shards K] "
-               "[--workers N]\n"
-               "                   [--trace-cap N] [--merged] [--canonical] "
-               "[--normalized-snapshot]\n");
+               "                   [--scenario churn|chaos] [--trace-cap N]\n");
   std::exit(2);
 }
 
@@ -87,20 +66,9 @@ Options parse(int argc, char** argv) {
     } else if (arg("--scenario")) {
       opt.scenario = next();
       if (opt.scenario != "churn" && opt.scenario != "chaos") usage();
-    } else if (arg("--shards")) {
-      opt.shards = static_cast<std::uint32_t>(
-          std::strtoul(next(), nullptr, 10));
-    } else if (arg("--workers")) {
-      opt.workers = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
     } else if (arg("--trace-cap")) {
       opt.trace_cap = static_cast<std::size_t>(
           std::strtoull(next(), nullptr, 10));
-    } else if (arg("--merged")) {
-      opt.merged = true;
-    } else if (arg("--canonical")) {
-      opt.canonical = true;
-    } else if (arg("--normalized-snapshot")) {
-      opt.normalized_snapshot = true;
     } else {
       usage();
     }
@@ -121,17 +89,9 @@ bool write_file(const std::string& path, const std::string& body) {
 
 /// Mirror of test_determinism's run_seeded_churn: 16 receivers over a
 /// binary router tree, Poisson join/leave churn, periodic channel data.
-/// Every scenario event is scheduled on the acting node's own shard
-/// (net::Network::scheduler_for), so identical flags produce the same
-/// per-shard event streams regardless of shard count.
 void run_churn(Testbed& bed, std::uint64_t seed) {
   net::Network& net = bed.net();
-  const net::NodeId source_node = bed.roles().source_host;
-  ip::ChannelId channel{};
-  {
-    net::ShardContext ctx(net, source_node);
-    channel = bed.source().allocate_channel();
-  }
+  const ip::ChannelId channel = bed.source().allocate_channel();
 
   sim::Rng rng(seed);
   const sim::Duration horizon = sim::seconds(10);
@@ -139,8 +99,7 @@ void run_churn(Testbed& bed, std::uint64_t seed) {
       static_cast<std::uint32_t>(bed.receiver_count()), horizon,
       sim::seconds(5), sim::seconds(3), rng);
   for (const auto& ev : events) {
-    const net::NodeId node = bed.roles().receiver_hosts[ev.host_index];
-    net.scheduler_for(node).schedule_at(ev.at, [&bed, channel, ev] {
+    net.scheduler().schedule_at(ev.at, [&bed, channel, ev] {
       if (ev.join) {
         bed.receiver(ev.host_index).new_subscription(channel);
       } else {
@@ -152,10 +111,9 @@ void run_churn(Testbed& bed, std::uint64_t seed) {
   std::uint64_t seq = 0;
   for (sim::Time at = sim::milliseconds(200); at < horizon;
        at += sim::milliseconds(200)) {
-    net.scheduler_for(source_node)
-        .schedule_at(at, [&bed, channel, header, s = seq++] {
-          bed.source().send(channel, 500, s, header);
-        });
+    net.scheduler().schedule_at(at, [&bed, channel, header, s = seq++] {
+      bed.source().send(channel, 500, s, header);
+    });
   }
   net.run();
 }
@@ -166,16 +124,9 @@ void run_churn(Testbed& bed, std::uint64_t seed) {
 /// window, the invariant auditor sampled through every settle phase.
 void run_chaos(Testbed& bed, std::uint64_t seed) {
   net::Network& net = bed.net();
-  const net::NodeId source_node = bed.roles().source_host;
-  ip::ChannelId channel{};
-  {
-    net::ShardContext ctx(net, source_node);
-    channel = bed.source().allocate_channel();
-  }
+  const ip::ChannelId channel = bed.source().allocate_channel();
   for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
-    const net::NodeId node = bed.roles().receiver_hosts[i];
-    net.scheduler_for(node).schedule_at(sim::milliseconds(1), [&bed, channel,
-                                                              i] {
+    net.scheduler().schedule_at(sim::milliseconds(1), [&bed, channel, i] {
       bed.receiver(i).new_subscription(channel);
     });
   }
@@ -197,8 +148,7 @@ void run_chaos(Testbed& bed, std::uint64_t seed) {
       // Churn over receivers 1..n-1; receiver 0 stays subscribed so the
       // channel tree never collapses mid-fault.
       const std::size_t idx = ev.host_index + 1;
-      const net::NodeId node = bed.roles().receiver_hosts[idx];
-      net.scheduler_for(node).schedule_at(
+      net.scheduler().schedule_at(
           net.now() + (ev.at - sim::Time{}), [&bed, channel, idx, ev] {
             if (ev.join) {
               bed.receiver(idx).new_subscription(channel);
@@ -208,11 +158,10 @@ void run_chaos(Testbed& bed, std::uint64_t seed) {
           });
     }
     for (int k = 0; k < 10; ++k) {
-      net.scheduler_for(source_node)
-          .schedule_at(net.now() + sim::milliseconds(50 * (k + 1)),
-                       [&bed, channel, &seq] {
-                         bed.source().send(channel, 300, ++seq);
-                       });
+      net.scheduler().schedule_at(net.now() + sim::milliseconds(50 * (k + 1)),
+                                  [&bed, channel, &seq] {
+                                    bed.source().send(channel, 300, ++seq);
+                                  });
     }
   };
   auto audit = [&net] {
@@ -233,8 +182,7 @@ void run_chaos(Testbed& bed, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
 
-  Testbed bed(workload::make_kary_tree(2, 3, {}, 2),
-              TestbedOptions{.shards = opt.shards, .workers = opt.workers});
+  Testbed bed(workload::make_kary_tree(2, 3, {}, 2));
   net::Network& net = bed.net();
   net.obs().trace.enable(opt.trace_cap);
 
@@ -244,44 +192,17 @@ int main(int argc, char** argv) {
     run_churn(bed, opt.seed);
   }
 
-  std::string trace_body;
-  if (opt.canonical) {
-    trace_body = obs::canonical_trace_jsonl(net.trace_lanes());
-  } else if (opt.merged) {
-    trace_body = obs::merged_trace_jsonl(net.trace_lanes());
-  } else {
-    trace_body = net.obs().trace.to_jsonl();
-  }
-  if (!write_file(opt.trace_out, trace_body)) return 1;
-
-  sim::Time stamp = net.now();
-  if (opt.normalized_snapshot) {
-    // Re-registering zeroes the slot (obs::Registry contract): wipe the
-    // scheduler-mechanics metrics, which legitimately differ between
-    // shard layouts (batching, per-shard schedulers) while every
-    // protocol-level metric must still match exactly. The quiescence
-    // wall-stamp is layout mechanics too (it is whatever instant the
-    // last shard-0 event ran at), so normalized snapshots stamp zero.
-    obs::Registry& reg = net.obs().registry;
-    const obs::Entity e = obs::Entity::network();
-    reg.counter("sim.sched.scheduled", e);
-    reg.counter("sim.sched.executed", e);
-    reg.counter("sim.sched.cancelled", e);
-    reg.counter("sim.sched.clamped_past", e);
-    reg.gauge("sim.sched.peak_pending", e);
-    stamp = sim::Time{};
-  }
-  if (!write_file(opt.metrics_out, net.obs().registry.snapshot_json(stamp))) {
+  if (!write_file(opt.trace_out, net.obs().trace.to_jsonl()) ||
+      !write_file(opt.metrics_out,
+                  net.obs().registry.snapshot_json(net.now()))) {
     return 1;
   }
 
-  std::uint64_t events = 0;
-  for (const obs::Trace* lane : net.trace_lanes()) events += lane->next_index();
   std::printf(
-      "obs_capture: scenario=%s seed=%llu shards=%u workers=%u events=%llu "
-      "metrics=%zu -> %s, %s\n",
+      "obs_capture: scenario=%s seed=%llu events=%llu metrics=%zu -> %s, "
+      "%s\n",
       opt.scenario.c_str(), static_cast<unsigned long long>(opt.seed),
-      opt.shards, opt.workers, static_cast<unsigned long long>(events),
+      static_cast<unsigned long long>(net.obs().trace.next_index()),
       net.obs().registry.size(), opt.trace_out.c_str(),
       opt.metrics_out.c_str());
   return 0;

@@ -6,9 +6,6 @@
 # bench_reliable binary both exist, the reliable repair-path gate runs
 # too: delivery must stay complete, repair rounds/bytes must not
 # regress, and subcast repair must keep beating channel-wide repair.
-# Likewise for BENCH_parallel.json + bench_parallel: every mode's wire
-# counters must still equal the plain run's, and the K=1 passthrough
-# throughput must not collapse (speedups are never gated).
 #
 # Usage:
 #   scripts/bench_gate.sh [path/to/bench_core] [path/to/result.json]
@@ -171,61 +168,4 @@ print("bench_gate: PASS (reliable)")
 EOF
 else
   echo "bench_gate: skipping reliable gate (baseline or binary missing)"
-fi
-
-# ----------------------------------------------------------------------
-# Parallel-engine gate (auto-detected like the reliable gate). The hard
-# assertions are the equality flags — wire counters identical to the
-# plain run at every shard count. Throughput is guarded only for the
-# K=1 passthrough, with a loose tolerance: the full run is short, so
-# wall-clock noise is proportionally large, and the gate exists to
-# catch a collapsed fast path, not a noisy 15%.
-# ----------------------------------------------------------------------
-parallel_baseline="$repo_root/BENCH_parallel.json"
-parallel_bin="$(dirname "$bench_bin")/bench_parallel"
-
-if [[ -f "$parallel_baseline" && -x "$parallel_bin" ]]; then
-  parallel_result="$(mktemp /tmp/bench_parallel.XXXXXX.json)"
-  cleanup_files+=("$parallel_result")
-  echo "bench_gate: running $parallel_bin ..."
-  (cd "$repo_root" && "$parallel_bin" --out "$parallel_result")
-
-  python3 - "$parallel_baseline" "$parallel_result" <<'EOF'
-import json
-import sys
-
-TOLERANCE = 0.50  # loose: short run, wall-clock noise; see header comment
-
-with open(sys.argv[1]) as f:
-    base = json.load(f)
-with open(sys.argv[2]) as f:
-    cur = json.load(f)
-
-failures = []
-
-print("bench_gate: comparing against committed BENCH_parallel.json")
-for mode in ("k1", "k2", "k4"):
-    flag = cur.get(mode, {}).get("counters_match_plain")
-    verdict = "ok" if flag else "FAIL"
-    print(f"  {mode}.counters_match_plain              {flag} {verdict}")
-    if not flag:
-        failures.append(f"{mode}.counters_match_plain")
-
-if "k1" in base and "k1" in cur:
-    b = base["k1"]["events_per_sec"]
-    c = cur["k1"]["events_per_sec"]
-    floor = b * (1.0 - TOLERANCE)
-    verdict = "ok" if c >= floor else "FAIL"
-    print(f"  k1.events_per_sec                     baseline={b:>12.0f} "
-          f"current={c:>12.0f} floor={floor:>12.0f} {verdict}")
-    if c < floor:
-        failures.append("k1.events_per_sec")
-
-if failures:
-    print(f"bench_gate: FAIL ({', '.join(failures)})")
-    sys.exit(1)
-print("bench_gate: PASS (parallel)")
-EOF
-else
-  echo "bench_gate: skipping parallel gate (baseline or binary missing)"
 fi

@@ -24,9 +24,6 @@ on_fail() {
   echo "first divergent event with the trace differ:" >&2
   echo "    scripts/obs_golden.sh  (also the CI 'obs' job)" >&2
   echo "    scripts/tracediff.py a.jsonl b.jsonl" >&2
-  echo "If test_parallel or obs_golden_sharded failed, the parallel" >&2
-  echo "engine's determinism certificate is the place to look:" >&2
-  echo "    scripts/obs_golden.sh --shards 4   (contract in DESIGN.md §13)" >&2
   echo "If doclint_tree failed, a doc reference went stale — the finding" >&2
   echo "names the file and the missing target:" >&2
   echo "    scripts/lint/doclint.py --root ." >&2

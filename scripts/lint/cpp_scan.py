@@ -44,7 +44,6 @@ KNOWN_TAGS = (
     "partial-switch",
     "drop-untraced",
     "late-registration",
-    "shared-state-guarded",
 )
 
 

@@ -28,15 +28,6 @@ driver implements the checks as source lints:
                              compile time; the lint reports it without
                              a build and covers future effect methods
                              listed in CONFIG.
-  parallel-shared-state      mutable static state or unordered
-                             containers declared in the parallel
-                             engine's sources (src/sim/parallel*,
-                             src/net/sharding*). Shard windows run on
-                             worker threads; state shared across them
-                             must be const, atomic, thread_local, or
-                             annotated `// lint: shared-state-guarded
-                             (<why>)` naming the guard (e.g. "drained
-                             only at single-threaded barriers").
   bare-suppression           a `// lint:` annotation with no
                              justification, or an unknown tag.
 
@@ -411,57 +402,6 @@ def check_discarded_effects(sf: SourceFile, findings: list) -> None:
 
 
 # --------------------------------------------------------------------------
-# Check: parallel-shared-state
-# --------------------------------------------------------------------------
-
-#: Real sources the check sweeps (repo-relative path fragments).
-PARALLEL_STATE_MARKERS = (
-    os.path.join("src", "sim", "parallel"),
-    os.path.join("src", "net", "sharding"),
-)
-
-#: `static` that is not const/constexpr/thread_local/std::atomic —
-#: mutable storage every shard worker thread can reach.
-MUTABLE_STATIC_RE = re.compile(
-    r"^[ \t]*static\s+(?!const\b|constexpr\b|thread_local\b|std::atomic\b)",
-    re.MULTILINE,
-)
-#: `static <type> name(...)` — a member/free function, not state.
-STATIC_FUNC_RE = re.compile(r"^[ \t]*static\s+[\w:<>,*&\s]+?\b\w+\s*\(")
-
-
-def check_parallel_shared_state(sf: SourceFile, findings: list) -> None:
-    for m in MUTABLE_STATIC_RE.finditer(sf.code):
-        eol = sf.code.find("\n", m.start())
-        line_text = sf.code[m.start(): eol if eol >= 0 else len(sf.code)]
-        if STATIC_FUNC_RE.match(line_text):
-            continue
-        line = sf.line_of(m.start())
-        if sf.suppressed("shared-state-guarded", line, reach=2):
-            continue
-        findings.append(
-            Finding("parallel-shared-state", sf.path, line,
-                    sf.col_of(m.start()),
-                    "mutable static in parallel-engine sources: shard "
-                    "windows run on worker threads — make it const, "
-                    "std::atomic, thread_local, or annotate "
-                    "`// lint: shared-state-guarded (<why>)`")
-        )
-    for m in UNORDERED_DECL_RE.finditer(sf.code):
-        line = sf.line_of(m.start())
-        if sf.suppressed("shared-state-guarded", line, reach=2):
-            continue
-        findings.append(
-            Finding("parallel-shared-state", sf.path, line,
-                    sf.col_of(m.start()),
-                    "unordered container in parallel-engine sources: "
-                    "rehash/iteration under cross-shard mutation is a "
-                    "race and an ordering hazard — use std::map/vector "
-                    "or annotate `// lint: shared-state-guarded (<why>)`")
-        )
-
-
-# --------------------------------------------------------------------------
 # Check: bare-suppression
 # --------------------------------------------------------------------------
 
@@ -495,8 +435,6 @@ SELF_TESTS = {
     "bare_suppression.cpp": {"bare-suppression"},
     "wall_clock_in_obs.cpp": {"banned-construct"},
     "loss_model_rand.cpp": {"banned-construct"},
-    "parallel_shared_state.cpp": {"parallel-shared-state"},
-    "parallel_clean.cpp": set(),
     "clean.cpp": set(),
 }
 
@@ -506,7 +444,6 @@ SELF_TEST_MIN_COUNTS = {
     "banned_constructs.cpp": 4,       # rand, time, new, delete
     "uninitialized_message_pod.cpp": 2,  # seq, urgent
     "loss_model_rand.cpp": 3,  # rand, mt19937, bernoulli_distribution
-    "parallel_shared_state.cpp": 3,  # two mutable statics + unordered_map
 }
 
 
@@ -579,9 +516,6 @@ def run(root: str, paths=None) -> list:
         check_banned(sf, ban_clocks, findings)
         if fixture or norm in msg_files:
             check_message_pods(sf, findings)
-        if (os.path.basename(norm).startswith("parallel_") if fixture
-                else any(marker in norm for marker in PARALLEL_STATE_MARKERS)):
-            check_parallel_shared_state(sf, findings)
         check_discarded_effects(sf, findings)
         check_suppressions(sf, findings)
 

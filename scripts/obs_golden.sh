@@ -1,41 +1,24 @@
 #!/usr/bin/env bash
-# Golden determinism gate for the observability plane (DESIGN.md §11)
-# and, in --shards mode, for the parallel engine (DESIGN.md §13).
+# Golden determinism gate for the observability plane (DESIGN.md §11).
 #
-# Default mode captures the pinned seeded-churn scenario twice with the
-# same seed and asserts both artifacts are byte-identical:
-#   - the event trace JSONL, compared with scripts/tracediff.py
-#   - the metrics registry snapshot, compared with cmp
-# then captures a different seed and asserts tracediff reports the
-# first divergent record (non-zero exit). Run by ctest as `obs_golden`
-# and by the CI `obs` step.
+#   1. Captures the pinned seed-7 churn and chaos scenarios and checks
+#      the trace JSONL and metrics snapshot of each against the sha256
+#      digests committed in tests/golden/obs_capture.sha256, so a change
+#      that moves any record or metric fails across commits, not only
+#      between two runs of one binary. Re-pin only with a stated reason.
+#   2. Captures churn seed 7 a second time and asserts both artifacts
+#      are byte-identical (scripts/tracediff.py for the trace, cmp for
+#      the snapshot).
+#   3. Captures a different seed and asserts tracediff reports the first
+#      divergent record (non-zero exit).
+# Run by ctest as `obs_golden` and by the CI `obs` step.
 #
-# --shards K runs the parallel-engine A/B contract instead, for both
-# the churn and the chaos scenario:
-#   1. plain vs --shards 1: raw trace and raw snapshot byte-identical
-#      (the K=1 engine is a pure passthrough);
-#   2. --shards 1 vs --shards K: canonical trace and normalized
-#      snapshot byte-identical (same semantic events and protocol
-#      metrics under any partition);
-#   3. --shards K with 1 vs 2 worker threads: merged raw trace and raw
-#      snapshot byte-identical (thread count never changes results).
-#
-# Usage: scripts/obs_golden.sh [--shards K] [path/to/obs_capture]
+# Usage: scripts/obs_golden.sh [path/to/obs_capture]
 set -uo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-shards=""
-capture=""
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --shards)
-      [[ $# -ge 2 ]] || { echo "obs_golden: --shards needs a value" >&2; exit 2; }
-      shards="$2"; shift 2 ;;
-    *)
-      capture="$1"; shift ;;
-  esac
-done
-capture="${capture:-$repo_root/build/bench/obs_capture}"
+capture="${1:-$repo_root/build/bench/obs_capture}"
+digests="$repo_root/tests/golden/obs_capture.sha256"
 
 if [[ ! -x "$capture" ]]; then
   echo "obs_golden: capture binary not found: $capture" >&2
@@ -57,62 +40,27 @@ run() {
   }
 }
 
-check_pair() {
-  local what="$1" a="$2" b="$3"
-  if cmp -s "$workdir/$a.jsonl" "$workdir/$b.jsonl" \
-      && cmp -s "$workdir/$a.json" "$workdir/$b.json"; then
-    echo "obs_golden: $what identical"
-  else
-    echo "obs_golden: FAIL — $what differ ($a vs $b)" >&2
-    cmp "$workdir/$a.jsonl" "$workdir/$b.jsonl" >&2 || true
-    cmp "$workdir/$a.json" "$workdir/$b.json" >&2 || true
-    fail=1
-  fi
-}
-
-if [[ -n "$shards" ]]; then
-  for scenario in churn chaos; do
-    run "$scenario-plain" --scenario "$scenario"
-    run "$scenario-k1" --scenario "$scenario" --shards 1
-    check_pair "[$scenario] plain vs 1-shard raw artifacts" \
-      "$scenario-plain" "$scenario-k1"
-
-    run "$scenario-c1" --scenario "$scenario" --shards 1 \
-      --canonical --normalized-snapshot
-    run "$scenario-ck" --scenario "$scenario" --shards "$shards" \
-      --canonical --normalized-snapshot
-    check_pair "[$scenario] 1-shard vs $shards-shard canonical artifacts" \
-      "$scenario-c1" "$scenario-ck"
-
-    run "$scenario-w1" --scenario "$scenario" --shards "$shards" \
-      --workers 1 --merged
-    run "$scenario-w2" --scenario "$scenario" --shards "$shards" \
-      --workers 2 --merged
-    check_pair "[$scenario] $shards-shard 1- vs 2-worker merged artifacts" \
-      "$scenario-w1" "$scenario-w2"
-  done
-
-  if [[ "$fail" -ne 0 ]]; then
-    echo "obs_golden: FAILED (--shards $shards)" >&2
-    exit 1
-  fi
-  echo "obs_golden: parallel engine deterministic at $shards shards"
-  exit 0
+run churn --scenario churn --seed 7
+run chaos --scenario chaos --seed 7
+if (cd "$workdir" && sha256sum --quiet -c "$digests"); then
+  echo "obs_golden: churn and chaos artifacts match the committed digests"
+else
+  echo "obs_golden: FAIL — artifacts differ from $digests" >&2
+  fail=1
 fi
 
-run a --seed 7
-run b --seed 7
-run c --seed 8
+run b --scenario churn --seed 7
+run c --scenario churn --seed 8
 
 if python3 "$repo_root/scripts/tracediff.py" \
-    "$workdir/a.jsonl" "$workdir/b.jsonl"; then
+    "$workdir/churn.jsonl" "$workdir/b.jsonl"; then
   echo "obs_golden: same-seed traces identical"
 else
   echo "obs_golden: FAIL — same-seed traces diverge (see above)" >&2
   fail=1
 fi
 
-if cmp -s "$workdir/a.json" "$workdir/b.json"; then
+if cmp -s "$workdir/churn.json" "$workdir/b.json"; then
   echo "obs_golden: same-seed metrics snapshots identical"
 else
   echo "obs_golden: FAIL — same-seed metrics snapshots differ" >&2
@@ -120,7 +68,7 @@ else
 fi
 
 if python3 "$repo_root/scripts/tracediff.py" \
-    "$workdir/a.jsonl" "$workdir/c.jsonl"; then
+    "$workdir/churn.jsonl" "$workdir/c.jsonl"; then
   echo "obs_golden: FAIL — different-seed traces compare identical" >&2
   fail=1
 else

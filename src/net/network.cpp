@@ -5,24 +5,6 @@
 
 namespace express::net {
 
-thread_local const Network* Network::tl_owner_ = nullptr;
-thread_local std::uint32_t Network::tl_shard_ = 0;
-
-ShardContext::ShardContext(Network& network, NodeId node) {
-  if (network.sh_ == nullptr) return;
-  prev_owner_ = Network::tl_owner_;
-  prev_shard_ = Network::tl_shard_;
-  Network::tl_owner_ = &network;
-  Network::tl_shard_ = network.sh_->plan.shard_of[node];
-  active_ = true;
-}
-
-ShardContext::~ShardContext() {
-  if (!active_) return;
-  Network::tl_owner_ = prev_owner_;
-  Network::tl_shard_ = prev_shard_;
-}
-
 namespace {
 
 sim::Duration serialization_delay(std::uint32_t bytes, double bandwidth_bps) {
@@ -41,12 +23,11 @@ sim::Time Network::reserve_link(NodeId from, LinkId link, std::uint32_t bytes,
   const sim::Time start = std::max(earliest, free_at);
   const sim::Time done = start + serialization_delay(bytes, l.bandwidth_bps);
   free_at = done;
-  LinkCounters& lc = link_counters_for(from, link);
+  LinkCounters& lc = link_stats_[link];
   lc.packets.inc();
   lc.bytes.add(bytes);
-  NetworkCounters& nc = counters_for(from);
-  nc.packets_sent.inc();
-  nc.bytes_sent.add(bytes);
+  stats_.packets_sent.inc();
+  stats_.bytes_sent.add(bytes);
   plane_.trace.emit(start, obs::Entity::link(link), obs::TraceType::kPacketSent,
                     from, bytes);
   return done + l.delay;  // arrival at the peer
@@ -76,29 +57,11 @@ void Network::set_default_impairments(const ImpairmentConfig& config) {
 
 void Network::seed_impairments(std::uint64_t seed) {
   impair_rng_.reseed(seed);
-  impair_per_link_ = false;
-  for (auto& state : impair_gilbert_bad_) state = {};
-}
-
-void Network::seed_impairments_per_link(std::uint64_t seed) {
-  impair_rng_link_.clear();
-  impair_rng_link_.resize(topology_.link_count());
-  for (LinkId l = 0; l < topology_.link_count(); ++l) {
-    // One stream per (link, direction), derived from (seed, link, dir)
-    // only — a stream's draw order depends solely on that direction's
-    // own traffic, never on interleaving with other links.
-    impair_rng_link_[l][0].reseed(seed ^
-                                  (0x9e3779b97f4a7c15ULL * (2ULL * l + 1)));
-    impair_rng_link_[l][1].reseed(seed ^
-                                  (0x9e3779b97f4a7c15ULL * (2ULL * l + 2)));
-  }
-  impair_per_link_ = true;
   for (auto& state : impair_gilbert_bad_) state = {};
 }
 
 Network::ImpairmentVerdict Network::roll_impairment(NodeId from, LinkId link,
-                                                    const Packet& packet,
-                                                    sim::Time trace_now) {
+                                                    const Packet& packet) {
   const ImpairmentConfig& cfg = impair_cfg_[link];
   if (!cfg.enabled()) return ImpairmentVerdict::kDeliver;
   if (cfg.data_only) {
@@ -108,41 +71,33 @@ Network::ImpairmentVerdict Network::roll_impairment(NodeId from, LinkId link,
          packet.inner->protocol == ip::Protocol::kUdp);
     if (!data) return ImpairmentVerdict::kDeliver;
   }
-  if (sh_ != nullptr && sh_->plan.shards > 1 && !impair_per_link_) {
-    // The shared stream's draw order depends on cross-shard event
-    // interleaving; only per-link streams are layout-independent.
-    throw std::logic_error(
-        "Network: sharded impairments require seed_impairments_per_link()");
-  }
-  const LinkInfo& l = topology_.link(link);
-  const std::size_t dir = (l.a == from) ? 0 : 1;
-  sim::Rng& rng = impair_per_link_ ? impair_rng_link_[link][dir] : impair_rng_;
   bool lost = false;
   switch (cfg.loss.kind) {
     case LossModel::Kind::kNone:
       break;
     case LossModel::Kind::kBernoulli:
-      lost = rng.chance(cfg.loss.p);
+      lost = impair_rng_.chance(cfg.loss.p);
       break;
     case LossModel::Kind::kGilbert: {
+      const std::size_t dir = (topology_.link(link).a == from) ? 0 : 1;
       std::uint8_t& bad = impair_gilbert_bad_[link][dir];
-      lost = rng.chance(bad != 0 ? cfg.loss.gilbert_loss_bad
-                                 : cfg.loss.gilbert_loss_good);
+      lost = impair_rng_.chance(bad != 0 ? cfg.loss.gilbert_loss_bad
+                                         : cfg.loss.gilbert_loss_good);
       const double flip =
           bad != 0 ? cfg.loss.gilbert_exit_bad : cfg.loss.gilbert_enter_bad;
-      if (rng.chance(flip)) bad = bad != 0 ? 0 : 1;
+      if (impair_rng_.chance(flip)) bad = bad != 0 ? 0 : 1;
       break;
     }
   }
   if (lost) {
-    counters_for(from).dropped_loss.inc();
-    plane_.trace.emit(trace_now, obs::Entity::link(link),
+    stats_.dropped_loss.inc();
+    plane_.trace.emit(scheduler_.now(), obs::Entity::link(link),
                       obs::TraceType::kPacketLost, from, packet.wire_size());
     return ImpairmentVerdict::kDrop;
   }
-  if (cfg.reorder_p > 0.0 && rng.chance(cfg.reorder_p)) {
-    counters_for(from).reordered.inc();
-    plane_.trace.emit(trace_now, obs::Entity::link(link),
+  if (cfg.reorder_p > 0.0 && impair_rng_.chance(cfg.reorder_p)) {
+    stats_.reordered.inc();
+    plane_.trace.emit(scheduler_.now(), obs::Entity::link(link),
                       obs::TraceType::kPacketReordered, from,
                       packet.wire_size());
     return ImpairmentVerdict::kDelay;
@@ -155,7 +110,7 @@ void Network::deliver_packet(NodeId to, const Packet& packet,
   // enabled() gate first: the entity lookup and wire_size() walk stay
   // off the per-delivery fast path while tracing is disarmed.
   if (plane_.trace.enabled()) {
-    plane_.trace.emit(scheduler_for(to).now(), node_entity(to),
+    plane_.trace.emit(scheduler_.now(), node_entity(to),
                       obs::TraceType::kPacketDelivered, iface,
                       packet.wire_size());
   }
@@ -164,16 +119,16 @@ void Network::deliver_packet(NodeId to, const Packet& packet,
 
 void Network::transmit(NodeId from, LinkId link, Packet packet) {
   const LinkInfo& l = topology_.link(link);
-  const sim::Time at = scheduler_for(from).now();
   if (!l.up) {
-    counters_for(from).dropped_link_down.inc();
-    trace_drop(obs::DropReason::kLinkDown, link, at);
+    stats_.dropped_link_down.inc();
+    trace_drop(obs::DropReason::kLinkDown, link);
     return;
   }
   const NodeId to = topology_.peer(link, from);
-  sim::Time arrival = reserve_link(from, link, packet.wire_size(), at);
+  sim::Time arrival =
+      reserve_link(from, link, packet.wire_size(), scheduler_.now());
   if (impairments_armed_) {
-    switch (roll_impairment(from, link, packet, at)) {
+    switch (roll_impairment(from, link, packet)) {
       case ImpairmentVerdict::kDrop:
         return;  // wire time already consumed, copy never arrives
       case ImpairmentVerdict::kDelay:
@@ -184,14 +139,8 @@ void Network::transmit(NodeId from, LinkId link, Packet packet) {
     }
   }
   auto iface_at_peer = topology_.interface_on(to, link);
-  if (sh_ != nullptr && sh_->plan.is_cross(link)) {
-    cross_enqueue(from, link,
-                  CrossEntry{arrival, at, to, *iface_at_peer, 0,
-                             std::move(packet)});
-    return;
-  }
   // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-  scheduler_for(from).schedule_at(
+  scheduler_.schedule_at(
       arrival, [this, to, iface = *iface_at_peer, p = std::move(packet)]() {
         deliver_packet(to, p, iface);
       });
@@ -227,16 +176,16 @@ bool Network::Fanout::add(std::uint32_t iface) {
   Network& net = *net_;
   const LinkId link = net.topology_.node(from_).interfaces.at(iface);
   const LinkInfo& l = net.topology_.link(link);
-  const sim::Time at = net.scheduler_for(from_).now();
   if (!l.up) {
-    net.counters_for(from_).dropped_link_down.inc();
-    net.trace_drop(obs::DropReason::kLinkDown, link, at);
+    net.stats_.dropped_link_down.inc();
+    net.trace_drop(obs::DropReason::kLinkDown, link);
     return false;
   }
   const NodeId to = net.topology_.peer(link, from_);
-  sim::Time arrival = net.reserve_link(from_, link, wire_bytes_, at);
+  sim::Time arrival =
+      net.reserve_link(from_, link, wire_bytes_, net.scheduler_.now());
   if (net.impairments_armed_) {
-    switch (net.roll_impairment(from_, link, packet_, at)) {
+    switch (net.roll_impairment(from_, link, packet_)) {
       case ImpairmentVerdict::kDrop:
         return true;  // copy consumed its wire slot but is gone
       case ImpairmentVerdict::kDelay:
@@ -247,15 +196,9 @@ bool Network::Fanout::add(std::uint32_t iface) {
     }
   }
   const DeliveryTarget target{to, *net.topology_.interface_on(to, link)};
-  if (net.sh_ != nullptr && net.sh_->plan.is_cross(link)) {
-    net.cross_enqueue(from_, link,
-                      CrossEntry{arrival, at, target.to, target.iface, 0,
-                                 packet_});
-    return true;
-  }
   if (!net.fanout_batching_) {
     // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-    net.scheduler_for(from_).schedule_at(
+    net.scheduler_.schedule_at(
         arrival, [n = net_, target, p = packet_]() {
           n->deliver_packet(target.to, p, target.iface);
         });
@@ -285,13 +228,13 @@ void Network::Fanout::flush() {
   if (batch_ == kNoBatch) {
     // Single copy at this arrival: same event shape as transmit().
     // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-    net.scheduler_for(from_).schedule_at(
+    net.scheduler_.schedule_at(
         arrival_, [n = net_, target = first_, p = packet_]() {
           n->deliver_packet(target.to, p, target.iface);
         });
   } else {
     // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-    net.scheduler_for(from_).schedule_at(arrival_, [n = net_, id = batch_]() {
+    net.scheduler_.schedule_at(arrival_, [n = net_, id = batch_]() {
       n->deliver_fanout_batch(id);
     });
     batch_ = kNoBatch;
@@ -311,57 +254,49 @@ void Network::send_to_neighbor(NodeId from, NodeId neighbor, Packet packet) {
 }
 
 void Network::send_unicast(NodeId from, Packet packet) {
-  const sim::Time at = scheduler_for(from).now();
   auto dest = node_of(packet.dst);
   if (!dest) {
-    counters_for(from).dropped_no_route.inc();
-    trace_drop(obs::DropReason::kNoRoute, kInvalidLink, at);
+    stats_.dropped_no_route.inc();
+    trace_drop(obs::DropReason::kNoRoute, kInvalidLink);
     return;
   }
   if (from == *dest) {
     // Loopback delivery: interface index is irrelevant; use 0.
     // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-    scheduler_for(from).schedule_after(
+    scheduler_.schedule_after(
         sim::Duration{0}, [this, to = from, p = std::move(packet)]() {
           deliver_packet(to, p, 0);
         });
     return;
   }
-  unicast_walk(from, *dest, std::move(packet), at, at);
-}
-
-void Network::unicast_walk(NodeId from, NodeId dest, Packet packet,
-                           sim::Time at, sim::Time trace_now) {
   // Walk the path, reserving FIFO serialization on every link in turn,
-  // decrementing TTL per hop; deliver only at the destination. On a
-  // sharded network the walk pauses at the first shard boundary and the
-  // barrier resumes it on the far side — drop records keep the
-  // origination stamp (`trace_now`) so traces match the K=1 run.
-  const auto hops = routing_.path(from, dest);
+  // decrementing TTL per hop; deliver only at the destination.
+  const auto hops = routing_.path(from, *dest);
   if (hops.empty()) {
-    counters_for(from).dropped_no_route.inc();
-    trace_drop(obs::DropReason::kNoRoute, kInvalidLink, trace_now);
+    stats_.dropped_no_route.inc();
+    trace_drop(obs::DropReason::kNoRoute, kInvalidLink);
     return;
   }
   const std::uint32_t size = packet.wire_size();
   std::uint8_t ttl = packet.ttl;
+  sim::Time at = scheduler_.now();
   for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
     if (ttl == 0) {
-      counters_for(hops[i]).dropped_ttl.inc();
-      trace_drop(obs::DropReason::kTtlExpired, kInvalidLink, trace_now);
+      stats_.dropped_ttl.inc();
+      trace_drop(obs::DropReason::kTtlExpired, kInvalidLink);
       return;
     }
     --ttl;
     auto iface = topology_.interface_to(hops[i], hops[i + 1]);
     const LinkId link = topology_.node(hops[i]).interfaces.at(*iface);
     if (!topology_.link(link).up) {
-      counters_for(hops[i]).dropped_link_down.inc();
-      trace_drop(obs::DropReason::kLinkDown, link, trace_now);
+      stats_.dropped_link_down.inc();
+      trace_drop(obs::DropReason::kLinkDown, link);
       return;
     }
     at = reserve_link(hops[i], link, size, at);
     if (impairments_armed_) {
-      switch (roll_impairment(hops[i], link, packet, trace_now)) {
+      switch (roll_impairment(hops[i], link, packet)) {
         case ImpairmentVerdict::kDrop:
           return;  // lost mid-path; upstream links already charged
         case ImpairmentVerdict::kDelay:
@@ -371,32 +306,13 @@ void Network::unicast_walk(NodeId from, NodeId dest, Packet packet,
           break;
       }
     }
-    if (sh_ != nullptr && sh_->plan.is_cross(link)) {
-      // Crossing: the sender side of this link is reserved above; the
-      // rest of the walk belongs to the far shard. Deliver directly if
-      // the crossing peer *is* the destination, else resume there.
-      packet.ttl = ttl;
-      const NodeId peer = hops[i + 1];
-      if (peer == dest) {
-        auto iface_at_dest = topology_.interface_to(dest, hops[i]);
-        cross_enqueue(hops[i], link,
-                      CrossEntry{at, trace_now, dest,
-                                 iface_at_dest.value_or(0), 0,
-                                 std::move(packet)});
-      } else {
-        cross_enqueue(hops[i], link,
-                      CrossEntry{at, trace_now, peer, 0, 1,
-                                 std::move(packet)});
-      }
-      return;
-    }
   }
   packet.ttl = ttl;
-  const NodeId to = dest;
+  const NodeId to = *dest;
   const NodeId prev = hops[hops.size() - 2];
   auto iface_at_dest = topology_.interface_to(to, prev);
   // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-  scheduler_for(to).schedule_at(
+  scheduler_.schedule_at(
       at, [this, to, iface = iface_at_dest.value_or(0),
            p = std::move(packet)]() { deliver_packet(to, p, iface); });
 }
@@ -405,200 +321,12 @@ void Network::set_link_up(LinkId link, bool up) {
   topology_.set_link_up(link, up);
   routing_.recompute();
   for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (nodes_[id] == nullptr) continue;
-    // Each node reacts in its own shard context, so anything it
-    // schedules or sends lands on its shard. (Sharded networks only
-    // flip links between run_until calls — barrier time.)
-    ShardContext shard_ctx(*this, id);
-    nodes_[id]->on_routing_change();
+    if (nodes_[id] != nullptr) nodes_[id]->on_routing_change();
   }
 }
 
 std::uint64_t Network::total_link_bytes() const {
   return plane_.registry.sum("net.link.bytes");
-}
-
-// ---------------------------------------------------------------------
-// Sharded execution (DESIGN.md §13)
-// ---------------------------------------------------------------------
-
-void Network::enable_sharding(ShardPlan plan, unsigned workers) {
-  if (sh_ != nullptr) {
-    throw std::logic_error("Network: sharding already enabled");
-  }
-  for (const auto& n : nodes_) {
-    if (n != nullptr) {
-      throw std::logic_error("Network: enable_sharding must precede attach()");
-    }
-  }
-  if (plan.shard_of.size() != topology_.node_count() ||
-      plan.cross_flag_.size() != topology_.link_count()) {
-    throw std::logic_error("Network: shard plan does not match topology");
-  }
-  sh_ = std::make_unique<Sharding>();
-  sh_->plan = std::move(plan);
-  const ShardPlan& p = sh_->plan;
-  for (std::uint32_t s = 0; s < p.shards; ++s) {
-    sh_->shards.emplace_back();
-    Shard& shard = sh_->shards.back();
-    if (s == 0) continue;  // shard 0 reuses scheduler_ and the real slots
-    shard.sched = std::make_unique<sim::Scheduler>(
-        true, obs::Scope{&shard.plane, obs::Entity::network()});
-    shard.counters.packets_sent = obs::Counter::external(&shard.net_lane[0]);
-    shard.counters.bytes_sent = obs::Counter::external(&shard.net_lane[1]);
-    shard.counters.dropped_link_down =
-        obs::Counter::external(&shard.net_lane[2]);
-    shard.counters.dropped_no_route =
-        obs::Counter::external(&shard.net_lane[3]);
-    shard.counters.dropped_ttl = obs::Counter::external(&shard.net_lane[4]);
-    shard.counters.dropped_loss = obs::Counter::external(&shard.net_lane[5]);
-    shard.counters.reordered = obs::Counter::external(&shard.net_lane[6]);
-    shard.link_lane.resize(topology_.link_count());
-    shard.links.resize(topology_.link_count());
-    for (LinkId l = 0; l < topology_.link_count(); ++l) {
-      shard.links[l].packets = obs::Counter::external(&shard.link_lane[l][0]);
-      shard.links[l].bytes = obs::Counter::external(&shard.link_lane[l][1]);
-    }
-  }
-  sh_->outboxes.resize(topology_.link_count() * 2);
-  if (p.shards > 1) {
-    // The fan-out batch pool is shared across shards; per-copy events
-    // keep delivery order identical (set_fanout_batching contract).
-    fanout_batching_ = false;
-  }
-  // The static_cast runs in member context, where the private base is
-  // accessible (make_unique's internal `new` is not a member).
-  sh_->engine = std::make_unique<sim::ParallelEngine>(
-      static_cast<sim::ShardClient&>(*this), workers);
-}
-
-std::vector<const obs::Trace*> Network::trace_lanes() const {
-  std::vector<const obs::Trace*> lanes{&plane_.trace};
-  if (sh_ != nullptr) {
-    for (std::uint32_t s = 1; s < sh_->plan.shards; ++s) {
-      lanes.push_back(&sh_->shards[s].plane.trace);
-    }
-  }
-  return lanes;
-}
-
-std::uint32_t Network::shard_count() const { return sh_->plan.shards; }
-
-sim::Scheduler& Network::shard_scheduler(std::uint32_t shard) {
-  return sched_of(shard);
-}
-
-sim::Duration Network::lookahead() const { return sh_->plan.lookahead; }
-
-void Network::begin_shard(std::uint32_t shard) {
-  tl_owner_ = this;
-  tl_shard_ = shard;
-  if (shard != 0 && plane_.trace.enabled()) {
-    // Shard 0 writes the main ring directly (its window never runs
-    // concurrently with barrier emissions); every other shard redirects
-    // this thread's main-ring emits into its private lane.
-    obs::Trace& lane = sh_->shards[shard].plane.trace;
-    if (!lane.enabled()) lane.enable(plane_.trace.capacity());
-    obs::Trace::set_thread_redirect(&plane_.trace, &lane);
-  }
-}
-
-void Network::end_shard(std::uint32_t /*shard*/) {
-  obs::Trace::set_thread_redirect(nullptr, nullptr);
-  tl_owner_ = nullptr;
-  tl_shard_ = 0;
-}
-
-void Network::flush_lanes() {
-  auto take = [](std::uint64_t& v) {
-    const std::uint64_t x = v;
-    v = 0;
-    return x;
-  };
-  for (std::uint32_t s = 1; s < sh_->plan.shards; ++s) {
-    Shard& shard = sh_->shards[s];
-    stats_.packets_sent.add(take(shard.net_lane[0]));
-    stats_.bytes_sent.add(take(shard.net_lane[1]));
-    // lint: drop-untraced (lane fold: each drop was traced when its lane was bumped)
-    stats_.dropped_link_down.add(take(shard.net_lane[2]));
-    // lint: drop-untraced (lane fold: each drop was traced when its lane was bumped)
-    stats_.dropped_no_route.add(take(shard.net_lane[3]));
-    // lint: drop-untraced (lane fold: each drop was traced when its lane was bumped)
-    stats_.dropped_ttl.add(take(shard.net_lane[4]));
-    // lint: drop-untraced (lane fold: each drop was traced when its lane was bumped)
-    stats_.dropped_loss.add(take(shard.net_lane[5]));
-    stats_.reordered.add(take(shard.net_lane[6]));
-    for (LinkId l = 0; l < topology_.link_count(); ++l) {
-      std::array<std::uint64_t, 2>& lane = shard.link_lane[l];
-      if (lane[0] == 0 && lane[1] == 0) continue;
-      link_stats_[l].packets.add(take(lane[0]));
-      link_stats_[l].bytes.add(take(lane[1]));
-    }
-  }
-}
-
-void Network::cross_enqueue(NodeId from, LinkId link, CrossEntry entry) {
-  const LinkInfo& l = topology_.link(link);
-  const std::size_t dir = (l.a == from) ? 0 : 1;
-  sh_->outboxes[static_cast<std::size_t>(link) * 2 + dir].entries.push_back(
-      std::move(entry));
-}
-
-void Network::exchange(sim::ParallelStats& stats) {
-  flush_lanes();
-  bool drained_any = false;
-  // A resumed unicast walk can cross a further boundary, so drain until
-  // quiescent. Everything below runs single-threaded at the barrier.
-  for (;;) {
-    std::vector<CrossEntry>& drain = sh_->drain;
-    drain.clear();
-    for (LinkId link : sh_->plan.cross_links) {
-      for (std::size_t dir = 0; dir < 2; ++dir) {
-        auto& entries =
-            sh_->outboxes[static_cast<std::size_t>(link) * 2 + dir].entries;
-        for (CrossEntry& e : entries) drain.push_back(std::move(e));
-        entries.clear();
-      }
-    }
-    if (drain.empty()) break;
-    drained_any = true;
-    stats.cross_shard_events += drain.size();
-    // Stable sort by arrival only: entries from one (link, direction)
-    // queue keep their append order, equal arrivals across queues
-    // resolve in cross_links order — a pure function of the plan, so
-    // every worker count merges identically.
-    std::stable_sort(drain.begin(), drain.end(),
-                     [](const CrossEntry& x, const CrossEntry& y) {
-                       return x.arrival < y.arrival;
-                     });
-    for (std::size_t i = 1; i < drain.size(); ++i) {
-      if (drain[i].arrival == drain[i - 1].arrival &&
-          sh_->plan.shard_of[drain[i].to] ==
-              sh_->plan.shard_of[drain[i - 1].to]) {
-        // The merge key, not global chronology, decided this tie. Gate
-        // scenarios assert zero so the determinism certificate does not
-        // hinge on the merge-order convention.
-        ++stats.tie_collisions;
-      }
-    }
-    for (CrossEntry& e : drain) {
-      if (e.resume != 0) {
-        auto dest = node_of(e.packet.dst);
-        if (!dest) {  // address book never shrinks; defensive only
-          counters_for(e.to).dropped_no_route.inc();
-          trace_drop(obs::DropReason::kNoRoute, kInvalidLink, e.sent_now);
-          continue;
-        }
-        unicast_walk(e.to, *dest, std::move(e.packet), e.arrival, e.sent_now);
-        continue;
-      }
-      // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-      scheduler_for(e.to).schedule_at(
-          e.arrival, [this, to = e.to, iface = e.iface,
-                      p = std::move(e.packet)]() { deliver_packet(to, p, iface); });
-    }
-  }
-  if (drained_any) flush_lanes();  // resumed walks may have bumped lanes
 }
 
 }  // namespace express::net

@@ -12,8 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -25,10 +23,8 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/routing.hpp"
-#include "net/sharding.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
@@ -55,7 +51,7 @@ struct DeliveryTarget {
   std::uint32_t iface = 0;  ///< arrival interface at `to`
 };
 
-class Network : private sim::ShardClient {
+class Network {
  public:
   explicit Network(Topology topology)
       : topology_(std::move(topology)),
@@ -80,27 +76,10 @@ class Network : private sim::ShardClient {
     }
   }
 
-  /// The calling context's scheduler. Unsharded this is *the*
-  /// scheduler; sharded it resolves to the active shard's scheduler
-  /// (inside an engine window or a ShardContext), falling back to shard
-  /// 0 — so node code that schedules via `network.scheduler()` lands on
-  /// its own shard without knowing sharding exists.
-  [[nodiscard]] sim::Scheduler& scheduler() {
-    if (sh_ != nullptr && tl_owner_ == this) return sched_of(tl_shard_);
-    return scheduler_;
-  }
-  /// The scheduler owning `id`'s shard (shard 0 when unsharded).
-  [[nodiscard]] sim::Scheduler& scheduler_for(NodeId id) {
-    return sh_ != nullptr ? sched_of(sh_->plan.shard_of[id]) : scheduler_;
-  }
+  [[nodiscard]] sim::Scheduler& scheduler() { return scheduler_; }
   [[nodiscard]] const Topology& topology() const { return topology_; }
   [[nodiscard]] const UnicastRouting& routing() const { return routing_; }
-  [[nodiscard]] sim::Time now() const {
-    if (sh_ != nullptr && tl_owner_ == this && tl_shard_ != 0) {
-      return sh_->shards[tl_shard_].sched->now();
-    }
-    return scheduler_.now();
-  }
+  [[nodiscard]] sim::Time now() const { return scheduler_.now(); }
 
   /// This network's observability plane: every module attached to the
   /// network registers its metrics (and emits trace records) here, so
@@ -127,14 +106,11 @@ class Network : private sim::ShardClient {
 
   /// Construct and register a node of type T at topology node `id`.
   /// T's constructor must take (Network&, NodeId, extra args...).
-  /// Construction runs under a ShardContext for `id`, so anything the
-  /// node schedules at attach time lands on its own shard's scheduler.
   template <typename T, typename... Args>
   T& attach(NodeId id, Args&&... args) {
     if (nodes_.size() < topology_.node_count()) {
       nodes_.resize(topology_.node_count());
     }
-    ShardContext shard_ctx(*this, id);
     auto node = std::make_unique<T>(*this, id, std::forward<Args>(args)...);
     T& ref = *node;
     nodes_.at(id) = std::move(node);
@@ -221,9 +197,8 @@ class Network : private sim::ShardClient {
   /// set_link_impairments() per link; per-link overrides can follow.
   void set_default_impairments(const ImpairmentConfig& config);
 
-  /// Reseed the shared impairment RNG (also resets Gilbert burst state
-  /// and leaves per-link stream mode, if it was armed). A network whose
-  /// links all carry neutral configs draws nothing.
+  /// Reseed the impairment RNG (also resets Gilbert burst state). A
+  /// network whose links all carry neutral configs draws nothing.
   void seed_impairments(std::uint64_t seed);
 
   [[nodiscard]] const ImpairmentConfig& link_impairments(LinkId link) const {
@@ -251,93 +226,23 @@ class Network : private sim::ShardClient {
   /// Sum of bytes over all links (total delivered bandwidth-volume).
   [[nodiscard]] std::uint64_t total_link_bytes() const;
 
-  /// Run the simulation until `deadline`. Sharded networks route
-  /// through the parallel engine's window loop; results are identical
-  /// either way (DESIGN.md §13).
-  void run_until(sim::Time deadline) {
-    if (sh_ != nullptr) {
-      sh_->engine->run_until(deadline);
-      return;
-    }
-    scheduler_.run_until(deadline);
-  }
-  void run() {
-    if (sh_ != nullptr) {
-      sh_->engine->run();
-      return;
-    }
-    scheduler_.run();
-  }
-
-  // -- Sharded (parallel) execution — DESIGN.md §13 ---------------------
-
-  /// Partition execution across plan.shards schedulers driven by a
-  /// sim::ParallelEngine. Must be called before any attach(): nodes
-  /// bind to their shard's scheduler at construction. K > 1 disables
-  /// fan-out batching (its record pool is shared across shards; the
-  /// documented set_fanout_batching contract keeps delivery order
-  /// identical without it). Counters, traces, and snapshots stay
-  /// deterministic for any worker count; see parallel.hpp for the full
-  /// contract.
-  void enable_sharding(ShardPlan plan, unsigned workers = 1);
-
-  [[nodiscard]] bool sharded() const { return sh_ != nullptr; }
-  [[nodiscard]] std::uint32_t shard_of(NodeId id) const {
-    return sh_ != nullptr ? sh_->plan.shard_of[id] : 0;
-  }
-
-  /// Worker threads for window execution (>= 1; 1 = inline reference
-  /// mode). No effect on results, only wall-clock. Unsharded: no-op.
-  void set_parallel_workers(unsigned workers) {
-    if (sh_ != nullptr) sh_->engine->set_workers(workers);
-  }
-
-  [[nodiscard]] sim::ParallelStats parallel_stats() const {
-    return sh_ != nullptr ? sh_->engine->stats() : sim::ParallelStats{};
-  }
-
-  /// Earliest pending event across every shard (drains in-flight
-  /// cross-shard queues first), or the plain scheduler probe when
-  /// unsharded. Use this instead of scheduler().next_event_time() in
-  /// mode-agnostic drivers (workload::ChaosCampaign does).
+  /// Run the simulation until `deadline`.
+  void run_until(sim::Time deadline) { scheduler_.run_until(deadline); }
+  void run() { scheduler_.run(); }
+  /// Earliest pending event (see sim::Scheduler::next_event_time).
   [[nodiscard]] std::optional<sim::Time> next_event_time() {
-    if (sh_ != nullptr) return sh_->engine->next_event_time();
     return scheduler_.next_event_time();
   }
 
-  /// Every trace lane of this network, main ring first, then one per
-  /// shard >= 1 — feed to obs::merged_trace_jsonl /
-  /// canonical_trace_jsonl. Unsharded: just the main ring.
-  [[nodiscard]] std::vector<const obs::Trace*> trace_lanes() const;
-
-  /// Reseed impairments with one independent RNG stream per (link,
-  /// direction) instead of the single shared stream. Draw order then
-  /// depends only on each link's own traffic, so results are identical
-  /// across shard layouts — REQUIRED when impairments are armed on a
-  /// K > 1 network (roll_impairment throws otherwise), and available
-  /// unsharded so A/B comparisons can run both modes with equal loss.
-  void seed_impairments_per_link(std::uint64_t seed);
-
  private:
-  // sim::ShardClient (private base): the engine's view of this network.
-  [[nodiscard]] std::uint32_t shard_count() const override;
-  [[nodiscard]] sim::Scheduler& shard_scheduler(std::uint32_t shard) override;
-  [[nodiscard]] sim::Duration lookahead() const override;
-  void begin_shard(std::uint32_t shard) override;
-  void end_shard(std::uint32_t shard) override;
-  void exchange(sim::ParallelStats& stats) override;
-
   void transmit(NodeId from, LinkId link, Packet packet);
 
   /// Single funnel for handing a packet to its destination node: emits
   /// the kPacketDelivered trace record, then dispatches.
   void deliver_packet(NodeId to, const Packet& packet, std::uint32_t iface);
 
-  /// `t` is the drop's trace stamp: the dropping context's clock (a
-  /// resumed cross-shard unicast walk carries its origination time so
-  /// drop records match the single-threaded run byte for byte).
-  void trace_drop(obs::DropReason reason, LinkId link, sim::Time t) {
-    plane_.trace.emit(t, obs::Entity::network(),
+  void trace_drop(obs::DropReason reason, LinkId link) {
+    plane_.trace.emit(scheduler_.now(), obs::Entity::network(),
                       obs::TraceType::kPacketDropped,
                       static_cast<std::uint64_t>(reason), link);
   }
@@ -353,10 +258,8 @@ class Network : private sim::ShardClient {
   /// loss is enabled. Callers gate on impairments_armed_ so the
   /// disarmed fast path stays a single branch with zero RNG draws.
   enum class ImpairmentVerdict : std::uint8_t { kDeliver, kDrop, kDelay };
-  /// `trace_now` stamps loss/reorder records (a resumed cross-shard
-  /// unicast walk passes its origination time, matching K=1 stamps).
   ImpairmentVerdict roll_impairment(NodeId from, LinkId link,
-                                    const Packet& packet, sim::Time trace_now);
+                                    const Packet& packet);
 
   /// Pooled storage for multi-target fan-out groups. Records are
   /// recycled through a free list with their target capacity intact,
@@ -384,80 +287,6 @@ class Network : private sim::ShardClient {
     obs::Counter bytes;
   };
 
-  // -- Sharding state (null unless enable_sharding ran) -----------------
-
-  /// Per-shard runtime. Shard 0 reuses the network's own scheduler and
-  /// real registry slots; shards >= 1 own a private scheduler bound to a
-  /// private Plane (so sim.sched.* metrics never share main-registry
-  /// slots) plus plain-uint64 counter *lanes* behind Counter::external
-  /// handles. Each lane is written only by its shard's thread during a
-  /// window and folded into the real slots at barriers.
-  struct Shard {
-    obs::Plane plane;
-    std::unique_ptr<sim::Scheduler> sched;  ///< null for shard 0
-    std::array<std::uint64_t, 7> net_lane{};
-    std::vector<std::array<std::uint64_t, 2>> link_lane;
-    NetworkCounters counters;        ///< external handles into net_lane
-    std::vector<LinkCounters> links; ///< external handles into link_lane
-  };
-
-  /// One packet handed across a shard boundary. Appended by the sending
-  /// shard during a window, drained single-threaded at the next barrier.
-  struct CrossEntry {
-    sim::Time arrival{};   ///< delivery (or walk-resume) time at `to`
-    sim::Time sent_now{};  ///< sender clock at origination (drop stamps)
-    NodeId to = 0;
-    std::uint32_t iface = 0;  ///< arrival interface (deliveries only)
-    std::uint8_t resume = 0;  ///< 1: continue a unicast walk at `to`
-    Packet packet;
-  };
-  /// Queue for one (link, direction): written by exactly one shard (the
-  /// sending endpoint's), so appends need no lock.
-  struct Outbox {
-    std::vector<CrossEntry> entries;
-  };
-
-  struct Sharding {
-    ShardPlan plan;
-    /// Deque: Shard holds a Plane (registry is pinned-address) and is
-    /// neither copyable nor movable; deque growth never relocates.
-    std::deque<Shard> shards;
-    std::vector<Outbox> outboxes;       ///< indexed link * 2 + direction
-    std::vector<CrossEntry> drain;      ///< barrier scratch, sorted merge
-    std::unique_ptr<sim::ParallelEngine> engine;
-  };
-
-  [[nodiscard]] sim::Scheduler& sched_of(std::uint32_t shard) {
-    return shard == 0 ? scheduler_ : *sh_->shards[shard].sched;
-  }
-  /// Counter lanes for traffic executing on behalf of node `from`
-  /// (always `from`'s own shard — the only thread allowed to touch it).
-  [[nodiscard]] NetworkCounters& counters_for(NodeId from) {
-    if (sh_ == nullptr) return stats_;
-    const std::uint32_t s = sh_->plan.shard_of[from];
-    return s == 0 ? stats_ : sh_->shards[s].counters;
-  }
-  [[nodiscard]] LinkCounters& link_counters_for(NodeId from, LinkId link) {
-    if (sh_ == nullptr) return link_stats_[link];
-    const std::uint32_t s = sh_->plan.shard_of[from];
-    return s == 0 ? link_stats_[link] : sh_->shards[s].links[link];
-  }
-
-  /// Fold every lane (shards >= 1) into the real registry slots.
-  void flush_lanes();
-  /// Hand one packet over a shard boundary (barrier delivers it).
-  void cross_enqueue(NodeId from, LinkId link, CrossEntry entry);
-  /// Continue a unicast walk from `from` toward packet.dst: hop-by-hop
-  /// link reservation starting at `at`, pausing again at the next shard
-  /// boundary. `trace_now` stamps drop records (origination time).
-  void unicast_walk(NodeId from, NodeId dest, Packet packet, sim::Time at,
-                    sim::Time trace_now);
-
-  friend class ShardContext;
-  /// lint: shared-state-guarded (thread_local: each worker owns its context)
-  static thread_local const Network* tl_owner_;
-  static thread_local std::uint32_t tl_shard_;
-
   Topology topology_;
   UnicastRouting routing_;
   /// Declared before scheduler_ so the scheduler can bind to it.
@@ -479,14 +308,8 @@ class Network : private sim::ShardClient {
   /// Gilbert-Elliott "in bad state" flag per link direction.
   std::vector<std::array<std::uint8_t, 2>> impair_gilbert_bad_;
   sim::Rng impair_rng_;
-  /// Per-(link, direction) streams, armed by seed_impairments_per_link.
-  /// Sharded runs require these: each stream is drawn only by its
-  /// sending shard, so draw order is independent of shard layout.
-  std::vector<std::array<sim::Rng, 2>> impair_rng_link_;
-  bool impair_per_link_ = false;
   bool impairments_armed_ = false;
   NetworkCounters stats_;
-  std::unique_ptr<Sharding> sh_;
 };
 
 }  // namespace express::net

@@ -51,10 +51,8 @@ void UnicastRouting::dijkstra(NodeId origin) {
 
 std::optional<NodeId> UnicastRouting::next_hop(NodeId from, NodeId to) const {
   if (from == to) return std::nullopt;
-  const Entry& e = tables_.at(to).at(from);  // path from->to mirrors to->from
   // Use the table rooted at `from` for correctness under asymmetric costs.
   const Entry& f = tables_.at(from).at(to);
-  (void)e;
   if (f.cost == kUnreachable) return std::nullopt;
   return f.first_hop;
 }

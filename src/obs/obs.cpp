@@ -2,21 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 #include <utility>
 
 namespace express::obs {
 
 std::uint64_t Counter::sink_ = 0;
 HistogramData Histogram::sink_{};
-
-thread_local const Trace* Trace::tl_redirect_from_ = nullptr;
-thread_local Trace* Trace::tl_redirect_to_ = nullptr;
-
-void Trace::set_thread_redirect(const Trace* from, Trace* to) {
-  tl_redirect_from_ = from;
-  tl_redirect_to_ = to;
-}
 
 const char* entity_kind_name(EntityKind kind) {
   switch (kind) {
@@ -269,100 +260,24 @@ std::size_t Trace::count(const TraceFilter& filter) const {
   return n;
 }
 
-namespace {
-
-/// One record in Trace::to_jsonl's exact canonical form; `lane` >= 0
-/// appends a trailing "lane" key (merged multi-ring exports only).
-void append_record(std::string& out, const TraceRecord& rec, int lane = -1) {
-  out += "{\"a\":";
-  append_uint(out, rec.a);
-  out += ",\"b\":";
-  append_uint(out, rec.b);
-  out += ",\"c\":";
-  append_uint(out, rec.c);
-  out += ",\"entity\":\"" + rec.entity.to_string() + "\",\"index\":";
-  append_uint(out, rec.index);
-  if (lane >= 0) {
-    out += ",\"lane\":";
-    append_uint(out, static_cast<std::uint64_t>(lane));
-  }
-  out += ",\"time_ns\":";
-  out += std::to_string(rec.time_ns);
-  out += ",\"type\":\"";
-  out += trace_type_name(rec.type);
-  out += "\"}\n";
-}
-
-/// Gather (lane, record) pairs from complete lanes, oldest first per
-/// lane. Throws if a lane lost records to ring wraparound: a merged or
-/// canonical export of a truncated trace would silently compare equal
-/// to the wrong thing.
-std::vector<std::pair<int, TraceRecord>> collect_lanes(
-    const std::vector<const Trace*>& lanes) {
-  std::vector<std::pair<int, TraceRecord>> all;
-  std::size_t total = 0;
-  for (const Trace* lane : lanes) total += lane->size();
-  all.reserve(total);
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    const Trace& lane = *lanes[l];
-    if (lane.wrapped()) {
-      throw std::logic_error(
-          "obs: trace lane wrapped; raise the capture capacity");
-    }
-    for (std::size_t i = 0; i < lane.size(); ++i) {
-      all.emplace_back(static_cast<int>(l), lane.at(i));
-    }
-  }
-  return all;
-}
-
-}  // namespace
-
 std::string Trace::to_jsonl(const TraceFilter& filter) const {
   std::string out;
   for (std::size_t i = 0; i < size(); ++i) {
     const TraceRecord& rec = at(i);
     if (!filter.matches(rec)) continue;
-    append_record(out, rec);
-  }
-  return out;
-}
-
-std::string merged_trace_jsonl(const std::vector<const Trace*>& lanes) {
-  auto all = collect_lanes(lanes);
-  std::stable_sort(all.begin(), all.end(),
-                   [](const auto& x, const auto& y) {
-                     if (x.second.time_ns != y.second.time_ns) {
-                       return x.second.time_ns < y.second.time_ns;
-                     }
-                     if (x.first != y.first) return x.first < y.first;
-                     return x.second.index < y.second.index;
-                   });
-  std::string out;
-  for (const auto& [lane, rec] : all) append_record(out, rec, lane);
-  return out;
-}
-
-std::string canonical_trace_jsonl(const std::vector<const Trace*>& lanes) {
-  auto all = collect_lanes(lanes);
-  std::erase_if(all, [](const auto& p) {
-    return p.second.type == TraceType::kTimerFire;
-  });
-  std::stable_sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
-    const TraceRecord& a = x.second;
-    const TraceRecord& b = y.second;
-    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-    if (a.entity != b.entity) return a.entity < b.entity;
-    if (a.type != b.type) return a.type < b.type;
-    if (a.a != b.a) return a.a < b.a;
-    if (a.b != b.b) return a.b < b.b;
-    return a.c < b.c;
-  });
-  std::string out;
-  std::uint64_t index = 0;
-  for (auto& [lane, rec] : all) {
-    rec.index = index++;  // renumber: position in the canonical order
-    append_record(out, rec);
+    out += "{\"a\":";
+    append_uint(out, rec.a);
+    out += ",\"b\":";
+    append_uint(out, rec.b);
+    out += ",\"c\":";
+    append_uint(out, rec.c);
+    out += ",\"entity\":\"" + rec.entity.to_string() + "\",\"index\":";
+    append_uint(out, rec.index);
+    out += ",\"time_ns\":";
+    out += std::to_string(rec.time_ns);
+    out += ",\"type\":\"";
+    out += trace_type_name(rec.type);
+    out += "\"}\n";
   }
   return out;
 }

@@ -102,14 +102,6 @@ class Counter {
  public:
   Counter() = default;
 
-  /// Bind a handle to caller-owned storage instead of a registry slot.
-  /// Used by the parallel engine's per-shard counter lanes: each shard
-  /// bumps private plain-uint64 storage during a window, and the owner
-  /// folds the lane values into the real registry slots at barriers.
-  [[nodiscard]] static Counter external(std::uint64_t* slot) {
-    return Counter(slot);
-  }
-
   void inc() const { ++*slot_; }
   void add(std::uint64_t n) const { *slot_ += n; }
   /// Gauge-style write (last value wins).
@@ -272,23 +264,11 @@ class Trace {
   void enable(std::size_t capacity);
   void disable();
   [[nodiscard]] bool enabled() const { return capacity_ != 0; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// True when the ring has overwritten records (emitted more than it
-  /// retains). Merged/canonical exports require complete traces.
-  [[nodiscard]] bool wrapped() const { return emitted_ > ring_.size(); }
-
-  /// Redirect every emit() that targets `from` on the *calling thread*
-  /// into `to` instead. The parallel engine installs a per-shard
-  /// redirect around each window so shard workers write private rings
-  /// (no shared ring, no torn records) while all emit call sites keep
-  /// addressing the network's main trace. Pass nullptrs to clear.
-  static void set_thread_redirect(const Trace* from, Trace* to);
 
   void emit(sim::Time t, Entity entity, TraceType type, std::uint64_t a = 0,
             std::uint64_t b = 0, std::uint64_t c = 0) {
-    Trace* sink = (tl_redirect_from_ == this) ? tl_redirect_to_ : this;
-    if (sink->capacity_ == 0) return;
-    sink->record(t, entity, type, a, b, c);
+    if (capacity_ == 0) return;
+    record(t, entity, type, a, b, c);
   }
 
   /// Total records ever emitted == the index the *next* record gets.
@@ -308,37 +288,10 @@ class Trace {
   void record(sim::Time t, Entity entity, TraceType type, std::uint64_t a,
               std::uint64_t b, std::uint64_t c);
 
-  /// lint: shared-state-guarded (thread_local: each worker owns its pair)
-  static thread_local const Trace* tl_redirect_from_;
-  static thread_local Trace* tl_redirect_to_;
-
   std::vector<TraceRecord> ring_;
   std::size_t capacity_ = 0;
   std::uint64_t emitted_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Multi-lane trace exports (parallel engine)
-// ---------------------------------------------------------------------------
-
-/// Merge several complete trace lanes into one deterministic JSONL
-/// export: records ordered by (time, lane position in `lanes`, original
-/// per-lane index), each stamped with its lane. The export is a pure
-/// function of lane contents, so two runs of the same sharded scenario
-/// (any worker-thread count) compare byte-for-byte. Throws
-/// std::logic_error if any lane wrapped (records were lost).
-[[nodiscard]] std::string merged_trace_jsonl(
-    const std::vector<const Trace*>& lanes);
-
-/// Canonical content export for cross-partition comparison: the
-/// multiset of records from all lanes, minus kTimerFire (its operand is
-/// the scheduler-local sequence number — pure execution mechanics that
-/// legitimately differ between shard layouts), sorted by record content
-/// (time, entity, type, a, b, c) and renumbered. Two runs are
-/// canonically equal iff they emitted the same multiset of semantic
-/// records. Throws std::logic_error if any lane wrapped.
-[[nodiscard]] std::string canonical_trace_jsonl(
-    const std::vector<const Trace*>& lanes);
 
 // ---------------------------------------------------------------------------
 // Plane & scope

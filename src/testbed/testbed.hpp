@@ -12,44 +12,20 @@
 #include "express/host.hpp"
 #include "express/router.hpp"
 #include "net/network.hpp"
-#include "net/sharding.hpp"
 #include "sim/time.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express {
 
-/// Knobs for Testbed construction beyond the router config.
-struct TestbedOptions {
-  RouterConfig router_config{};
-  /// 0: plain single-threaded network. >= 1: partition the topology
-  /// into this many shards (net::partition_topology) and drive them
-  /// with the parallel engine — 1 exercises the engine's passthrough
-  /// mode, which is byte-identical to the plain run.
-  std::uint32_t shards = 0;
-  /// Worker threads for sharded window execution (results identical
-  /// for any count; 1 = inline reference mode).
-  unsigned workers = 1;
-};
-
 class Testbed {
  public:
   explicit Testbed(workload::GeneratedTopology generated,
                    RouterConfig router_config = {})
-      : Testbed(std::move(generated),
-                TestbedOptions{.router_config = router_config}) {}
-
-  Testbed(workload::GeneratedTopology generated,
-          const TestbedOptions& options)
       : roles_(std::move(generated)),
         network_(std::make_unique<net::Network>(std::move(roles_.topology))) {
-    if (options.shards >= 1) {
-      network_->enable_sharding(
-          net::partition_topology(network_->topology(), options.shards),
-          options.workers);
-    }
     for (net::NodeId router : roles_.routers) {
       routers_.push_back(
-          &network_->attach<ExpressRouter>(router, options.router_config));
+          &network_->attach<ExpressRouter>(router, router_config));
     }
     source_ = &network_->attach<ExpressHost>(roles_.source_host);
     for (net::NodeId host : roles_.receiver_hosts) {

@@ -165,9 +165,6 @@ ChaosReport run_chaos_campaign(net::Network& network,
       } else {
         first_clean.reset();
       }
-      // Network-level probe: on a sharded network this spans every
-      // shard (draining in-flight cross-shard queues first), so the
-      // campaign runs unchanged in either execution mode.
       const std::optional<sim::Time> next = network.next_event_time();
       if (!next || *next > deadline) break;  // quiescent (or out of budget)
       network.run_until(*next);
