@@ -2,12 +2,10 @@
 //
 // Every experiment in this repo executes on the same two hot paths: the
 // discrete-event scheduler and per-hop packet replication. This bench
-// pins their performance trajectory across PRs with three measurements:
+// pins their performance trajectory with five measurements; regressions
+// are judged against the previously committed BENCH_core.json:
 //
-//   1. scheduler  — events/sec through schedule/cancel/dispatch rounds,
-//                   run twice: once on sim::Scheduler and once on the
-//                   frozen seed replica in legacy_core.hpp, so the
-//                   speedup is computed live on the same machine.
+//   1. scheduler  — events/sec through schedule/cancel/dispatch rounds.
 //   2. fanout     — ns per link transmission through the full network
 //                   stack on a 256-way star (the paper's worst-case
 //                   replication shape).
@@ -16,9 +14,7 @@
 //                   shape every §5/§6 experiment takes. Deterministic
 //                   packet/byte counters are reported so substrate
 //                   rewrites can prove they preserved behavior.
-//   4. fib        — (S,E) lookups/sec through the FlatFib vs the
-//                   node-based unordered_map the FIB used before the
-//                   flat rewrite, same probe stream for both.
+//   4. fib        — (S,E) lookups/sec through the FlatFib.
 //   5. timer_wheel — scheduler events/sec on a refresh-timer-heavy
 //                   load, wheel-enabled vs heap-only (Scheduler(false)),
 //                   the workload shape the hierarchical wheel targets.
@@ -29,18 +25,17 @@
 //
 //   ./build/bench/bench_core --out BENCH_core.json          # full
 //   ./build/bench/bench_core --quick --out /dev/null        # CI smoke
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common.hpp"
 #include "express/fib.hpp"
 #include "testbed/testbed.hpp"
-#include "legacy_core.hpp"
 #include "obs/obs.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
@@ -56,17 +51,6 @@ double elapsed_s(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Seed-commit baselines for the sections whose "before" implementation
-// cannot live in this binary (the fanout and churn paths run through
-// the real Network, whose substrate the zero-alloc PR replaced).
-// Measured at seed commit fd013b2 on the reference dev container with
-// the exact scenario parameters below; regenerate by checking out the
-// seed and running this bench (see EXPERIMENTS.md §CORE). Zero means
-// "not captured" and suppresses the comparison in the JSON.
-constexpr double kSeedFanoutNsPerHop = 241.0;
-constexpr double kSeedChurnWallS = 2.042;
-constexpr double kSeedSchedulerEventsPerSec = 6780934;
-
 // ---------------------------------------------------------------------
 // 1. Scheduler microbench
 // ---------------------------------------------------------------------
@@ -74,12 +58,9 @@ constexpr double kSeedSchedulerEventsPerSec = 6780934;
 // Rounds of batched schedule -> cancel-a-slice -> drain. The closure is
 // transmit-shaped — it captures a 64-byte packet-sized blob plus a
 // counter reference, like the link-delivery events that dominate every
-// run — so each scheduler pays its real per-event cost (the seed design
-// heap-allocates such a closure at schedule time and clones it again in
-// the priority_queue's copy-on-pop). The cancel mix (1 in 8 events is a
-// decoy that never fires) exercises the handle machinery the protocol
-// timers lean on. Identical code runs against both schedulers; only the
-// types differ.
+// run — so the scheduler pays its real per-event cost. The cancel mix
+// (1 in 8 events is a decoy that never fires) exercises the handle
+// machinery the protocol timers lean on.
 
 struct SchedulerScore {
   double events_per_sec = 0;
@@ -88,7 +69,7 @@ struct SchedulerScore {
 
 using PacketBlob = std::array<std::uint8_t, 64>;
 
-SchedulerScore measure_scheduler_new(std::uint64_t target_events) {
+SchedulerScore measure_scheduler(std::uint64_t target_events) {
   sim::Scheduler s;
   std::uint64_t fired = 0;
   PacketBlob blob{};
@@ -114,62 +95,14 @@ SchedulerScore measure_scheduler_new(std::uint64_t target_events) {
   return {static_cast<double>(fired) / secs, fired};
 }
 
-SchedulerScore measure_scheduler_legacy(std::uint64_t target_events) {
-  bench::legacy::Scheduler s;
-  std::uint64_t fired = 0;
-  PacketBlob blob{};
-  blob[0] = 1;
-  std::vector<bench::legacy::EventHandle> decoys;
-  const std::uint64_t batch = 4096;
-  std::int64_t t = 1;
-  const auto t0 = Clock::now();
-  for (std::uint64_t done = 0; done < target_events; done += batch) {
-    decoys.clear();
-    for (std::uint64_t i = 0; i < batch; ++i) {
-      const sim::Time when{t + static_cast<std::int64_t>(i)};
-      s.schedule_at(when, [&fired, blob] { fired += blob[0]; });
-      if ((i & 7) == 0) {
-        decoys.push_back(s.schedule_at(when, [&fired, blob] { fired += blob[0]; }));
-      }
-    }
-    for (auto& h : decoys) h.cancel();
-    s.run();
-    t += static_cast<std::int64_t>(batch);
-  }
-  const double secs = elapsed_s(t0);
-  return {static_cast<double>(fired) / secs, fired};
-}
-
 // ---------------------------------------------------------------------
-// 1b. FIB lookup: FlatFib vs unordered_map reference
+// 1b. FIB lookup
 // ---------------------------------------------------------------------
 
 struct FibScore {
   double lookups_per_sec = 0;
-  double unordered_lookups_per_sec = 0;
   std::uint64_t entries = 0;
   std::uint64_t found = 0;  ///< hit count (keeps the loops honest)
-};
-
-/// The pre-rewrite FIB shape: identical lookup semantics over the
-/// node-allocating container the flat table replaced.
-struct UnorderedFibRef {
-  std::unordered_map<ip::ChannelId, FibEntry> table;
-  FibStats stats;
-  const net::InterfaceSet* lookup(const ip::ChannelId& ch, std::uint32_t iif) {
-    ++stats.lookups;
-    auto it = table.find(ch);
-    if (it == table.end()) {
-      ++stats.no_entry_drops;
-      return nullptr;
-    }
-    if (it->second.iif != iif) {
-      ++stats.rpf_drops;
-      return nullptr;
-    }
-    ++stats.hits;
-    return &it->second.oifs;
-  }
 };
 
 ip::ChannelId fib_probe_channel(std::uint32_t k) {
@@ -177,11 +110,10 @@ ip::ChannelId fib_probe_channel(std::uint32_t k) {
                        ip::Address::single_source(k)};
 }
 
-template <typename FibLike>
-double fib_probe_rate(FibLike& fib, std::uint32_t entries,
+double fib_probe_rate(express::Fib& fib, std::uint32_t entries,
                       std::uint64_t lookups, std::uint64_t* found) {
   // LCG-strided probe stream, ~1 miss in 4 (the churn scenario's mix of
-  // forwarding hits and no-entry/RPF drops), identical for both tables.
+  // forwarding hits and no-entry/RPF drops).
   const std::uint32_t key_space = entries + entries / 3;
   std::uint32_t x = 12345;
   const auto t0 = Clock::now();
@@ -197,35 +129,20 @@ FibScore measure_fib(bool quick) {
   const std::uint32_t entries = quick ? 20'000 : 100'000;
   const std::uint64_t lookups = quick ? 1'000'000 : 10'000'000;
   express::Fib flat;
-  UnorderedFibRef ref;
   for (std::uint32_t i = 0; i < entries; ++i) {
-    const ip::ChannelId ch = fib_probe_channel(i);
-    FibEntry& e = flat.upsert(ch);
+    FibEntry& e = flat.upsert(fib_probe_channel(i));
     e.iif = i % 8u;
     e.oifs.set((i % 8u) + 1u);
-    ref.table[ch] = e;
   }
   FibScore score;
   score.entries = entries;
-  // Interleaved best-of rounds, same discipline as the scheduler A/B.
-  std::uint64_t flat_found = 0;
-  std::uint64_t ref_found = 0;
+  // Best-of rounds, same discipline as the other sections.
   for (int round = 0; round < (quick ? 1 : 3); ++round) {
-    flat_found = 0;
-    ref_found = 0;
-    const double a = fib_probe_rate(flat, entries, lookups, &flat_found);
-    const double b = fib_probe_rate(ref, entries, lookups, &ref_found);
-    if (a > score.lookups_per_sec) score.lookups_per_sec = a;
-    if (b > score.unordered_lookups_per_sec) {
-      score.unordered_lookups_per_sec = b;
-    }
+    score.found = 0;
+    score.lookups_per_sec = std::max(
+        score.lookups_per_sec,
+        fib_probe_rate(flat, entries, lookups, &score.found));
   }
-  if (flat_found != ref_found) {
-    std::fprintf(stderr, "bench_core: FIB probe divergence (%llu vs %llu)\n",
-                 static_cast<unsigned long long>(flat_found),
-                 static_cast<unsigned long long>(ref_found));
-  }
-  score.found = flat_found;
   return score;
 }
 
@@ -410,9 +327,8 @@ ChurnScore measure_churn(bool quick) {
 // ---------------------------------------------------------------------
 
 void write_json(const std::string& path, bool quick, const SchedulerScore& nw,
-                const SchedulerScore& old, const FibScore& fib,
-                const WheelScore& wheel, const FanoutScore& fan,
-                const ChurnScore& churn) {
+                const FibScore& fib, const WheelScore& wheel,
+                const FanoutScore& fan, const ChurnScore& churn) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_core: cannot write %s\n", path.c_str());
@@ -424,20 +340,13 @@ void write_json(const std::string& path, bool quick, const SchedulerScore& nw,
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(f, "  \"scheduler\": {\n");
   std::fprintf(f, "    \"events_per_sec\": %.0f,\n", nw.events_per_sec);
-  std::fprintf(f, "    \"legacy_events_per_sec\": %.0f,\n", old.events_per_sec);
-  std::fprintf(f, "    \"speedup_vs_legacy\": %.2f,\n",
-               nw.events_per_sec / old.events_per_sec);
   std::fprintf(f, "    \"events\": %llu\n",
                static_cast<unsigned long long>(nw.fired));
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fib\": {\n");
   std::fprintf(f, "    \"entries\": %llu,\n",
                static_cast<unsigned long long>(fib.entries));
-  std::fprintf(f, "    \"lookups_per_sec\": %.0f,\n", fib.lookups_per_sec);
-  std::fprintf(f, "    \"unordered_lookups_per_sec\": %.0f,\n",
-               fib.unordered_lookups_per_sec);
-  std::fprintf(f, "    \"speedup_vs_unordered\": %.2f\n",
-               fib.lookups_per_sec / fib.unordered_lookups_per_sec);
+  std::fprintf(f, "    \"lookups_per_sec\": %.0f\n", fib.lookups_per_sec);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"timer_wheel\": {\n");
   std::fprintf(f, "    \"events_per_sec\": %.0f,\n", wheel.events_per_sec);
@@ -452,15 +361,8 @@ void write_json(const std::string& path, bool quick, const SchedulerScore& nw,
   std::fprintf(f, "    \"ns_per_hop\": %.1f,\n", fan.ns_per_hop);
   std::fprintf(f, "    \"hops\": %llu,\n",
                static_cast<unsigned long long>(fan.hops));
-  std::fprintf(f, "    \"sends\": %llu%s\n",
-               static_cast<unsigned long long>(fan.packets),
-               kSeedFanoutNsPerHop > 0 ? "," : "");
-  if (kSeedFanoutNsPerHop > 0) {
-    std::fprintf(f, "    \"seed_baseline_ns_per_hop\": %.1f,\n",
-                 kSeedFanoutNsPerHop);
-    std::fprintf(f, "    \"speedup_vs_seed\": %.2f\n",
-                 kSeedFanoutNsPerHop / fan.ns_per_hop);
-  }
+  std::fprintf(f, "    \"sends\": %llu\n",
+               static_cast<unsigned long long>(fan.packets));
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"churn\": {\n");
   std::fprintf(f, "    \"subscribers\": %llu,\n",
@@ -476,14 +378,8 @@ void write_json(const std::string& path, bool quick, const SchedulerScore& nw,
                static_cast<unsigned long long>(churn.bytes_sent));
   std::fprintf(f, "    \"total_link_bytes\": %llu,\n",
                static_cast<unsigned long long>(churn.total_link_bytes));
-  std::fprintf(f, "    \"data_delivered\": %llu%s\n",
-               static_cast<unsigned long long>(churn.data_delivered),
-               (!quick && kSeedChurnWallS > 0) ? "," : "");
-  if (!quick && kSeedChurnWallS > 0) {
-    std::fprintf(f, "    \"seed_baseline_wall_s\": %.3f,\n", kSeedChurnWallS);
-    std::fprintf(f, "    \"speedup_vs_seed\": %.2f\n",
-                 kSeedChurnWallS / churn.wall_s);
-  }
+  std::fprintf(f, "    \"data_delivered\": %llu\n",
+               static_cast<unsigned long long>(churn.data_delivered));
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"modules\": {\n");
   std::fprintf(f, "    \"forwarding_packets\": %llu,\n",
@@ -498,14 +394,7 @@ void write_json(const std::string& path, bool quick, const SchedulerScore& nw,
                static_cast<unsigned long long>(churn.counting_rounds));
   std::fprintf(f, "    \"transport_messages\": %llu\n",
                static_cast<unsigned long long>(churn.transport_messages));
-  std::fprintf(f, "  }%s\n", kSeedSchedulerEventsPerSec > 0 ? "," : "");
-  if (kSeedSchedulerEventsPerSec > 0) {
-    std::fprintf(f,
-                 "  \"seed_baseline_note\": \"seed numbers measured at the "
-                 "pre-rewrite commit with identical scenario parameters; the "
-                 "live legacy_* numbers re-measure the seed scheduler "
-                 "replica in this binary\"\n");
-  }
+  std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("  wrote %s\n", path.c_str());
@@ -536,16 +425,13 @@ int main(int argc, char** argv) {
   banner("CORE", "simulator substrate: scheduler, fan-out, churn");
 
   const std::uint64_t sched_events = quick ? 200'000 : 2'000'000;
-  measure_scheduler_new(sched_events / 8);     // warm up caches/allocator
-  measure_scheduler_legacy(sched_events / 8);
-  // Interleave A/B rounds and keep each side's best, so a noisy
-  // neighbor or a thermal dip cannot skew the ratio one way.
-  SchedulerScore nw, old;
+  measure_scheduler(sched_events / 8);     // warm up caches/allocator
+  // Keep the best round, so a noisy neighbor or a thermal dip cannot
+  // drag the number down.
+  SchedulerScore nw;
   for (int round = 0; round < (quick ? 1 : 3); ++round) {
-    const SchedulerScore a = measure_scheduler_new(sched_events);
-    const SchedulerScore b = measure_scheduler_legacy(sched_events);
+    const SchedulerScore a = measure_scheduler(sched_events);
     if (a.events_per_sec > nw.events_per_sec) nw = a;
-    if (b.events_per_sec > old.events_per_sec) old = b;
   }
 
   const FibScore fib = measure_fib(quick);
@@ -555,15 +441,7 @@ int main(int argc, char** argv) {
 
   Table table({"section", "metric", "value"});
   table.row({"scheduler", "events/sec", fmt(nw.events_per_sec / 1e6, 2) + "M"});
-  table.row({"scheduler", "legacy events/sec",
-             fmt(old.events_per_sec / 1e6, 2) + "M"});
-  table.row({"scheduler", "speedup vs legacy",
-             fmt(nw.events_per_sec / old.events_per_sec, 2) + "x"});
   table.row({"fib", "lookups/sec", fmt(fib.lookups_per_sec / 1e6, 2) + "M"});
-  table.row({"fib", "unordered_map lookups/sec",
-             fmt(fib.unordered_lookups_per_sec / 1e6, 2) + "M"});
-  table.row({"fib", "speedup vs unordered",
-             fmt(fib.lookups_per_sec / fib.unordered_lookups_per_sec, 2) + "x"});
   table.row({"timer_wheel", "events/sec",
              fmt(wheel.events_per_sec / 1e6, 2) + "M"});
   table.row({"timer_wheel", "heap-only events/sec",
@@ -585,14 +463,10 @@ int main(int argc, char** argv) {
              fmt_int(churn.sub_subscribes + churn.sub_unsubscribes)});
   table.row({"modules", "transport messages",
              fmt_int(churn.transport_messages)});
-  if (kSeedChurnWallS > 0 && !quick) {
-    table.row({"churn", "seed wall s", fmt(kSeedChurnWallS, 3)});
-    table.row({"churn", "speedup vs seed", fmt(kSeedChurnWallS / churn.wall_s, 2) + "x"});
-  }
   table.print();
-  note("scheduler speedup is measured live against the seed replica;");
-  note("fanout/churn seed baselines were captured at the seed commit.");
+  note("regressions are judged against the committed BENCH_core.json");
+  note("(scripts/bench_gate.sh).");
 
-  write_json(out, quick, nw, old, fib, wheel, fan, churn);
+  write_json(out, quick, nw, fib, wheel, fan, churn);
   return 0;
 }

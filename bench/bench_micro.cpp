@@ -3,8 +3,6 @@
 // routing recomputation, and the error-curve evaluation.
 #include <benchmark/benchmark.h>
 
-#include <unordered_map>
-
 #include "counting/error_curve.hpp"
 #include "ecmp/codec.hpp"
 #include "express/fib.hpp"
@@ -52,29 +50,6 @@ void BM_FibLookupMiss(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FibLookupMiss);
-
-// Reference row: the same hit workload against std::unordered_map with
-// identical lookup semantics (RPF check included), so the FlatFib gain
-// is visible side by side in one report.
-void BM_UnorderedFibLookupHit(benchmark::State& state) {
-  std::unordered_map<ip::ChannelId, FibEntry> fib;
-  const auto entries = static_cast<std::uint32_t>(state.range(0));
-  for (std::uint32_t i = 0; i < entries; ++i) {
-    FibEntry& e = fib[channel_n(i)];
-    e.iif = 0;
-    e.oifs.set(3);
-  }
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    auto it = fib.find(channel_n(i));
-    const FibEntry* hit =
-        (it != fib.end() && it->second.iif == 0) ? &it->second : nullptr;
-    benchmark::DoNotOptimize(hit);
-    i = (i + 2654435761u) % entries;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_UnorderedFibLookupHit)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 void BM_EcmpEncodeCount(benchmark::State& state) {
   ecmp::Count msg;

@@ -36,12 +36,12 @@ Lifecycle flow
                          that no destructor/teardown method of its
                          class ever cancel()s. Suppress a deliberate
                          one-shot with `// lint: fire-and-forget (<why>)`.
-  late-registration      obs registry slot creation (.counter("...") /
-                         .gauge / .histogram) outside a constructor or
+  late-registration      obs registry slot creation (.bind<XStats>(...)
+                         / .histogram("...")) outside a constructor or
                          init path: slots must exist before traffic so
                          snapshots are comparable run-to-run. Suppress
                          with `// lint: late-registration (<why>)`.
-  drop-untraced          a drop counter bumped in a function that never
+  drop-untraced          a *drop* field bumped in a function that never
                          emits a kPacketDropped/kPacketLost/
                          kPacketReordered trace (or calls a trace_drop
                          helper): the metric moves but replay debugging
@@ -425,7 +425,9 @@ def _body_text(tree: Tree, fn) -> str:
     return ""
 
 
-REGISTRATION_RE = re.compile(r"\.\s*(counter|gauge|histogram)\s*\(\s*\"")
+#: A stats-block binding (`.bind<XStats>(...)`) or a histogram
+#: registration (`.histogram("...")`).
+REGISTRATION_RE = re.compile(r"\.\s*(bind)\s*<|\.\s*(histogram)\s*\(\s*\"")
 
 #: Function-name patterns that count as an init path for registration.
 INIT_NAME_RE = re.compile(r"^(init|setup|register_|ensure_)")
@@ -448,16 +450,17 @@ def check_registrations(tree: Tree, findings: list) -> None:
                 continue
             findings.append(Finding(
                 "late-registration", sf.path, line, sf.col_of(m.start()),
-                f"registry slot `.{m.group(1)}(...)` created in "
+                f"registry slot `.{m.group(1) or m.group(2)}(...)` created in "
                 f"`{fn.cls + '::' if fn.cls else ''}{fn.name}`, not a "
                 "constructor/init path; snapshots diverge run-to-run "
                 "when slot creation depends on traffic — move it or "
                 "annotate `// lint: late-registration (<why>)`"))
 
 
+#: A bump of a `*drop*` field: `++stats_->no_entry_drops` (through any
+#: `.`/`->` member chain), `drops++` or `stats_->dropped_x += n`.
 DROP_BUMP_RE = re.compile(
-    r"\b(\w*drop\w*)\s*\.\s*(?:inc|add)\s*\("
-    r"|\+\+\s*(\w*drop\w*)\b"
+    r"\+\+\s*(?:\w+\s*(?:\.|->)\s*)*(\w*drop\w*)\b"
     r"|\b(\w*drop\w*)\s*(?:\+\+|\+=)")
 
 DROP_TRACE_RE = re.compile(
@@ -469,7 +472,7 @@ def check_drop_traces(tree: Tree, findings: list) -> None:
     for sf in tree.files:
         fns, _classes, _enums = tree.structure[sf.path]
         for m in DROP_BUMP_RE.finditer(sf.code):
-            name = m.group(1) or m.group(2) or m.group(3)
+            name = m.group(1) or m.group(2)
             fn = cpp_scan.enclosing_function(fns, m.start())
             if fn is None:
                 continue  # declaration / initializer, not a bump site
@@ -712,6 +715,8 @@ SELF_TEST_MIN_COUNTS = {
     "src/low/bad_upward.hpp": 1,
     "handle_leak.cpp": 2,        # discarded handle + uncancelled member
     "partial_switch.cpp": 2,     # no-default gap + unjustified default
+    "drop_untraced.cpp": 2,      # ++ bump + compound-assignment bump
+    "late_registration.cpp": 2,  # late bind<> + late histogram
 }
 
 

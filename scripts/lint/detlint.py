@@ -89,9 +89,8 @@ EFFECT_RE = re.compile(
         |reply|forward|replicate|announce|reannounce|graft|broadcast
         |push|unicast|multicast)\w*\s*\(
     | \.(?:push_back|emplace_back|append)\s*\(
-    | \bstats_\.\w+\s*(?:\+\+|--|\+=|-=|=)
-    | \+\+\s*stats_\.
-    | \bstats_\.\w+\.\w*\s*\(     # registry-backed: stats_.x.inc()/.add()
+    | \bstats_(?:\.|->)\w+\s*(?:\+\+|--|\+=|-=|=)
+    | \+\+\s*stats_(?:\.|->)
     """,
     re.VERBOSE,
 )

@@ -8,14 +8,14 @@ namespace express::baseline {
 CbtRouter::CbtRouter(net::Network& network, net::NodeId id, CbtConfig config)
     : net::Node(network, id), config_(config),
       scope_(network.node_scope(id)), plane_(network, id) {
-  stats_.joins_sent = scope_.counter("baseline.cbt.joins_sent");
-  stats_.prunes_sent = scope_.counter("baseline.cbt.prunes_sent");
-  stats_.data_copies_sent = scope_.counter("baseline.cbt.data_copies_sent");
-  stats_.encapsulated_to_core =
-      scope_.counter("baseline.cbt.encapsulated_to_core");
-  stats_.decapsulated_at_core =
-      scope_.counter("baseline.cbt.decapsulated_at_core");
-  stats_.drops = scope_.counter("baseline.cbt.drops");
+  stats_ = scope_.bind<CbtStats>({
+      {&CbtStats::joins_sent, "baseline.cbt.joins_sent"},
+      {&CbtStats::prunes_sent, "baseline.cbt.prunes_sent"},
+      {&CbtStats::data_copies_sent, "baseline.cbt.data_copies_sent"},
+      {&CbtStats::encapsulated_to_core, "baseline.cbt.encapsulated_to_core"},
+      {&CbtStats::decapsulated_at_core, "baseline.cbt.decapsulated_at_core"},
+      {&CbtStats::drops, "baseline.cbt.drops"},
+  });
 }
 
 void CbtRouter::handle_packet(const net::Packet& packet,
@@ -30,7 +30,7 @@ void CbtRouter::handle_packet(const net::Packet& packet,
   if (packet.protocol == ip::Protocol::kIpInIp && packet.dst == address()) {
     // Off-tree sender's encapsulated packet reaching the core.
     if (!is_core() || !packet.inner) return;
-    stats_.decapsulated_at_core.inc();
+    ++stats_->decapsulated_at_core;
     inject(*packet.inner, std::numeric_limits<std::uint32_t>::max());
     return;
   }
@@ -57,7 +57,7 @@ void CbtRouter::join_toward_core(ip::Address group) {
   join.type = MsgType::kJoinStarG;
   join.group = group;
   send_control(*up, join);
-  stats_.joins_sent.inc();
+  ++stats_->joins_sent;
 }
 
 void CbtRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
@@ -99,7 +99,7 @@ void CbtRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
           prune.type = MsgType::kPruneStarG;
           prune.group = msg.group;
           send_control(up, prune);
-          stats_.prunes_sent.inc();
+          ++stats_->prunes_sent;
         }
         trees_.erase(it);
       }
@@ -113,7 +113,7 @@ void CbtRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
 void CbtRouter::inject(const net::Packet& packet, std::uint32_t except_iface) {
   auto it = trees_.find(packet.dst);
   if (it == trees_.end()) {
-    stats_.drops.inc();
+    ++stats_->drops;
     scope_.emit(network().now(), obs::TraceType::kPacketDropped,
                 static_cast<std::uint64_t>(obs::DropReason::kNoRoute),
                 packet.wire_size());
@@ -125,7 +125,7 @@ void CbtRouter::inject(const net::Packet& packet, std::uint32_t except_iface) {
   net::ReplicateOptions opts;
   opts.exclude_iface = except_iface;
   opts.skip_down_links = true;
-  stats_.data_copies_sent.add(plane_.replicate(packet, set, opts));
+  stats_->data_copies_sent += plane_.replicate(packet, set, opts);
 }
 
 void CbtRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
@@ -143,7 +143,7 @@ void CbtRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
   const bool from_attached_host =
       network().topology().node(peer).kind == net::NodeKind::kHost;
   if (!from_attached_host) {
-    stats_.drops.inc();
+    ++stats_->drops;
     scope_.emit(network().now(), obs::TraceType::kPacketDropped,
                 static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
                 packet.wire_size());
@@ -158,7 +158,7 @@ void CbtRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
   outer.dst = config_.core;
   outer.protocol = ip::Protocol::kIpInIp;
   outer.inner = std::make_shared<net::Packet>(packet);
-  stats_.encapsulated_to_core.inc();
+  ++stats_->encapsulated_to_core;
   network().send_unicast(id(), std::move(outer));
 }
 

@@ -42,17 +42,8 @@ class CbtRouter : public net::Node {
 
   void handle_packet(const net::Packet& packet, std::uint32_t in_iface) override;
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] CbtStats stats() const {
-    CbtStats s;
-    s.joins_sent = stats_.joins_sent.value();
-    s.prunes_sent = stats_.prunes_sent.value();
-    s.data_copies_sent = stats_.data_copies_sent.value();
-    s.encapsulated_to_core = stats_.encapsulated_to_core.value();
-    s.decapsulated_at_core = stats_.decapsulated_at_core.value();
-    s.drops = stats_.drops.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] CbtStats stats() const { return *stats_; }
   [[nodiscard]] bool is_core() const { return address() == config_.core; }
   [[nodiscard]] bool on_tree(ip::Address group) const {
     return trees_.contains(group);
@@ -76,20 +67,9 @@ class CbtRouter : public net::Node {
   void join_toward_core(ip::Address group);
   void send_control(net::NodeId neighbor, const Msg& msg);
 
-  /// Registry-backed counter handles (CbtStats is assembled on demand
-  /// by stats()).
-  struct CbtCounters {
-    obs::Counter joins_sent;
-    obs::Counter prunes_sent;
-    obs::Counter data_copies_sent;
-    obs::Counter encapsulated_to_core;
-    obs::Counter decapsulated_at_core;
-    obs::Counter drops;
-  };
-
   CbtConfig config_;
   obs::Scope scope_;
-  CbtCounters stats_;
+  CbtStats* stats_ = nullptr;  ///< registry-owned block
   /// Shared data plane: CBT's bidirectional tree interfaces feed the
   /// protocol-agnostic replication primitive.
   express::ForwardingPlane plane_;

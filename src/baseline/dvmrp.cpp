@@ -8,15 +8,17 @@ DvmrpRouter::DvmrpRouter(net::Network& network, net::NodeId id,
                          DvmrpConfig config)
     : net::Node(network, id), config_(config),
       scope_(network.node_scope(id)), plane_(network, id) {
-  stats_.data_packets_forwarded =
-      scope_.counter("baseline.dvmrp.data_packets_forwarded");
-  stats_.data_copies_sent = scope_.counter("baseline.dvmrp.data_copies_sent");
-  stats_.flood_copies = scope_.counter("baseline.dvmrp.flood_copies");
-  stats_.rpf_drops = scope_.counter("baseline.dvmrp.rpf_drops");
-  stats_.prunes_sent = scope_.counter("baseline.dvmrp.prunes_sent");
-  stats_.prunes_received = scope_.counter("baseline.dvmrp.prunes_received");
-  stats_.grafts_sent = scope_.counter("baseline.dvmrp.grafts_sent");
-  stats_.grafts_received = scope_.counter("baseline.dvmrp.grafts_received");
+  stats_ = scope_.bind<DvmrpStats>({
+      {&DvmrpStats::data_packets_forwarded,
+       "baseline.dvmrp.data_packets_forwarded"},
+      {&DvmrpStats::data_copies_sent, "baseline.dvmrp.data_copies_sent"},
+      {&DvmrpStats::flood_copies, "baseline.dvmrp.flood_copies"},
+      {&DvmrpStats::rpf_drops, "baseline.dvmrp.rpf_drops"},
+      {&DvmrpStats::prunes_sent, "baseline.dvmrp.prunes_sent"},
+      {&DvmrpStats::prunes_received, "baseline.dvmrp.prunes_received"},
+      {&DvmrpStats::grafts_sent, "baseline.dvmrp.grafts_sent"},
+      {&DvmrpStats::grafts_received, "baseline.dvmrp.grafts_received"},
+  });
 }
 
 bool DvmrpRouter::iface_is_host(std::uint32_t iface) const {
@@ -57,7 +59,7 @@ void DvmrpRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
             graft.group = msg.group;
             graft.source = channel.source;
             send_control(*up, graft);
-            stats_.grafts_sent.inc();
+            ++stats_->grafts_sent;
           }
         }
       }
@@ -72,14 +74,14 @@ void DvmrpRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
       return;
     }
     case MsgType::kPruneSG: {
-      stats_.prunes_received.inc();
+      ++stats_->prunes_received;
       const ip::ChannelId key{msg.source, msg.group};
       sg_[key].pruned_until[in_iface] =
           network().now() + sim::milliseconds(msg.holdtime_ms);
       return;
     }
     case MsgType::kGraft: {
-      stats_.grafts_received.inc();
+      ++stats_->grafts_received;
       const ip::ChannelId key{msg.source, msg.group};
       auto it = sg_.find(key);
       if (it == sg_.end()) return;
@@ -90,7 +92,7 @@ void DvmrpRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
           if (auto up = network().routing().rpf_neighbor(id(), *src)) {
             Msg graft = msg;
             send_control(*up, graft);
-            stats_.grafts_sent.inc();
+            ++stats_->grafts_sent;
           }
         }
       }
@@ -107,7 +109,7 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
   if (!src_node) return;
   auto rpf = network().routing().rpf_interface(id(), *src_node);
   if (!rpf || *rpf != in_iface) {
-    stats_.rpf_drops.inc();
+    ++stats_->rpf_drops;
     scope_.emit(network().now(), obs::TraceType::kPacketDropped,
                 static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
                 packet.wire_size());
@@ -137,7 +139,7 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
     }
     if (state.pruned_until.contains(iface)) continue;
     oifs.push_back(iface);
-    stats_.flood_copies.inc();
+    ++stats_->flood_copies;
   }
 
   if (oifs.empty()) {
@@ -154,7 +156,7 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
                 config_.prune_lifetime)
                 .count());
         send_control(*up, prune);
-        stats_.prunes_sent.inc();
+        ++stats_->prunes_sent;
         state.prune_sent_upstream = true;
         state.prune_expiry = now + config_.prune_lifetime;
       }
@@ -162,12 +164,12 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
     return;
   }
 
-  stats_.data_packets_forwarded.inc();
+  ++stats_->data_packets_forwarded;
   net::InterfaceSet set;
   for (std::uint32_t iface : oifs) set.set(iface);
   // Link state was already checked while building `oifs`.
   net::ReplicateOptions opts;
-  stats_.data_copies_sent.add(plane_.replicate(packet, set, opts));
+  stats_->data_copies_sent += plane_.replicate(packet, set, opts);
 }
 
 void DvmrpRouter::send_control(net::NodeId neighbor, const Msg& msg) {

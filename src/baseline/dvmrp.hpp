@@ -47,19 +47,8 @@ class DvmrpRouter : public net::Node {
 
   void handle_packet(const net::Packet& packet, std::uint32_t in_iface) override;
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] DvmrpStats stats() const {
-    DvmrpStats s;
-    s.data_packets_forwarded = stats_.data_packets_forwarded.value();
-    s.data_copies_sent = stats_.data_copies_sent.value();
-    s.flood_copies = stats_.flood_copies.value();
-    s.rpf_drops = stats_.rpf_drops.value();
-    s.prunes_sent = stats_.prunes_sent.value();
-    s.prunes_received = stats_.prunes_received.value();
-    s.grafts_sent = stats_.grafts_sent.value();
-    s.grafts_received = stats_.grafts_received.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] DvmrpStats stats() const { return *stats_; }
   /// (S,G) forwarding-cache entries — present at every router the flood
   /// reached, the group model's state-scaling problem.
   [[nodiscard]] std::size_t state_entries() const { return sg_.size(); }
@@ -80,22 +69,9 @@ class DvmrpRouter : public net::Node {
   void send_control(net::NodeId neighbor, const Msg& msg);
   [[nodiscard]] bool iface_is_host(std::uint32_t iface) const;
 
-  /// Registry-backed counter handles (DvmrpStats is assembled on
-  /// demand by stats()).
-  struct DvmrpCounters {
-    obs::Counter data_packets_forwarded;
-    obs::Counter data_copies_sent;
-    obs::Counter flood_copies;
-    obs::Counter rpf_drops;
-    obs::Counter prunes_sent;
-    obs::Counter prunes_received;
-    obs::Counter grafts_sent;
-    obs::Counter grafts_received;
-  };
-
   DvmrpConfig config_;
   obs::Scope scope_;
-  DvmrpCounters stats_;
+  DvmrpStats* stats_ = nullptr;  ///< registry-owned block
   /// Shared data plane: DVMRP resolves flood-minus-prunes into an
   /// outgoing set, then replicates through the protocol-agnostic plane.
   express::ForwardingPlane plane_;

@@ -10,12 +10,14 @@ GroupHost::GroupHost(net::Network& network, net::NodeId id)
     throw std::logic_error("group hosts are single-homed in this simulator");
   }
   scope_ = network.node_scope(id);
-  stats_.data_received = scope_.counter("baseline.group_host.data_received");
-  stats_.data_filtered = scope_.counter("baseline.group_host.data_filtered");
-  stats_.unwanted_data = scope_.counter("baseline.group_host.unwanted_data");
-  stats_.bytes_on_last_hop =
-      scope_.counter("baseline.group_host.bytes_on_last_hop");
-  stats_.data_sent = scope_.counter("baseline.group_host.data_sent");
+  stats_ = scope_.bind<GroupHostStats>({
+      {&GroupHostStats::data_received, "baseline.group_host.data_received"},
+      {&GroupHostStats::data_filtered, "baseline.group_host.data_filtered"},
+      {&GroupHostStats::unwanted_data, "baseline.group_host.unwanted_data"},
+      {&GroupHostStats::bytes_on_last_hop,
+       "baseline.group_host.bytes_on_last_hop"},
+      {&GroupHostStats::data_sent, "baseline.group_host.data_sent"},
+  });
 }
 
 void GroupHost::join_group(ip::Address group, ip::Protocol control) {
@@ -66,7 +68,7 @@ void GroupHost::send_to_group(ip::Address group, std::uint32_t bytes,
   packet.protocol = ip::Protocol::kUdp;
   packet.data_bytes = bytes;
   packet.sequence = sequence;
-  stats_.data_sent.inc();
+  ++stats_->data_sent;
   network().send_on_interface(id(), 0, std::move(packet));
 }
 
@@ -75,17 +77,17 @@ void GroupHost::handle_packet(const net::Packet& packet,
   (void)in_iface;
   if (!packet.dst.is_multicast()) return;
   if (packet.protocol != ip::Protocol::kUdp) return;  // control is not ours
-  stats_.bytes_on_last_hop.add(packet.wire_size());
+  stats_->bytes_on_last_hop += packet.wire_size();
   if (!groups_.contains(packet.dst)) {
-    stats_.unwanted_data.inc();
+    ++stats_->unwanted_data;
     return;
   }
   if (auto it = filters_.find(packet.dst);
       it != filters_.end() && !it->second.contains(packet.src)) {
-    stats_.data_filtered.inc();  // IGMPv3 include-filter drop, at the host
+    ++stats_->data_filtered;  // IGMPv3 include-filter drop, at the host
     return;
   }
-  stats_.data_received.inc();
+  ++stats_->data_received;
   deliveries_.push_back(Delivery{packet.dst, packet.src, packet.sequence,
                                  packet.data_bytes, network().now()});
 }

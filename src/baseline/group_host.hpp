@@ -66,16 +66,8 @@ class GroupHost : public net::Node {
   [[nodiscard]] const std::vector<Delivery>& deliveries() const {
     return deliveries_;
   }
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] GroupHostStats stats() const {
-    GroupHostStats s;
-    s.data_received = stats_.data_received.value();
-    s.data_filtered = stats_.data_filtered.value();
-    s.unwanted_data = stats_.unwanted_data.value();
-    s.bytes_on_last_hop = stats_.bytes_on_last_hop.value();
-    s.data_sent = stats_.data_sent.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] GroupHostStats stats() const { return *stats_; }
   [[nodiscard]] bool member_of(ip::Address group) const {
     return groups_.contains(group);
   }
@@ -83,19 +75,9 @@ class GroupHost : public net::Node {
  private:
   std::unordered_set<ip::Address> groups_;
   std::unordered_map<ip::Address, std::unordered_set<ip::Address>> filters_;
-  /// Registry-backed counter handles (GroupHostStats is assembled on
-  /// demand by stats()).
-  struct GroupHostCounters {
-    obs::Counter data_received;
-    obs::Counter data_filtered;
-    obs::Counter unwanted_data;
-    obs::Counter bytes_on_last_hop;
-    obs::Counter data_sent;
-  };
-
   std::vector<Delivery> deliveries_;
   obs::Scope scope_;
-  GroupHostCounters stats_;
+  GroupHostStats* stats_ = nullptr;  ///< registry-owned block
 };
 
 }  // namespace express::baseline

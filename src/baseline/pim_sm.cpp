@@ -9,15 +9,17 @@ PimSmRouter::PimSmRouter(net::Network& network, net::NodeId id,
                          PimConfig config)
     : net::Node(network, id), config_(config),
       scope_(network.node_scope(id)), plane_(network, id) {
-  stats_.joins_star_g = scope_.counter("baseline.pim.joins_star_g");
-  stats_.joins_sg = scope_.counter("baseline.pim.joins_sg");
-  stats_.prunes = scope_.counter("baseline.pim.prunes");
-  stats_.registers_sent = scope_.counter("baseline.pim.registers_sent");
-  stats_.registers_decapsulated =
-      scope_.counter("baseline.pim.registers_decapsulated");
-  stats_.register_stops = scope_.counter("baseline.pim.register_stops");
-  stats_.data_copies_sent = scope_.counter("baseline.pim.data_copies_sent");
-  stats_.drops = scope_.counter("baseline.pim.drops");
+  stats_ = scope_.bind<PimStats>({
+      {&PimStats::joins_star_g, "baseline.pim.joins_star_g"},
+      {&PimStats::joins_sg, "baseline.pim.joins_sg"},
+      {&PimStats::prunes, "baseline.pim.prunes"},
+      {&PimStats::registers_sent, "baseline.pim.registers_sent"},
+      {&PimStats::registers_decapsulated,
+       "baseline.pim.registers_decapsulated"},
+      {&PimStats::register_stops, "baseline.pim.register_stops"},
+      {&PimStats::data_copies_sent, "baseline.pim.data_copies_sent"},
+      {&PimStats::drops, "baseline.pim.drops"},
+  });
 }
 
 std::optional<net::NodeId> PimSmRouter::toward(ip::Address addr) const {
@@ -67,7 +69,7 @@ void PimSmRouter::join_shared_tree(ip::Address group) {
   join.type = MsgType::kJoinStarG;
   join.group = group;
   send_control(*up, join);
-  stats_.joins_star_g.inc();
+  ++stats_->joins_star_g;
   state.joined_upstream = true;
 }
 
@@ -86,7 +88,7 @@ void PimSmRouter::join_source_tree(const ip::ChannelId& sg) {
   join.group = sg.dest;
   join.source = sg.source;
   send_control(*up, join);
-  stats_.joins_sg.inc();
+  ++stats_->joins_sg;
   state.joined_upstream = true;
 }
 
@@ -113,7 +115,7 @@ void PimSmRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
             prune.type = MsgType::kPruneStarG;
             prune.group = msg.group;
             send_control(*up, prune);
-            stats_.prunes.inc();
+            ++stats_->prunes;
           }
         }
         star_g_.erase(it);
@@ -135,7 +137,7 @@ void PimSmRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
             prune.type = MsgType::kPruneStarG;
             prune.group = msg.group;
             send_control(*up, prune);
-            stats_.prunes.inc();
+            ++stats_->prunes;
           }
         }
         star_g_.erase(it);
@@ -153,7 +155,7 @@ void PimSmRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
       return;
     case MsgType::kRegisterStop:
       register_stopped_.insert(ip::ChannelId{msg.source, msg.group});
-      stats_.register_stops.inc();
+      ++stats_->register_stops;
       return;
     case MsgType::kGraft:
       // DVMRP-only message; PIM-SM re-joins instead of grafting.
@@ -170,7 +172,7 @@ void PimSmRouter::deliver(const net::Packet& packet,
   net::ReplicateOptions opts;
   opts.exclude_iface = in_iface;
   opts.skip_down_links = true;
-  stats_.data_copies_sent.add(plane_.replicate(packet, set, opts));
+  stats_->data_copies_sent += plane_.replicate(packet, set, opts);
 }
 
 void PimSmRouter::maybe_spt_switchover(const net::Packet& packet) {
@@ -193,7 +195,7 @@ void PimSmRouter::maybe_spt_switchover(const net::Packet& packet) {
       prune.group = packet.dst;
       prune.source = packet.src;
       send_control(*up, prune);
-      stats_.prunes.inc();
+      ++stats_->prunes;
     }
   }
 }
@@ -241,7 +243,7 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
       outer.dst = config_.rp;
       outer.protocol = ip::Protocol::kIpInIp;
       outer.inner = std::make_shared<net::Packet>(packet);
-      stats_.registers_sent.inc();
+      ++stats_->registers_sent;
       network().send_unicast(id(), std::move(outer));
     }
     return;
@@ -252,7 +254,7 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
   if (auto it = sg_.find(sg); it != sg_.end()) {
     auto rpf = rpf_iface_toward(packet.src);
     if (!rpf || *rpf != in_iface) {
-      stats_.drops.inc();
+      ++stats_->drops;
       scope_.emit(network().now(), obs::TraceType::kPacketDropped,
                   static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
                   packet.wire_size());
@@ -292,7 +294,7 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
       return;
     }
   }
-  stats_.drops.inc();
+  ++stats_->drops;
   scope_.emit(network().now(), obs::TraceType::kPacketDropped,
               static_cast<std::uint64_t>(obs::DropReason::kNoRoute),
               packet.wire_size());
@@ -300,7 +302,7 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
 
 void PimSmRouter::on_register(const net::Packet& packet) {
   if (!is_rp() || !packet.inner) return;
-  stats_.registers_decapsulated.inc();
+  ++stats_->registers_decapsulated;
   const net::Packet& inner = *packet.inner;
   const ip::ChannelId sg{inner.src, inner.dst};
 

@@ -50,19 +50,8 @@ class PimSmRouter : public net::Node {
 
   void handle_packet(const net::Packet& packet, std::uint32_t in_iface) override;
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] PimStats stats() const {
-    PimStats s;
-    s.joins_star_g = stats_.joins_star_g.value();
-    s.joins_sg = stats_.joins_sg.value();
-    s.prunes = stats_.prunes.value();
-    s.registers_sent = stats_.registers_sent.value();
-    s.registers_decapsulated = stats_.registers_decapsulated.value();
-    s.register_stops = stats_.register_stops.value();
-    s.data_copies_sent = stats_.data_copies_sent.value();
-    s.drops = stats_.drops.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] PimStats stats() const { return *stats_; }
   /// Multicast routing entries: (*,G) plus (S,G) — the state the paper's
   /// §5.1 argues shared trees do not actually save for single-source use.
   [[nodiscard]] std::size_t state_entries() const {
@@ -108,22 +97,9 @@ class PimSmRouter : public net::Node {
       ip::Address addr) const;
   [[nodiscard]] bool iface_is_host(std::uint32_t iface) const;
 
-  /// Registry-backed counter handles (PimStats is assembled on demand
-  /// by stats()).
-  struct PimCounters {
-    obs::Counter joins_star_g;
-    obs::Counter joins_sg;
-    obs::Counter prunes;
-    obs::Counter registers_sent;
-    obs::Counter registers_decapsulated;
-    obs::Counter register_stops;
-    obs::Counter data_copies_sent;
-    obs::Counter drops;
-  };
-
   PimConfig config_;
   obs::Scope scope_;
-  PimCounters stats_;
+  PimStats* stats_ = nullptr;  ///< registry-owned block
   /// Shared data plane: PIM computes its outgoing set per packet (oif
   /// inheritance) and hands replication to the protocol-agnostic plane.
   ForwardingPlane plane_;

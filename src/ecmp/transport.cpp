@@ -12,18 +12,20 @@ Transport::Transport(net::Network& network, net::NodeId node,
       node_(node),
       policy_(policy),
       hooks_(std::move(hooks)),
-      scope_(network.node_scope(node)) {
-  stats_.counts_sent = scope_.counter("ecmp.transport.counts_sent");
-  stats_.counts_received = scope_.counter("ecmp.transport.counts_received");
-  stats_.queries_sent = scope_.counter("ecmp.transport.queries_sent");
-  stats_.queries_received = scope_.counter("ecmp.transport.queries_received");
-  stats_.responses_sent = scope_.counter("ecmp.transport.responses_sent");
-  stats_.responses_received =
-      scope_.counter("ecmp.transport.responses_received");
-  stats_.control_bytes_sent =
-      scope_.counter("ecmp.transport.control_bytes_sent");
-  stats_.control_bytes_received =
-      scope_.counter("ecmp.transport.control_bytes_received");
+      stats_(network.node_scope(node).bind<TransportStats>({
+          {&TransportStats::counts_sent, "ecmp.transport.counts_sent"},
+          {&TransportStats::counts_received, "ecmp.transport.counts_received"},
+          {&TransportStats::queries_sent, "ecmp.transport.queries_sent"},
+          {&TransportStats::queries_received,
+           "ecmp.transport.queries_received"},
+          {&TransportStats::responses_sent, "ecmp.transport.responses_sent"},
+          {&TransportStats::responses_received,
+           "ecmp.transport.responses_received"},
+          {&TransportStats::control_bytes_sent,
+           "ecmp.transport.control_bytes_sent"},
+          {&TransportStats::control_bytes_received,
+           "ecmp.transport.control_bytes_received"},
+      })) {
   if (policy_.neighbor_discovery) schedule_neighbor_discovery();
   if (policy_.batch_window) {
     batcher_ = std::make_unique<Batcher>(
@@ -43,11 +45,11 @@ void Transport::classify_sent(const Message& msg) {
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, Count>) {
-          stats_.counts_sent.inc();
+          ++stats_->counts_sent;
         } else if constexpr (std::is_same_v<T, CountQuery>) {
-          stats_.queries_sent.inc();
+          ++stats_->queries_sent;
         } else if constexpr (std::is_same_v<T, CountResponse>) {
-          stats_.responses_sent.inc();
+          ++stats_->responses_sent;
         }
         // KeyRegister is host-originated; routers only receive it.
       },
@@ -71,7 +73,7 @@ void Transport::transmit(net::NodeId neighbor,
   packet.dst = network_->topology().node(neighbor).address;
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = std::move(payload);
-  stats_.control_bytes_sent.add(packet.payload.size());
+  stats_->control_bytes_sent += packet.payload.size();
   auto iface = net::iface_toward(*network_, node_, neighbor);
   if (!iface) return;  // unreachable (partition); like a failed TCP write
   network_->send_on_interface(node_, *iface, std::move(packet));
@@ -83,9 +85,9 @@ void Transport::send_lan_query(std::uint32_t iface, const CountQuery& query) {
   packet.dst = ip::kEcmpAllRouters;  // LAN-wide general query
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = encode(Message{query});
-  stats_.control_bytes_sent.add(packet.payload.size());
+  stats_->control_bytes_sent += packet.payload.size();
   network_->send_on_interface(node_, iface, std::move(packet));
-  stats_.queries_sent.inc();
+  ++stats_->queries_sent;
 }
 
 void Transport::send_remote(ip::Address dest, const Message& msg) {
@@ -95,7 +97,7 @@ void Transport::send_remote(ip::Address dest, const Message& msg) {
   packet.dst = dest;
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = encode(msg);
-  stats_.control_bytes_sent.add(packet.payload.size());
+  stats_->control_bytes_sent += packet.payload.size();
   network_->send_unicast(node_, std::move(packet));
 }
 
@@ -104,7 +106,7 @@ Delivery Transport::receive(const net::Packet& packet,
   Delivery delivery;
   delivery.from = network_->node_of(packet.src).value_or(
       network_->topology().neighbor_via(node_, in_iface));
-  stats_.control_bytes_received.add(packet.payload.size());
+  stats_->control_bytes_received += packet.payload.size();
   delivery.reestablished =
       neighbors_.heard_from(delivery.from, in_iface, network_->now());
   delivery.messages = decode_all(packet.payload);
@@ -113,11 +115,11 @@ Delivery Transport::receive(const net::Packet& packet,
         [&](const auto& m) {
           using T = std::decay_t<decltype(m)>;
           if constexpr (std::is_same_v<T, Count>) {
-            stats_.counts_received.inc();
+            ++stats_->counts_received;
           } else if constexpr (std::is_same_v<T, CountQuery>) {
-            stats_.queries_received.inc();
+            ++stats_->queries_received;
           } else if constexpr (std::is_same_v<T, CountResponse>) {
-            stats_.responses_received.inc();
+            ++stats_->responses_received;
           }
         },
         msg);

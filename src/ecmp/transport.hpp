@@ -158,19 +158,8 @@ class Transport {
   // --- introspection -------------------------------------------------
   [[nodiscard]] const TransportPolicy& policy() const { return policy_; }
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] TransportStats stats() const {
-    TransportStats s;
-    s.counts_sent = stats_.counts_sent.value();
-    s.counts_received = stats_.counts_received.value();
-    s.queries_sent = stats_.queries_sent.value();
-    s.queries_received = stats_.queries_received.value();
-    s.responses_sent = stats_.responses_sent.value();
-    s.responses_received = stats_.responses_received.value();
-    s.control_bytes_sent = stats_.control_bytes_sent.value();
-    s.control_bytes_received = stats_.control_bytes_received.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] TransportStats stats() const { return *stats_; }
   [[nodiscard]] const NeighborTable& neighbors() const { return neighbors_; }
   [[nodiscard]] std::uint64_t segments_sent() const {
     return batcher_ ? batcher_->segments_sent() : 0;
@@ -184,25 +173,11 @@ class Transport {
   void schedule_neighbor_discovery();
   void neighbor_discovery_tick();
 
-  /// Registry-backed counter handles (TransportStats is assembled on
-  /// demand by stats()).
-  struct TransportCounters {
-    obs::Counter counts_sent;
-    obs::Counter counts_received;
-    obs::Counter queries_sent;
-    obs::Counter queries_received;
-    obs::Counter responses_sent;
-    obs::Counter responses_received;
-    obs::Counter control_bytes_sent;
-    obs::Counter control_bytes_received;
-  };
-
   net::Network* network_;
   net::NodeId node_;
   TransportPolicy policy_;
   TransportHooks hooks_;
-  obs::Scope scope_;
-  TransportCounters stats_;
+  TransportStats* stats_;  ///< registry-owned block
   std::unordered_map<std::uint32_t, Mode> iface_modes_;
   NeighborTable neighbors_;
   std::unique_ptr<Batcher> batcher_;  ///< §5.3 segment coalescing

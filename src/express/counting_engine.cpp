@@ -53,7 +53,7 @@ bool CountingEngine::start_round(const ip::ChannelId& channel,
   round.local_done = std::move(local_done);
   round.timer = scheduler_->schedule_after(
       timeout, [this, key]() { finish_round(key, true); });
-  stats_.rounds_started.inc();
+  ++stats_->rounds_started;
   scope_.emit(round.started, obs::TraceType::kCountRoundStart, channel.packed(),
               query_seq, children);
   return true;
@@ -77,9 +77,9 @@ void CountingEngine::finish_round(std::uint64_t key, bool timed_out) {
   pending_.erase(it);
   round.timer.cancel();
   if (timed_out) {
-    stats_.rounds_timed_out.inc();
+    ++stats_->rounds_timed_out;
   } else {
-    stats_.rounds_completed.inc();
+    ++stats_->rounds_completed;
   }
   const sim::Time now = scheduler_->now();
   round_ns_.observe(static_cast<std::uint64_t>((now - round.started).count()));
@@ -138,7 +138,7 @@ void CountingEngine::proactive_update_sent(const ip::ChannelId& channel,
                                            std::int64_t total) {
   auto it = proactive_.find(channel);
   if (it == proactive_.end()) return;
-  stats_.proactive_updates_sent.inc();
+  ++stats_->proactive_updates_sent;
   it->second.state.mark_sent(total, scheduler_->now());
   it->second.check.cancel();
 }

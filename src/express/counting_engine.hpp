@@ -65,16 +65,18 @@ class CountingEngine {
       : scheduler_(&scheduler),
         reply_(std::move(reply)),
         recheck_(std::move(recheck)),
-        scope_(scope.resolved()) {
-    stats_.rounds_started = scope_.counter("express.counting.rounds_started");
-    stats_.rounds_completed =
-        scope_.counter("express.counting.rounds_completed");
-    stats_.rounds_timed_out =
-        scope_.counter("express.counting.rounds_timed_out");
-    stats_.proactive_updates_sent =
-        scope_.counter("express.counting.proactive_updates_sent");
-    round_ns_ = scope_.histogram("express.counting.round_ns");
-  }
+        scope_(scope.resolved()),
+        stats_(scope_.bind<CountingStats>({
+            {&CountingStats::rounds_started,
+             "express.counting.rounds_started"},
+            {&CountingStats::rounds_completed,
+             "express.counting.rounds_completed"},
+            {&CountingStats::rounds_timed_out,
+             "express.counting.rounds_timed_out"},
+            {&CountingStats::proactive_updates_sent,
+             "express.counting.proactive_updates_sent"},
+        })),
+        round_ns_(scope_.histogram("express.counting.round_ns")) {}
   ~CountingEngine();
 
   CountingEngine(const CountingEngine&) = delete;
@@ -126,15 +128,8 @@ class CountingEngine {
     return pending_.size();
   }
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] CountingStats stats() const {
-    CountingStats s;
-    s.rounds_started = stats_.rounds_started.value();
-    s.rounds_completed = stats_.rounds_completed.value();
-    s.rounds_timed_out = stats_.rounds_timed_out.value();
-    s.proactive_updates_sent = stats_.proactive_updates_sent.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] CountingStats stats() const { return *stats_; }
 
  private:
   struct PendingRound {
@@ -163,22 +158,13 @@ class CountingEngine {
                                                ecmp::CountId count_id,
                                                std::uint32_t query_seq);
 
-  /// Registry-backed counter handles (CountingStats is assembled on
-  /// demand by stats()).
-  struct CountingCounters {
-    obs::Counter rounds_started;
-    obs::Counter rounds_completed;
-    obs::Counter rounds_timed_out;
-    obs::Counter proactive_updates_sent;
-  };
-
   sim::Scheduler* scheduler_;
   ReplyFn reply_;
   RecheckFn recheck_;
   std::unordered_map<std::uint64_t, PendingRound> pending_;
   std::unordered_map<ip::ChannelId, ProactiveChannel> proactive_;
   obs::Scope scope_;
-  CountingCounters stats_;
+  CountingStats* stats_;  ///< registry-owned block
   obs::Histogram round_ns_;
 };
 

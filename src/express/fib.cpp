@@ -21,7 +21,7 @@ FibEntry& FlatFib::upsert(const ip::ChannelId& channel) {
   keys_[slot] = key;
   pos_[slot] = static_cast<std::uint32_t>(dense_.size());
   dense_.emplace_back(channel, FibEntry{});
-  entries_gauge_.set(dense_.size());
+  stats_->entries = dense_.size();
   return dense_.back().second;
 }
 
@@ -55,7 +55,7 @@ void FlatFib::erase(const ip::ChannelId& channel) {
     cur = (cur + 1) & mask_;
   }
   keys_[hole] = kEmptySlot;
-  entries_gauge_.set(dense_.size());
+  stats_->entries = dense_.size();
 }
 
 void FlatFib::grow_index() {
@@ -73,20 +73,20 @@ void FlatFib::grow_index() {
 
 const net::InterfaceSet* FlatFib::lookup(const ip::ChannelId& channel,
                                          std::uint32_t in_iface) {
-  stats_.lookups.inc();
+  ++stats_->lookups;
   const std::uint32_t slot = find_slot(key_of(channel));
   if (slot == kNotFound) {
     // lint: drop-untraced (caller ForwardingPlane::forward classifies and traces; FIB has no clock)
-    stats_.no_entry_drops.inc();
+    ++stats_->no_entry_drops;
     return nullptr;
   }
   const FibEntry& entry = dense_[pos_[slot]].second;
   if (entry.iif != in_iface) {
     // lint: drop-untraced (caller ForwardingPlane::forward classifies and traces; FIB has no clock)
-    stats_.rpf_drops.inc();
+    ++stats_->rpf_drops;
     return nullptr;
   }
-  stats_.hits.inc();
+  ++stats_->hits;
   return &entry.oifs;
 }
 

@@ -59,6 +59,7 @@ struct FibStats {
   std::uint64_t hits = 0;            ///< counted once per lookup() call
   std::uint64_t no_entry_drops = 0;  ///< counted-and-dropped (no match)
   std::uint64_t rpf_drops = 0;       ///< matched but wrong arrival interface
+  std::uint64_t entries = 0;         ///< gauge: live entries (== size())
 };
 
 class FlatFib {
@@ -66,13 +67,15 @@ class FlatFib {
   /// `scope` binds the FIB's counters (express.fib.*) to an
   /// observability plane; the default resolves to the global plane
   /// under a fresh anonymous entity.
-  explicit FlatFib(obs::Scope scope = {}) : scope_(scope.resolved()) {
-    stats_.lookups = scope_.counter("express.fib.lookups");
-    stats_.hits = scope_.counter("express.fib.hits");
-    stats_.no_entry_drops = scope_.counter("express.fib.no_entry_drops");
-    stats_.rpf_drops = scope_.counter("express.fib.rpf_drops");
-    entries_gauge_ = scope_.gauge("express.fib.entries");
-  }
+  explicit FlatFib(obs::Scope scope = {})
+      : stats_(scope.bind<FibStats>({
+            {&FibStats::lookups, "express.fib.lookups"},
+            {&FibStats::hits, "express.fib.hits"},
+            {&FibStats::no_entry_drops, "express.fib.no_entry_drops"},
+            {&FibStats::rpf_drops, "express.fib.rpf_drops"},
+            {&FibStats::entries, "express.fib.entries",
+             obs::MetricKind::kGauge},
+        })) {}
 
   /// Insert or return the entry for `channel`. The reference (like any
   /// find() result) is invalidated by the next upsert or erase.
@@ -102,15 +105,8 @@ class FlatFib {
 
   [[nodiscard]] std::size_t size() const { return dense_.size(); }
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] FibStats stats() const {
-    FibStats s;
-    s.lookups = stats_.lookups.value();
-    s.hits = stats_.hits.value();
-    s.no_entry_drops = stats_.no_entry_drops.value();
-    s.rpf_drops = stats_.rpf_drops.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] FibStats stats() const { return *stats_; }
 
   /// Bytes this FIB would occupy in the Fig. 5 packed format.
   [[nodiscard]] std::size_t packed_bytes() const {
@@ -159,22 +155,12 @@ class FlatFib {
 
   void grow_index();
 
-  /// Registry-backed counter handles (FibStats is assembled on demand).
-  struct FibCounters {
-    obs::Counter lookups;
-    obs::Counter hits;
-    obs::Counter no_entry_drops;
-    obs::Counter rpf_drops;
-  };
-
   /// Dense entry store; index slots point into it by position.
   std::vector<std::pair<ip::ChannelId, FibEntry>> dense_;
   std::vector<std::uint64_t> keys_;  ///< packed key per slot, kEmptySlot if free
   std::vector<std::uint32_t> pos_;   ///< dense_ position per occupied slot
   std::uint64_t mask_ = 0;           ///< keys_.size() - 1 (power of two)
-  obs::Scope scope_;
-  FibCounters stats_;
-  obs::Counter entries_gauge_;
+  FibStats* stats_;  ///< registry-owned block
 };
 
 /// The FIB used throughout the stack (forwarding plane, baselines,

@@ -15,11 +15,11 @@ bool ForwardingPlane::forward(const net::Packet& packet,
                 channel.packed());
     return false;
   }
-  stats_.data_packets_forwarded.inc();
+  ++stats_->data_packets_forwarded;
   net::ReplicateOptions opts;
   opts.exclude_iface = in_iface;
-  stats_.data_copies_sent.add(
-      net::replicate(*network_, node_, packet, *oifs, opts));
+  stats_->data_copies_sent +=
+      net::replicate(*network_, node_, packet, *oifs, opts);
   return true;
 }
 
@@ -28,11 +28,11 @@ bool ForwardingPlane::relay_subcast(const net::Packet& packet) {
   const ip::ChannelId channel{packet.inner->src, packet.inner->dst};
   const FibEntry* entry = fib_.find(channel);
   if (entry == nullptr) return false;  // not an on-channel router
-  stats_.subcasts_relayed.inc();
+  ++stats_->subcasts_relayed;
   net::ReplicateOptions opts;
   opts.decrement_ttl = false;  // the inner packet starts fresh here
-  stats_.data_copies_sent.add(
-      net::replicate(*network_, node_, *packet.inner, entry->oifs, opts));
+  stats_->data_copies_sent +=
+      net::replicate(*network_, node_, *packet.inner, entry->oifs, opts);
   return true;
 }
 
@@ -40,7 +40,7 @@ std::size_t ForwardingPlane::replicate(const net::Packet& packet,
                                        const net::InterfaceSet& oifs,
                                        const net::ReplicateOptions& opts) {
   const std::size_t copies = net::replicate(*network_, node_, packet, oifs, opts);
-  stats_.data_copies_sent.add(copies);
+  stats_->data_copies_sent += copies;
   return copies;
 }
 

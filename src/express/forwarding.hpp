@@ -45,12 +45,15 @@ class ForwardingPlane {
   ForwardingPlane(net::Network& network, net::NodeId node)
       : network_(&network), node_(node),
         scope_(network.node_scope(node)),
-        fib_(scope_) {
-    stats_.data_packets_forwarded =
-        scope_.counter("express.fwd.data_packets_forwarded");
-    stats_.data_copies_sent = scope_.counter("express.fwd.data_copies_sent");
-    stats_.subcasts_relayed = scope_.counter("express.fwd.subcasts_relayed");
-  }
+        fib_(scope_),
+        stats_(scope_.bind<ForwardingStats>({
+            {&ForwardingStats::data_packets_forwarded,
+             "express.fwd.data_packets_forwarded"},
+            {&ForwardingStats::data_copies_sent,
+             "express.fwd.data_copies_sent"},
+            {&ForwardingStats::subcasts_relayed,
+             "express.fwd.subcasts_relayed"},
+        })) {}
 
   /// EXPRESS fast path: look up (packet.src, packet.dst), replicate to
   /// the outgoing set (minus the arrival interface), decrementing TTL.
@@ -73,29 +76,15 @@ class ForwardingPlane {
   [[nodiscard]] Fib& fib() { return fib_; }
   [[nodiscard]] const Fib& fib() const { return fib_; }
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] ForwardingStats stats() const {
-    ForwardingStats s;
-    s.data_packets_forwarded = stats_.data_packets_forwarded.value();
-    s.data_copies_sent = stats_.data_copies_sent.value();
-    s.subcasts_relayed = stats_.subcasts_relayed.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] ForwardingStats stats() const { return *stats_; }
 
  private:
-  /// Registry-backed counter handles (ForwardingStats is assembled on
-  /// demand by stats()).
-  struct ForwardingCounters {
-    obs::Counter data_packets_forwarded;
-    obs::Counter data_copies_sent;
-    obs::Counter subcasts_relayed;
-  };
-
   net::Network* network_;
   net::NodeId node_;
   obs::Scope scope_;
   Fib fib_;
-  ForwardingCounters stats_;
+  ForwardingStats* stats_;  ///< registry-owned block
 };
 
 }  // namespace express

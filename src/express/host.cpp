@@ -18,13 +18,14 @@ ExpressHost::ExpressHost(net::Network& network, net::NodeId id)
   first_hop_ = network.topology().neighbor_via(id, 0);
   on_lan_ = network.topology().node(first_hop_).kind == net::NodeKind::kLanHub;
   scope_ = network.node_scope(id);
-  stats_.data_received = scope_.counter("express.host.data_received");
-  stats_.data_sent = scope_.counter("express.host.data_sent");
-  stats_.unwanted_data = scope_.counter("express.host.unwanted_data");
-  stats_.counts_sent = scope_.counter("express.host.counts_sent");
-  stats_.queries_answered = scope_.counter("express.host.queries_answered");
-  stats_.control_bytes_sent =
-      scope_.counter("express.host.control_bytes_sent");
+  stats_ = scope_.bind<HostStats>({
+      {&HostStats::data_received, "express.host.data_received"},
+      {&HostStats::data_sent, "express.host.data_sent"},
+      {&HostStats::unwanted_data, "express.host.unwanted_data"},
+      {&HostStats::counts_sent, "express.host.counts_sent"},
+      {&HostStats::queries_answered, "express.host.queries_answered"},
+      {&HostStats::control_bytes_sent, "express.host.control_bytes_sent"},
+  });
 }
 
 ExpressHost::~ExpressHost() {
@@ -66,7 +67,7 @@ void ExpressHost::send(const ip::ChannelId& channel, std::uint32_t bytes,
   packet.data_bytes = bytes;
   packet.sequence = sequence;
   packet.payload = std::move(header);
-  stats_.data_sent.inc();
+  ++stats_->data_sent;
   network().send_on_interface(id(), 0, std::move(packet));
 }
 
@@ -100,7 +101,7 @@ void ExpressHost::subcast(const ip::ChannelId& channel, ip::Address relay_router
   outer.dst = relay_router;
   outer.protocol = ip::Protocol::kIpInIp;
   outer.inner = std::move(inner);
-  stats_.data_sent.inc();
+  ++stats_->data_sent;
   network().send_unicast(id(), std::move(outer));
 }
 
@@ -151,7 +152,7 @@ void ExpressHost::count_query_at(ip::Address subtree_router,
   inner->dst = subtree_router;
   inner->protocol = ip::Protocol::kEcmp;
   inner->payload = ecmp::encode(ecmp::Message{query});
-  stats_.control_bytes_sent.add(inner->payload.size());
+  stats_->control_bytes_sent += inner->payload.size();
 
   net::Packet outer;
   outer.src = address();
@@ -184,7 +185,7 @@ void ExpressHost::new_subscription(const ip::ChannelId& channel,
   join.channel = channel;
   join.count = sub.local_count;
   join.key = sub.key;
-  stats_.counts_sent.inc();
+  ++stats_->counts_sent;
   scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
               channel.packed(), static_cast<std::uint64_t>(sub.local_count));
   send_ecmp(join);
@@ -201,7 +202,7 @@ void ExpressHost::delete_subscription(const ip::ChannelId& channel) {
   } else {
     subscriptions_.erase(it);
   }
-  stats_.counts_sent.inc();
+  ++stats_->counts_sent;
   scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
               channel.packed(), static_cast<std::uint64_t>(update.count));
   send_ecmp(update);
@@ -255,10 +256,10 @@ void ExpressHost::handle_packet(const net::Packet& packet,
       // On a point-to-point access link the channel model guarantees we
       // only receive from sources we designated; count any violation
       // (tests assert zero).
-      stats_.unwanted_data.inc();
+      ++stats_->unwanted_data;
       return;
     }
-    stats_.data_received.inc();
+    ++stats_->data_received;
     deliveries_.push_back(Delivery{channel, packet.sequence, packet.data_bytes,
                                    network().now()});
     if (data_handler_) data_handler_(packet, network().now());
@@ -272,7 +273,7 @@ void ExpressHost::on_query(const ecmp::CountQuery& query) {
     reply.count_id = ecmp::kNeighborsId;
     reply.count = 1;
     reply.query_seq = query.query_seq;
-    stats_.counts_sent.inc();
+    ++stats_->counts_sent;
     send_ecmp(reply);
     return;
   }
@@ -287,7 +288,7 @@ void ExpressHost::on_query(const ecmp::CountQuery& query) {
       count.channel = channel;
       count.count = sub.local_count;
       count.key = sub.key;
-      stats_.counts_sent.inc();
+      ++stats_->counts_sent;
       send_ecmp(count);
     }
     return;
@@ -306,8 +307,8 @@ void ExpressHost::on_query(const ecmp::CountQuery& query) {
     if (query.query_seq == 0 && it != subscriptions_.end()) {
       reply.key = it->second.key;  // refresh keeps the key alive
     }
-    stats_.counts_sent.inc();
-    stats_.queries_answered.inc();
+    ++stats_->counts_sent;
+    ++stats_->queries_answered;
     send_ecmp(reply);
     return;
   }
@@ -323,8 +324,8 @@ void ExpressHost::on_query(const ecmp::CountQuery& query) {
     reply.count_id = query.count_id;
     reply.count = *value;
     reply.query_seq = query.query_seq;
-    stats_.counts_sent.inc();
-    stats_.queries_answered.inc();
+    ++stats_->counts_sent;
+    ++stats_->queries_answered;
     send_ecmp(reply);
   }
 }
@@ -367,7 +368,7 @@ void ExpressHost::send_ecmp(const ecmp::Message& msg) {
                        : network().topology().node(first_hop_).address;
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = ecmp::encode(msg);
-  stats_.control_bytes_sent.add(packet.payload.size());
+  stats_->control_bytes_sent += packet.payload.size();
   network().send_on_interface(id(), 0, std::move(packet));
 }
 

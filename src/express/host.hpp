@@ -141,17 +141,8 @@ class ExpressHost : public net::Node {
     return deliveries_;
   }
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] HostStats stats() const {
-    HostStats s;
-    s.data_received = stats_.data_received.value();
-    s.data_sent = stats_.data_sent.value();
-    s.unwanted_data = stats_.unwanted_data.value();
-    s.counts_sent = stats_.counts_sent.value();
-    s.queries_answered = stats_.queries_answered.value();
-    s.control_bytes_sent = stats_.control_bytes_sent.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] HostStats stats() const { return *stats_; }
 
   /// Failure injection: a silent host ignores all incoming packets (a
   /// crashed subscriber that never answers refresh queries — the case
@@ -163,17 +154,6 @@ class ExpressHost : public net::Node {
     std::int64_t local_count = 0;  ///< subscribing apps on this host
     std::optional<ip::ChannelKey> key;
     SubscribeCallback pending_result;
-  };
-
-  /// Registry-backed counter handles (HostStats is assembled on demand
-  /// by stats()).
-  struct HostCounters {
-    obs::Counter data_received;
-    obs::Counter data_sent;
-    obs::Counter unwanted_data;
-    obs::Counter counts_sent;
-    obs::Counter queries_answered;
-    obs::Counter control_bytes_sent;
   };
 
   void send_ecmp(const ecmp::Message& msg);
@@ -200,7 +180,7 @@ class ExpressHost : public net::Node {
   DataHandler unicast_handler_;
   std::vector<Delivery> deliveries_;
   obs::Scope scope_;
-  HostCounters stats_;
+  HostStats* stats_ = nullptr;  ///< registry-owned block
   bool silent_ = false;
   bool on_lan_ = false;  ///< first hop is a shared-media segment
 };

@@ -48,10 +48,11 @@ ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
                  ecmp::TransportHooks{
                      [this]() { return udp_refresh_round(); },
                      [this](net::NodeId neighbor) { neighbor_died(neighbor); },
-                 }) {
-  unresolved_neighbor_updates_ =
-      scope_.counter("express.router.unresolved_neighbor_updates");
-}
+                 }),
+      stats_(scope_.bind<RouterStats>({
+          {&RouterStats::unresolved_neighbor_updates,
+           "express.router.unresolved_neighbor_updates"},
+      })) {}
 
 ExpressRouter::~ExpressRouter() {
   // lint: order-independent (timer cancellations commute)

@@ -71,27 +71,11 @@ struct RouterConfig {
   std::optional<sim::Duration> batch_window;
 };
 
-/// Unified router counters, aggregated on demand from the per-module
-/// stats (see forwarding_stats() et al. for the raw per-layer views).
-struct RouterStats {
-  std::uint64_t subscribe_events = 0;     ///< downstream entries created
-  std::uint64_t unsubscribe_events = 0;   ///< downstream entries removed
-  std::uint64_t counts_received = 0;
-  std::uint64_t counts_sent = 0;
-  std::uint64_t queries_received = 0;
-  std::uint64_t queries_sent = 0;
-  std::uint64_t responses_sent = 0;
-  std::uint64_t responses_received = 0;
-  std::uint64_t control_bytes_sent = 0;
-  std::uint64_t control_bytes_received = 0;
-  std::uint64_t joins_sent = 0;           ///< 0 -> non-zero Counts upstream
-  std::uint64_t prunes_sent = 0;          ///< non-zero -> 0 Counts upstream
-  std::uint64_t proactive_updates_sent = 0;
-  std::uint64_t data_packets_forwarded = 0;  ///< input packets replicated
-  std::uint64_t data_copies_sent = 0;        ///< total output copies
-  std::uint64_t subcasts_relayed = 0;
-  std::uint64_t auth_rejects = 0;
-  std::uint64_t key_registrations = 0;
+/// Unified router counters: the subscription, ECMP transport and
+/// forwarding views of this router (field docs on the base structs),
+/// plus two counters of its own. No field name repeats across bases.
+struct RouterStats : SubscriptionStats, ecmp::TransportStats, ForwardingStats {
+  std::uint64_t proactive_updates_sent = 0;  ///< from the counting engine
   /// Neighbor-death / dead-child updates skipped because the adjacency
   /// view no longer resolves an interface toward the neighbor (the link
   /// vanished before the event fired). Previously misattributed to
@@ -134,33 +118,12 @@ class ExpressRouter : public net::Node {
   /// Unified view across the modules; see the per-module accessors for
   /// layer-local counters.
   [[nodiscard]] RouterStats stats() const {
-    const SubscriptionStats sub = table_.stats();
-    const ecmp::TransportStats wire = transport_.stats();
-    const ForwardingStats fwd = forwarding_.stats();
-    RouterStats s;
-    s.subscribe_events = sub.subscribe_events;
-    s.unsubscribe_events = sub.unsubscribe_events;
-    s.joins_sent = sub.joins_sent;
-    s.prunes_sent = sub.prunes_sent;
-    s.auth_rejects = sub.auth_rejects;
-    s.key_registrations = sub.key_registrations;
-    s.counts_received = wire.counts_received;
-    s.counts_sent = wire.counts_sent;
-    s.queries_received = wire.queries_received;
-    s.queries_sent = wire.queries_sent;
-    s.responses_sent = wire.responses_sent;
-    s.responses_received = wire.responses_received;
-    s.control_bytes_sent = wire.control_bytes_sent;
-    s.control_bytes_received = wire.control_bytes_received;
-    s.proactive_updates_sent = counting_.stats().proactive_updates_sent;
-    s.data_packets_forwarded = fwd.data_packets_forwarded;
-    s.data_copies_sent = fwd.data_copies_sent;
-    s.subcasts_relayed = fwd.subcasts_relayed;
-    s.unresolved_neighbor_updates = unresolved_neighbor_updates_.value();
-    return s;
+    return RouterStats{table_.stats(), transport_.stats(), forwarding_.stats(),
+                       counting_.stats().proactive_updates_sent,
+                       stats_->unresolved_neighbor_updates};
   }
-  // Per-module views are returned by value: each module assembles its
-  // POD from registry slots on demand.
+  // Per-module views are returned by value: each is a copy of the
+  // module's registry-bound block.
   [[nodiscard]] ForwardingStats forwarding_stats() const {
     return forwarding_.stats();
   }
@@ -309,7 +272,9 @@ class ExpressRouter : public net::Node {
   ecmp::Transport transport_;
   /// Hysteresis timers for pending upstream switches (§3.2).
   std::unordered_map<ip::ChannelId, sim::EventHandle> pending_switches_;
-  obs::Counter unresolved_neighbor_updates_;
+  /// Registry-owned block; only unresolved_neighbor_updates is bound,
+  /// the rest of RouterStats is assembled from the modules by stats().
+  RouterStats* stats_;
   TotalObserver total_observer_;
 };
 

@@ -66,7 +66,7 @@ void ExpressRouter::neighbor_died(net::NodeId neighbor) {
       // the death fired). Applying the zero-count with a made-up
       // interface would mutate the wrong interface's state; leave the
       // entry for soft-state expiry / reconnection to settle instead.
-      unresolved_neighbor_updates_.inc();
+      ++stats_->unresolved_neighbor_updates;
       continue;
     }
     apply_subscriber_count(channel, neighbor, *iface, 0, std::nullopt);
@@ -87,7 +87,7 @@ void ExpressRouter::on_routing_change() {
       // hub link died): skip rather than misattribute the zero-count to
       // interface 0 — UDP soft state expires the entry if the outage
       // persists, and a heal leaves the subscription intact.
-      unresolved_neighbor_updates_.inc();
+      ++stats_->unresolved_neighbor_updates;
       continue;
     }
     apply_subscriber_count(channel, neighbor, *iface, 0, std::nullopt);

@@ -34,7 +34,7 @@ std::int64_t SubscriptionTable::subtree_count(
 void SubscriptionTable::register_key(const ip::ChannelId& channel,
                                      ip::ChannelKey key) {
   key_registry_[channel] = key;
-  stats_.key_registrations.inc();
+  ++stats_->key_registrations;
 }
 
 bool SubscriptionTable::key_acceptable(const ip::ChannelId& channel,
@@ -70,7 +70,7 @@ bool SubscriptionTable::key_acceptable(const ip::ChannelId& channel,
 
 void SubscriptionTable::reject_join(const ip::ChannelId& channel,
                                     bool created) {
-  stats_.auth_rejects.inc();
+  ++stats_->auth_rejects;
   if (created) channels_.erase(channel);
 }
 
@@ -78,7 +78,7 @@ bool SubscriptionTable::remove_downstream(const ip::ChannelId& channel,
                                           net::NodeId from) {
   Channel* state = find(channel);
   if (state == nullptr || state->downstream.erase(from) == 0) return false;
-  stats_.unsubscribe_events.inc();
+  ++stats_->unsubscribe_events;
   return true;
 }
 
@@ -114,7 +114,7 @@ DownstreamEntry& SubscriptionTable::apply_join(Channel& state,
   if (key) entry.key = *key;
   entry.last_refresh = now;
   if (is_new) {
-    stats_.subscribe_events.inc();
+    ++stats_->subscribe_events;
     entry.validated = locally_decidable;
   }
   return entry;
@@ -144,12 +144,12 @@ UpstreamPlan SubscriptionTable::plan_upstream_update(
     }
     if (!state.validated_upstream) state.pending_sent_key = plan.key;
     state.advertised_upstream = plan.total;
-    stats_.joins_sent.inc();
+    ++stats_->joins_sent;
   } else if (state.advertised_upstream > 0 && plan.total == 0) {
     plan.send = UpstreamSend::kPrune;
     state.advertised_upstream = 0;
     plan.remove_channel = true;
-    stats_.prunes_sent.inc();
+    ++stats_->prunes_sent;
   } else if (plan.total != state.advertised_upstream) {
     plan.send = UpstreamSend::kDrift;
   }
@@ -188,7 +188,7 @@ VerdictEffects SubscriptionTable::apply_upstream_verdict(
     }
     for (net::NodeId neighbor : fx.reject) {
       state.downstream.erase(neighbor);
-      stats_.auth_rejects.inc();
+      ++stats_->auth_rejects;
     }
     fx.membership_changed = !fx.reject.empty();
     return fx;
@@ -209,7 +209,7 @@ VerdictEffects SubscriptionTable::apply_upstream_verdict(
   }
   for (net::NodeId neighbor : fx.reject) {
     state.downstream.erase(neighbor);
-    stats_.auth_rejects.inc();
+    ++stats_->auth_rejects;
   }
   // The upstream router holds no state for us now.
   state.advertised_upstream = 0;
@@ -239,7 +239,7 @@ RouteSwitch SubscriptionTable::apply_route_switch(
   // Zero Count to the old upstream, current Count to the new.
   if (old_upstream_is_router && state->advertised_upstream > 0) {
     sw.prune_old = true;
-    stats_.prunes_sent.inc();
+    ++stats_->prunes_sent;
   }
   state->upstream = new_upstream;
   if (new_rpf_iface) state->rpf_iface = *new_rpf_iface;

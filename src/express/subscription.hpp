@@ -120,16 +120,18 @@ class SubscriptionTable {
   /// `scope` binds the table's counters (express.sub.*) to an
   /// observability plane; the default resolves to the global plane
   /// under a fresh anonymous entity.
-  explicit SubscriptionTable(obs::Scope scope = {}) : scope_(scope.resolved()) {
-    stats_.subscribe_events = scope_.counter("express.sub.subscribe_events");
-    stats_.unsubscribe_events =
-        scope_.counter("express.sub.unsubscribe_events");
-    stats_.joins_sent = scope_.counter("express.sub.joins_sent");
-    stats_.prunes_sent = scope_.counter("express.sub.prunes_sent");
-    stats_.auth_rejects = scope_.counter("express.sub.auth_rejects");
-    stats_.key_registrations =
-        scope_.counter("express.sub.key_registrations");
-  }
+  explicit SubscriptionTable(obs::Scope scope = {})
+      : stats_(scope.bind<SubscriptionStats>({
+            {&SubscriptionStats::subscribe_events,
+             "express.sub.subscribe_events"},
+            {&SubscriptionStats::unsubscribe_events,
+             "express.sub.unsubscribe_events"},
+            {&SubscriptionStats::joins_sent, "express.sub.joins_sent"},
+            {&SubscriptionStats::prunes_sent, "express.sub.prunes_sent"},
+            {&SubscriptionStats::auth_rejects, "express.sub.auth_rejects"},
+            {&SubscriptionStats::key_registrations,
+             "express.sub.key_registrations"},
+        })) {}
 
   // --- storage -------------------------------------------------------
   [[nodiscard]] Channel* find(const ip::ChannelId& channel);
@@ -228,35 +230,14 @@ class SubscriptionTable {
   /// §5.2 management-state estimate for channels + key registry.
   [[nodiscard]] std::size_t management_state_bytes() const;
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] SubscriptionStats stats() const {
-    SubscriptionStats s;
-    s.subscribe_events = stats_.subscribe_events.value();
-    s.unsubscribe_events = stats_.unsubscribe_events.value();
-    s.joins_sent = stats_.joins_sent.value();
-    s.prunes_sent = stats_.prunes_sent.value();
-    s.auth_rejects = stats_.auth_rejects.value();
-    s.key_registrations = stats_.key_registrations.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] SubscriptionStats stats() const { return *stats_; }
 
  private:
-  /// Registry-backed counter handles (SubscriptionStats is assembled on
-  /// demand by stats()).
-  struct SubscriptionCounters {
-    obs::Counter subscribe_events;
-    obs::Counter unsubscribe_events;
-    obs::Counter joins_sent;
-    obs::Counter prunes_sent;
-    obs::Counter auth_rejects;
-    obs::Counter key_registrations;
-  };
-
   std::unordered_map<ip::ChannelId, Channel> channels_;
   /// Authoritative keys registered by directly attached sources.
   std::unordered_map<ip::ChannelId, ip::ChannelKey> key_registry_;
-  obs::Scope scope_;
-  SubscriptionCounters stats_;
+  SubscriptionStats* stats_;  ///< registry-owned block
 };
 
 }  // namespace express

@@ -23,11 +23,11 @@ sim::Time Network::reserve_link(NodeId from, LinkId link, std::uint32_t bytes,
   const sim::Time start = std::max(earliest, free_at);
   const sim::Time done = start + serialization_delay(bytes, l.bandwidth_bps);
   free_at = done;
-  LinkCounters& lc = link_stats_[link];
-  lc.packets.inc();
-  lc.bytes.add(bytes);
-  stats_.packets_sent.inc();
-  stats_.bytes_sent.add(bytes);
+  LinkStats& ls = *link_stats_[link];
+  ++ls.packets;
+  ls.bytes += bytes;
+  ++stats_->packets_sent;
+  stats_->bytes_sent += bytes;
   plane_.trace.emit(start, obs::Entity::link(link), obs::TraceType::kPacketSent,
                     from, bytes);
   return done + l.delay;  // arrival at the peer
@@ -90,13 +90,13 @@ Network::ImpairmentVerdict Network::roll_impairment(NodeId from, LinkId link,
     }
   }
   if (lost) {
-    stats_.dropped_loss.inc();
+    ++stats_->packets_dropped_loss;
     plane_.trace.emit(scheduler_.now(), obs::Entity::link(link),
                       obs::TraceType::kPacketLost, from, packet.wire_size());
     return ImpairmentVerdict::kDrop;
   }
   if (cfg.reorder_p > 0.0 && impair_rng_.chance(cfg.reorder_p)) {
-    stats_.reordered.inc();
+    ++stats_->packets_reordered;
     plane_.trace.emit(scheduler_.now(), obs::Entity::link(link),
                       obs::TraceType::kPacketReordered, from,
                       packet.wire_size());
@@ -120,7 +120,7 @@ void Network::deliver_packet(NodeId to, const Packet& packet,
 void Network::transmit(NodeId from, LinkId link, Packet packet) {
   const LinkInfo& l = topology_.link(link);
   if (!l.up) {
-    stats_.dropped_link_down.inc();
+    ++stats_->packets_dropped_link_down;
     trace_drop(obs::DropReason::kLinkDown, link);
     return;
   }
@@ -177,7 +177,7 @@ bool Network::Fanout::add(std::uint32_t iface) {
   const LinkId link = net.topology_.node(from_).interfaces.at(iface);
   const LinkInfo& l = net.topology_.link(link);
   if (!l.up) {
-    net.stats_.dropped_link_down.inc();
+    ++net.stats_->packets_dropped_link_down;
     net.trace_drop(obs::DropReason::kLinkDown, link);
     return false;
   }
@@ -256,7 +256,7 @@ void Network::send_to_neighbor(NodeId from, NodeId neighbor, Packet packet) {
 void Network::send_unicast(NodeId from, Packet packet) {
   auto dest = node_of(packet.dst);
   if (!dest) {
-    stats_.dropped_no_route.inc();
+    ++stats_->packets_dropped_no_route;
     trace_drop(obs::DropReason::kNoRoute, kInvalidLink);
     return;
   }
@@ -273,7 +273,7 @@ void Network::send_unicast(NodeId from, Packet packet) {
   // decrementing TTL per hop; deliver only at the destination.
   const auto hops = routing_.path(from, *dest);
   if (hops.empty()) {
-    stats_.dropped_no_route.inc();
+    ++stats_->packets_dropped_no_route;
     trace_drop(obs::DropReason::kNoRoute, kInvalidLink);
     return;
   }
@@ -282,7 +282,7 @@ void Network::send_unicast(NodeId from, Packet packet) {
   sim::Time at = scheduler_.now();
   for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
     if (ttl == 0) {
-      stats_.dropped_ttl.inc();
+      ++stats_->packets_dropped_ttl;
       trace_drop(obs::DropReason::kTtlExpired, kInvalidLink);
       return;
     }
@@ -290,7 +290,7 @@ void Network::send_unicast(NodeId from, Packet packet) {
     auto iface = topology_.interface_to(hops[i], hops[i + 1]);
     const LinkId link = topology_.node(hops[i]).interfaces.at(*iface);
     if (!topology_.link(link).up) {
-      stats_.dropped_link_down.inc();
+      ++stats_->packets_dropped_link_down;
       trace_drop(obs::DropReason::kLinkDown, link);
       return;
     }
@@ -326,7 +326,9 @@ void Network::set_link_up(LinkId link, bool up) {
 }
 
 std::uint64_t Network::total_link_bytes() const {
-  return plane_.registry.sum("net.link.bytes");
+  std::uint64_t total = 0;
+  for (const LinkStats* ls : link_stats_) total += ls->bytes;
+  return total;
 }
 
 }  // namespace express::net

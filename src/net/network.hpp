@@ -60,19 +60,22 @@ class Network {
     for (NodeId i = 0; i < topology_.node_count(); ++i) {
       address_index_.emplace(topology_.node(i).address, i);
     }
-    const obs::Scope scope{&plane_, obs::Entity::network()};
-    stats_.packets_sent = scope.counter("net.packets_sent");
-    stats_.bytes_sent = scope.counter("net.bytes_sent");
-    stats_.dropped_link_down = scope.counter("net.drop.link_down");
-    stats_.dropped_no_route = scope.counter("net.drop.no_route");
-    stats_.dropped_ttl = scope.counter("net.drop.ttl");
-    stats_.dropped_loss = scope.counter("net.drop.loss");
-    stats_.reordered = scope.counter("net.reordered");
+    stats_ = plane_.registry.bind<NetworkStats>(
+        obs::Entity::network(),
+        {
+            {&NetworkStats::packets_sent, "net.packets_sent"},
+            {&NetworkStats::bytes_sent, "net.bytes_sent"},
+            {&NetworkStats::packets_dropped_link_down, "net.drop.link_down"},
+            {&NetworkStats::packets_dropped_no_route, "net.drop.no_route"},
+            {&NetworkStats::packets_dropped_ttl, "net.drop.ttl"},
+            {&NetworkStats::packets_dropped_loss, "net.drop.loss"},
+            {&NetworkStats::packets_reordered, "net.reordered"},
+        });
     link_stats_.resize(topology_.link_count());
     for (LinkId l = 0; l < topology_.link_count(); ++l) {
-      const obs::Entity e = obs::Entity::link(l);
-      link_stats_[l].packets = plane_.registry.counter("net.link.packets", e);
-      link_stats_[l].bytes = plane_.registry.counter("net.link.bytes", e);
+      link_stats_[l] = plane_.registry.bind<LinkStats>(
+          obs::Entity::link(l), {{&LinkStats::packets, "net.link.packets"},
+                                 {&LinkStats::bytes, "net.link.bytes"}});
     }
   }
 
@@ -206,21 +209,10 @@ class Network {
     return link < impair_cfg_.size() ? impair_cfg_[link] : kNeutral;
   }
 
-  /// Thin views over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] NetworkStats stats() const {
-    NetworkStats s;
-    s.packets_sent = stats_.packets_sent.value();
-    s.bytes_sent = stats_.bytes_sent.value();
-    s.packets_dropped_link_down = stats_.dropped_link_down.value();
-    s.packets_dropped_no_route = stats_.dropped_no_route.value();
-    s.packets_dropped_ttl = stats_.dropped_ttl.value();
-    s.packets_dropped_loss = stats_.dropped_loss.value();
-    s.packets_reordered = stats_.reordered.value();
-    return s;
-  }
+  /// Copies of the registry-bound blocks (see DESIGN.md §11).
+  [[nodiscard]] NetworkStats stats() const { return *stats_; }
   [[nodiscard]] LinkStats link_stats(LinkId link) const {
-    const LinkCounters& lc = link_stats_.at(link);
-    return LinkStats{lc.packets.value(), lc.bytes.value()};
+    return *link_stats_.at(link);
   }
 
   /// Sum of bytes over all links (total delivered bandwidth-volume).
@@ -271,29 +263,14 @@ class Network {
   std::uint32_t acquire_fanout_batch();
   void deliver_fanout_batch(std::uint32_t id);
 
-  /// Registry-backed counter handles (the NetworkStats/LinkStats PODs
-  /// are assembled on demand by stats()/link_stats()).
-  struct NetworkCounters {
-    obs::Counter packets_sent;
-    obs::Counter bytes_sent;
-    obs::Counter dropped_link_down;
-    obs::Counter dropped_no_route;
-    obs::Counter dropped_ttl;
-    obs::Counter dropped_loss;
-    obs::Counter reordered;
-  };
-  struct LinkCounters {
-    obs::Counter packets;
-    obs::Counter bytes;
-  };
-
   Topology topology_;
   UnicastRouting routing_;
   /// Declared before scheduler_ so the scheduler can bind to it.
   obs::Plane plane_;
   sim::Scheduler scheduler_{true, obs::Scope{&plane_, obs::Entity::network()}};
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<LinkCounters> link_stats_;
+  /// Registry-owned blocks, one per link.
+  std::vector<LinkStats*> link_stats_;
   /// Per link, per direction ([0]: a->b, [1]: b->a): when the
   /// transmitter becomes free (FIFO serialization).
   std::vector<std::array<sim::Time, 2>> link_free_;
@@ -309,7 +286,7 @@ class Network {
   std::vector<std::array<std::uint8_t, 2>> impair_gilbert_bad_;
   sim::Rng impair_rng_;
   bool impairments_armed_ = false;
-  NetworkCounters stats_;
+  NetworkStats* stats_ = nullptr;  ///< registry-owned block
 };
 
 }  // namespace express::net

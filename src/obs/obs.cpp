@@ -6,7 +6,6 @@
 
 namespace express::obs {
 
-std::uint64_t Counter::sink_ = 0;
 HistogramData Histogram::sink_{};
 
 const char* entity_kind_name(EntityKind kind) {
@@ -58,42 +57,16 @@ void Histogram::observe(std::uint64_t v) const {
 // Registry
 // ---------------------------------------------------------------------------
 
-std::uint64_t* Registry::scalar_slot(std::string_view name, Entity entity,
-                                     MetricKind kind) {
-  Key key{std::string(name), entity};
-  auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.kind != MetricKind::kHistogram) {
-    it->second.kind = kind;
-    std::uint64_t& slot = slots_[it->second.index];
-    slot = 0;  // re-registration: a fresh module instance starts clean
-    return &slot;
-  }
-  slots_.push_back(0);
-  const auto index = static_cast<std::uint32_t>(slots_.size() - 1);
-  entries_[std::move(key)] = Entry{kind, index};
-  return &slots_[index];
-}
-
-Counter Registry::counter(std::string_view name, Entity entity) {
-  return Counter(scalar_slot(name, entity, MetricKind::kCounter));
-}
-
-Counter Registry::gauge(std::string_view name, Entity entity) {
-  return Counter(scalar_slot(name, entity, MetricKind::kGauge));
+void Registry::publish(std::string_view name, Entity entity, MetricKind kind,
+                       const std::uint64_t* value) {
+  entries_[Key{std::string(name), entity}] = Entry{kind, value, nullptr};
 }
 
 Histogram Registry::histogram(std::string_view name, Entity entity) {
-  Key key{std::string(name), entity};
-  auto it = entries_.find(key);
-  if (it != entries_.end() && it->second.kind == MetricKind::kHistogram) {
-    HistogramData& data = hists_[it->second.index];
-    data = HistogramData{};
-    return Histogram(&data);
-  }
-  hists_.emplace_back();
-  const auto index = static_cast<std::uint32_t>(hists_.size() - 1);
-  entries_[std::move(key)] = Entry{MetricKind::kHistogram, index};
-  return Histogram(&hists_[index]);
+  HistogramData& data = hists_.emplace_back();
+  entries_[Key{std::string(name), entity}] =
+      Entry{MetricKind::kHistogram, nullptr, &data};
+  return Histogram(&data);
 }
 
 std::uint64_t Registry::value(std::string_view name, Entity entity) const {
@@ -101,7 +74,7 @@ std::uint64_t Registry::value(std::string_view name, Entity entity) const {
   if (it == entries_.end() || it->second.kind == MetricKind::kHistogram) {
     return 0;
   }
-  return slots_[it->second.index];
+  return *it->second.value;
 }
 
 std::uint64_t Registry::sum(std::string_view name) const {
@@ -110,7 +83,7 @@ std::uint64_t Registry::sum(std::string_view name) const {
   for (auto it = entries_.lower_bound(Key{std::string(name), Entity{}});
        it != entries_.end() && it->first.name == name; ++it) {
     if (it->second.kind != MetricKind::kHistogram) {
-      total += slots_[it->second.index];
+      total += *it->second.value;
     }
   }
   return total;
@@ -147,7 +120,7 @@ std::string Registry::snapshot_json(sim::Time at) const {
     out += first ? "\n" : ",\n";
     first = false;
     if (entry.kind == MetricKind::kHistogram) {
-      const HistogramData& d = hists_[entry.index];
+      const HistogramData& d = *entry.hist;
       out += "{\"buckets\":[";
       for (std::size_t i = 0; i < d.buckets.size(); ++i) {
         if (i != 0) out += ',';
@@ -163,7 +136,7 @@ std::string Registry::snapshot_json(sim::Time at) const {
       out += "{\"entity\":\"" + key.entity.to_string() + "\",\"kind\":\"";
       out += metric_kind_name(entry.kind);
       out += "\",\"name\":\"" + key.name + "\",\"value\":";
-      append_uint(out, slots_[entry.index]);
+      append_uint(out, *entry.value);
       out += "}";
     }
   }

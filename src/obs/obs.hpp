@@ -1,20 +1,17 @@
 // Unified observability plane: metrics registry + deterministic event
 // trace.
 //
-// Every layer of the stack used to carry its own ad-hoc `*Stats` POD
-// and hand-plumb fields into benches one at a time. This module gives
-// the counters one home:
-//
 //   * Registry — named counters/gauges/histograms, each owned by an
-//     Entity (router/host/link/...). Modules register their slots once
-//     at construction and hold Counter/Histogram *handles* (pointers
-//     into registry-owned storage), so a fast-path increment is one
-//     indirect add. The legacy `XStats stats()` accessors survive as
-//     thin views assembled from the slots — call sites compile
-//     unchanged. snapshot_json() serializes the whole registry in a
-//     canonical form (entries sorted by (name, entity), integers only,
-//     sim-time stamped) that is byte-identical across identically
-//     seeded runs.
+//     Entity (router/host/link/...). A module declares its metrics
+//     once, as a table of {&XStats::field, "metric.name"} rows passed
+//     to Scope::bind<XStats>(). The registry allocates one zeroed,
+//     address-stable XStats block per call and publishes each listed
+//     field under its name; the module keeps the returned pointer, so
+//     a fast-path increment (`++stats_->field`) is one indirect add
+//     and `stats()` is a copy of the block. snapshot_json() serializes
+//     the whole registry in a canonical form (entries sorted by (name,
+//     entity), integers only, sim-time stamped) that is byte-identical
+//     across identically seeded runs.
 //   * Trace — a fixed-capacity ring of POD records (packet
 //     sent/delivered/dropped, subscription change, count-round
 //     start/end, timer fire, fault inject/heal) stamped with *sim*
@@ -29,6 +26,9 @@
 //     constructed outside a Network resolve to a process-global Plane
 //     under a fresh anonymous entity. A Scope is the (plane, entity)
 //     pair a module binds once via resolved() and registers through.
+//     Blocks belong to the registry, not the module, so they outlive
+//     every module that writes them (a standalone module registered on
+//     the process-global plane dies before that plane does).
 //
 // Determinism contract: nothing in this module reads wall clocks,
 // addresses, or iteration order of unordered containers. The registry
@@ -38,12 +38,18 @@
 #pragma once
 
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <map>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -88,36 +94,19 @@ struct Entity {
 };
 
 // ---------------------------------------------------------------------------
-// Metric handles
+// Metric tables and histogram handles
 // ---------------------------------------------------------------------------
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-/// Handle to one uint64 registry slot. Values, not references: copying
-/// a Counter copies the slot pointer. A default-constructed handle
-/// targets a shared sink slot so unregistered modules stay safe (writes
-/// vanish); registered handles point into Registry-owned storage, which
-/// is address-stable for the registry's lifetime (deque-backed).
-class Counter {
- public:
-  Counter() = default;
-
-  void inc() const { ++*slot_; }
-  void add(std::uint64_t n) const { *slot_ += n; }
-  /// Gauge-style write (last value wins).
-  void set(std::uint64_t v) const { *slot_ = v; }
-  /// High-water-mark write.
-  void set_max(std::uint64_t v) const {
-    if (v > *slot_) *slot_ = v;
-  }
-  [[nodiscard]] std::uint64_t value() const { return *slot_; }
-
- private:
-  friend class Registry;
-  explicit Counter(std::uint64_t* slot) : slot_(slot) {}
-
-  static std::uint64_t sink_;
-  std::uint64_t* slot_ = &sink_;
+/// One row of a module's metric table: a uint64 field of the module's
+/// stats block and the registry name it is published under, as a
+/// counter or a gauge (histograms have their own handle, below).
+template <class S>
+struct Metric {
+  std::uint64_t S::*field;
+  std::string_view name;
+  MetricKind kind = MetricKind::kCounter;
 };
 
 inline constexpr std::size_t kHistogramBuckets = 32;
@@ -156,10 +145,24 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Register (or re-register, which zeroes the slot — a fresh module
-  /// instance starts from zero) a metric and return its handle.
-  Counter counter(std::string_view name, Entity entity);
-  Counter gauge(std::string_view name, Entity entity);
+  /// Allocate a zeroed S that this registry owns (its address never
+  /// changes) and publish each row's field under (row.name, entity).
+  /// Re-registering a live (name, entity) repoints it at the new block:
+  /// a fresh module instance starts from zero and size() does not grow.
+  template <class S>
+  [[nodiscard]] S* bind(Entity entity, std::initializer_list<Metric<S>> rows) {
+    static_assert(std::is_trivially_destructible_v<S> &&
+                  alignof(S) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    blocks_.push_back(std::make_unique<std::byte[]>(sizeof(S)));
+    S* block = ::new (blocks_.back().get()) S{};
+    for (const Metric<S>& row : rows) {
+      assert(row.kind != MetricKind::kHistogram);
+      publish(row.name, entity, row.kind, &(block->*row.field));
+    }
+    return block;
+  }
+  /// Register (or re-register, which starts a fresh zeroed histogram)
+  /// a histogram and return its handle.
   Histogram histogram(std::string_view name, Entity entity);
 
   /// Scalar value of (name, entity), or 0 when absent.
@@ -183,17 +186,18 @@ class Registry {
   };
   struct Entry {
     MetricKind kind = MetricKind::kCounter;
-    std::uint32_t index = 0;  ///< into slots_ or hists_ per kind
+    const std::uint64_t* value = nullptr;  ///< scalar: field in a block
+    const HistogramData* hist = nullptr;   ///< histogram: in hists_
   };
 
-  std::uint64_t* scalar_slot(std::string_view name, Entity entity,
-                             MetricKind kind);
+  void publish(std::string_view name, Entity entity, MetricKind kind,
+               const std::uint64_t* value);
 
   std::map<Key, Entry> entries_;
-  /// Slot storage. Deques: growth never moves existing slots, so the
-  /// raw pointers inside handed-out Counter/Histogram handles stay
-  /// valid for the registry's lifetime.
-  std::deque<std::uint64_t> slots_;
+  /// Storage the entries point into. Neither container moves what it
+  /// already holds, so handed-out block pointers and Histogram handles
+  /// stay valid for the registry's lifetime.
+  std::vector<std::unique_ptr<std::byte[]>> blocks_;
   std::deque<HistogramData> hists_;
 };
 
@@ -325,13 +329,10 @@ struct Scope {
     return s;
   }
 
-  [[nodiscard]] Counter counter(std::string_view name) const {
+  template <class S>
+  [[nodiscard]] S* bind(std::initializer_list<Metric<S>> rows) const {
     Scope s = resolved();
-    return s.plane->registry.counter(name, s.entity);
-  }
-  [[nodiscard]] Counter gauge(std::string_view name) const {
-    Scope s = resolved();
-    return s.plane->registry.gauge(name, s.entity);
+    return s.plane->registry.bind<S>(s.entity, rows);
   }
   [[nodiscard]] Histogram histogram(std::string_view name) const {
     Scope s = resolved();

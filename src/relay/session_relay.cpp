@@ -6,13 +6,15 @@ SessionRelay::SessionRelay(ExpressHost& host, RelayConfig config)
     : host_(host), config_(config), channel_(host.allocate_channel()),
       scope_(obs::Scope{&host.network().obs(),
                         obs::Entity::relay(host.id())}) {
-  stats_.frames_relayed = scope_.counter("relay.frames_relayed");
-  stats_.dropped_unauthorized = scope_.counter("relay.dropped_unauthorized");
-  stats_.dropped_no_floor = scope_.counter("relay.dropped_no_floor");
-  stats_.floor_grants = scope_.counter("relay.floor_grants");
-  stats_.floor_denials = scope_.counter("relay.floor_denials");
-  stats_.heartbeats_sent = scope_.counter("relay.heartbeats_sent");
-  stats_.channels_announced = scope_.counter("relay.channels_announced");
+  stats_ = scope_.bind<RelayStats>({
+      {&RelayStats::frames_relayed, "relay.frames_relayed"},
+      {&RelayStats::dropped_unauthorized, "relay.dropped_unauthorized"},
+      {&RelayStats::dropped_no_floor, "relay.dropped_no_floor"},
+      {&RelayStats::floor_grants, "relay.floor_grants"},
+      {&RelayStats::floor_denials, "relay.floor_denials"},
+      {&RelayStats::heartbeats_sent, "relay.heartbeats_sent"},
+      {&RelayStats::channels_announced, "relay.channels_announced"},
+  });
   host_.set_unicast_handler(
       [this](const net::Packet& packet, sim::Time) { on_unicast(packet); });
 }
@@ -34,7 +36,7 @@ void SessionRelay::heartbeat() {
   beat.speaker = host_.address();
   beat.relay_seq = next_seq_++;
   host_.send(channel_, 0, beat.relay_seq, encode(beat));
-  stats_.heartbeats_sent.inc();
+  ++stats_->heartbeats_sent;
   heartbeat_timer_ = host_.network().scheduler().schedule_after(
       config_.heartbeat_interval, [this]() { heartbeat(); });
 }
@@ -52,7 +54,7 @@ void SessionRelay::relay_frame(ip::Address original_sender,
   frame.speaker = original_sender;
   frame.relay_seq = next_data_seq_++;
   host_.send(channel_, bytes, frame.relay_seq, encode(frame));
-  stats_.frames_relayed.inc();
+  ++stats_->frames_relayed;
 }
 
 void SessionRelay::announce(FrameType type, ip::Address speaker) {
@@ -70,13 +72,13 @@ void SessionRelay::grant_next_floor() {
     floor_queue_.pop_front();
     std::uint32_t& used = grants_used_[next];
     if (used >= config_.max_floor_grants_per_member) {
-      stats_.floor_denials.inc();
+      ++stats_->floor_denials;
       announce(FrameType::kFloorDeny, next);
       continue;
     }
     ++used;
     floor_holder_ = next;
-    stats_.floor_grants.inc();
+    ++stats_->floor_grants;
     announce(FrameType::kFloorGrant, next);
     return;
   }
@@ -90,7 +92,7 @@ void SessionRelay::on_unicast(const net::Packet& packet) {
   if (!authorized(packet.src)) {
     // §4.1: "the application can strictly monitor and control the
     // traffic over the multicast channel" — unlike an RP or core.
-    stats_.dropped_unauthorized.inc();
+    ++stats_->dropped_unauthorized;
     scope_.emit(host_.network().now(), obs::TraceType::kPacketDropped,
                 static_cast<std::uint64_t>(obs::DropReason::kPolicy),
                 packet.wire_size());
@@ -100,7 +102,7 @@ void SessionRelay::on_unicast(const net::Packet& packet) {
   switch (frame->type) {
     case FrameType::kData: {
       if (config_.floor_control && floor_holder_ != packet.src) {
-        stats_.dropped_no_floor.inc();
+        ++stats_->dropped_no_floor;
         scope_.emit(host_.network().now(), obs::TraceType::kPacketDropped,
                     static_cast<std::uint64_t>(obs::DropReason::kPolicy),
                     packet.wire_size());
@@ -125,7 +127,7 @@ void SessionRelay::on_unicast(const net::Packet& packet) {
       if (frame->speaker != packet.src) return;
       Frame announce = *frame;
       host_.send(channel_, 0, next_seq_++, encode(announce));
-      stats_.channels_announced.inc();
+      ++stats_->channels_announced;
       return;
     }
     case FrameType::kHeartbeat:

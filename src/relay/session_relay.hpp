@@ -61,18 +61,8 @@ class SessionRelay {
   /// channel through the relay host).
   [[nodiscard]] ExpressHost& host() { return host_; }
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] RelayStats stats() const {
-    RelayStats s;
-    s.frames_relayed = stats_.frames_relayed.value();
-    s.dropped_unauthorized = stats_.dropped_unauthorized.value();
-    s.dropped_no_floor = stats_.dropped_no_floor.value();
-    s.floor_grants = stats_.floor_grants.value();
-    s.floor_denials = stats_.floor_denials.value();
-    s.heartbeats_sent = stats_.heartbeats_sent.value();
-    s.channels_announced = stats_.channels_announced.value();
-    return s;
-  }
+  /// Copy of the registry-bound block (see DESIGN.md §11).
+  [[nodiscard]] RelayStats stats() const { return *stats_; }
   [[nodiscard]] bool active() const { return active_; }
   [[nodiscard]] std::optional<ip::Address> floor_holder() const {
     return floor_holder_;
@@ -106,23 +96,11 @@ class SessionRelay {
   void announce(FrameType type, ip::Address speaker);
   void heartbeat();
 
-  /// Registry-backed counter handles (RelayStats is assembled on demand
-  /// by stats()).
-  struct RelayCounters {
-    obs::Counter frames_relayed;
-    obs::Counter dropped_unauthorized;
-    obs::Counter dropped_no_floor;
-    obs::Counter floor_grants;
-    obs::Counter floor_denials;
-    obs::Counter heartbeats_sent;
-    obs::Counter channels_announced;
-  };
-
   ExpressHost& host_;
   RelayConfig config_;
   ip::ChannelId channel_;
   obs::Scope scope_;
-  RelayCounters stats_;
+  RelayStats* stats_ = nullptr;  ///< registry-owned block
   bool active_ = false;
   std::uint64_t next_seq_ = 1;       ///< control frames (heartbeat, floor)
   std::uint64_t next_data_seq_ = 1;  ///< relayed data, gap-detectable

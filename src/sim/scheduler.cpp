@@ -13,14 +13,17 @@ constexpr std::size_t kArity = 4;  // 4-ary heap: shallower, cache-friendlier
 Scheduler::Scheduler() : Scheduler(true) {}
 
 Scheduler::Scheduler(bool use_timer_wheel, obs::Scope scope)
-    : scope_(scope.resolved()) {
+    : scope_(scope.resolved()),
+      stats_(scope_.bind<SchedulerStats>({
+          {&SchedulerStats::scheduled, "sim.sched.scheduled"},
+          {&SchedulerStats::executed, "sim.sched.executed"},
+          {&SchedulerStats::cancelled, "sim.sched.cancelled"},
+          {&SchedulerStats::clamped_past_events, "sim.sched.clamped_past"},
+          {&SchedulerStats::peak_pending, "sim.sched.peak_pending",
+           obs::MetricKind::kGauge},
+      })) {
   for (auto& level : wheel_) level.fill(kNilSlot);
   wheel_enabled_ = use_timer_wheel;
-  scheduled_ = scope_.counter("sim.sched.scheduled");
-  executed_ = scope_.counter("sim.sched.executed");
-  cancelled_ = scope_.counter("sim.sched.cancelled");
-  clamped_ = scope_.counter("sim.sched.clamped_past");
-  peak_pending_ = scope_.gauge("sim.sched.peak_pending");
 }
 
 std::uint32_t Scheduler::acquire_slot() {
@@ -212,7 +215,7 @@ bool Scheduler::refresh_front() {
 EventHandle Scheduler::schedule_at(Time when, Action action) {
   if (when < now_) {
     when = now_;
-    clamped_.inc();
+    ++stats_->clamped_past_events;
   }
   const std::uint32_t slot = acquire_slot();
   EventRecord& rec = slab_[slot];
@@ -221,8 +224,9 @@ EventHandle Scheduler::schedule_at(Time when, Action action) {
   rec.live = true;
   rec.action = std::move(action);
   enqueue_record(slot, kWheelLevels);
-  scheduled_.inc();
-  peak_pending_.set_max(heap_.size() + parked_);
+  ++stats_->scheduled;
+  stats_->peak_pending =
+      std::max<std::uint64_t>(stats_->peak_pending, heap_.size() + parked_);
   return EventHandle{this, slot, rec.generation};
 }
 
@@ -258,7 +262,7 @@ std::uint64_t Scheduler::run_until(Time deadline) {
     action();
     firing_slot_ = prev_slot;
     firing_generation_ = prev_generation;
-    executed_.inc();
+    ++stats_->executed;
     ++ran;
   }
   if (deadline != kNever && now_ < deadline) now_ = deadline;
@@ -285,7 +289,7 @@ bool Scheduler::step() {
   action();
   firing_slot_ = prev_slot;
   firing_generation_ = prev_generation;
-  executed_.inc();
+  ++stats_->executed;
   return true;
 }
 

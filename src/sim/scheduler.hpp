@@ -135,25 +135,20 @@ class Scheduler {
 
   /// Total events executed since construction (cancelled events excluded).
   [[nodiscard]] std::uint64_t executed_events() const {
-    return executed_.value();
+    return stats_->executed;
   }
 
   /// Events scheduled in the past and clamped to now() (see
   /// SchedulerStats::clamped_past_events).
   [[nodiscard]] std::uint64_t clamped_past_events() const {
-    return clamped_.value();
+    return stats_->clamped_past_events;
   }
 
-  /// Thin view over the registry slots (monotone counters) plus the
-  /// instantaneous queue/slab occupancy, which is read live.
+  /// The registry-bound counters plus the instantaneous queue/slab
+  /// occupancy, which is read live.
   [[nodiscard]] SchedulerStats stats() const {
-    SchedulerStats s;
-    s.scheduled = scheduled_.value();
-    s.executed = executed_.value();
-    s.cancelled = cancelled_.value();
-    s.clamped_past_events = clamped_.value();
+    SchedulerStats s = *stats_;
     s.pending = heap_.size() + parked_;
-    s.peak_pending = peak_pending_.value();
     s.parked = parked_;
     s.slab_slots = slab_.size();
     s.free_slots = free_.size();
@@ -247,7 +242,7 @@ class Scheduler {
     rec.live = false;
     ++rec.generation;      // invalidate outstanding handles
     rec.action.reset();    // release captured resources immediately
-    cancelled_.inc();
+    ++stats_->cancelled;
     // The slot itself is reclaimed when its heap entry surfaces or its
     // wheel slot cascades.
   }
@@ -301,15 +296,10 @@ class Scheduler {
   /// calls from inside an action keep the guard of their caller.
   std::uint32_t firing_slot_ = kNilSlot;
   std::uint32_t firing_generation_ = 0;
-  /// Monotone counters live in the observability registry; the handles
-  /// below are one-pointer-indirect slots registered contiguously at
-  /// construction (see DESIGN.md §11).
   obs::Scope scope_;
-  obs::Counter scheduled_;
-  obs::Counter executed_;
-  obs::Counter cancelled_;
-  obs::Counter clamped_;
-  obs::Counter peak_pending_;
+  /// Registry-owned block (see DESIGN.md §11); the occupancy fields
+  /// stay unbound and are filled in live by stats().
+  SchedulerStats* stats_;
 };
 
 inline void EventHandle::cancel() {

@@ -1,24 +1,36 @@
-// archlint fixture: a drop counter bumped without a paired trace emit
-// (fires), next to a properly traced bump (does not fire).
+// archlint fixture: drop fields bumped without a paired trace emit
+// (fire), next to properly traced bumps (do not fire).
+#include <cstdint>
+
 #include "obs/obs.hpp"
 
 namespace fixture {
+
+struct PlaneStats {
+  std::uint64_t drops = 0;
+  std::uint64_t dropped_bytes = 0;
+};
 
 class Plane {
  public:
   void on_bad_packet() {
     // VIOLATION (drop-untraced): metric moves, replay sees nothing.
-    drops_.inc();
+    ++stats_->drops;
+  }
+
+  void on_bad_burst(std::uint64_t bytes) {
+    // VIOLATION (drop-untraced): same, through a compound assignment.
+    stats_->dropped_bytes += bytes;
   }
 
   void on_bad_packet_traced(long now) {
-    drops_.inc();
+    ++stats_->drops;
     scope_.emit(now, obs::TraceType::kPacketDropped, 0, 0);
   }
 
  private:
-  obs::Counter drops_;
   obs::Scope scope_;
+  PlaneStats* stats_ = nullptr;
 };
 
 }  // namespace fixture

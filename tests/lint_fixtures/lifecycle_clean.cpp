@@ -2,15 +2,21 @@
 // drop_untraced.cpp and late_registration.cpp in one file — a stored
 // handle cancelled by the destructor, a justified fire-and-forget, and
 // constructor-path slot registration. Must produce zero findings.
+#include <cstdint>
+
 #include "obs/obs.hpp"
 #include "sim/scheduler.hpp"
 
 namespace fixture {
 
+struct TidyStats {
+  std::uint64_t packets = 0;
+};
+
 class Tidy {
  public:
   explicit Tidy(obs::Scope scope) : scope_(scope) {
-    packets_ = scope_.counter("fixture.packets");
+    stats_ = scope_.bind<TidyStats>({{&TidyStats::packets, "fixture.packets"}});
   }
   ~Tidy() { timer_.cancel(); }
 
@@ -22,7 +28,7 @@ class Tidy {
 
  private:
   obs::Scope scope_;
-  obs::Counter packets_;
+  TidyStats* stats_ = nullptr;
   sim::Scheduler* scheduler_ = nullptr;
   sim::EventHandle timer_;
 };

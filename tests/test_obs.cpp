@@ -1,19 +1,30 @@
 // The observability plane (DESIGN.md §11): metrics registry semantics,
-// the trace ring, and the two guarantees the refactor rests on —
-//   1. every legacy *Stats accessor is a thin view over registry
-//      slots (RouterStats aggregation == per-entity registry values
-//      after a seeded churn run), and
+// the trace ring, and the two guarantees the metric tables rest on —
+//   1. every stats() view reads back field for field as the registry
+//      metric an independent oracle names, for every module instance,
+//      after scenarios that move every field and tell every pair of
+//      fields apart; and the (name, kind) inventory is pinned, and
 //   2. identically-seeded runs serialize byte-identical metrics
 //      snapshots and trace JSONL, while different seeds diverge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "audit/invariants.hpp"
+#include "baseline/cbt.hpp"
+#include "baseline/dvmrp.hpp"
+#include "baseline/group_host.hpp"
+#include "baseline/pim_sm.hpp"
+#include "net/lan.hpp"
 #include "testbed/testbed.hpp"
 #include "obs/obs.hpp"
+#include "relay/participant.hpp"
+#include "relay/session_relay.hpp"
 #include "workload/chaos.hpp"
 #include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
@@ -25,46 +36,75 @@ namespace {
 // Registry units
 // ---------------------------------------------------------------------
 
+/// A module-shaped stats block for the registry unit tests.
+struct ProbeStats {
+  std::uint64_t hits = 0;
+  std::uint64_t peak = 0;
+  std::uint64_t unbound = 0;  ///< in the block but in no table row
+};
+
+ProbeStats* bind_probe(obs::Registry& reg, obs::Entity entity) {
+  return reg.bind<ProbeStats>(
+      entity, {{&ProbeStats::hits, "test.hits"},
+               {&ProbeStats::peak, "test.peak", obs::MetricKind::kGauge}});
+}
+
 TEST(ObsRegistry, CounterRoundTrip) {
   obs::Registry reg;
-  obs::Counter c = reg.counter("test.hits", obs::Entity::router(3));
-  c.inc();
-  c.add(4);
-  EXPECT_EQ(c.value(), 5u);
+  ProbeStats* stats = bind_probe(reg, obs::Entity::router(3));
+  ++stats->hits;
+  stats->hits += 4;
+  stats->unbound = 9;
   EXPECT_EQ(reg.value("test.hits", obs::Entity::router(3)), 5u);
   EXPECT_EQ(reg.value("test.hits", obs::Entity::router(4)), 0u);
   EXPECT_EQ(reg.value("test.absent", obs::Entity::router(3)), 0u);
+  EXPECT_EQ(reg.size(), 2u);  // one entry per row, none for `unbound`
 }
 
 TEST(ObsRegistry, SumAggregatesOverEntities) {
   obs::Registry reg;
-  reg.counter("test.hits", obs::Entity::router(1)).add(10);
-  reg.counter("test.hits", obs::Entity::router(2)).add(32);
-  reg.counter("test.hits", obs::Entity::host(1)).add(100);
-  reg.counter("test.other", obs::Entity::router(1)).add(7);
+  bind_probe(reg, obs::Entity::router(1))->hits = 10;
+  bind_probe(reg, obs::Entity::router(2))->hits = 32;
+  ProbeStats* host = bind_probe(reg, obs::Entity::host(1));
+  host->hits = 100;
+  host->peak = 7;
   EXPECT_EQ(reg.sum("test.hits"), 142u);
-  EXPECT_EQ(reg.sum("test.other"), 7u);
+  EXPECT_EQ(reg.sum("test.peak"), 7u);
   EXPECT_EQ(reg.sum("test.absent"), 0u);
 }
 
 TEST(ObsRegistry, ReRegistrationZeroesTheSlot) {
   // A fresh module instance re-registering its metrics starts from
-  // zero — stale values must not leak across e.g. testbed rebuilds.
+  // zero — stale values must not leak across e.g. testbed rebuilds —
+  // while the instance it replaced keeps a valid block to write into.
   obs::Registry reg;
-  reg.counter("test.hits", obs::Entity::router(1)).add(9);
-  obs::Counter again = reg.counter("test.hits", obs::Entity::router(1));
-  EXPECT_EQ(again.value(), 0u);
-  EXPECT_EQ(reg.size(), 1u);
+  ProbeStats* old_stats = bind_probe(reg, obs::Entity::router(1));
+  old_stats->hits = 9;
+  ProbeStats* again = bind_probe(reg, obs::Entity::router(1));
+  EXPECT_EQ(again->hits, 0u);
+  EXPECT_EQ(reg.value("test.hits", obs::Entity::router(1)), 0u);
+  EXPECT_EQ(reg.size(), 2u);
+  ++old_stats->hits;  // the replaced block stays writable, unpublished
+  ++again->hits;
+  EXPECT_EQ(reg.value("test.hits", obs::Entity::router(1)), 1u);
 }
 
 TEST(ObsRegistry, GaugeSetMaxIsAHighWaterMark) {
+  // A gauge row publishes whatever the module writes; a high-water
+  // mark is a max-write into the block, read back through the registry
+  // and tagged as a gauge in the snapshot.
   obs::Registry reg;
-  obs::Counter g = reg.gauge("test.peak", obs::Entity::network());
-  g.set_max(5);
-  g.set_max(3);
-  EXPECT_EQ(g.value(), 5u);
-  g.set(2);
-  EXPECT_EQ(g.value(), 2u);
+  ProbeStats* stats = bind_probe(reg, obs::Entity::network());
+  for (std::uint64_t v : {5u, 3u}) stats->peak = std::max(stats->peak, v);
+  EXPECT_EQ(reg.value("test.peak", obs::Entity::network()), 5u);
+  stats->peak = 2;
+  EXPECT_EQ(reg.value("test.peak", obs::Entity::network()), 2u);
+  const std::string snap = reg.snapshot_json(sim::Time{});
+  EXPECT_NE(snap.find("{\"entity\":\"net\",\"kind\":\"gauge\","
+                      "\"name\":\"test.peak\",\"value\":2}"),
+            std::string::npos);
+  EXPECT_NE(snap.find("\"kind\":\"counter\",\"name\":\"test.hits\""),
+            std::string::npos);
 }
 
 TEST(ObsRegistry, HistogramBucketsByBitWidth) {
@@ -82,15 +122,9 @@ TEST(ObsRegistry, HistogramBucketsByBitWidth) {
   EXPECT_EQ(d.buckets[1], 1u);
   EXPECT_EQ(d.buckets[2], 2u);
   EXPECT_EQ(d.buckets[3], 1u);
-}
-
-TEST(ObsRegistry, UnboundHandlesWriteToTheSink) {
-  // Default-constructed handles must be safe no-ops: modules may be
-  // built before (or without) a scope, e.g. in unit tests.
-  obs::Counter c;
-  c.inc();
-  c.add(10);
-  EXPECT_EQ(c.value(), 11u);  // sink accumulates, registry unaffected
+  // Histograms are not scalars: value()/sum() skip them.
+  EXPECT_EQ(reg.value("test.latency", obs::Entity::router(1)), 0u);
+  EXPECT_EQ(reg.sum("test.latency"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -184,7 +218,7 @@ TEST(ObsTrace, JsonlIsCanonical) {
 }
 
 // ---------------------------------------------------------------------
-// Views-over-registry regression (satellite: RouterStats aggregation)
+// Views over the registry: every stats() field reads back as its metric
 // ---------------------------------------------------------------------
 
 void run_churn(Testbed& bed, std::uint64_t seed) {
@@ -215,42 +249,729 @@ void run_churn(Testbed& bed, std::uint64_t seed) {
   bed.net().run();
 }
 
+/// Every field of a stats view paired with the metric it must read back
+/// as. Written out here, independently of the module's bind() table, so
+/// a swapped, missing or misnamed row in that table is a mismatch.
+template <class S>
+using FieldNames = std::vector<std::pair<std::uint64_t S::*, std::string>>;
+
+/// Compares stats() views of one module type with the registry and
+/// records what the scenario exercised: a row naming the wrong field is
+/// visible only where the two fields differ, and a missing row only
+/// where its field is non-zero.
+template <class S>
+class ViewCheck {
+ public:
+  explicit ViewCheck(FieldNames<S> fields)
+      : fields_(std::move(fields)),
+        nonzero_(fields_.size()),
+        apart_(fields_.size() * fields_.size()) {}
+
+  void check(const obs::Registry& reg, obs::Entity entity, const S& view) {
+    const std::size_t n = fields_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t v = view.*fields_[i].first;
+      EXPECT_EQ(v, reg.value(fields_[i].second, entity))
+          << fields_[i].second << " @ " << entity.to_string();
+      if (v != 0) nonzero_[i] = true;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (v != view.*fields_[j].first) apart_[i * n + j] = true;
+      }
+    }
+    ++instances_;
+  }
+
+  /// Every field moved in some instance and every pair of fields held
+  /// different values in some instance, so no swap or omission in the
+  /// module's table could have passed check().
+  void expect_every_row_exercised() const {
+    ASSERT_GT(instances_, 0u);
+    const std::size_t n = fields_.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(nonzero_[i]) << fields_[i].second << " never moved";
+      for (std::size_t j = i + 1; j < n; ++j) {
+        EXPECT_TRUE(apart_[i * n + j])
+            << fields_[i].second << " == " << fields_[j].second
+            << " in every instance";
+      }
+    }
+  }
+
+ private:
+  FieldNames<S> fields_;
+  std::vector<bool> nonzero_;
+  std::vector<bool> apart_;
+  std::size_t instances_ = 0;
+};
+
+ViewCheck<RouterStats> router_check() {
+  return ViewCheck<RouterStats>({
+      {&RouterStats::subscribe_events, "express.sub.subscribe_events"},
+      {&RouterStats::unsubscribe_events, "express.sub.unsubscribe_events"},
+      {&RouterStats::joins_sent, "express.sub.joins_sent"},
+      {&RouterStats::prunes_sent, "express.sub.prunes_sent"},
+      {&RouterStats::auth_rejects, "express.sub.auth_rejects"},
+      {&RouterStats::key_registrations, "express.sub.key_registrations"},
+      {&RouterStats::counts_sent, "ecmp.transport.counts_sent"},
+      {&RouterStats::counts_received, "ecmp.transport.counts_received"},
+      {&RouterStats::queries_sent, "ecmp.transport.queries_sent"},
+      {&RouterStats::queries_received, "ecmp.transport.queries_received"},
+      {&RouterStats::responses_sent, "ecmp.transport.responses_sent"},
+      {&RouterStats::responses_received,
+       "ecmp.transport.responses_received"},
+      {&RouterStats::control_bytes_sent,
+       "ecmp.transport.control_bytes_sent"},
+      {&RouterStats::control_bytes_received,
+       "ecmp.transport.control_bytes_received"},
+      {&RouterStats::data_packets_forwarded,
+       "express.fwd.data_packets_forwarded"},
+      {&RouterStats::data_copies_sent, "express.fwd.data_copies_sent"},
+      {&RouterStats::subcasts_relayed, "express.fwd.subcasts_relayed"},
+      {&RouterStats::proactive_updates_sent,
+       "express.counting.proactive_updates_sent"},
+      {&RouterStats::unresolved_neighbor_updates,
+       "express.router.unresolved_neighbor_updates"},
+  });
+}
+
+ViewCheck<CountingStats> counting_check() {
+  return ViewCheck<CountingStats>({
+      {&CountingStats::rounds_started, "express.counting.rounds_started"},
+      {&CountingStats::rounds_completed, "express.counting.rounds_completed"},
+      {&CountingStats::rounds_timed_out, "express.counting.rounds_timed_out"},
+      {&CountingStats::proactive_updates_sent,
+       "express.counting.proactive_updates_sent"},
+  });
+}
+
+ViewCheck<FibStats> fib_check() {
+  return ViewCheck<FibStats>({
+      {&FibStats::lookups, "express.fib.lookups"},
+      {&FibStats::hits, "express.fib.hits"},
+      {&FibStats::no_entry_drops, "express.fib.no_entry_drops"},
+      {&FibStats::rpf_drops, "express.fib.rpf_drops"},
+      {&FibStats::entries, "express.fib.entries"},
+  });
+}
+
+ViewCheck<HostStats> host_check() {
+  return ViewCheck<HostStats>({
+      {&HostStats::data_received, "express.host.data_received"},
+      {&HostStats::data_sent, "express.host.data_sent"},
+      {&HostStats::unwanted_data, "express.host.unwanted_data"},
+      {&HostStats::counts_sent, "express.host.counts_sent"},
+      {&HostStats::queries_answered, "express.host.queries_answered"},
+      {&HostStats::control_bytes_sent, "express.host.control_bytes_sent"},
+  });
+}
+
+ViewCheck<net::NetworkStats> network_check() {
+  return ViewCheck<net::NetworkStats>({
+      {&net::NetworkStats::packets_sent, "net.packets_sent"},
+      {&net::NetworkStats::bytes_sent, "net.bytes_sent"},
+      {&net::NetworkStats::packets_dropped_link_down, "net.drop.link_down"},
+      {&net::NetworkStats::packets_dropped_no_route, "net.drop.no_route"},
+      {&net::NetworkStats::packets_dropped_ttl, "net.drop.ttl"},
+      {&net::NetworkStats::packets_dropped_loss, "net.drop.loss"},
+      {&net::NetworkStats::packets_reordered, "net.reordered"},
+  });
+}
+
+ViewCheck<net::LinkStats> link_check() {
+  return ViewCheck<net::LinkStats>({
+      {&net::LinkStats::packets, "net.link.packets"},
+      {&net::LinkStats::bytes, "net.link.bytes"},
+  });
+}
+
+/// SchedulerStats' occupancy fields (pending, parked, slab_slots,
+/// free_slots) are read live and published nowhere.
+ViewCheck<sim::SchedulerStats> scheduler_check() {
+  return ViewCheck<sim::SchedulerStats>({
+      {&sim::SchedulerStats::scheduled, "sim.sched.scheduled"},
+      {&sim::SchedulerStats::executed, "sim.sched.executed"},
+      {&sim::SchedulerStats::cancelled, "sim.sched.cancelled"},
+      {&sim::SchedulerStats::clamped_past_events, "sim.sched.clamped_past"},
+      {&sim::SchedulerStats::peak_pending, "sim.sched.peak_pending"},
+  });
+}
+
+/// A channel data packet as the source would emit it.
+net::Packet channel_packet(const ip::ChannelId& channel, std::uint64_t seq) {
+  net::Packet p;
+  p.src = channel.source;
+  p.dst = channel.dest;
+  p.data_bytes = 100;
+  p.sequence = seq;
+  return p;
+}
+
+/// Seeded churn plus one deliberate hit on every EXPRESS-stack counter
+/// the churn alone leaves at zero: an authenticated channel (one bad
+/// key, one good), a count round that times out behind a dying link, a
+/// subcast, hand-made unwanted / RPF-failing / unroutable / TTL-expiring
+/// packets, a lossy and a reordering link, proactive updates, and
+/// scheduler cancels and clamps.
+void run_express_scenario(Testbed& bed) {
+  net::Network& net = bed.net();
+  const net::Topology& topo = net.topology();
+  sim::Scheduler& sched = net.scheduler();
+  const auto& roles = bed.roles();
+  const ip::ChannelId channel = bed.source().allocate_channel();
+  sim::Rng rng(7);
+  const sim::Duration horizon = sim::seconds(10);
+  for (const auto& ev : workload::poisson_churn(
+           static_cast<std::uint32_t>(bed.receiver_count()), horizon,
+           sim::seconds(5), sim::seconds(3), rng)) {
+    sched.schedule_at(ev.at, [&bed, channel, ev] {
+      if (ev.join) {
+        bed.receiver(ev.host_index).new_subscription(channel);
+      } else {
+        bed.receiver(ev.host_index).delete_subscription(channel);
+      }
+    });
+  }
+  std::uint64_t seq = 0;
+  for (sim::Time at = sim::milliseconds(200); at < horizon;
+       at += sim::milliseconds(200)) {
+    sched.schedule_at(at, [&bed, channel, s = seq++] {
+      bed.source().send(channel, 500, s);
+    });
+  }
+  // Lossy and reordering links on the way down to two leaves.
+  const auto leaf_link = [&](std::size_t receiver) {
+    return topo.node(roles.receiver_hosts.at(receiver)).interfaces.at(0);
+  };
+  net::ImpairmentConfig lossy;
+  lossy.loss.kind = net::LossModel::Kind::kBernoulli;
+  lossy.loss.p = 0.5;
+  net.set_link_impairments(leaf_link(1), lossy);
+  net::ImpairmentConfig reorder;
+  reorder.reorder_p = 1.0;
+  net.set_link_impairments(leaf_link(2), reorder);
+  net.seed_impairments(11);
+  for (int i = 0; i < 3; ++i) {
+    sim::EventHandle h = sched.schedule_after(horizon * 2, [] {});
+    h.cancel();
+  }
+  bed.run_for(horizon);
+  // Data with no tree: the first-hop router has no FIB entry for it.
+  bed.source().send(bed.source().allocate_channel(), 100, 0);
+
+  // Authenticated channel: key registration, a rejected and an accepted
+  // join (the verdicts travel back as CountResponses).
+  const ip::ChannelId secure = bed.source().allocate_channel();
+  bed.source().channel_key(secure, 0xC0FFEE);
+  bed.run_for(sim::seconds(1));
+  for (std::size_t i = 0; i < bed.receiver_count(); i += 2) {
+    bed.receiver(i).new_subscription(secure, i % 4 == 0 ? 0xBAD : 0xC0FFEE);
+  }
+  bed.run_for(sim::seconds(1));
+  for (std::uint64_t s = 0; s < 4; ++s) bed.source().send(secure, 300, s);
+  bed.source().subcast(secure, topo.node(roles.routers.at(1)).address, 200);
+  bed.source().count_query(secure, ecmp::kSubscriberId, sim::seconds(1),
+                           [](CountResult) {});
+  bed.run_for(sim::seconds(2));
+
+  // Hand-made packets: channel data to a host that never subscribed,
+  // data arriving at the root from a child (not the RPF interface),
+  // unicast to nowhere, and unicast whose TTL runs out.
+  const net::NodeId bystander = roles.receiver_hosts.at(3);
+  net.send_to_neighbor(topo.neighbor_via(bystander, 0), bystander,
+                       channel_packet(bed.source().allocate_channel(), 1));
+  const net::NodeId child = roles.routers.at(1);
+  for (std::uint64_t s = 0; s < 2; ++s) {
+    net.send_to_neighbor(child, roles.source_router, channel_packet(secure, s));
+  }
+  net::Packet nowhere;
+  nowhere.src = bed.source().address();
+  nowhere.dst = ip::Address(203, 0, 113, 9);
+  for (int i = 0; i < 6; ++i) net.send_unicast(roles.source_host, nowhere);
+  net::Packet short_lived;
+  short_lived.src = bed.source().address();
+  short_lived.dst = bed.receiver(bed.receiver_count() - 1).address();
+  short_lived.ttl = 1;
+  for (int i = 0; i < 4; ++i) net.send_unicast(roles.source_host, short_lived);
+  // A scheduling bug the clamp repairs (and counts).
+  for (int i = 0; i < 5; ++i) sched.schedule_at(sim::Time{}, [] {});
+  bed.run_for(sim::seconds(1));
+
+  // A join whose answer is still on its way back, and a count round
+  // whose reply path dies, when a root link fails: the root times out,
+  // and what it sends down that link is dropped.
+  bed.receiver(bed.receiver_count() - 1)
+      .new_subscription(bed.source().allocate_channel());
+  bed.run_for(sim::milliseconds(15));
+  const net::NodeId right = roles.routers.at(2);
+  const net::LinkId cut = topo.node(roles.source_router)
+                              .interfaces.at(*topo.interface_to(
+                                  roles.source_router, right));
+  bed.source_router().initiate_count(secure, ecmp::kSubscriberId,
+                                     sim::milliseconds(500),
+                                     [](CountResult) {});
+  net.set_link_up(cut, false);
+  net.send_to_neighbor(roles.source_router, right, channel_packet(secure, 9));
+  bed.run_for(sim::seconds(3));
+}
+
 TEST(ObsViews, RouterStatsEqualsRegistrySlotsAfterSeededChurn) {
-  Testbed bed(workload::make_kary_tree(2, 3, {}, 2));
-  run_churn(bed, 7);
+  // Every field of every EXPRESS-stack stats() view equals its registry
+  // slot, for every instance, after a scenario that moves every field.
+  RouterConfig config;
+  config.proactive = counting::CurveParams{0.3, 5.0, 4.0};
+  Testbed bed(workload::make_kary_tree(2, 3, {}, 2), config);
+  run_express_scenario(bed);
 
   const obs::Registry& reg = bed.net().obs().registry;
-  std::uint64_t churn_events = 0;
+  auto routers = router_check();
+  auto counting = counting_check();
+  auto fibs = fib_check();
   for (std::size_t i = 0; i < bed.router_count(); ++i) {
     const ExpressRouter& r = bed.router(i);
     const obs::Entity e = obs::Entity::router(r.id());
-    const RouterStats s = r.stats();
-    EXPECT_EQ(s.subscribe_events, reg.value("express.sub.subscribe_events", e));
-    EXPECT_EQ(s.unsubscribe_events,
-              reg.value("express.sub.unsubscribe_events", e));
-    EXPECT_EQ(s.joins_sent, reg.value("express.sub.joins_sent", e));
-    EXPECT_EQ(s.prunes_sent, reg.value("express.sub.prunes_sent", e));
-    EXPECT_EQ(s.counts_sent, reg.value("ecmp.transport.counts_sent", e));
-    EXPECT_EQ(s.counts_received,
-              reg.value("ecmp.transport.counts_received", e));
-    EXPECT_EQ(s.control_bytes_sent,
-              reg.value("ecmp.transport.control_bytes_sent", e));
-    EXPECT_EQ(s.proactive_updates_sent,
-              reg.value("express.counting.proactive_updates_sent", e));
-    EXPECT_EQ(s.data_packets_forwarded,
-              reg.value("express.fwd.data_packets_forwarded", e));
-    EXPECT_EQ(s.data_copies_sent,
-              reg.value("express.fwd.data_copies_sent", e));
-    churn_events += s.subscribe_events + s.unsubscribe_events;
+    routers.check(reg, e, r.stats());
+    counting.check(reg, e, r.counting_stats());
+    fibs.check(reg, e, r.fib().stats());
   }
-  EXPECT_GT(churn_events, 0u);  // the scenario actually exercised churn
 
-  // And the cross-router sums the benches publish match a registry sum.
+  // The one counter a tree cannot move: a UDP-mode LAN member whose hub
+  // link dies before its neighbor-death update fires.
+  net::Topology topo;
+  const net::NodeId core = topo.add_router("core");
+  const net::NodeId edge = topo.add_router("edge");
+  topo.add_link(core, edge, sim::milliseconds(1));
+  const net::NodeId src = topo.add_host("src");
+  topo.add_link(core, src, sim::milliseconds(1));
+  const net::LanSegment lan = net::add_lan_segment(topo, edge, 2);
+  net::Network lan_net(std::move(topo));
+  RouterConfig udp;
+  udp.udp_query_interval = sim::seconds(5);
+  ExpressRouter* lan_core = &lan_net.attach<ExpressRouter>(core, udp);
+  ExpressRouter* lan_edge = &lan_net.attach<ExpressRouter>(edge, udp);
+  lan_net.attach<net::LanHub>(lan.hub);
+  ExpressHost& lan_src = lan_net.attach<ExpressHost>(src);
+  ExpressHost& member = lan_net.attach<ExpressHost>(lan.hosts[0]);
+  lan_net.attach<ExpressHost>(lan.hosts[1]);
+  lan_edge->set_interface_mode(1, ecmp::Mode::kUdp);
+  member.new_subscription(lan_src.allocate_channel());
+  lan_net.run_until(sim::seconds(1));
+  const net::Topology& lan_topo = lan_net.topology();
+  lan_net.set_link_up(lan_topo.node(lan.hub).interfaces.at(
+                          *lan_topo.interface_to(lan.hub, lan.hosts[0])),
+                      false);
+  lan_net.run_until(sim::seconds(2));
+  for (const ExpressRouter* r : {lan_core, lan_edge}) {
+    routers.check(lan_net.obs().registry, obs::Entity::router(r->id()),
+                  r->stats());
+  }
+  routers.expect_every_row_exercised();
+  counting.expect_every_row_exercised();
+  fibs.expect_every_row_exercised();
+
+  auto hosts = host_check();
+  hosts.check(reg, obs::Entity::host(bed.source().id()), bed.source().stats());
+  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+    const ExpressHost& h = bed.receiver(i);
+    hosts.check(reg, obs::Entity::host(h.id()), h.stats());
+  }
+  hosts.expect_every_row_exercised();
+
+  auto network = network_check();
+  network.check(reg, obs::Entity::network(), bed.net().stats());
+  network.expect_every_row_exercised();
+  auto links = link_check();
+  for (net::LinkId l = 0; l < bed.net().topology().link_count(); ++l) {
+    links.check(reg, obs::Entity::link(l), bed.net().link_stats(l));
+  }
+  links.expect_every_row_exercised();
+  auto scheduler = scheduler_check();
+  scheduler.check(reg, obs::Entity::network(), bed.net().scheduler().stats());
+  scheduler.expect_every_row_exercised();
+
+  // And the cross-instance sums the benches publish match registry sums.
   std::uint64_t fwd = 0;
+  std::uint64_t link_bytes = 0;
   for (std::size_t i = 0; i < bed.router_count(); ++i) {
     fwd += bed.router(i).stats().data_packets_forwarded;
   }
+  for (net::LinkId l = 0; l < bed.net().topology().link_count(); ++l) {
+    link_bytes += bed.net().link_stats(l).bytes;
+  }
   EXPECT_EQ(fwd, reg.sum("express.fwd.data_packets_forwarded"));
+  EXPECT_EQ(link_bytes, reg.sum("net.link.bytes"));
+  EXPECT_EQ(link_bytes, bed.net().total_link_bytes());
+}
+
+/// A group-model network: baseline routers of type R and a GroupHost on
+/// every host node.
+template <class R>
+struct GroupNet {
+  template <class... Args>
+  explicit GroupNet(workload::GeneratedTopology generated, Args... args)
+      : roles(std::move(generated)), net(std::move(roles.topology)) {
+    for (net::NodeId r : roles.routers) {
+      routers.push_back(&net.template attach<R>(r, args...));
+    }
+    source = &net.template attach<baseline::GroupHost>(roles.source_host);
+    for (net::NodeId h : roles.receiver_hosts) {
+      receivers.push_back(&net.template attach<baseline::GroupHost>(h));
+    }
+  }
+
+  workload::GeneratedTopology roles;
+  net::Network net;
+  std::vector<R*> routers;
+  baseline::GroupHost* source = nullptr;
+  std::vector<baseline::GroupHost*> receivers;
+};
+
+/// Joins on several branches (one member filtering the source out), a
+/// packet train, a member sender, a leave and a late join, then group
+/// data injected where no protocol expects it: from a child router into
+/// its parent and from a router into a host that never joined.
+template <class R>
+void run_group_scenario(GroupNet<R>& g, ip::Protocol control) {
+  const ip::Address group(225, 1, 2, 3);
+  const auto run_for = [&g](sim::Duration d) {
+    g.net.run_until(g.net.now() + d);
+  };
+  g.receivers[0]->join_group(group, control);
+  g.receivers[3]->join_group(group, control);
+  g.receivers[2]->join_group(group, control);
+  g.receivers[2]->set_include_filter(group, {g.receivers[0]->address()});
+  run_for(sim::seconds(1));
+  for (std::uint32_t i = 1; i <= 6; ++i) {
+    g.source->send_to_group(group, 100 * i, i);
+    run_for(sim::seconds(1));
+  }
+  g.receivers[0]->send_to_group(group, 40, 7);
+  g.receivers[3]->leave_group(group, control);
+  run_for(sim::seconds(1));
+  g.receivers[1]->join_group(group, control);
+  run_for(sim::seconds(1));
+  for (std::uint32_t i = 8; i <= 9; ++i) {
+    g.source->send_to_group(group, 100, i);
+    run_for(sim::seconds(1));
+  }
+  net::Packet stray;
+  stray.src = g.source->address();
+  stray.dst = group;
+  stray.data_bytes = 64;
+  const net::NodeId root = g.roles.source_router;
+  for (int i = 0; i < 3; ++i) {
+    g.net.send_to_neighbor(g.roles.routers.at(1), root, stray);
+  }
+  stray.dst = ip::Address(225, 9, 9, 9);
+  g.net.send_to_neighbor(g.roles.routers.at(1), root, stray);
+  const net::NodeId bystander = g.roles.receiver_hosts.at(3);
+  g.net.send_to_neighbor(g.net.topology().neighbor_via(bystander, 0),
+                         bystander, stray);
+  run_for(sim::seconds(1));
+}
+
+TEST(ObsViews, BaselineRelaySchedulerAndFibStatsEqualRegistrySlots) {
+  auto groups = ViewCheck<baseline::GroupHostStats>({
+      {&baseline::GroupHostStats::data_received,
+       "baseline.group_host.data_received"},
+      {&baseline::GroupHostStats::data_filtered,
+       "baseline.group_host.data_filtered"},
+      {&baseline::GroupHostStats::unwanted_data,
+       "baseline.group_host.unwanted_data"},
+      {&baseline::GroupHostStats::bytes_on_last_hop,
+       "baseline.group_host.bytes_on_last_hop"},
+      {&baseline::GroupHostStats::data_sent, "baseline.group_host.data_sent"},
+  });
+  const auto check_hosts = [&groups](const auto& g) {
+    groups.check(g.net.obs().registry, obs::Entity::host(g.source->id()),
+                 g.source->stats());
+    for (const baseline::GroupHost* h : g.receivers) {
+      groups.check(g.net.obs().registry, obs::Entity::host(h->id()),
+                   h->stats());
+    }
+  };
+
+  {
+    auto topo = workload::make_kary_tree(2, 2);
+    baseline::PimConfig config;
+    config.rp = topo.topology.node(topo.routers[2]).address;
+    config.spt_switchover = true;
+    GroupNet<baseline::PimSmRouter> g(std::move(topo), config);
+    run_group_scenario(g, ip::Protocol::kPim);
+    auto pim = ViewCheck<baseline::PimStats>({
+        {&baseline::PimStats::joins_star_g, "baseline.pim.joins_star_g"},
+        {&baseline::PimStats::joins_sg, "baseline.pim.joins_sg"},
+        {&baseline::PimStats::prunes, "baseline.pim.prunes"},
+        {&baseline::PimStats::registers_sent, "baseline.pim.registers_sent"},
+        {&baseline::PimStats::registers_decapsulated,
+         "baseline.pim.registers_decapsulated"},
+        {&baseline::PimStats::register_stops, "baseline.pim.register_stops"},
+        {&baseline::PimStats::data_copies_sent,
+         "baseline.pim.data_copies_sent"},
+        {&baseline::PimStats::drops, "baseline.pim.drops"},
+    });
+    for (const auto* r : g.routers) {
+      pim.check(g.net.obs().registry, obs::Entity::router(r->id()),
+                r->stats());
+    }
+    pim.expect_every_row_exercised();
+    check_hosts(g);
+  }
+  {
+    baseline::DvmrpConfig config;
+    config.prune_lifetime = sim::seconds(3);
+    GroupNet<baseline::DvmrpRouter> g(workload::make_kary_tree(2, 2), config);
+    run_group_scenario(g, ip::Protocol::kIgmp);
+    auto dvmrp = ViewCheck<baseline::DvmrpStats>({
+        {&baseline::DvmrpStats::data_packets_forwarded,
+         "baseline.dvmrp.data_packets_forwarded"},
+        {&baseline::DvmrpStats::data_copies_sent,
+         "baseline.dvmrp.data_copies_sent"},
+        {&baseline::DvmrpStats::flood_copies, "baseline.dvmrp.flood_copies"},
+        {&baseline::DvmrpStats::rpf_drops, "baseline.dvmrp.rpf_drops"},
+        {&baseline::DvmrpStats::prunes_sent, "baseline.dvmrp.prunes_sent"},
+        {&baseline::DvmrpStats::prunes_received,
+         "baseline.dvmrp.prunes_received"},
+        {&baseline::DvmrpStats::grafts_sent, "baseline.dvmrp.grafts_sent"},
+        {&baseline::DvmrpStats::grafts_received,
+         "baseline.dvmrp.grafts_received"},
+    });
+    for (const auto* r : g.routers) {
+      dvmrp.check(g.net.obs().registry, obs::Entity::router(r->id()),
+                  r->stats());
+    }
+    dvmrp.expect_every_row_exercised();
+    check_hosts(g);
+  }
+  {
+    auto topo = workload::make_kary_tree(2, 2);
+    baseline::CbtConfig config;
+    config.core = topo.topology.node(topo.routers[2]).address;
+    GroupNet<baseline::CbtRouter> g(std::move(topo), config);
+    run_group_scenario(g, ip::Protocol::kCbt);
+    auto cbt = ViewCheck<baseline::CbtStats>({
+        {&baseline::CbtStats::joins_sent, "baseline.cbt.joins_sent"},
+        {&baseline::CbtStats::prunes_sent, "baseline.cbt.prunes_sent"},
+        {&baseline::CbtStats::data_copies_sent,
+         "baseline.cbt.data_copies_sent"},
+        {&baseline::CbtStats::encapsulated_to_core,
+         "baseline.cbt.encapsulated_to_core"},
+        {&baseline::CbtStats::decapsulated_at_core,
+         "baseline.cbt.decapsulated_at_core"},
+        {&baseline::CbtStats::drops, "baseline.cbt.drops"},
+    });
+    for (const auto* r : g.routers) {
+      cbt.check(g.net.obs().registry, obs::Entity::router(r->id()),
+                r->stats());
+    }
+    cbt.expect_every_row_exercised();
+    check_hosts(g);
+  }
+  groups.expect_every_row_exercised();
+
+  {
+    // Session relay with floor control: relayed, unauthorized and
+    // floorless frames, grants up to the per-member cap then denials,
+    // heartbeats, and a participant announcing a direct channel.
+    Testbed bed(workload::make_star(3, 1));
+    relay::RelayConfig config;
+    config.floor_control = true;
+    config.max_floor_grants_per_member = 3;
+    relay::SessionRelay sr(bed.source(), config);
+    std::vector<std::unique_ptr<relay::Participant>> members;
+    for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+      members.push_back(std::make_unique<relay::Participant>(
+          bed.receiver(i), sr.channel(), bed.source().address()));
+      members.back()->join();
+    }
+    sr.authorize(bed.receiver(0).address());
+    sr.authorize(bed.receiver(1).address());
+    bed.run_for(sim::seconds(1));
+    sr.start();
+    for (int round = 0; round < 5; ++round) {
+      members[0]->request_floor();
+      bed.run_for(sim::milliseconds(200));
+      for (int i = 0; i < 4; ++i) members[0]->speak(100);
+      members[1]->speak(100);  // no floor
+      for (int i = 0; i < 2; ++i) members[2]->speak(100);  // unauthorized
+      bed.run_for(sim::milliseconds(200));
+      members[0]->release_floor();
+      bed.run_for(sim::milliseconds(200));
+    }
+    members[1]->create_direct_channel();
+    bed.run_for(sim::seconds(2));
+    auto relays = ViewCheck<relay::RelayStats>({
+        {&relay::RelayStats::frames_relayed, "relay.frames_relayed"},
+        {&relay::RelayStats::dropped_unauthorized,
+         "relay.dropped_unauthorized"},
+        {&relay::RelayStats::dropped_no_floor, "relay.dropped_no_floor"},
+        {&relay::RelayStats::floor_grants, "relay.floor_grants"},
+        {&relay::RelayStats::floor_denials, "relay.floor_denials"},
+        {&relay::RelayStats::heartbeats_sent, "relay.heartbeats_sent"},
+        {&relay::RelayStats::channels_announced, "relay.channels_announced"},
+    });
+    relays.check(bed.net().obs().registry,
+                 obs::Entity::relay(bed.source().id()), sr.stats());
+    relays.expect_every_row_exercised();
+  }
+
+  // Standalone modules on a private plane.
+  obs::Plane plane;
+  {
+    // scheduled 8, executed 5, cancelled 3, clamped 2, peak pending 7.
+    sim::Scheduler sched(true, obs::Scope{&plane, obs::Entity::router(1)});
+    sched.schedule_at(sim::milliseconds(10), [] {});
+    sched.run();
+    for (int i = 0; i < 2; ++i) sched.schedule_at(sim::milliseconds(1), [] {});
+    for (int i = 0; i < 5; ++i) {
+      sim::EventHandle h = sched.schedule_after(sim::seconds(1), [] {});
+      if (i < 3) h.cancel();
+    }
+    sched.run();
+    auto scheduler = scheduler_check();
+    scheduler.check(plane.registry, obs::Entity::router(1), sched.stats());
+    scheduler.expect_every_row_exercised();
+  }
+  {
+    // lookups 7, hits 4, no-entry drops 1, RPF drops 2, entries 3.
+    FlatFib fib(obs::Scope{&plane, obs::Entity::router(2)});
+    const ip::Address source(10, 0, 0, 1);
+    std::vector<ip::ChannelId> channels;
+    for (std::uint8_t i = 1; i <= 4; ++i) {
+      channels.push_back({source, ip::Address(232, 0, 0, i)});
+      fib.upsert(channels.back()).iif = 1;
+    }
+    fib.erase(channels.back());
+    for (int i = 0; i < 4; ++i) (void)fib.lookup(channels[0], 1);
+    (void)fib.lookup(channels.back(), 1);
+    for (int i = 0; i < 2; ++i) (void)fib.lookup(channels[1], 2);
+    auto fibs = fib_check();
+    fibs.check(plane.registry, obs::Entity::router(2), fib.stats());
+    fibs.expect_every_row_exercised();
+  }
+}
+
+/// The (name, kind) pairs a registry snapshot lists: every entry, scalar
+/// or histogram, carries `"kind":"<kind>","name":"<name>"`.
+void collect_inventory(const obs::Plane& plane,
+                       std::set<std::pair<std::string, std::string>>& out) {
+  const std::string snap = plane.registry.snapshot_json(sim::Time{});
+  const std::string kind_key = "\"kind\":\"";
+  const std::string name_key = "\",\"name\":\"";
+  for (std::size_t at = snap.find(kind_key); at != std::string::npos;
+       at = snap.find(kind_key, at)) {
+    const std::size_t kind = at + kind_key.size();
+    const std::size_t kind_end = snap.find(name_key, kind);
+    const std::size_t name = kind_end + name_key.size();
+    at = snap.find('"', name);
+    out.emplace(snap.substr(name, at - name),
+                snap.substr(kind, kind_end - kind));
+  }
+}
+
+TEST(ObsViews, MetricInventoryIsPinned) {
+  // Every metric every module registers, with its kind, as recorded
+  // before the modules' tables replaced per-metric registration calls.
+  std::set<std::pair<std::string, std::string>> inventory;
+  Testbed bed(workload::make_kary_tree(2, 2));
+  const relay::SessionRelay sr(bed.source());
+  collect_inventory(bed.net().obs(), inventory);
+  const ip::Address rp(10, 0, 0, 1);
+  collect_inventory(GroupNet<baseline::PimSmRouter>(
+                        workload::make_kary_tree(2, 2), baseline::PimConfig{rp})
+                        .net.obs(),
+                    inventory);
+  collect_inventory(
+      GroupNet<baseline::DvmrpRouter>(workload::make_kary_tree(2, 2)).net.obs(),
+      inventory);
+  collect_inventory(GroupNet<baseline::CbtRouter>(
+                        workload::make_kary_tree(2, 2), baseline::CbtConfig{rp})
+                        .net.obs(),
+                    inventory);
+  const std::set<std::pair<std::string, std::string>> expected = {
+      {"baseline.cbt.data_copies_sent", "counter"},
+      {"baseline.cbt.decapsulated_at_core", "counter"},
+      {"baseline.cbt.drops", "counter"},
+      {"baseline.cbt.encapsulated_to_core", "counter"},
+      {"baseline.cbt.joins_sent", "counter"},
+      {"baseline.cbt.prunes_sent", "counter"},
+      {"baseline.dvmrp.data_copies_sent", "counter"},
+      {"baseline.dvmrp.data_packets_forwarded", "counter"},
+      {"baseline.dvmrp.flood_copies", "counter"},
+      {"baseline.dvmrp.grafts_received", "counter"},
+      {"baseline.dvmrp.grafts_sent", "counter"},
+      {"baseline.dvmrp.prunes_received", "counter"},
+      {"baseline.dvmrp.prunes_sent", "counter"},
+      {"baseline.dvmrp.rpf_drops", "counter"},
+      {"baseline.group_host.bytes_on_last_hop", "counter"},
+      {"baseline.group_host.data_filtered", "counter"},
+      {"baseline.group_host.data_received", "counter"},
+      {"baseline.group_host.data_sent", "counter"},
+      {"baseline.group_host.unwanted_data", "counter"},
+      {"baseline.pim.data_copies_sent", "counter"},
+      {"baseline.pim.drops", "counter"},
+      {"baseline.pim.joins_sg", "counter"},
+      {"baseline.pim.joins_star_g", "counter"},
+      {"baseline.pim.prunes", "counter"},
+      {"baseline.pim.register_stops", "counter"},
+      {"baseline.pim.registers_decapsulated", "counter"},
+      {"baseline.pim.registers_sent", "counter"},
+      {"ecmp.transport.control_bytes_received", "counter"},
+      {"ecmp.transport.control_bytes_sent", "counter"},
+      {"ecmp.transport.counts_received", "counter"},
+      {"ecmp.transport.counts_sent", "counter"},
+      {"ecmp.transport.queries_received", "counter"},
+      {"ecmp.transport.queries_sent", "counter"},
+      {"ecmp.transport.responses_received", "counter"},
+      {"ecmp.transport.responses_sent", "counter"},
+      {"express.counting.proactive_updates_sent", "counter"},
+      {"express.counting.round_ns", "histogram"},
+      {"express.counting.rounds_completed", "counter"},
+      {"express.counting.rounds_started", "counter"},
+      {"express.counting.rounds_timed_out", "counter"},
+      {"express.fib.entries", "gauge"},
+      {"express.fib.hits", "counter"},
+      {"express.fib.lookups", "counter"},
+      {"express.fib.no_entry_drops", "counter"},
+      {"express.fib.rpf_drops", "counter"},
+      {"express.fwd.data_copies_sent", "counter"},
+      {"express.fwd.data_packets_forwarded", "counter"},
+      {"express.fwd.subcasts_relayed", "counter"},
+      {"express.host.control_bytes_sent", "counter"},
+      {"express.host.counts_sent", "counter"},
+      {"express.host.data_received", "counter"},
+      {"express.host.data_sent", "counter"},
+      {"express.host.queries_answered", "counter"},
+      {"express.host.unwanted_data", "counter"},
+      {"express.router.unresolved_neighbor_updates", "counter"},
+      {"express.sub.auth_rejects", "counter"},
+      {"express.sub.joins_sent", "counter"},
+      {"express.sub.key_registrations", "counter"},
+      {"express.sub.prunes_sent", "counter"},
+      {"express.sub.subscribe_events", "counter"},
+      {"express.sub.unsubscribe_events", "counter"},
+      {"net.bytes_sent", "counter"},
+      {"net.drop.link_down", "counter"},
+      {"net.drop.loss", "counter"},
+      {"net.drop.no_route", "counter"},
+      {"net.drop.ttl", "counter"},
+      {"net.link.bytes", "counter"},
+      {"net.link.packets", "counter"},
+      {"net.packets_sent", "counter"},
+      {"net.reordered", "counter"},
+      {"relay.channels_announced", "counter"},
+      {"relay.dropped_no_floor", "counter"},
+      {"relay.dropped_unauthorized", "counter"},
+      {"relay.floor_denials", "counter"},
+      {"relay.floor_grants", "counter"},
+      {"relay.frames_relayed", "counter"},
+      {"relay.heartbeats_sent", "counter"},
+      {"sim.sched.cancelled", "counter"},
+      {"sim.sched.clamped_past", "counter"},
+      {"sim.sched.executed", "counter"},
+      {"sim.sched.peak_pending", "gauge"},
+      {"sim.sched.scheduled", "counter"}
+  };
+  EXPECT_EQ(inventory, expected);
 }
 
 // ---------------------------------------------------------------------
