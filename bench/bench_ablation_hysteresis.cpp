@@ -68,7 +68,7 @@ FlapRun run(sim::Duration hysteresis, int flaps, sim::Duration flap_period) {
     out.joins += r->stats().joins_sent;
     out.prunes += r->stats().prunes_sent;
   }
-  out.delivered = sink.deliveries().size();
+  out.delivered = sink.stats().data_received;
   return out;
 }
 

@@ -6,9 +6,11 @@
 // own channel (k trees: lowest delay, k x state). Option B: all
 // speakers relay through one SR channel (1 tree + unicast legs: ~half
 // the state at k=2, growing savings with k, but relay delay).
+#include <deque>
 #include <memory>
 
 #include "common.hpp"
+#include "testbed/delivery_log.hpp"
 #include "testbed/testbed.hpp"
 #include "relay/participant.hpp"
 #include "relay/session_relay.hpp"
@@ -24,6 +26,10 @@ struct Option {
 
 Option per_source_channels(std::size_t speakers) {
   Testbed bed(workload::make_kary_tree(2, 3));  // 8 hosts
+  std::deque<DeliveryLog> logs;
+  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+    bed.receiver(i).set_data_handler(logs.emplace_back().handler());
+  }
   // Speakers are hosts 0..k-1; every host subscribes to every channel.
   std::vector<ip::ChannelId> channels;
   for (std::size_t s = 0; s < speakers; ++s) {
@@ -43,7 +49,7 @@ Option per_source_channels(std::size_t speakers) {
     bed.run_for(sim::seconds(1));
     for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
       if (i == s) continue;
-      for (const auto& d : bed.receiver(i).deliveries()) {
+      for (const auto& d : logs[i]) {
         if (d.channel == channels[s]) {
           delay_sum += sim::to_seconds(d.at - sent) * 1e3;
           ++deliveries;

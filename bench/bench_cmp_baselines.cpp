@@ -7,6 +7,7 @@
 // the paper's qualitative comparisons (RP/core detours, register
 // triangles, broadcast-and-prune waste, EXPRESS's subscription-only
 // trees).
+#include <deque>
 #include <memory>
 
 #include "baseline/cbt.hpp"
@@ -14,6 +15,7 @@
 #include "baseline/group_host.hpp"
 #include "baseline/pim_sm.hpp"
 #include "common.hpp"
+#include "testbed/delivery_log.hpp"
 #include "testbed/testbed.hpp"
 
 namespace {
@@ -57,7 +59,9 @@ Result run_express() {
   Testbed bed(make_topology());
   ExpressHost& src = bed.receiver(kSourceHost);
   const ip::ChannelId ch = src.allocate_channel();
+  std::deque<DeliveryLog> logs;
   for (std::size_t i = kFirstMember; i < kMembersEnd; ++i) {
+    bed.receiver(i).set_data_handler(logs.emplace_back().handler());
     bed.receiver(i).new_subscription(ch);
   }
   bed.run_for(sim::seconds(1));
@@ -86,7 +90,7 @@ Result run_express() {
             .path_delay(bed.roles().receiver_hosts[kSourceHost],
                         bed.roles().receiver_hosts[i])
             .value();
-    for (const auto& d : bed.receiver(i).deliveries()) {
+    for (const auto& d : logs[i - kFirstMember]) {
       ++delivered;
       const double s = stretch_of(d.at - sent_at.at(d.sequence), direct);
       if (d.sequence == 0) { first_sum += s; ++first; }
@@ -119,7 +123,9 @@ Result run_baseline(const std::string& name, ip::Protocol control,
   }
   baseline::GroupHost& source = *receivers[kSourceHost];
 
+  std::deque<DeliveryLog> logs;
   for (std::size_t i = kFirstMember; i < kMembersEnd; ++i) {
+    receivers[i]->set_data_handler(logs.emplace_back().handler());
     receivers[i]->join_group(kGroup, control);
   }
   network->run_until(sim::seconds(1));
@@ -148,7 +154,7 @@ Result run_baseline(const std::string& name, ip::Protocol control,
             .path_delay(roles.receiver_hosts[kSourceHost],
                         roles.receiver_hosts[i])
             .value();
-    for (const auto& d : receivers[i]->deliveries()) {
+    for (const auto& d : logs[i - kFirstMember]) {
       ++delivered;
       if (d.sequence >= sent_at.size()) continue;
       const double s = stretch_of(d.at - sent_at[d.sequence], direct);

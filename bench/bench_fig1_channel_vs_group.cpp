@@ -9,6 +9,7 @@
 #include "baseline/dvmrp.hpp"
 #include "baseline/group_host.hpp"
 #include "common.hpp"
+#include "testbed/delivery_log.hpp"
 #include "testbed/testbed.hpp"
 
 namespace {
@@ -37,6 +38,8 @@ GroupRun run_group_model() {
       network->attach<baseline::GroupHost>(roles.receiver_hosts[2]);
 
   const ip::Address group(225, 0, 0, 1);
+  DeliveryLog log;
+  member.set_data_handler(log.handler());
   member.join_group(group);
   network->run_until(sim::seconds(1));
   for (int i = 0; i < 10; ++i) s1.send_to_group(group, 100, 1);
@@ -45,10 +48,10 @@ GroupRun run_group_model() {
   network->run_until(sim::seconds(2));
 
   GroupRun out;
-  for (const auto& d : member.deliveries()) {
-    if (d.source == s1.address()) ++out.from_s1;
-    if (d.source == s2.address()) ++out.from_s2;
-    if (d.source == attacker.address()) ++out.from_attacker;
+  for (const auto& d : log) {
+    if (d.channel.source == s1.address()) ++out.from_s1;
+    if (d.channel.source == s2.address()) ++out.from_s2;
+    if (d.channel.source == attacker.address()) ++out.from_attacker;
   }
   return out;
 }
@@ -64,6 +67,8 @@ GroupRun run_channel_model() {
   const ip::Address e = ip::Address::single_source(7);
   const ip::ChannelId ch1{s1.address(), e};
   const ip::ChannelId ch2{s2.address(), e};
+  DeliveryLog log;
+  member.set_data_handler(log.handler());
   member.new_subscription(ch1);
   bed.run_for(sim::seconds(1));
   for (int i = 0; i < 10; ++i) s1.send(ch1, 100, 1);
@@ -74,7 +79,7 @@ GroupRun run_channel_model() {
   bed.run_for(sim::seconds(1));
 
   GroupRun out;
-  for (const auto& d : member.deliveries()) {
+  for (const auto& d : log) {
     if (d.channel.source == s1.address()) ++out.from_s1;
     if (d.channel.source == s2.address()) ++out.from_s2;
     if (d.channel.source == attacker.address()) ++out.from_attacker;

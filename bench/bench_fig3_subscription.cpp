@@ -5,7 +5,10 @@
 // distribution tree. We subscribe hosts one at a time on a binary tree
 // and report how far each join travelled and how long the subscription
 // took to become live (join latency to first delivered packet).
+#include <deque>
+
 #include "common.hpp"
+#include "testbed/delivery_log.hpp"
 #include "testbed/testbed.hpp"
 
 int main() {
@@ -29,9 +32,12 @@ int main() {
   // Subscribe in an order that exercises splicing: receiver 0, its
   // sibling 1, a cousin 2, then the far side of the tree.
   const std::size_t order[] = {0, 1, 2, 8, 9, 15};
+  std::deque<DeliveryLog> logs;
   std::size_t join_number = 0;
   for (std::size_t idx : order) {
     ++join_number;
+    DeliveryLog& log = logs.emplace_back();
+    bed.receiver(idx).set_data_handler(log.handler());
     const std::uint64_t before = total_counts();
     bed.receiver(idx).new_subscription(ch);
     bed.run_for(sim::seconds(1));
@@ -43,18 +49,12 @@ int main() {
     }
 
     // Join latency: time until a packet sent now reaches this receiver.
-    const std::size_t delivered_before =
-        bed.receiver(idx).deliveries().size();
     const sim::Time sent = bed.net().now();
     bed.source().send(ch, 100, idx);
     bed.run_for(sim::seconds(1));
-    const bool delivered =
-        bed.receiver(idx).deliveries().size() > delivered_before;
+    const bool delivered = !log.empty();
     const double latency_ms =
-        delivered
-            ? sim::to_seconds(bed.receiver(idx).deliveries().back().at - sent) *
-                  1e3
-            : -1;
+        delivered ? sim::to_seconds(log.back().at - sent) * 1e3 : -1;
     table.row({fmt_int(join_number), "recv" + std::to_string(idx),
                fmt_int(hops), fmt_int(on_tree), fmt(latency_ms, 1)});
   }

@@ -55,7 +55,7 @@ int main() {
   }
   std::uint64_t delivered = 0, unwanted = 0;
   for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
-    delivered += bed.receiver(i).deliveries().size();
+    delivered += bed.receiver(i).stats().data_received;
     unwanted += bed.receiver(i).stats().unwanted_data;
   }
   std::printf("feed packets delivered: %llu (unwanted at hosts: %llu)\n",

@@ -40,8 +40,9 @@ int main() {
   }
   bed.run_for(sim::seconds(1));
   for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
-    std::printf("receiver %zu got %zu packets\n", i,
-                bed.receiver(i).deliveries().size());
+    std::printf("receiver %zu got %llu packets\n", i,
+                static_cast<unsigned long long>(
+                    bed.receiver(i).stats().data_received));
   }
 
   // --- count the audience (ECMP CountQuery, paper §3.1) ---------------

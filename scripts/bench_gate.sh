@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Performance regression gate: re-run bench_core and compare against the
 # committed BENCH_core.json baseline. Fails (exit 1) if scheduler
-# throughput drops by more than 10% or churn wall time rises by more
-# than 10%. When a committed BENCH_reliable.json baseline and the
+# throughput drops by more than 10%, churn wall time rises by more
+# than 10%, or (when both runs used the same --quick setting) any
+# deterministic work counter differs from the baseline: scheduler,
+# timer-wheel and churn event counts, fan-out hops and sends, FIB
+# entries, churn packet/byte/delivery totals, and the modules block.
+# When a committed BENCH_reliable.json baseline and the
 # bench_reliable binary both exist, the reliable repair-path gate runs
 # too: delivery must stay complete, repair rounds/bytes must not
 # regress, and subcast repair must keep beating channel-wide repair.
@@ -93,8 +97,46 @@ if "timer_wheel" in base and "timer_wheel" in cur:
                 cur["timer_wheel"]["events_per_sec"])
 check_ceiling("churn.wall_s", base["churn"]["wall_s"], cur["churn"]["wall_s"])
 
+
+def check_exact(name, baseline, current):
+    """Deterministic work counter: must equal the baseline exactly."""
+    verdict = "ok" if current == baseline else "FAIL"
+    print(f"  {name:32s} baseline={baseline!s:>14} "
+          f"current={current!s:>14} {'(exact)':>20s} {verdict}")
+    if current != baseline:
+        failures.append(name)
+
+
+# The simulated work is seeded and machine-independent, so its counters
+# must match the committed baseline bit for bit whenever the run sizes
+# match (same --quick setting). Any drift means behaviour changed.
+EXACT = [
+    ("scheduler", "events"),
+    ("timer_wheel", "events"),
+    ("fanout", "hops"),
+    ("fanout", "sends"),
+    ("fib", "entries"),
+    ("churn", "sim_events"),
+    ("churn", "packets_sent"),
+    ("churn", "bytes_sent"),
+    ("churn", "total_link_bytes"),
+    ("churn", "data_delivered"),
+]
+if base.get("quick") == cur.get("quick"):
+    for block, key in EXACT:
+        if key in base.get(block, {}):
+            check_exact(f"{block}.{key}", base[block][key],
+                        cur.get(block, {}).get(key))
+    base_modules = base.get("modules", {})
+    cur_modules = cur.get("modules", {})
+    for key in sorted(base_modules.keys() | cur_modules.keys()):
+        check_exact(f"modules.{key}", base_modules.get(key),
+                    cur_modules.get(key))
+else:
+    print("  exact counters: skipped (baseline and result differ in --quick)")
+
 if failures:
-    print(f"bench_gate: FAIL ({', '.join(failures)} regressed >10%)")
+    print(f"bench_gate: FAIL ({', '.join(failures)})")
     sys.exit(1)
 print("bench_gate: PASS")
 EOF

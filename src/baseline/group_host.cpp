@@ -20,6 +20,13 @@ GroupHost::GroupHost(net::Network& network, net::NodeId id)
   });
 }
 
+void GroupHost::set_data_handler(DataHandler handler) {
+  if (data_handler_) {
+    throw std::logic_error("host data handler already installed");
+  }
+  data_handler_ = std::move(handler);
+}
+
 void GroupHost::join_group(ip::Address group, ip::Protocol control) {
   groups_.insert(group);
   scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
@@ -88,8 +95,7 @@ void GroupHost::handle_packet(const net::Packet& packet,
     return;
   }
   ++stats_->data_received;
-  deliveries_.push_back(Delivery{packet.dst, packet.src, packet.sequence,
-                                 packet.data_bytes, network().now()});
+  if (data_handler_) data_handler_(packet, network().now());
 }
 
 }  // namespace express::baseline

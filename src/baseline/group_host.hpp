@@ -10,13 +10,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "baseline/wire.hpp"
+#include "express/host.hpp"
 #include "ip/address.hpp"
 #include "ip/header.hpp"
 #include "net/network.hpp"
@@ -56,16 +56,13 @@ class GroupHost : public net::Node {
   void send_to_group(ip::Address group, std::uint32_t bytes,
                      std::uint64_t sequence = 0);
 
-  struct Delivery {
-    ip::Address group;
-    ip::Address source;
-    std::uint64_t sequence = 0;
-    std::uint32_t bytes = 0;
-    sim::Time at{};
-  };
-  [[nodiscard]] const std::vector<Delivery>& deliveries() const {
-    return deliveries_;
-  }
+  /// Invoked for every data packet delivered to the application (after
+  /// the IGMPv3 filter). Same hook and type as ExpressHost's, so one
+  /// express::DeliveryLog serves both host kinds; a second install throws
+  /// std::logic_error.
+  using DataHandler = ExpressHost::DataHandler;
+  void set_data_handler(DataHandler handler);
+
   /// Copy of the registry-bound block (see DESIGN.md §11).
   [[nodiscard]] GroupHostStats stats() const { return *stats_; }
   [[nodiscard]] bool member_of(ip::Address group) const {
@@ -75,7 +72,7 @@ class GroupHost : public net::Node {
  private:
   std::unordered_set<ip::Address> groups_;
   std::unordered_map<ip::Address, std::unordered_set<ip::Address>> filters_;
-  std::vector<Delivery> deliveries_;
+  DataHandler data_handler_;
   obs::Scope scope_;
   GroupHostStats* stats_ = nullptr;  ///< registry-owned block
 };

@@ -208,6 +208,13 @@ void ExpressHost::delete_subscription(const ip::ChannelId& channel) {
   send_ecmp(update);
 }
 
+void ExpressHost::set_data_handler(DataHandler handler) {
+  if (data_handler_) {
+    throw std::logic_error("host data handler already installed");
+  }
+  data_handler_ = std::move(handler);
+}
+
 void ExpressHost::set_count_handler(
     ecmp::CountId count_id,
     std::function<std::optional<std::int64_t>()> handler) {
@@ -260,8 +267,6 @@ void ExpressHost::handle_packet(const net::Packet& packet,
       return;
     }
     ++stats_->data_received;
-    deliveries_.push_back(Delivery{channel, packet.sequence, packet.data_bytes,
-                                   network().now()});
     if (data_handler_) data_handler_(packet, network().now());
   }
 }

@@ -121,24 +121,34 @@ class ExpressHost : public net::Node {
   void set_count_handler(ecmp::CountId count_id,
                          std::function<std::optional<std::int64_t>()> handler);
 
-  /// Invoked for every delivered channel data packet.
+  /// Invoked for every delivered channel data packet. The slot has one
+  /// owner: installing a second handler throws std::logic_error, so an
+  /// observer can never silently disconnect the application.
   using DataHandler =
       std::function<void(const net::Packet& packet, sim::Time at)>;
-  void set_data_handler(DataHandler handler) { data_handler_ = std::move(handler); }
+  void set_data_handler(DataHandler handler);
 
   /// Invoked for unicast application data addressed to this host.
   void set_unicast_handler(DataHandler handler) {
     unicast_handler_ = std::move(handler);
   }
 
+  /// One delivered data packet: the record type of express::DeliveryLog
+  /// (testbed/delivery_log.hpp), which tests, benches and examples attach
+  /// through set_data_handler when they need per-packet records.
   struct Delivery {
     ip::ChannelId channel;
     std::uint64_t sequence = 0;
     std::uint32_t bytes = 0;
     sim::Time at{};
   };
-  [[nodiscard]] const std::vector<Delivery>& deliveries() const {
-    return deliveries_;
+  /// Always empty: the host keeps counters (stats().data_received), not a
+  /// per-packet log. Kept only because perfbench/perfbench.cpp reads its
+  /// capacity for host.delivery_log_mb; attach a DeliveryLog to record
+  /// packets.
+  [[nodiscard]] static const std::vector<Delivery>& deliveries() {
+    static const std::vector<Delivery> kNone;
+    return kNone;
   }
 
   /// Copy of the registry-bound block (see DESIGN.md §11).
@@ -178,7 +188,6 @@ class ExpressHost : public net::Node {
       count_handlers_;
   DataHandler data_handler_;
   DataHandler unicast_handler_;
-  std::vector<Delivery> deliveries_;
   obs::Scope scope_;
   HostStats* stats_ = nullptr;  ///< registry-owned block
   bool silent_ = false;

@@ -4,6 +4,9 @@
 // the few lines of glue every experiment needs: attach an ExpressRouter
 // to every router node and an ExpressHost to every host node, and keep
 // typed references to the pieces (source, receivers, root router).
+// Hosts count deliveries (stats().data_received) but keep no per-packet
+// log; attach a DeliveryLog (testbed/delivery_log.hpp) to a receiver's
+// set_data_handler before the run to record its packets.
 #pragma once
 
 #include <memory>

@@ -11,6 +11,7 @@
 #include "baseline/group_host.hpp"
 #include "baseline/pim_sm.hpp"
 #include "net/network.hpp"
+#include "testbed/delivery_log.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::test {
@@ -37,7 +38,9 @@ struct Harness {
 std::vector<std::set<std::uint64_t>> run_scenario(Harness& h,
                                                   ip::Protocol control,
                                                   const std::vector<bool>& member) {
+  std::vector<DeliveryLog> logs(h.receivers.size());
   for (std::size_t i = 0; i < h.receivers.size(); ++i) {
+    h.receivers[i]->set_data_handler(logs[i].handler());
     if (member[i]) h.receivers[i]->join_group(kGroup, control);
   }
   h.network->run_until(sim::seconds(2));
@@ -47,7 +50,7 @@ std::vector<std::set<std::uint64_t>> run_scenario(Harness& h,
   }
   std::vector<std::set<std::uint64_t>> delivered(h.receivers.size());
   for (std::size_t i = 0; i < h.receivers.size(); ++i) {
-    for (const auto& d : h.receivers[i]->deliveries()) {
+    for (const auto& d : logs[i]) {
       delivered[i].insert(d.sequence);
     }
   }

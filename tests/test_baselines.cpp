@@ -10,6 +10,7 @@
 #include "baseline/group_host.hpp"
 #include "baseline/pim_sm.hpp"
 #include "net/network.hpp"
+#include "testbed/delivery_log.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::test {
@@ -56,10 +57,10 @@ TEST(Dvmrp, FloodsThenDelivers) {
   sim.run_for(sim::seconds(1));
   sim.source->send_to_group(kGroup, 100, 1);
   sim.run_for(sim::seconds(1));
-  EXPECT_EQ(sim.receivers[0]->deliveries().size(), 1u);
-  EXPECT_EQ(sim.receivers[3]->deliveries().size(), 1u);
-  EXPECT_TRUE(sim.receivers[1]->deliveries().empty());
-  EXPECT_TRUE(sim.receivers[2]->deliveries().empty());
+  EXPECT_EQ(sim.receivers[0]->stats().data_received, 1u);
+  EXPECT_EQ(sim.receivers[3]->stats().data_received, 1u);
+  EXPECT_EQ(sim.receivers[1]->stats().data_received, 0u);
+  EXPECT_EQ(sim.receivers[2]->stats().data_received, 0u);
 }
 
 TEST(Dvmrp, EveryRouterHoldsStateAfterFlood) {
@@ -104,7 +105,7 @@ TEST(Dvmrp, PrunesStopOffTreeTraffic) {
   const double per_packet_after =
       static_cast<double>(flood_total - flood_after_first) / 4.0;
   EXPECT_LT(per_packet_after, static_cast<double>(flood_after_first));
-  EXPECT_EQ(sim.receivers[0]->deliveries().size(), 5u);
+  EXPECT_EQ(sim.receivers[0]->stats().data_received, 5u);
 }
 
 TEST(Dvmrp, GraftRestoresPrunedBranch) {
@@ -119,7 +120,7 @@ TEST(Dvmrp, GraftRestoresPrunedBranch) {
   sim.run_for(sim::seconds(1));
   sim.source->send_to_group(kGroup, 100, 2);
   sim.run_for(sim::seconds(1));
-  EXPECT_EQ(sim.receivers[3]->deliveries().size(), 1u);
+  EXPECT_EQ(sim.receivers[3]->stats().data_received, 1u);
 }
 
 TEST(Dvmrp, PruneExpiryRefloods) {
@@ -157,20 +158,21 @@ TEST(Dvmrp, PruneExpiryRefloods) {
   sim.source->send_to_group(kGroup, 100, 5);
   sim.run_for(sim::milliseconds(300));
   EXPECT_GT(prunes_total(), settled);
-  EXPECT_EQ(sim.receivers[0]->deliveries().size(), 5u);
+  EXPECT_EQ(sim.receivers[0]->stats().data_received, 5u);
 }
 
 TEST(Dvmrp, AnySourceCanSend) {
   // The group model's property (and problem): receiver(1)'s host can
   // blast the group and members receive it.
   BaselineNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
+  DeliveryLog log;
+  sim.receivers[0]->set_data_handler(log.handler());
   sim.receivers[0]->join_group(kGroup);
   sim.run_for(sim::seconds(1));
   sim.receivers[1]->send_to_group(kGroup, 4000, 666);
   sim.run_for(sim::seconds(1));
-  ASSERT_EQ(sim.receivers[0]->deliveries().size(), 1u);
-  EXPECT_EQ(sim.receivers[0]->deliveries()[0].source,
-            sim.receivers[1]->address());
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].channel.source, sim.receivers[1]->address());
 }
 
 // ---------------------------------------------------------------- PIM-SM
@@ -191,7 +193,7 @@ TEST(PimSm, SharedTreeDeliversViaRp) {
   sim.run_for(sim::seconds(1));
   sim.source->send_to_group(kGroup, 100, 1);
   sim.run_for(sim::seconds(1));
-  ASSERT_EQ(sim.receivers[0]->deliveries().size(), 1u);
+  ASSERT_EQ(sim.receivers[0]->stats().data_received, 1u);
   // The register triangle ran: first hop encapsulated to the RP.
   std::uint64_t registers = 0, decaps = 0;
   for (auto* r : sim.routers) {
@@ -214,7 +216,7 @@ TEST(PimSm, RegisterStopSwitchesToNativeForwarding) {
     sim.source->send_to_group(kGroup, 100, static_cast<std::uint64_t>(i));
     sim.run_for(sim::seconds(1));
   }
-  EXPECT_EQ(sim.receivers[0]->deliveries().size(), 5u);
+  EXPECT_EQ(sim.receivers[0]->stats().data_received, 5u);
   std::uint64_t registers = 0, stops = 0;
   for (auto* r : sim.routers) {
     registers += r->stats().registers_sent;
@@ -245,7 +247,7 @@ TEST(PimSm, SptSwitchoverBuildsSourceTree) {
   for (auto* r : sim.routers) any_sg |= r->on_source_tree(sg);
   EXPECT_TRUE(any_sg);
   // Delivery continued throughout (shared tree, then SPT).
-  EXPECT_GE(sim.receivers[0]->deliveries().size(), 5u);
+  EXPECT_GE(sim.receivers[0]->stats().data_received, 5u);
 }
 
 TEST(PimSm, LeavePrunesSharedTree) {
@@ -292,12 +294,12 @@ TEST(Cbt, BidirectionalTreeDeliversBothWays) {
   sim.run_for(sim::seconds(1));
   // Member-sender: data goes up its branch and down the other; the
   // sender itself does not hear its own packet back.
-  ASSERT_EQ(sim.receivers[3]->deliveries().size(), 1u);
-  EXPECT_TRUE(sim.receivers[0]->deliveries().empty());
+  ASSERT_EQ(sim.receivers[3]->stats().data_received, 1u);
+  EXPECT_EQ(sim.receivers[0]->stats().data_received, 0u);
 
   sim.receivers[3]->send_to_group(kGroup, 100, 2);
   sim.run_for(sim::seconds(1));
-  ASSERT_EQ(sim.receivers[0]->deliveries().size(), 1u);
+  ASSERT_EQ(sim.receivers[0]->stats().data_received, 1u);
 }
 
 TEST(Cbt, OffTreeSenderTunnelsToCore) {
@@ -313,7 +315,7 @@ TEST(Cbt, OffTreeSenderTunnelsToCore) {
   // The source host never joined: its first hop encapsulates to the core.
   sim.source->send_to_group(kGroup, 100, 7);
   sim.run_for(sim::seconds(1));
-  ASSERT_EQ(sim.receivers[0]->deliveries().size(), 1u);
+  ASSERT_EQ(sim.receivers[0]->stats().data_received, 1u);
   std::uint64_t encaps = 0, decaps = 0;
   for (auto* r : sim.routers) {
     encaps += r->stats().encapsulated_to_core;

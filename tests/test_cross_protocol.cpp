@@ -12,6 +12,7 @@
 #include "baseline/group_host.hpp"
 #include "baseline/pim_sm.hpp"
 #include "helpers.hpp"
+#include "testbed/delivery_log.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::test {
@@ -31,6 +32,10 @@ using DeliveryMatrix = std::vector<std::set<std::uint64_t>>;
 DeliveryMatrix run_express() {
   ExpressNetwork sim(workload::make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
+  std::vector<DeliveryLog> logs(kReceiverCount);
+  for (std::size_t i = 0; i < kReceiverCount; ++i) {
+    sim.receiver(i).set_data_handler(logs[i].handler());
+  }
   for (std::size_t i : kMembers) sim.receiver(i).new_subscription(ch);
   sim.run_for(sim::seconds(1));
   for (std::uint64_t seq = 1; seq <= kPackets; ++seq) {
@@ -40,7 +45,7 @@ DeliveryMatrix run_express() {
 
   DeliveryMatrix delivered(kReceiverCount);
   for (std::size_t i = 0; i < kReceiverCount; ++i) {
-    for (const auto& d : sim.receiver(i).deliveries()) {
+    for (const auto& d : logs[i]) {
       delivered[i].insert(d.sequence);
     }
   }
@@ -65,6 +70,10 @@ DeliveryMatrix run_pim() {
     receivers.push_back(&network->attach<GroupHost>(h));
   }
 
+  std::vector<DeliveryLog> logs(kReceiverCount);
+  for (std::size_t i = 0; i < kReceiverCount; ++i) {
+    receivers[i]->set_data_handler(logs[i].handler());
+  }
   for (std::size_t i : kMembers) {
     receivers[i]->join_group(group, ip::Protocol::kPim);
   }
@@ -76,7 +85,7 @@ DeliveryMatrix run_pim() {
 
   DeliveryMatrix delivered(kReceiverCount);
   for (std::size_t i = 0; i < kReceiverCount; ++i) {
-    for (const auto& d : receivers[i]->deliveries()) {
+    for (const auto& d : logs[i]) {
       delivered[i].insert(d.sequence);
     }
   }

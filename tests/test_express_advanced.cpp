@@ -6,6 +6,7 @@
 #include <set>
 
 #include "helpers.hpp"
+#include "testbed/delivery_log.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::test {
@@ -19,6 +20,8 @@ TEST(MultiChannel, ChannelsFromOneSourceAreIndependent) {
   ExpressNetwork sim(make_kary_tree(2, 2));
   const ip::ChannelId news = sim.source().allocate_channel();
   const ip::ChannelId sports = sim.source().allocate_channel();
+  DeliveryLog log;
+  sim.receiver(0).set_data_handler(log.handler());
   sim.receiver(0).new_subscription(news);
   sim.receiver(0).new_subscription(sports);
   sim.receiver(1).new_subscription(sports);
@@ -31,9 +34,9 @@ TEST(MultiChannel, ChannelsFromOneSourceAreIndependent) {
   sim.source().send(sports, 100, 2);
   sim.run_for(sim::seconds(1));
   // receiver 0 kept sports, dropped news.
-  ASSERT_EQ(sim.receiver(0).deliveries().size(), 1u);
-  EXPECT_EQ(sim.receiver(0).deliveries()[0].channel, sports);
-  ASSERT_EQ(sim.receiver(1).deliveries().size(), 1u);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].channel, sports);
+  ASSERT_EQ(sim.receiver(1).stats().data_received, 1u);
 }
 
 TEST(MultiChannel, TwoSourcesBuildDisjointTrees) {
@@ -44,6 +47,10 @@ TEST(MultiChannel, TwoSourcesBuildDisjointTrees) {
   const ip::ChannelId cha = a.allocate_channel();
   const ip::ChannelId chb = b.allocate_channel();
 
+  DeliveryLog log0;
+  DeliveryLog log1;
+  sim.receiver(0).set_data_handler(log0.handler());
+  sim.receiver(1).set_data_handler(log1.handler());
   sim.receiver(0).new_subscription(cha);
   sim.receiver(1).new_subscription(chb);
   sim.run_for(sim::seconds(1));
@@ -51,10 +58,10 @@ TEST(MultiChannel, TwoSourcesBuildDisjointTrees) {
   b.send(chb, 100, 2);
   sim.run_for(sim::seconds(1));
 
-  ASSERT_EQ(sim.receiver(0).deliveries().size(), 1u);
-  EXPECT_EQ(sim.receiver(0).deliveries()[0].channel, cha);
-  ASSERT_EQ(sim.receiver(1).deliveries().size(), 1u);
-  EXPECT_EQ(sim.receiver(1).deliveries()[0].channel, chb);
+  ASSERT_EQ(log0.size(), 1u);
+  EXPECT_EQ(log0[0].channel, cha);
+  ASSERT_EQ(log1.size(), 1u);
+  EXPECT_EQ(log1[0].channel, chb);
 
   // FIB entries are keyed by the full (S,E): trees never interfere,
   // and each router's entries belong to channels it actually serves.
@@ -110,7 +117,7 @@ TEST(Batching, DataStillFlowsWithBatchingEnabled) {
   sim.source().send(ch, 800, 1);
   sim.run_for(sim::seconds(1));
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-    EXPECT_EQ(sim.receiver(i).deliveries().size(), 1u) << i;
+    EXPECT_EQ(sim.receiver(i).stats().data_received, 1u) << i;
   }
 
   // Counting also works across batched segments.
@@ -135,7 +142,7 @@ TEST(Subcast, ViaOffTreeRouterIsDropped) {
   sim.source().subcast(ch, sim.net().topology().node(off_tree.id()).address,
                        500, 7);
   sim.run_for(sim::seconds(1));
-  EXPECT_TRUE(sim.receiver(0).deliveries().empty());
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 0u);
   EXPECT_EQ(off_tree.stats().subcasts_relayed, 0u);
 }
 
@@ -150,7 +157,7 @@ TEST(Subcast, RootRelayReachesEverySubscriber) {
       ch, sim.net().topology().node(sim.source_router().id()).address, 500, 9);
   sim.run_for(sim::seconds(1));
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-    EXPECT_EQ(sim.receiver(i).deliveries().size(), 1u) << i;
+    EXPECT_EQ(sim.receiver(i).stats().data_received, 1u) << i;
   }
 }
 
@@ -164,7 +171,7 @@ TEST(Ttl, DataDiesOnAbsurdlyLongPaths) {
   ASSERT_TRUE(sim.source_router().on_tree(ch));  // joins are per-hop, fine
   sim.source().send(ch, 100, 1);
   sim.run_for(sim::seconds(5));
-  EXPECT_TRUE(sim.receiver(0).deliveries().empty());
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 0u);
 }
 
 TEST(Counting, QueryDuringChurnStaysWithinBounds) {
@@ -297,7 +304,7 @@ TEST(Discovery, NeighborQueriesFlowAndSessionsStayAlive) {
   EXPECT_TRUE(sim.source_router().on_tree(ch));
   sim.source().send(ch, 100, 1);
   sim.run_for(sim::seconds(1));
-  EXPECT_EQ(sim.receiver(0).deliveries().size(), 1u);
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 1u);
 }
 
 TEST(Scale, FiveHundredReceiversEndToEnd) {
@@ -314,7 +321,7 @@ TEST(Scale, FiveHundredReceiversEndToEnd) {
   sim.run_for(sim::seconds(5));
   std::size_t delivered = 0;
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-    delivered += sim.receiver(i).deliveries().size();
+    delivered += sim.receiver(i).stats().data_received;
   }
   EXPECT_EQ(delivered, sim.receiver_count());
 

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "helpers.hpp"
+#include "testbed/delivery_log.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::test {
@@ -20,7 +21,9 @@ TEST(ExpressBasic, SubscribeThenReceive) {
   ExpressNetwork sim(make_star(4, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
 
+  std::vector<DeliveryLog> logs(sim.receiver_count());
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
+    sim.receiver(i).set_data_handler(logs[i].handler());
     sim.receiver(i).new_subscription(ch);
   }
   sim.run_for(sim::seconds(1));
@@ -30,7 +33,7 @@ TEST(ExpressBasic, SubscribeThenReceive) {
   sim.run_for(sim::seconds(1));
 
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-    const auto& d = sim.receiver(i).deliveries();
+    const DeliveryLog& d = logs[i];
     ASSERT_EQ(d.size(), 2u) << "receiver " << i;
     EXPECT_EQ(d[0].sequence, 1u);
     EXPECT_EQ(d[1].sequence, 2u);
@@ -45,7 +48,7 @@ TEST(ExpressBasic, NoSubscribersNoDelivery) {
   sim.source().send(ch, 500, 1);
   sim.run_for(sim::seconds(1));
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-    EXPECT_TRUE(sim.receiver(i).deliveries().empty());
+    EXPECT_EQ(sim.receiver(i).stats().data_received, 0u);
   }
   // §3.4: the packet is counted and dropped at the first-hop router.
   EXPECT_EQ(sim.source_router().fib().stats().no_entry_drops, 1u);
@@ -61,7 +64,8 @@ TEST(ExpressBasic, OnlySubscribersReceive) {
   sim.run_for(sim::seconds(1));
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     const std::size_t expected = (i == 0 || i == 3) ? 1u : 0u;
-    EXPECT_EQ(sim.receiver(i).deliveries().size(), expected) << "receiver " << i;
+    EXPECT_EQ(sim.receiver(i).stats().data_received, expected)
+        << "receiver " << i;
     EXPECT_EQ(sim.receiver(i).stats().unwanted_data, 0u);
   }
 }
@@ -73,13 +77,13 @@ TEST(ExpressBasic, UnsubscribeStopsDelivery) {
   sim.run_for(sim::seconds(1));
   sim.source().send(ch, 100, 1);
   sim.run_for(sim::seconds(1));
-  ASSERT_EQ(sim.receiver(0).deliveries().size(), 1u);
+  ASSERT_EQ(sim.receiver(0).stats().data_received, 1u);
 
   sim.receiver(0).delete_subscription(ch);
   sim.run_for(sim::seconds(1));
   sim.source().send(ch, 100, 2);
   sim.run_for(sim::seconds(1));
-  EXPECT_EQ(sim.receiver(0).deliveries().size(), 1u);  // nothing new
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 1u);  // nothing new
 
   // The leave propagated: no router still carries channel state.
   for (std::size_t i = 0; i < sim.router_count(); ++i) {
@@ -96,17 +100,19 @@ TEST(ExpressBasic, ChannelsWithSameDestAreUnrelated) {
   const ip::ChannelId other{other_source.address(), ip::Address::single_source(9)};
   ASSERT_EQ(ch.dest, other.dest);
 
+  DeliveryLog log;
+  sim.receiver(0).set_data_handler(log.handler());
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
 
   other_source.send(other, 100, 55);  // same E, different S
   sim.run_for(sim::seconds(1));
-  EXPECT_TRUE(sim.receiver(0).deliveries().empty());
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 0u);
 
   sim.source().send(ch, 100, 56);
   sim.run_for(sim::seconds(1));
-  ASSERT_EQ(sim.receiver(0).deliveries().size(), 1u);
-  EXPECT_EQ(sim.receiver(0).deliveries()[0].sequence, 56u);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].sequence, 56u);
 }
 
 TEST(ExpressBasic, UnauthorizedSenderCannotInject) {
@@ -125,7 +131,7 @@ TEST(ExpressBasic, UnauthorizedSenderCannotInject) {
   sim.run_for(sim::seconds(1));
 
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_TRUE(sim.receiver(i).deliveries().empty());
+    EXPECT_EQ(sim.receiver(i).stats().data_received, 0u);
     EXPECT_EQ(sim.receiver(i).stats().unwanted_data, 0u);
   }
 }
@@ -147,8 +153,8 @@ TEST(ExpressBasic, JoinSplicesAtNearestOnTreeRouter) {
 
   sim.source().send(ch, 100, 1);
   sim.run_for(sim::seconds(1));
-  EXPECT_EQ(sim.receiver(0).deliveries().size(), 1u);
-  EXPECT_EQ(sim.receiver(1).deliveries().size(), 1u);
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 1u);
+  EXPECT_EQ(sim.receiver(1).stats().data_received, 1u);
 }
 
 TEST(ExpressBasic, FibStateMatchesTreeShape) {
@@ -271,7 +277,7 @@ TEST(ExpressBasic, SubcastReachesOnlySubtree) {
 
   int delivered = 0;
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-    delivered += static_cast<int>(sim.receiver(i).deliveries().size());
+    delivered += static_cast<int>(sim.receiver(i).stats().data_received);
   }
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(mid.stats().subcasts_relayed, 1u);
@@ -289,7 +295,7 @@ TEST(ExpressBasic, SubcastFromNonSourceIsDropped) {
   intruder.subcast(forged, sim.net().topology().node(sim.source_router().id()).address,
                    800, 13);
   sim.run_for(sim::seconds(1));
-  EXPECT_TRUE(sim.receiver(0).deliveries().empty());
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 0u);
 }
 
 TEST(ExpressBasic, ChannelAllocationIsLocalAndUnique) {
@@ -334,7 +340,7 @@ TEST(ExpressBasic, MultipleLocalAppsShareOneSubscription) {
   sim.run_for(sim::seconds(1));
   sim.source().send(ch, 10, 1);
   sim.run_for(sim::seconds(1));
-  EXPECT_EQ(sim.receiver(0).deliveries().size(), 1u);  // still subscribed
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 1u);  // still subscribed
 
   sim.receiver(0).delete_subscription(ch);
   sim.run_for(sim::seconds(1));

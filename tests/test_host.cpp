@@ -2,9 +2,15 @@
 // unicast, handlers, silent-mode failure injection, and error paths.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <optional>
+#include <vector>
 
+#include "baseline/dvmrp.hpp"
+#include "baseline/group_host.hpp"
 #include "helpers.hpp"
+#include "sim/random.hpp"
+#include "testbed/delivery_log.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::test {
@@ -71,15 +77,145 @@ TEST(Host, SilentHostDeliversNothingToApp) {
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
+  DeliveryLog log;
+  sim.receiver(0).set_data_handler(log.handler());
   sim.receiver(0).set_silent(true);
   sim.source().send(ch, 100, 1);
   sim.run_for(sim::seconds(1));
-  EXPECT_TRUE(sim.receiver(0).deliveries().empty());
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 0u);
+  EXPECT_TRUE(log.empty());
   sim.receiver(0).set_silent(false);
   sim.source().send(ch, 100, 2);
   sim.run_for(sim::seconds(1));
-  ASSERT_EQ(sim.receiver(0).deliveries().size(), 1u);
-  EXPECT_EQ(sim.receiver(0).deliveries()[0].sequence, 2u);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].sequence, 2u);
+}
+
+TEST(Host, DataHandlerSlotHasOneOwner) {
+  // A second install would silently disconnect whoever holds the slot
+  // (a relay participant, a reliable subscriber): it throws instead, and
+  // the first handler keeps receiving.
+  ExpressNetwork sim(make_star(1, 1));
+  const ip::ChannelId ch = sim.source().allocate_channel();
+  sim.receiver(0).new_subscription(ch);
+  sim.run_for(sim::seconds(1));
+  DeliveryLog owner;
+  DeliveryLog intruder;
+  sim.receiver(0).set_data_handler(owner.handler());
+  EXPECT_THROW(sim.receiver(0).set_data_handler(intruder.handler()),
+               std::logic_error);
+  sim.source().send(ch, 100, 7);
+  sim.run_for(sim::seconds(1));
+  ASSERT_EQ(owner.size(), 1u);
+  EXPECT_EQ(owner[0].sequence, 7u);
+  EXPECT_TRUE(intruder.empty());
+
+  auto topo = workload::make_star(1, 1);
+  net::Network network(std::move(topo.topology));
+  auto& group_host =
+      network.attach<baseline::GroupHost>(topo.receiver_hosts[0]);
+  group_host.set_data_handler(owner.handler());
+  EXPECT_THROW(group_host.set_data_handler(intruder.handler()),
+               std::logic_error);
+}
+
+/// A seeded multi-receiver channel run: random membership on a 2-ary
+/// depth-3 tree, `packets` sends one second apart. With `logs`, a
+/// DeliveryLog is attached to every receiver before anything happens.
+struct LoggedRun {
+  explicit LoggedRun(bool with_logs) : sim(workload::make_kary_tree(2, 3)) {
+    if (with_logs) {
+      for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
+        sim.receiver(i).set_data_handler(logs.emplace_back().handler());
+      }
+    }
+    sim::Rng rng(20260417);
+    const ip::ChannelId ch = sim.source().allocate_channel();
+    for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
+      if (rng.chance(0.6)) sim.receiver(i).new_subscription(ch);
+    }
+    sim.run_for(sim::seconds(1));
+    for (std::uint64_t seq = 1; seq <= kPackets; ++seq) {
+      sim.source().send(ch, 200 + static_cast<std::uint32_t>(seq), seq);
+      sim.run_for(sim::seconds(1));
+    }
+  }
+  static constexpr std::uint64_t kPackets = 6;
+  std::deque<DeliveryLog> logs;  ///< declared first: outlives the hosts
+  ExpressNetwork sim;
+};
+
+TEST(Host, DeliveryLogHoldsExactlyTheReceivedPackets) {
+  LoggedRun run(/*with_logs=*/true);
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < run.sim.receiver_count(); ++i) {
+    const DeliveryLog& log = run.logs[i];
+    ASSERT_EQ(log.size(), run.sim.receiver(i).stats().data_received) << i;
+    if (log.empty()) continue;
+    ++members;
+    ASSERT_EQ(log.size(), LoggedRun::kPackets) << i;
+    for (std::size_t k = 0; k < log.size(); ++k) {
+      EXPECT_EQ(log[k].sequence, k + 1) << "receiver " << i;
+      EXPECT_EQ(log[k].bytes, 201 + k) << "receiver " << i;
+      EXPECT_EQ(log[k].channel.source, run.sim.source().address());
+      if (k > 0) {
+        EXPECT_LT(log[k - 1].at, log[k].at) << "receiver " << i;
+      }
+    }
+  }
+  EXPECT_GT(members, 0u);
+  EXPECT_LT(members, run.sim.receiver_count());
+}
+
+TEST(Host, DeliveryLogsDoNotPerturbTheRun) {
+  LoggedRun bare(/*with_logs=*/false);
+  LoggedRun logged(/*with_logs=*/true);
+  EXPECT_EQ(bare.sim.net().stats().packets_sent,
+            logged.sim.net().stats().packets_sent);
+  EXPECT_EQ(bare.sim.net().scheduler().executed_events(),
+            logged.sim.net().scheduler().executed_events());
+  const sim::Time at = bare.sim.net().now();
+  ASSERT_EQ(at, logged.sim.net().now());
+  EXPECT_EQ(bare.sim.net().obs().registry.snapshot_json(at),
+            logged.sim.net().obs().registry.snapshot_json(at));
+}
+
+TEST(Host, GroupHostDeliveryLogSkipsFilteredPackets) {
+  // IGMPv3 include filter (§2.2.2): the unwanted sender's packets reach
+  // the host and are dropped there, so the log never sees them.
+  auto topo = workload::make_kary_tree(2, 2);
+  const std::vector<net::NodeId> routers = topo.routers;
+  const net::NodeId source_id = topo.source_host;
+  const std::vector<net::NodeId> receiver_ids = topo.receiver_hosts;
+  net::Network network(std::move(topo.topology));
+  for (net::NodeId r : routers) network.attach<baseline::DvmrpRouter>(r);
+  auto& wanted = network.attach<baseline::GroupHost>(source_id);
+  std::vector<baseline::GroupHost*> hosts;
+  for (net::NodeId h : receiver_ids) {
+    hosts.push_back(&network.attach<baseline::GroupHost>(h));
+  }
+  baseline::GroupHost& member = *hosts[0];
+  baseline::GroupHost& other = *hosts[3];
+  const ip::Address group(225, 9, 9, 9);
+  DeliveryLog log;
+  member.set_data_handler(log.handler());
+  member.join_group(group);
+  member.set_include_filter(group, {wanted.address()});
+  network.run_until(sim::seconds(1));
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    wanted.send_to_group(group, 100, seq);
+    other.send_to_group(group, 100, 100 + seq);
+    network.run_until(network.now() + sim::seconds(1));
+  }
+  const auto stats = member.stats();
+  EXPECT_EQ(stats.data_received, 4u);
+  EXPECT_EQ(stats.data_filtered, 4u);
+  ASSERT_EQ(log.size(), stats.data_received);
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    EXPECT_EQ(log[k].sequence, k + 1);
+    EXPECT_EQ(log[k].channel.source, wanted.address());
+    EXPECT_EQ(log[k].channel.dest, group);
+  }
 }
 
 TEST(Host, UnsubscribedDeleteIsANoop) {
@@ -144,7 +280,7 @@ TEST(Host, ResubscribeAfterUnsubscribeWorks) {
     sim.receiver(0).delete_subscription(ch);
     sim.run_for(sim::seconds(1));
   }
-  EXPECT_EQ(sim.receiver(0).deliveries().size(), 3u);
+  EXPECT_EQ(sim.receiver(0).stats().data_received, 3u);
   EXPECT_EQ(sim.total_fib_entries(), 0u);
 }
 

@@ -9,6 +9,7 @@
 #include "express/router.hpp"
 #include "net/lan.hpp"
 #include "net/network.hpp"
+#include "testbed/delivery_log.hpp"
 
 namespace express::test {
 namespace {
@@ -56,11 +57,11 @@ TEST(Lan, SubscribeAndReceiveThroughSharedSegment) {
 
   lan.source->send(ch, 600, 1);
   lan.run_for(sim::seconds(1));
-  EXPECT_EQ(lan.hosts[0]->deliveries().size(), 1u);
-  EXPECT_EQ(lan.hosts[2]->deliveries().size(), 1u);
+  EXPECT_EQ(lan.hosts[0]->stats().data_received, 1u);
+  EXPECT_EQ(lan.hosts[2]->stats().data_received, 1u);
   // Non-members saw the frame on the wire but the "NIC" filtered it:
   // no app delivery, no unwanted-data violation.
-  EXPECT_TRUE(lan.hosts[1]->deliveries().empty());
+  EXPECT_EQ(lan.hosts[1]->stats().data_received, 0u);
   EXPECT_EQ(lan.hosts[1]->stats().unwanted_data, 0u);
 }
 
@@ -76,7 +77,7 @@ TEST(Lan, OneCopyOnTheWirePerPacket) {
   lan.run_for(sim::seconds(1));
   EXPECT_EQ(lan.edge->stats().data_copies_sent, copies_before + 1);
   for (auto* h : lan.hosts) {
-    EXPECT_EQ(h->deliveries().size(), 1u);
+    EXPECT_EQ(h->stats().data_received, 1u);
   }
 }
 
@@ -119,7 +120,7 @@ TEST(Lan, SilentLanMemberExpiresIndividually) {
 
   lan.source->send(ch, 100, 1);
   lan.run_for(sim::seconds(1));
-  EXPECT_EQ(lan.hosts[0]->deliveries().size(), 1u);
+  EXPECT_EQ(lan.hosts[0]->stats().data_received, 1u);
 }
 
 TEST(Lan, DeadHostLinkIsSkippedNotMisattributed) {
@@ -157,7 +158,7 @@ TEST(Lan, DeadHostLinkIsSkippedNotMisattributed) {
   lan.run_for(sim::milliseconds(500));
   lan.source->send(ch, 100, 1);
   lan.run_for(sim::seconds(1));
-  EXPECT_EQ(lan.hosts[1]->deliveries().size(), 1u);
+  EXPECT_EQ(lan.hosts[1]->stats().data_received, 1u);
 }
 
 TEST(Lan, SameSegmentSourceReachesNeighborsViaTheWire) {
@@ -167,13 +168,15 @@ TEST(Lan, SameSegmentSourceReachesNeighborsViaTheWire) {
   LanNet lan;
   ExpressHost& speaker = *lan.hosts[0];
   const ip::ChannelId ch = speaker.allocate_channel();
+  DeliveryLog log;
+  lan.hosts[1]->set_data_handler(log.handler());
   lan.hosts[1]->new_subscription(ch);
   lan.run_for(sim::seconds(1));
   const auto edge_copies = lan.edge->stats().data_copies_sent;
   speaker.send(ch, 300, 5);
   lan.run_for(sim::seconds(1));
-  ASSERT_EQ(lan.hosts[1]->deliveries().size(), 1u);
-  EXPECT_EQ(lan.hosts[1]->deliveries()[0].sequence, 5u);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].sequence, 5u);
   // The router forwarded nothing back onto its incoming interface.
   EXPECT_EQ(lan.edge->stats().data_copies_sent, edge_copies);
 }
@@ -208,8 +211,8 @@ TEST(Lan, AuthenticatedChannelWorksAcrossSegment) {
   EXPECT_EQ(*bad, ecmp::Status::kInvalidKey);
   lan.source->send(ch, 100, 1);
   lan.run_for(sim::seconds(1));
-  EXPECT_EQ(lan.hosts[0]->deliveries().size(), 1u);
-  EXPECT_TRUE(lan.hosts[1]->deliveries().empty());
+  EXPECT_EQ(lan.hosts[0]->stats().data_received, 1u);
+  EXPECT_EQ(lan.hosts[1]->stats().data_received, 0u);
 }
 
 TEST(Lan, LeaveFromOneMemberKeepsOthersReceiving) {
@@ -223,8 +226,8 @@ TEST(Lan, LeaveFromOneMemberKeepsOthersReceiving) {
   EXPECT_EQ(lan.edge->subtree_count(ch), 1);
   lan.source->send(ch, 100, 1);
   lan.run_for(sim::seconds(1));
-  EXPECT_TRUE(lan.hosts[0]->deliveries().empty());
-  EXPECT_EQ(lan.hosts[1]->deliveries().size(), 1u);
+  EXPECT_EQ(lan.hosts[0]->stats().data_received, 0u);
+  EXPECT_EQ(lan.hosts[1]->stats().data_received, 1u);
 
   lan.hosts[1]->delete_subscription(ch);
   lan.run_for(sim::seconds(1));

@@ -8,6 +8,7 @@
 #include "ecmp/codec.hpp"
 #include "helpers.hpp"
 #include "net/routing.hpp"
+#include "testbed/delivery_log.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::test {
@@ -23,10 +24,12 @@ TEST_P(SeededProperty, DeliveryInvariants) {
   sim::Rng rng(GetParam());
   ExpressNetwork sim(random_topology(rng));
   const ip::ChannelId ch = sim.source().allocate_channel();
+  std::vector<DeliveryLog> logs(sim.receiver_count());
 
   // Random half of the receivers subscribe.
   std::vector<bool> member(sim.receiver_count(), false);
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
+    sim.receiver(i).set_data_handler(logs[i].handler());
     member[i] = rng.chance(0.5);
     if (member[i]) sim.receiver(i).new_subscription(ch);
   }
@@ -40,12 +43,12 @@ TEST_P(SeededProperty, DeliveryInvariants) {
 
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     const std::size_t expected = member[i] ? packets : 0u;
-    EXPECT_EQ(sim.receiver(i).deliveries().size(), expected)
+    EXPECT_EQ(sim.receiver(i).stats().data_received, expected)
         << "receiver " << i << " member=" << member[i];
     EXPECT_EQ(sim.receiver(i).stats().unwanted_data, 0u);
     // Exactly-once: sequences are unique per receiver.
     std::set<std::uint64_t> seqs;
-    for (const auto& d : sim.receiver(i).deliveries()) {
+    for (const auto& d : logs[i]) {
       EXPECT_TRUE(seqs.insert(d.sequence).second)
           << "duplicate delivery at receiver " << i;
     }
@@ -66,8 +69,7 @@ TEST_P(SeededProperty, DeliveryInvariants) {
   sim.source().send(ch, 500, 99);
   sim.run_for(sim::seconds(2));
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-    const bool got_last = !sim.receiver(i).deliveries().empty() &&
-                          sim.receiver(i).deliveries().back().sequence == 99;
+    const bool got_last = !logs[i].empty() && logs[i].back().sequence == 99;
     EXPECT_EQ(got_last, member[i]) << "receiver " << i;
   }
 
@@ -128,7 +130,9 @@ TEST_P(SeededProperty, SimulationIsDeterministic) {
     sim::Rng rng(GetParam() + 17);
     ExpressNetwork sim(random_topology(rng));
     const ip::ChannelId ch = sim.source().allocate_channel();
+    std::vector<DeliveryLog> logs(sim.receiver_count());
     for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
+      sim.receiver(i).set_data_handler(logs[i].handler());
       if (rng.chance(0.5)) sim.receiver(i).new_subscription(ch);
     }
     sim.run_for(sim::seconds(1));
@@ -141,8 +145,8 @@ TEST_P(SeededProperty, SimulationIsDeterministic) {
     trace.push_back(sim.net().stats().bytes_sent);
     trace.push_back(sim.net().scheduler().executed_events());
     for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-      trace.push_back(sim.receiver(i).deliveries().size());
-      for (const auto& d : sim.receiver(i).deliveries()) {
+      trace.push_back(sim.receiver(i).stats().data_received);
+      for (const auto& d : logs[i]) {
         trace.push_back(static_cast<std::uint64_t>(d.at.count()));
       }
     }

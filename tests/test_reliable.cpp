@@ -119,7 +119,7 @@ TEST(Reliable, SubcastRepairSparesCompleteSubtrees) {
   EXPECT_EQ(early[0]->received_count(), deliveries_before);
   std::uint64_t repair_deliveries = 0;
   for (std::size_t i = 0; i < 6; ++i) {
-    repair_deliveries += sim.receiver(i).deliveries().size();
+    repair_deliveries += sim.receiver(i).stats().data_received;
   }
   EXPECT_EQ(repair_deliveries, 6u * 5u);  // exactly the original blocks
 }
@@ -223,7 +223,7 @@ TEST(Reliable, RunToCompletionSubcastsThroughFirstCoveringCandidate) {
   // The spared subtrees saw none of the repair traffic.
   EXPECT_EQ(early[0]->received_count(), deliveries_before);
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(sim.receiver(i).deliveries().size(), 5u) << "receiver " << i;
+    EXPECT_EQ(sim.receiver(i).stats().data_received, 5u) << "receiver " << i;
   }
 }
 
