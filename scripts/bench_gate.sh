@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Performance regression gate: re-run bench_core and compare against the
-# committed BENCH_core.json baseline. Fails (exit 1) if scheduler
-# throughput drops by more than 10%, churn wall time rises by more
-# than 10%, or (when both runs used the same --quick setting) any
-# deterministic work counter differs from the baseline: scheduler,
+# Performance regression gate: re-run bench_core RUNS times and compare
+# against the committed BENCH_core.json baseline. Wall-time rows are
+# judged on their median over the runs: it fails (exit 1) if the median
+# scheduler, FIB or timer-wheel throughput drops by more than 10%, or
+# the median churn wall time rises by more than 10%. When both sides
+# used the same --quick setting, every run must also match the
+# baseline's deterministic work counters exactly: scheduler,
 # timer-wheel and churn event counts, fan-out hops and sends, FIB
 # entries, churn packet/byte/delivery totals, and the modules block.
 # When a committed BENCH_reliable.json baseline and the
@@ -15,11 +17,14 @@
 #   scripts/bench_gate.sh [path/to/bench_core] [path/to/result.json]
 #
 # With no arguments it builds nothing: it expects build/bench/bench_core
-# to exist (run cmake --build build first) and writes the fresh result
-# to a temporary file. Pass an existing result JSON as the second
-# argument to skip the benchmark run (e.g. in CI where the run already
-# happened). bench_reliable is auto-detected next to bench_core.
+# to exist (run cmake --build build first) and writes the fresh results
+# to temporary files. Pass an existing result JSON as the second
+# argument to skip the benchmark runs and judge that one result (e.g. in
+# CI where the run already happened). bench_reliable is auto-detected
+# next to bench_core.
 set -euo pipefail
+
+RUNS=5  # bench_core runs per gate; wall-time rows use their median
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 baseline="$repo_root/BENCH_core.json"
@@ -35,75 +40,80 @@ cleanup_files=()
 cleanup() { rm -f "${cleanup_files[@]}"; }
 trap cleanup EXIT
 
-if [[ -z "$result" ]]; then
+results=()
+if [[ -n "$result" ]]; then
+  results=("$result")
+else
   if [[ ! -x "$bench_bin" ]]; then
     echo "bench_gate: benchmark binary not found: $bench_bin" >&2
     echo "bench_gate: build it first (cmake --build build --target bench_core)" >&2
     exit 2
   fi
-  result="$(mktemp /tmp/bench_core.XXXXXX.json)"
-  cleanup_files+=("$result")
-  echo "bench_gate: running $bench_bin ..."
-  (cd "$repo_root" && "$bench_bin" --out "$result")
+  for ((run = 1; run <= RUNS; ++run)); do
+    run_result="$(mktemp /tmp/bench_core.XXXXXX.json)"
+    cleanup_files+=("$run_result")
+    echo "bench_gate: running $bench_bin ($run/$RUNS) ..."
+    (cd "$repo_root" && "$bench_bin" --out "$run_result" > /dev/null)
+    results+=("$run_result")
+  done
 fi
 
-python3 - "$baseline" "$result" <<'EOF'
+python3 - "$baseline" "${results[@]}" <<'EOF'
 import json
+import statistics
 import sys
 
 TOLERANCE = 0.10  # 10%
 
 with open(sys.argv[1]) as f:
     base = json.load(f)
-with open(sys.argv[2]) as f:
-    cur = json.load(f)
+runs = []
+for path in sys.argv[2:]:
+    with open(path) as f:
+        runs.append(json.load(f))
 
 failures = []
 
 
-def check_floor(name, baseline, current):
-    """Metric where higher is better: fail if it drops >10%."""
-    floor = baseline * (1.0 - TOLERANCE)
-    verdict = "ok" if current >= floor else "FAIL"
-    print(f"  {name:32s} baseline={baseline:>14.1f} "
-          f"current={current:>14.1f} floor={floor:>14.1f} {verdict}")
-    if current < floor:
+def check_median(name, block, key, higher_is_better):
+    """Wall-time row: the median over the runs must stay within 10%."""
+    # Fast-path blocks appeared with the flat-FIB/timer-wheel PR; guard the
+    # missing-key case so the gate still runs against older baselines.
+    if block not in base or any(block not in r for r in runs):
+        return
+    baseline = base[block][key]
+    values = [r[block][key] for r in runs]
+    median = statistics.median(values)
+    if higher_is_better:
+        label, bound = "floor", baseline * (1.0 - TOLERANCE)
+        ok = median >= bound
+    else:
+        label, bound = "ceiling", baseline * (1.0 + TOLERANCE)
+        ok = median <= bound
+    print(f"  {name:28s} baseline={baseline:>11.4g} min={min(values):>11.4g} "
+          f"median={median:>11.4g} max={max(values):>11.4g} "
+          f"{label}={bound:>11.4g} {'ok' if ok else 'FAIL'}")
+    if not ok:
         failures.append(name)
 
 
-def check_ceiling(name, baseline, current):
-    """Metric where lower is better: fail if it rises >10%."""
-    ceiling = baseline * (1.0 + TOLERANCE)
-    verdict = "ok" if current <= ceiling else "FAIL"
-    print(f"  {name:32s} baseline={baseline:>14.3f} "
-          f"current={current:>14.3f} ceiling={ceiling:>14.3f} {verdict}")
-    if current > ceiling:
-        failures.append(name)
+print(f"bench_gate: comparing {len(runs)} run(s) against committed "
+      "BENCH_core.json")
+check_median("scheduler.events_per_sec", "scheduler", "events_per_sec", True)
+check_median("fib.lookups_per_sec", "fib", "lookups_per_sec", True)
+check_median("timer_wheel.events_per_sec", "timer_wheel", "events_per_sec",
+             True)
+check_median("churn.wall_s", "churn", "wall_s", False)
 
 
-print("bench_gate: comparing against committed BENCH_core.json")
-check_floor("scheduler.events_per_sec",
-            base["scheduler"]["events_per_sec"],
-            cur["scheduler"]["events_per_sec"])
-# Fast-path blocks appeared with the flat-FIB/timer-wheel PR; guard the
-# missing-key case so the gate still runs against older baselines.
-if "fib" in base and "fib" in cur:
-    check_floor("fib.lookups_per_sec",
-                base["fib"]["lookups_per_sec"],
-                cur["fib"]["lookups_per_sec"])
-if "timer_wheel" in base and "timer_wheel" in cur:
-    check_floor("timer_wheel.events_per_sec",
-                base["timer_wheel"]["events_per_sec"],
-                cur["timer_wheel"]["events_per_sec"])
-check_ceiling("churn.wall_s", base["churn"]["wall_s"], cur["churn"]["wall_s"])
-
-
-def check_exact(name, baseline, current):
-    """Deterministic work counter: must equal the baseline exactly."""
-    verdict = "ok" if current == baseline else "FAIL"
+def check_exact(name, baseline, currents):
+    """Deterministic work counter: every run must equal the baseline."""
+    wrong = [c for c in currents if c != baseline]
+    shown = wrong[0] if wrong else currents[0]
     print(f"  {name:32s} baseline={baseline!s:>14} "
-          f"current={current!s:>14} {'(exact)':>20s} {verdict}")
-    if current != baseline:
+          f"current={shown!s:>14} {'(exact, every run)':>20s} "
+          f"{'FAIL' if wrong else 'ok'}")
+    if wrong:
         failures.append(name)
 
 
@@ -122,16 +132,17 @@ EXACT = [
     ("churn", "total_link_bytes"),
     ("churn", "data_delivered"),
 ]
-if base.get("quick") == cur.get("quick"):
+if all(r.get("quick") == base.get("quick") for r in runs):
     for block, key in EXACT:
         if key in base.get(block, {}):
             check_exact(f"{block}.{key}", base[block][key],
-                        cur.get(block, {}).get(key))
+                        [r.get(block, {}).get(key) for r in runs])
     base_modules = base.get("modules", {})
-    cur_modules = cur.get("modules", {})
-    for key in sorted(base_modules.keys() | cur_modules.keys()):
+    keys = base_modules.keys() | set().union(
+        *(r.get("modules", {}).keys() for r in runs))
+    for key in sorted(keys):
         check_exact(f"modules.{key}", base_modules.get(key),
-                    cur_modules.get(key))
+                    [r.get("modules", {}).get(key) for r in runs])
 else:
     print("  exact counters: skipped (baseline and result differ in --quick)")
 

@@ -269,7 +269,7 @@ bool ExpressRouter::neighbor_reachable(net::NodeId neighbor) const {
   const auto iface = network().topology().interface_to(id(), neighbor);
   if (!iface) {
     // LAN-attached (or multi-hop) neighbor: reachable iff routed.
-    return network().routing().cost(id(), neighbor).has_value();
+    return network().routing().next_hop(id(), neighbor).has_value();
   }
   const net::LinkId link = network().topology().node(id()).interfaces.at(*iface);
   return network().topology().link(link).up;

@@ -263,7 +263,7 @@ SubscriptionTable::collect_dead_children(const net::Network& network,
         if (!network.topology().link(link).up) {
           dead.emplace_back(channel, neighbor);
         }
-      } else if (!network.routing().cost(self, neighbor)) {
+      } else if (!network.routing().next_hop(self, neighbor)) {
         // LAN-attached (or multi-hop) neighbor now unreachable.
         dead.emplace_back(channel, neighbor);
       }

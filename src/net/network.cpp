@@ -15,11 +15,17 @@ sim::Duration serialization_delay(std::uint32_t bytes, double bandwidth_bps) {
 
 }  // namespace
 
-sim::Time Network::reserve_link(NodeId from, LinkId link, std::uint32_t bytes,
-                                sim::Time earliest) {
+Network::Crossing Network::cross_link(NodeId from, LinkId link,
+                                      const Packet& packet, std::uint32_t bytes,
+                                      sim::Time earliest) {
   const LinkInfo& l = topology_.link(link);
+  if (!l.up) {
+    ++stats_->packets_dropped_link_down;
+    trace_drop(obs::DropReason::kLinkDown, link);
+    return {Crossing::kLinkDown};
+  }
   const std::size_t direction = (l.a == from) ? 0 : 1;
-  sim::Time& free_at = link_free_.at(link)[direction];
+  sim::Time& free_at = link_free_[link][direction];
   const sim::Time start = std::max(earliest, free_at);
   const sim::Time done = start + serialization_delay(bytes, l.bandwidth_bps);
   free_at = done;
@@ -30,7 +36,10 @@ sim::Time Network::reserve_link(NodeId from, LinkId link, std::uint32_t bytes,
   stats_->bytes_sent += bytes;
   plane_.trace.emit(start, obs::Entity::link(link), obs::TraceType::kPacketSent,
                     from, bytes);
-  return done + l.delay;  // arrival at the peer
+  if (!impairments_armed_) return {Crossing::kArrives, done + l.delay};
+  const auto held = roll_impairment(from, link, packet);
+  if (!held) return {Crossing::kLost};  // wire time already consumed
+  return {Crossing::kArrives, done + l.delay + *held};
 }
 
 void Network::set_link_impairments(LinkId link, const ImpairmentConfig& config) {
@@ -60,16 +69,16 @@ void Network::seed_impairments(std::uint64_t seed) {
   for (auto& state : impair_gilbert_bad_) state = {};
 }
 
-Network::ImpairmentVerdict Network::roll_impairment(NodeId from, LinkId link,
-                                                    const Packet& packet) {
+std::optional<sim::Duration> Network::roll_impairment(NodeId from, LinkId link,
+                                                      const Packet& packet) {
   const ImpairmentConfig& cfg = impair_cfg_[link];
-  if (!cfg.enabled()) return ImpairmentVerdict::kDeliver;
+  if (!cfg.enabled()) return sim::Duration{0};
   if (cfg.data_only) {
     const bool data =
         packet.protocol == ip::Protocol::kUdp ||
         (packet.protocol == ip::Protocol::kIpInIp && packet.inner &&
          packet.inner->protocol == ip::Protocol::kUdp);
-    if (!data) return ImpairmentVerdict::kDeliver;
+    if (!data) return sim::Duration{0};
   }
   bool lost = false;
   switch (cfg.loss.kind) {
@@ -93,16 +102,16 @@ Network::ImpairmentVerdict Network::roll_impairment(NodeId from, LinkId link,
     ++stats_->packets_dropped_loss;
     plane_.trace.emit(scheduler_.now(), obs::Entity::link(link),
                       obs::TraceType::kPacketLost, from, packet.wire_size());
-    return ImpairmentVerdict::kDrop;
+    return std::nullopt;
   }
   if (cfg.reorder_p > 0.0 && impair_rng_.chance(cfg.reorder_p)) {
     ++stats_->packets_reordered;
     plane_.trace.emit(scheduler_.now(), obs::Entity::link(link),
                       obs::TraceType::kPacketReordered, from,
                       packet.wire_size());
-    return ImpairmentVerdict::kDelay;
+    return cfg.reorder_window;
   }
-  return ImpairmentVerdict::kDeliver;
+  return sim::Duration{0};
 }
 
 void Network::deliver_packet(NodeId to, const Packet& packet,
@@ -117,33 +126,17 @@ void Network::deliver_packet(NodeId to, const Packet& packet,
   if (Node* n = node(to)) n->handle_packet(packet, iface);
 }
 
-void Network::transmit(NodeId from, LinkId link, Packet packet) {
-  const LinkInfo& l = topology_.link(link);
-  if (!l.up) {
-    ++stats_->packets_dropped_link_down;
-    trace_drop(obs::DropReason::kLinkDown, link);
-    return;
-  }
+void Network::send_on_interface(NodeId from, std::uint32_t iface,
+                                Packet packet) {
+  const LinkId link = topology_.node(from).interfaces.at(iface);
+  const Crossing c =
+      cross_link(from, link, packet, packet.wire_size(), scheduler_.now());
+  if (c.outcome != Crossing::kArrives) return;
   const NodeId to = topology_.peer(link, from);
-  sim::Time arrival =
-      reserve_link(from, link, packet.wire_size(), scheduler_.now());
-  if (impairments_armed_) {
-    switch (roll_impairment(from, link, packet)) {
-      case ImpairmentVerdict::kDrop:
-        return;  // wire time already consumed, copy never arrives
-      case ImpairmentVerdict::kDelay:
-        arrival += impair_cfg_[link].reorder_window;
-        break;
-      case ImpairmentVerdict::kDeliver:
-        break;
-    }
-  }
-  auto iface_at_peer = topology_.interface_on(to, link);
   // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
   scheduler_.schedule_at(
-      arrival, [this, to, iface = *iface_at_peer, p = std::move(packet)]() {
-        deliver_packet(to, p, iface);
-      });
+      c.arrival, [this, to, iface = *topology_.interface_on(to, link),
+                  p = std::move(packet)]() { deliver_packet(to, p, iface); });
 }
 
 std::uint32_t Network::acquire_fanout_batch() {
@@ -175,36 +168,21 @@ void Network::deliver_fanout_batch(std::uint32_t id) {
 bool Network::Fanout::add(std::uint32_t iface) {
   Network& net = *net_;
   const LinkId link = net.topology_.node(from_).interfaces.at(iface);
-  const LinkInfo& l = net.topology_.link(link);
-  if (!l.up) {
-    ++net.stats_->packets_dropped_link_down;
-    net.trace_drop(obs::DropReason::kLinkDown, link);
-    return false;
-  }
+  const Crossing c = net.cross_link(from_, link, packet_, wire_bytes_,
+                                    net.scheduler_.now());
+  if (c.outcome == Crossing::kLinkDown) return false;
+  if (c.outcome == Crossing::kLost) return true;  // consumed its wire slot
   const NodeId to = net.topology_.peer(link, from_);
-  sim::Time arrival =
-      net.reserve_link(from_, link, wire_bytes_, net.scheduler_.now());
-  if (net.impairments_armed_) {
-    switch (net.roll_impairment(from_, link, packet_)) {
-      case ImpairmentVerdict::kDrop:
-        return true;  // copy consumed its wire slot but is gone
-      case ImpairmentVerdict::kDelay:
-        arrival += net.impair_cfg_[link].reorder_window;
-        break;
-      case ImpairmentVerdict::kDeliver:
-        break;
-    }
-  }
   const DeliveryTarget target{to, *net.topology_.interface_on(to, link)};
   if (!net.fanout_batching_) {
     // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
     net.scheduler_.schedule_at(
-        arrival, [n = net_, target, p = packet_]() {
+        c.arrival, [n = net_, target, p = packet_]() {
           n->deliver_packet(target.to, p, target.iface);
         });
     return true;
   }
-  if (queued_ != 0 && arrival == arrival_) {
+  if (queued_ != 0 && c.arrival == arrival_) {
     if (batch_ == kNoBatch) {
       batch_ = net.acquire_fanout_batch();
       FanoutBatch& b = net.fanout_pool_[batch_];
@@ -216,7 +194,7 @@ bool Network::Fanout::add(std::uint32_t iface) {
     return true;
   }
   flush();
-  arrival_ = arrival;
+  arrival_ = c.arrival;
   first_ = target;
   queued_ = 1;
   return true;
@@ -226,7 +204,7 @@ void Network::Fanout::flush() {
   if (queued_ == 0) return;
   Network& net = *net_;
   if (batch_ == kNoBatch) {
-    // Single copy at this arrival: same event shape as transmit().
+    // Single copy at this arrival: same event shape as send_on_interface().
     // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
     net.scheduler_.schedule_at(
         arrival_, [n = net_, target = first_, p = packet_]() {
@@ -242,11 +220,6 @@ void Network::Fanout::flush() {
   queued_ = 0;
 }
 
-void Network::send_on_interface(NodeId from, std::uint32_t iface, Packet packet) {
-  const LinkId link = topology_.node(from).interfaces.at(iface);
-  transmit(from, link, std::move(packet));
-}
-
 void Network::send_to_neighbor(NodeId from, NodeId neighbor, Packet packet) {
   auto iface = topology_.interface_to(from, neighbor);
   if (!iface) throw std::logic_error("send_to_neighbor: not adjacent");
@@ -254,8 +227,8 @@ void Network::send_to_neighbor(NodeId from, NodeId neighbor, Packet packet) {
 }
 
 void Network::send_unicast(NodeId from, Packet packet) {
-  auto dest = node_of(packet.dst);
-  if (!dest) {
+  const auto dest = node_of(packet.dst);
+  if (!dest || (from != *dest && !routing_.next_hop(from, *dest))) {
     ++stats_->packets_dropped_no_route;
     trace_drop(obs::DropReason::kNoRoute, kInvalidLink);
     return;
@@ -269,51 +242,30 @@ void Network::send_unicast(NodeId from, Packet packet) {
         });
     return;
   }
-  // Walk the path, reserving FIFO serialization on every link in turn,
-  // decrementing TTL per hop; deliver only at the destination.
-  const auto hops = routing_.path(from, *dest);
-  if (hops.empty()) {
-    ++stats_->packets_dropped_no_route;
-    trace_drop(obs::DropReason::kNoRoute, kInvalidLink);
-    return;
-  }
+  // Walk the next hops (a routed node's next hop is routed too),
+  // crossing every link in turn and decrementing TTL per hop; deliver
+  // only at the destination.
   const std::uint32_t size = packet.wire_size();
-  std::uint8_t ttl = packet.ttl;
   sim::Time at = scheduler_.now();
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    if (ttl == 0) {
+  NodeId hop = from;
+  LinkId link = kInvalidLink;
+  while (hop != *dest) {
+    if (packet.ttl == 0) {
       ++stats_->packets_dropped_ttl;
       trace_drop(obs::DropReason::kTtlExpired, kInvalidLink);
       return;
     }
-    --ttl;
-    auto iface = topology_.interface_to(hops[i], hops[i + 1]);
-    const LinkId link = topology_.node(hops[i]).interfaces.at(*iface);
-    if (!topology_.link(link).up) {
-      ++stats_->packets_dropped_link_down;
-      trace_drop(obs::DropReason::kLinkDown, link);
-      return;
-    }
-    at = reserve_link(hops[i], link, size, at);
-    if (impairments_armed_) {
-      switch (roll_impairment(hops[i], link, packet)) {
-        case ImpairmentVerdict::kDrop:
-          return;  // lost mid-path; upstream links already charged
-        case ImpairmentVerdict::kDelay:
-          at += impair_cfg_[link].reorder_window;
-          break;
-        case ImpairmentVerdict::kDeliver:
-          break;
-      }
-    }
+    --packet.ttl;
+    const NodeId next = routing_.next_hop(hop, *dest).value();
+    link = topology_.node(hop).interfaces[*topology_.interface_to(hop, next)];
+    const Crossing c = cross_link(hop, link, packet, size, at);
+    if (c.outcome != Crossing::kArrives) return;  // upstream stays charged
+    at = c.arrival;
+    hop = next;
   }
-  packet.ttl = ttl;
-  const NodeId to = *dest;
-  const NodeId prev = hops[hops.size() - 2];
-  auto iface_at_dest = topology_.interface_to(to, prev);
   // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
   scheduler_.schedule_at(
-      at, [this, to, iface = iface_at_dest.value_or(0),
+      at, [this, to = hop, iface = *topology_.interface_on(hop, link),
            p = std::move(packet)]() { deliver_packet(to, p, iface); });
 }
 

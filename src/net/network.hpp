@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -108,11 +109,17 @@ class Network {
   }
 
   /// Construct and register a node of type T at topology node `id`.
-  /// T's constructor must take (Network&, NodeId, extra args...).
+  /// T's constructor must take (Network&, NodeId, extra args...). A
+  /// node attaches once: replacing it would destroy an object whose
+  /// scheduled `[this]` ticks still fire, so a second attach throws
+  /// std::logic_error.
   template <typename T, typename... Args>
   T& attach(NodeId id, Args&&... args) {
     if (nodes_.size() < topology_.node_count()) {
       nodes_.resize(topology_.node_count());
+    }
+    if (nodes_.at(id) != nullptr) {
+      throw std::logic_error("Network::attach: node already attached");
     }
     auto node = std::make_unique<T>(*this, id, std::forward<Args>(args)...);
     T& ref = *node;
@@ -139,7 +146,7 @@ class Network {
   void send_on_interface(NodeId from, std::uint32_t iface, Packet packet);
 
   /// Batched replication builder used by net::replicate. Each add()
-  /// reserves wire time out one interface exactly as transmit() would;
+  /// crosses one interface exactly as send_on_interface() would;
   /// consecutive copies arriving at the same instant are coalesced into
   /// ONE scheduler event that walks the target list, instead of one
   /// event (and one Packet copy) per copy. Coalescing only adjacent
@@ -227,8 +234,6 @@ class Network {
   }
 
  private:
-  void transmit(NodeId from, LinkId link, Packet packet);
-
   /// Single funnel for handing a packet to its destination node: emits
   /// the kPacketDelivered trace record, then dispatches.
   void deliver_packet(NodeId to, const Packet& packet, std::uint32_t iface);
@@ -239,19 +244,28 @@ class Network {
                       static_cast<std::uint64_t>(reason), link);
   }
 
-  /// Reserve FIFO transmission time on one link direction starting no
-  /// earlier than `earliest`; returns the arrival time at the peer.
-  sim::Time reserve_link(NodeId from, LinkId link, std::uint32_t bytes,
-                         sim::Time earliest);
+  /// One copy crossing `link` out of `from`, the step every send path
+  /// shares: a down link drops it (counted and traced); otherwise it
+  /// takes FIFO wire time starting no earlier than `earliest` (counted
+  /// and traced), then the impairment dice, which may lose it or add
+  /// the reorder window to its arrival time at the peer.
+  struct Crossing {
+    enum Outcome : std::uint8_t { kArrives, kLinkDown, kLost };
+    Outcome outcome = kArrives;
+    sim::Time arrival{};  ///< at the peer; meaningful for kArrives only
+  };
+  Crossing cross_link(NodeId from, LinkId link, const Packet& packet,
+                      std::uint32_t bytes, sim::Time earliest);
 
-  /// Impairment verdict for one copy crossing `link` out of `from`.
-  /// Called AFTER reserve_link: a lost packet still occupied the wire,
-  /// so surviving traffic keeps its exact FIFO timing whether or not
-  /// loss is enabled. Callers gate on impairments_armed_ so the
-  /// disarmed fast path stays a single branch with zero RNG draws.
-  enum class ImpairmentVerdict : std::uint8_t { kDeliver, kDrop, kDelay };
-  ImpairmentVerdict roll_impairment(NodeId from, LinkId link,
-                                    const Packet& packet);
+  /// Impairment dice for one copy crossing `link` out of `from`: the
+  /// extra delay (0 or the reorder window), or nullopt when lost.
+  /// Rolled after the wire time is reserved: a lost packet still
+  /// occupied the wire, so surviving traffic keeps its exact FIFO
+  /// timing whether or not loss is enabled. cross_link gates on
+  /// impairments_armed_ so the disarmed fast path stays a single
+  /// branch with zero RNG draws.
+  std::optional<sim::Duration> roll_impairment(NodeId from, LinkId link,
+                                               const Packet& packet);
 
   /// Pooled storage for multi-target fan-out groups. Records are
   /// recycled through a free list with their target capacity intact,

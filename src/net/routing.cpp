@@ -1,20 +1,33 @@
 #include "net/routing.hpp"
 
+#include <limits>
 #include <queue>
+#include <stdexcept>
 #include <tuple>
 
 namespace express::net {
 
+namespace {
+constexpr std::uint32_t kUnreachable =
+    std::numeric_limits<std::uint32_t>::max();
+}  // namespace
+
 void UnicastRouting::recompute() {
-  const std::size_t n = topo_->node_count();
-  tables_.assign(n, std::vector<Entry>(n));
-  for (NodeId origin = 0; origin < n; ++origin) dijkstra(origin);
+  n_ = topo_->node_count();
+  next_hop_.assign(n_ * n_, kInvalidNode);
+  // Scratch reused across origins: only the first hops are kept.
+  std::vector<std::uint32_t> dist;
+  std::vector<bool> done;
+  for (NodeId origin = 0; origin < n_; ++origin) dijkstra(origin, dist, done);
   ++version_;
 }
 
-void UnicastRouting::dijkstra(NodeId origin) {
-  auto& table = tables_[origin];
-  table[origin] = Entry{0, origin, 0, 0};
+void UnicastRouting::dijkstra(NodeId origin, std::vector<std::uint32_t>& dist,
+                              std::vector<bool>& done) {
+  NodeId* first_hop = next_hop_.data() + origin * n_;
+  dist.assign(n_, kUnreachable);
+  done.assign(n_, false);
+  dist[origin] = 0;
 
   // (cost, tie-break node id) — deterministic shortest-path trees so that
   // repeated runs build identical multicast trees.
@@ -22,9 +35,8 @@ void UnicastRouting::dijkstra(NodeId origin) {
   std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;
   queue.emplace(0, origin);
 
-  std::vector<bool> done(topo_->node_count(), false);
   while (!queue.empty()) {
-    auto [dist, u] = queue.top();
+    auto [d, u] = queue.top();
     queue.pop();
     if (done[u]) continue;
     done[u] = true;
@@ -32,17 +44,14 @@ void UnicastRouting::dijkstra(NodeId origin) {
       const LinkInfo& l = topo_->link(lid);
       if (!l.up) continue;
       const NodeId v = topo_->peer(lid, u);
-      const std::uint32_t nd = dist + l.cost;
-      Entry& ev = table[v];
-      const NodeId via = (u == origin) ? v : table[u].first_hop;
+      if (v == origin) continue;  // its entry stays kInvalidNode
+      const std::uint32_t nd = d + l.cost;
+      const NodeId via = (u == origin) ? v : first_hop[u];
       // Strictly-better cost wins; equal cost prefers the numerically
       // smaller first hop so ties break deterministically.
-      if (nd < ev.cost ||
-          (nd == ev.cost && via < ev.first_hop)) {
-        ev.cost = nd;
-        ev.first_hop = via;
-        ev.hops = table[u].hops + 1;
-        ev.delay_ns = table[u].delay_ns + l.delay.count();
+      if (nd < dist[v] || (nd == dist[v] && via < first_hop[v])) {
+        dist[v] = nd;
+        first_hop[v] = via;
         queue.emplace(nd, v);
       }
     }
@@ -50,48 +59,58 @@ void UnicastRouting::dijkstra(NodeId origin) {
 }
 
 std::optional<NodeId> UnicastRouting::next_hop(NodeId from, NodeId to) const {
-  if (from == to) return std::nullopt;
-  // Use the table rooted at `from` for correctness under asymmetric costs.
-  const Entry& f = tables_.at(from).at(to);
-  if (f.cost == kUnreachable) return std::nullopt;
-  return f.first_hop;
+  if (from >= n_ || to >= n_) throw std::out_of_range("next_hop: node id");
+  const NodeId hop = next_hop_[from * n_ + to];
+  if (hop == kInvalidNode) return std::nullopt;
+  return hop;
+}
+
+template <typename Visit>
+bool UnicastRouting::walk(NodeId from, NodeId to, Visit visit) const {
+  // Bounded by node count: each next hop strictly reduces remaining cost.
+  for (std::size_t hops = 0; from != to; ++hops) {
+    const auto nh = next_hop(from, to);
+    if (!nh || hops == n_) return false;
+    const auto iface = topo_->interface_to(from, *nh);
+    visit(*nh, topo_->link(topo_->node(from).interfaces[*iface]));
+    from = *nh;
+  }
+  return true;
 }
 
 std::optional<std::uint32_t> UnicastRouting::cost(NodeId from, NodeId to) const {
-  const Entry& f = tables_.at(from).at(to);
-  if (f.cost == kUnreachable) return std::nullopt;
-  return f.cost;
+  std::uint32_t total = 0;
+  if (!walk(from, to, [&](NodeId, const LinkInfo& l) { total += l.cost; })) {
+    return std::nullopt;
+  }
+  return total;
 }
 
 std::optional<std::uint32_t> UnicastRouting::hop_count(NodeId from,
                                                        NodeId to) const {
-  const Entry& f = tables_.at(from).at(to);
-  if (f.cost == kUnreachable) return std::nullopt;
-  return f.hops;
+  std::uint32_t hops = 0;
+  if (!walk(from, to, [&](NodeId, const LinkInfo&) { ++hops; })) {
+    return std::nullopt;
+  }
+  return hops;
 }
 
 std::optional<sim::Duration> UnicastRouting::path_delay(NodeId from,
                                                         NodeId to) const {
-  const Entry& f = tables_.at(from).at(to);
-  if (f.cost == kUnreachable) return std::nullopt;
-  return sim::Duration{f.delay_ns};
+  sim::Duration total{0};
+  if (!walk(from, to, [&](NodeId, const LinkInfo& l) { total += l.delay; })) {
+    return std::nullopt;
+  }
+  return total;
 }
 
 std::vector<NodeId> UnicastRouting::path(NodeId from, NodeId to) const {
-  std::vector<NodeId> out;
-  if (from == to) return {from};
-  if (!cost(from, to)) return out;
-  out.push_back(from);
-  NodeId cur = from;
-  // Bounded by node count: each next_hop strictly reduces remaining cost.
-  for (std::size_t guard = 0; guard <= topo_->node_count(); ++guard) {
-    auto nh = next_hop(cur, to);
-    if (!nh) return {};
-    out.push_back(*nh);
-    if (*nh == to) return out;
-    cur = *nh;
+  std::vector<NodeId> out{from};
+  if (!walk(from, to,
+            [&](NodeId hop, const LinkInfo&) { out.push_back(hop); })) {
+    return {};
   }
-  return {};  // should be unreachable; defensive against table corruption
+  return out;
 }
 
 std::optional<std::uint32_t> UnicastRouting::rpf_interface(NodeId node,

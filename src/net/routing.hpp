@@ -4,9 +4,13 @@
 // toward the source with reverse-path forwarding on whatever the unicast
 // routing protocol already computed (paper §3: "the RPF routing component
 // of ECMP relies on, and scales with, existing unicast topology
-// information"). This class is that existing information — an all-pairs
-// shortest-path table recomputed on topology changes, exactly what a
-// converged link-state IGP would give each router.
+// information"). This class is that existing information: a next-hop
+// table, one NodeId per (origin, destination), recomputed on topology
+// changes, which is what a converged link-state IGP leaves in each
+// router's forwarding table. Equal-cost paths break toward the smaller
+// first hop. Path metrics (cost, hop count, delay) are not stored; they
+// are summed along the next-hop walk, over the link that
+// Topology::interface_to picks at each hop (the one Dijkstra relaxed).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,7 @@ class UnicastRouting {
  public:
   explicit UnicastRouting(const Topology& topo) : topo_(&topo) { recompute(); }
 
-  /// Rebuild all routing tables; call after any link up/down change.
+  /// Rebuild the next-hop table; call after any link up/down change.
   /// Incremented `version()` lets protocol code detect staleness.
   void recompute();
 
@@ -31,7 +35,7 @@ class UnicastRouting {
   /// Next hop from `from` toward `to`; nullopt when unreachable or equal.
   [[nodiscard]] std::optional<NodeId> next_hop(NodeId from, NodeId to) const;
 
-  /// Total path cost, or nullopt when unreachable.
+  /// Total path cost (0 for from == to), or nullopt when unreachable.
   [[nodiscard]] std::optional<std::uint32_t> cost(NodeId from, NodeId to) const;
 
   /// Hop count of the shortest path (by cost), or nullopt when unreachable.
@@ -56,21 +60,20 @@ class UnicastRouting {
                                                            NodeId source) const;
 
  private:
-  static constexpr std::uint32_t kUnreachable =
-      std::numeric_limits<std::uint32_t>::max();
+  /// Call visit(hop, link) for each hop of the next-hop walk from `from`
+  /// to `to`; false when `to` is unreachable.
+  template <typename Visit>
+  bool walk(NodeId from, NodeId to, Visit visit) const;
 
-  void dijkstra(NodeId origin);
+  void dijkstra(NodeId origin, std::vector<std::uint32_t>& dist,
+                std::vector<bool>& done);
 
   const Topology* topo_;
   std::uint64_t version_ = 0;
-  // tables_[origin][dest] = {cost, first_hop_from_origin, hops, delay_ns}
-  struct Entry {
-    std::uint32_t cost = kUnreachable;
-    NodeId first_hop = kInvalidNode;
-    std::uint32_t hops = 0;
-    std::int64_t delay_ns = 0;
-  };
-  std::vector<std::vector<Entry>> tables_;
+  std::size_t n_ = 0;  ///< node count at the last recompute()
+  /// next_hop_[origin * n_ + dest]: the first hop from origin toward
+  /// dest; kInvalidNode when unreachable or origin == dest.
+  std::vector<NodeId> next_hop_;
 };
 
 }  // namespace express::net

@@ -1,5 +1,7 @@
 #include "net/topology.hpp"
 
+#include <utility>
+
 namespace express::net {
 
 NodeId Topology::add_node(NodeKind kind, std::string name,
@@ -40,10 +42,15 @@ std::optional<std::uint32_t> Topology::interface_on(NodeId node,
 std::optional<std::uint32_t> Topology::interface_to(NodeId node,
                                                     NodeId neighbor) const {
   const auto& ifaces = nodes_.at(node).interfaces;
+  const auto rank = [&](std::uint32_t i) {  // up first, then cheaper
+    return std::pair(!links_[ifaces[i]].up, links_[ifaces[i]].cost);
+  };
+  std::optional<std::uint32_t> best;
   for (std::uint32_t i = 0; i < ifaces.size(); ++i) {
-    if (peer(ifaces[i], node) == neighbor) return i;
+    if (peer(ifaces[i], node) != neighbor) continue;
+    if (!best || rank(i) < rank(*best)) best = i;
   }
-  return std::nullopt;
+  return best;
 }
 
 NodeId Topology::neighbor_via(NodeId node, std::uint32_t iface) const {

@@ -91,7 +91,9 @@ class Topology {
   [[nodiscard]] std::optional<std::uint32_t> interface_on(NodeId node,
                                                           LinkId link) const;
 
-  /// The interface index on `node` leading directly to `neighbor`.
+  /// The interface index on `node` leading directly to `neighbor`. Among
+  /// parallel links it prefers an up link, then the lower cost, then the
+  /// lower index: the link unicast routing relaxes toward that neighbor.
   [[nodiscard]] std::optional<std::uint32_t> interface_to(NodeId node,
                                                           NodeId neighbor) const;
 

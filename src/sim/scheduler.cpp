@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
+#include <stdexcept>
 
 namespace express::sim {
 
@@ -33,7 +33,10 @@ std::uint32_t Scheduler::acquire_slot() {
     return slot;
   }
   // HeapEntry packs the slot into 24 bits: 16M *concurrent* events.
-  assert(slab_.size() < (1U << HeapEntry::kSlotBits));
+  // Checked in every build: past it, slot bits would spill into seq.
+  if (slab_.size() >= (std::size_t{1} << HeapEntry::kSlotBits)) {
+    throw std::length_error("Scheduler: more than 2^24 concurrent events");
+  }
   slab_.emplace_back();
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
@@ -235,52 +238,22 @@ std::optional<Time> Scheduler::next_event_time() {
   return heap_[0].when;
 }
 
-std::uint64_t Scheduler::run_until(Time deadline) {
-  std::uint64_t ran = 0;
-  while (refresh_front()) {
-    if (heap_[0].when > deadline) break;
-    const std::uint32_t slot = heap_[0].slot();
-    heap_pop_top();
-    EventRecord& rec = slab_[slot];
-    now_ = rec.when;
-    rec.live = false;
-    const std::uint32_t fired_generation = rec.generation;
-    ++rec.generation;  // fired events no longer report pending()
-    const std::uint64_t seq = rec.seq;
-    // Move the closure out and recycle the slot *before* invoking: a
-    // handler that reschedules (the common timer pattern) reuses this
-    // very record, so steady state touches the allocator not at all.
-    Action action = std::move(rec.action);
-    release_slot(slot);
-    // Pin the firing identity so the action's own handle stays inert
-    // even across generation wraparound (see handle_pending).
-    const std::uint32_t prev_slot = firing_slot_;
-    const std::uint32_t prev_generation = firing_generation_;
-    firing_slot_ = slot;
-    firing_generation_ = fired_generation;
-    scope_.emit(now_, obs::TraceType::kTimerFire, seq);
-    action();
-    firing_slot_ = prev_slot;
-    firing_generation_ = prev_generation;
-    ++stats_->executed;
-    ++ran;
-  }
-  if (deadline != kNever && now_ < deadline) now_ = deadline;
-  return ran;
-}
-
-bool Scheduler::step() {
-  if (!refresh_front()) return false;
+void Scheduler::dispatch_front() {
   const std::uint32_t slot = heap_[0].slot();
   heap_pop_top();
   EventRecord& rec = slab_[slot];
   now_ = rec.when;
   rec.live = false;
   const std::uint32_t fired_generation = rec.generation;
-  ++rec.generation;
+  ++rec.generation;  // fired events no longer report pending()
   const std::uint64_t seq = rec.seq;
+  // Move the closure out and recycle the slot *before* invoking: a
+  // handler that reschedules (the common timer pattern) reuses this
+  // very record, so steady state touches the allocator not at all.
   Action action = std::move(rec.action);
   release_slot(slot);
+  // Pin the firing identity so the action's own handle stays inert
+  // even across generation wraparound (see handle_pending).
   const std::uint32_t prev_slot = firing_slot_;
   const std::uint32_t prev_generation = firing_generation_;
   firing_slot_ = slot;
@@ -290,6 +263,22 @@ bool Scheduler::step() {
   firing_slot_ = prev_slot;
   firing_generation_ = prev_generation;
   ++stats_->executed;
+}
+
+std::uint64_t Scheduler::run_until(Time deadline) {
+  std::uint64_t ran = 0;
+  while (refresh_front()) {
+    if (heap_[0].when > deadline) break;
+    dispatch_front();
+    ++ran;
+  }
+  if (deadline != kNever && now_ < deadline) now_ = deadline;
+  return ran;
+}
+
+bool Scheduler::step() {
+  if (!refresh_front()) return false;
+  dispatch_front();
   return true;
 }
 

@@ -158,7 +158,8 @@ class Scheduler {
   /// Schedule `action` to run at absolute time `when`. Scheduling in the
   /// past is a logic error; it is clamped to `now()` (and counted) so
   /// the event still fires, deterministically after already-queued
-  /// events at the same instant.
+  /// events at the same instant. Throws std::length_error past 2^24
+  /// concurrently pending events (HeapEntry's slot bits).
   EventHandle schedule_at(Time when, Action action);
 
   /// Schedule `action` to run `delay` after the current time.
@@ -275,6 +276,10 @@ class Scheduler {
   /// or before the earliest heaped event, so heap_[0] is the true front
   /// of the queue. Returns false when nothing live remains.
   bool refresh_front();
+
+  /// Pop and run the front event (refresh_front() must have returned
+  /// true): advance the clock, retire the record, emit kTimerFire.
+  void dispatch_front();
 
   std::vector<EventRecord> slab_;
   std::vector<std::uint32_t> free_;  // recycled slab slots

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "testbed/testbed.hpp"
 #include "net/impairment.hpp"
@@ -187,6 +188,45 @@ TEST(Network, UnicastLoopbackDelivers) {
   network.run();
   ASSERT_EQ(ra.arrivals.size(), 1u);
   EXPECT_EQ(ra.arrivals[0].sequence, 7u);
+}
+
+TEST(Network, ParallelLinkCarriesTrafficWhenItsTwinIsDown) {
+  // a == b -- h: two a-b links, the first one down. Routing, RPF,
+  // unicast and neighbor sends must all use the live twin.
+  Topology topo;
+  const NodeId a = topo.add_router();
+  const NodeId b = topo.add_router();
+  const NodeId h = topo.add_host();
+  const LinkId first = topo.add_link(a, b);
+  topo.add_link(a, b);
+  topo.add_link(b, h);
+  Network network(std::move(topo));
+  auto& rb = network.attach<Recorder>(b);
+  auto& rh = network.attach<Recorder>(h);
+  network.set_link_up(first, false);
+  EXPECT_EQ(network.routing().next_hop(a, h), b);
+  EXPECT_EQ(network.routing().rpf_interface(a, h), 1u);
+  EXPECT_EQ(network.routing().cost(a, h), 2u);
+  const ip::Address from = network.topology().node(a).address;
+  network.send_unicast(
+      a, data_packet(from, network.topology().node(h).address, 100, 1));
+  network.send_to_neighbor(
+      a, b, data_packet(from, network.topology().node(b).address, 100, 2));
+  network.run();
+  ASSERT_EQ(rh.arrivals.size(), 1u);
+  ASSERT_EQ(rb.arrivals.size(), 1u);
+  EXPECT_EQ(rb.arrivals[0].iface, 1u);
+  EXPECT_EQ(network.stats().packets_dropped_link_down, 0u);
+}
+
+TEST(Network, SecondAttachOnANodeThrows) {
+  Topology topo;
+  const NodeId a = topo.add_router();
+  topo.add_link(a, topo.add_router());
+  Network network(std::move(topo));
+  auto& first = network.attach<Recorder>(a);
+  EXPECT_THROW(network.attach<Recorder>(a), std::logic_error);
+  EXPECT_EQ(network.node(a), &first);
 }
 
 /// Records full packet copies so payload-sharing can be inspected.

@@ -1,8 +1,14 @@
 // Unit tests for topology bookkeeping and unicast (RPF) routing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <optional>
+#include <vector>
+
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "sim/random.hpp"
 
 namespace express::net {
 namespace {
@@ -38,6 +44,22 @@ TEST(Topology, InterfaceIndicesAreSequential) {
     t.add_link(hub, spoke);
     EXPECT_EQ(t.interface_to(hub, spoke), static_cast<std::uint32_t>(i));
   }
+}
+
+TEST(Topology, InterfaceToPrefersUpThenCheaperThenLowerIndex) {
+  Topology t;
+  const NodeId a = t.add_router();
+  const NodeId b = t.add_router();
+  const LinkId l0 = t.add_link(a, b, sim::milliseconds(1), 3);
+  const LinkId l1 = t.add_link(a, b, sim::milliseconds(1), 2);
+  const LinkId l2 = t.add_link(a, b, sim::milliseconds(1), 2);
+  EXPECT_EQ(t.interface_to(a, b), 1u);  // cheaper, then lower index
+  t.set_link_up(l1, false);
+  EXPECT_EQ(t.interface_to(a, b), 2u);  // an up link beats a cheaper down one
+  t.set_link_up(l2, false);
+  EXPECT_EQ(t.interface_to(a, b), 0u);
+  t.set_link_up(l0, false);
+  EXPECT_EQ(t.interface_to(b, a), 1u);  // all down: cost, then index
 }
 
 TEST(Topology, NeighborsSkipDownLinks) {
@@ -163,24 +185,76 @@ TEST(Routing, RpfInterfaceMatchesNextHop) {
   EXPECT_EQ(r.rpf_neighbor(r1, src), src);
 }
 
-TEST(Routing, PathIsCostMonotone) {
-  // Property: along any path(), remaining cost strictly decreases.
-  Topology t;
-  std::vector<NodeId> ids;
-  for (int i = 0; i < 12; ++i) ids.push_back(t.add_router());
-  // A braided ladder with some chords.
-  for (int i = 0; i + 1 < 12; ++i) {
-    t.add_link(ids[static_cast<std::size_t>(i)],
-               ids[static_cast<std::size_t>(i + 1)]);
-  }
-  t.add_link(ids[0], ids[5], sim::milliseconds(1), 2);
-  t.add_link(ids[3], ids[9], sim::milliseconds(1), 3);
-  UnicastRouting r(t);
-  for (NodeId from = 0; from < 12; ++from) {
-    for (NodeId to = 0; to < 12; ++to) {
-      const auto p = r.path(from, to);
-      for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-        EXPECT_GT(r.cost(p[i], to).value(), r.cost(p[i + 1], to).value());
+TEST(Routing, MatchesFloydWarshallOracleOnRandomGraphs) {
+  // Property over ~200 seeded graphs (6-25 routers, costs 1-4, parallel
+  // links, about 1 link in 8 down), against distances computed here:
+  // next_hop is the smallest-id live neighbor on some shortest path,
+  // cost() is the distance, and remaining cost strictly decreases along
+  // path().
+  constexpr std::uint64_t kFar = std::numeric_limits<std::uint64_t>::max() / 4;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    sim::Rng rng(seed);
+    Topology t;
+    const auto n = static_cast<NodeId>(rng.between(6, 25));
+    for (NodeId i = 0; i < n; ++i) t.add_router();
+    const auto cost = [&] {
+      return static_cast<std::uint32_t>(rng.between(1, 4));
+    };
+    for (NodeId i = 1; i < n; ++i) {
+      t.add_link(rng.below(i), i, sim::milliseconds(1), cost());
+    }
+    for (std::uint32_t c = rng.below(2 * n); c > 0; --c) {
+      const NodeId a = rng.below(n);
+      const NodeId b = rng.below(n);
+      if (a != b) t.add_link(a, b, sim::milliseconds(1), cost());
+    }
+    for (LinkId l = 0; l < t.link_count(); ++l) {
+      if (rng.below(8) == 0) t.set_link_up(l, false);
+    }
+
+    // w: cheapest live link per neighbor pair; d: Floyd-Warshall over w.
+    std::vector<std::vector<std::uint64_t>> w(
+        n, std::vector<std::uint64_t>(n, kFar));
+    for (LinkId l = 0; l < t.link_count(); ++l) {
+      const LinkInfo& info = t.link(l);
+      if (!info.up) continue;
+      w[info.a][info.b] = std::min<std::uint64_t>(w[info.a][info.b], info.cost);
+      w[info.b][info.a] = w[info.a][info.b];
+    }
+    auto d = w;
+    for (NodeId i = 0; i < n; ++i) d[i][i] = 0;
+    for (NodeId k = 0; k < n; ++k) {
+      for (NodeId i = 0; i < n; ++i) {
+        for (NodeId j = 0; j < n; ++j) {
+          d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+        }
+      }
+    }
+
+    const UnicastRouting r(t);
+    for (NodeId from = 0; from < n; ++from) {
+      for (NodeId to = 0; to < n; ++to) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " " << from
+                                          << "->" << to);
+        std::optional<NodeId> want;
+        for (NodeId v = 0; from != to && v < n && !want; ++v) {
+          if (w[from][v] < kFar && w[from][v] + d[v][to] == d[from][to]) {
+            want = v;
+          }
+        }
+        EXPECT_EQ(r.next_hop(from, to), want);
+        if (d[from][to] >= kFar) {
+          EXPECT_FALSE(r.cost(from, to).has_value());
+          EXPECT_TRUE(r.path(from, to).empty());
+          continue;
+        }
+        EXPECT_EQ(r.cost(from, to), d[from][to]);
+        const auto p = r.path(from, to);
+        ASSERT_FALSE(p.empty());
+        EXPECT_EQ(p.back(), to);
+        for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+          EXPECT_GT(d[p[i]][to], d[p[i + 1]][to]);
+        }
       }
     }
   }
