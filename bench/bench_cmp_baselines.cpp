@@ -145,12 +145,11 @@ Result run_baseline(const std::string& name, ip::Protocol control,
     if (entries > 0) ++r.routers_with_state;
   }
   r.data_link_bytes = network->total_link_bytes() - bytes_before;
-  net::UnicastRouting routing_view(network->topology());
   std::uint64_t delivered = 0, first = 0, steady = 0;
   double first_sum = 0, steady_sum = 0;
   for (std::size_t i = kFirstMember; i < kMembersEnd; ++i) {
     const auto direct =
-        routing_view
+        network->routing()
             .path_delay(roles.receiver_hosts[kSourceHost],
                         roles.receiver_hosts[i])
             .value();

@@ -3,7 +3,7 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
 
 namespace express::net {
 
@@ -14,53 +14,55 @@ constexpr std::uint32_t kUnreachable =
 
 void UnicastRouting::recompute() {
   n_ = topo_->node_count();
-  next_hop_.assign(n_ * n_, kInvalidNode);
-  // Scratch reused across origins: only the first hops are kept.
-  std::vector<std::uint32_t> dist;
-  std::vector<bool> done;
-  for (NodeId origin = 0; origin < n_; ++origin) dijkstra(origin, dist, done);
+  trees_.assign(n_, {});
   ++version_;
 }
 
-void UnicastRouting::dijkstra(NodeId origin, std::vector<std::uint32_t>& dist,
-                              std::vector<bool>& done) {
-  NodeId* first_hop = next_hop_.data() + origin * n_;
-  dist.assign(n_, kUnreachable);
-  done.assign(n_, false);
-  dist[origin] = 0;
-
-  // (cost, tie-break node id) — deterministic shortest-path trees so that
-  // repeated runs build identical multicast trees.
-  using QItem = std::tuple<std::uint32_t, NodeId>;
+const std::vector<NodeId>& UnicastRouting::tree(NodeId dest) const {
+  std::vector<NodeId>& hop = trees_[dest];
+  if (!hop.empty()) return hop;
+  if (topo_->node_count() != n_) {
+    throw std::logic_error("UnicastRouting: nodes added without recompute()");
+  }
+  // Links are undirected, so the distances from dest are the distances
+  // to it.
+  std::vector<std::uint32_t> dist(n_, kUnreachable);
+  dist[dest] = 0;
+  using QItem = std::pair<std::uint32_t, NodeId>;
   std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;
-  queue.emplace(0, origin);
-
+  queue.emplace(0, dest);
   while (!queue.empty()) {
-    auto [d, u] = queue.top();
+    const auto [d, u] = queue.top();
     queue.pop();
-    if (done[u]) continue;
-    done[u] = true;
+    if (d > dist[u]) continue;  // superseded entry
     for (LinkId lid : topo_->node(u).interfaces) {
       const LinkInfo& l = topo_->link(lid);
-      if (!l.up) continue;
       const NodeId v = topo_->peer(lid, u);
-      if (v == origin) continue;  // its entry stays kInvalidNode
-      const std::uint32_t nd = d + l.cost;
-      const NodeId via = (u == origin) ? v : first_hop[u];
-      // Strictly-better cost wins; equal cost prefers the numerically
-      // smaller first hop so ties break deterministically.
-      if (nd < dist[v] || (nd == dist[v] && via < first_hop[v])) {
-        dist[v] = nd;
-        first_hop[v] = via;
-        queue.emplace(nd, v);
+      if (l.up && d + l.cost < dist[v]) {
+        dist[v] = d + l.cost;
+        queue.emplace(dist[v], v);
       }
     }
   }
+  // v's next hop is its smallest-id neighbor on some shortest path: an up
+  // link to u with cost + dist[u] == dist[v]. Equal cost thus breaks
+  // toward the smaller first hop, and since costs are positive the
+  // remaining distance strictly falls at every hop of a walk.
+  hop.assign(n_, kInvalidNode);
+  for (NodeId v = 0; v < n_; ++v) {
+    if (v == dest || dist[v] == kUnreachable) continue;
+    for (LinkId lid : topo_->node(v).interfaces) {
+      const LinkInfo& l = topo_->link(lid);
+      const NodeId u = topo_->peer(lid, v);
+      if (l.up && dist[u] + l.cost == dist[v] && u < hop[v]) hop[v] = u;
+    }
+  }
+  return hop;
 }
 
 std::optional<NodeId> UnicastRouting::next_hop(NodeId from, NodeId to) const {
   if (from >= n_ || to >= n_) throw std::out_of_range("next_hop: node id");
-  const NodeId hop = next_hop_[from * n_ + to];
+  const NodeId hop = tree(to)[from];
   if (hop == kInvalidNode) return std::nullopt;
   return hop;
 }

@@ -4,13 +4,23 @@
 // toward the source with reverse-path forwarding on whatever the unicast
 // routing protocol already computed (paper §3: "the RPF routing component
 // of ECMP relies on, and scales with, existing unicast topology
-// information"). This class is that existing information: a next-hop
-// table, one NodeId per (origin, destination), recomputed on topology
-// changes, which is what a converged link-state IGP leaves in each
-// router's forwarding table. Equal-cost paths break toward the smaller
-// first hop. Path metrics (cost, hop count, delay) are not stored; they
-// are summed along the next-hop walk, over the link that
-// Topology::interface_to picks at each hop (the one Dijkstra relaxed).
+// information"). This class is that existing information: for each
+// destination, the next hop of every node toward it, which is what a
+// converged link-state IGP leaves in each router's forwarding table.
+// Equal-cost paths break toward the smaller first hop.
+//
+// What is cached: one next-hop tree per destination, built on the first
+// query toward that destination by a single Dijkstra run *from* it (links
+// are undirected, so that gives every node's distance to it). RPF only
+// ever routes toward channel sources, and unicast sends only toward their
+// destinations, so a simulation builds few trees, and a host is a
+// Dijkstra root only when something routes to it. `recompute()` drops every tree; the next query rebuilds the one
+// it needs from the topology as it then stands. Path metrics (cost, hop
+// count, delay) are not stored; they are summed along the next-hop walk,
+// over the link that Topology::interface_to picks at each hop.
+//
+// The cache is filled from const queries, so one instance must not be
+// queried from two threads at once.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +36,10 @@ class UnicastRouting {
  public:
   explicit UnicastRouting(const Topology& topo) : topo_(&topo) { recompute(); }
 
-  /// Rebuild the next-hop table; call after any link up/down change.
-  /// Incremented `version()` lets protocol code detect staleness.
+  /// Drop every cached tree; call after any link up/down change or added
+  /// node (building a tree over nodes added since throws
+  /// std::logic_error). Incremented `version()` lets protocol code detect
+  /// staleness.
   void recompute();
 
   [[nodiscard]] std::uint64_t version() const { return version_; }
@@ -65,15 +77,15 @@ class UnicastRouting {
   template <typename Visit>
   bool walk(NodeId from, NodeId to, Visit visit) const;
 
-  void dijkstra(NodeId origin, std::vector<std::uint32_t>& dist,
-                std::vector<bool>& done);
+  /// The next-hop tree toward `dest`, built on first use.
+  const std::vector<NodeId>& tree(NodeId dest) const;
 
   const Topology* topo_;
   std::uint64_t version_ = 0;
   std::size_t n_ = 0;  ///< node count at the last recompute()
-  /// next_hop_[origin * n_ + dest]: the first hop from origin toward
-  /// dest; kInvalidNode when unreachable or origin == dest.
-  std::vector<NodeId> next_hop_;
+  /// trees_[dest][v]: v's next hop toward dest, kInvalidNode when
+  /// unreachable or v == dest; empty until a query toward dest.
+  mutable std::vector<std::vector<NodeId>> trees_;
 };
 
 }  // namespace express::net

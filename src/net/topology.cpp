@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 namespace express::net {
@@ -18,10 +19,15 @@ NodeId Topology::add_node(NodeKind kind, std::string name,
 
 LinkId Topology::add_link(NodeId a, NodeId b, sim::Duration delay,
                           std::uint32_t cost, double bandwidth_bps) {
+  if (a >= nodes_.size() || b >= nodes_.size()) {
+    throw std::invalid_argument("add_link: no such node");
+  }
+  if (a == b) throw std::invalid_argument("add_link: self-loop");
+  if (cost == 0) throw std::invalid_argument("add_link: zero cost");
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(LinkInfo{a, b, delay, bandwidth_bps, cost, true});
-  nodes_.at(a).interfaces.push_back(id);
-  nodes_.at(b).interfaces.push_back(id);
+  nodes_[a].interfaces.push_back(id);
+  nodes_[b].interfaces.push_back(id);
   return id;
 }
 

@@ -63,7 +63,9 @@ class Topology {
   }
 
   /// Connect two nodes; returns the link id. Each call consumes one new
-  /// interface slot on both endpoints.
+  /// interface slot on both endpoints. Throws std::invalid_argument, and
+  /// changes nothing, for an unknown endpoint, a == b or cost == 0:
+  /// routing relies on the remaining distance strictly falling per hop.
   LinkId add_link(NodeId a, NodeId b,
                   sim::Duration delay = sim::milliseconds(1),
                   std::uint32_t cost = 1, double bandwidth_bps = 100e6);

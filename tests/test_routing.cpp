@@ -4,11 +4,13 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/random.hpp"
+#include "workload/topo_gen.hpp"
 
 namespace express::net {
 namespace {
@@ -60,6 +62,34 @@ TEST(Topology, InterfaceToPrefersUpThenCheaperThenLowerIndex) {
   EXPECT_EQ(t.interface_to(a, b), 0u);
   t.set_link_up(l0, false);
   EXPECT_EQ(t.interface_to(b, a), 1u);  // all down: cost, then index
+}
+
+TEST(Topology, AddLinkRejectsUnknownEndpointWithoutMutating) {
+  Topology t;
+  const NodeId a = t.add_router();
+  EXPECT_THROW(t.add_link(a, 7), std::invalid_argument);
+  EXPECT_THROW(t.add_link(7, a), std::invalid_argument);
+  EXPECT_EQ(t.link_count(), 0u);
+  EXPECT_EQ(t.interface_count(a), 0u);
+}
+
+TEST(Topology, AddLinkRejectsSelfLoop) {
+  Topology t;
+  const NodeId a = t.add_router();
+  EXPECT_THROW(t.add_link(a, a), std::invalid_argument);
+  EXPECT_EQ(t.link_count(), 0u);
+  EXPECT_EQ(t.interface_count(a), 0u);
+}
+
+TEST(Topology, AddLinkRejectsZeroCost) {
+  Topology t;
+  const NodeId a = t.add_router();
+  const NodeId b = t.add_router();
+  EXPECT_THROW(t.add_link(a, b, sim::milliseconds(1), 0),
+               std::invalid_argument);
+  EXPECT_EQ(t.link_count(), 0u);
+  EXPECT_EQ(t.interface_count(a), 0u);
+  EXPECT_EQ(t.interface_count(b), 0u);
 }
 
 TEST(Topology, NeighborsSkipDownLinks) {
@@ -137,6 +167,29 @@ TEST_F(LineRouting, RecomputeBumpsVersion) {
   const auto v = r.version();
   r.recompute();
   EXPECT_GT(r.version(), v);
+}
+
+TEST_F(LineRouting, QueryBeforeLinkDownLeavesNoStaleHop) {
+  UnicastRouting r(topo_);
+  EXPECT_EQ(r.next_hop(0, 4), 1u);
+  EXPECT_EQ(r.next_hop(1, 4), 2u);
+  topo_.set_link_up(links_[1], false);  // cut 1--2
+  r.recompute();
+  EXPECT_FALSE(r.next_hop(0, 4).has_value());
+  EXPECT_FALSE(r.next_hop(1, 4).has_value());
+  EXPECT_EQ(r.next_hop(0, 1), 1u);
+  topo_.set_link_up(links_[1], true);
+  r.recompute();
+  EXPECT_EQ(r.next_hop(1, 4), 2u);
+}
+
+TEST_F(LineRouting, NodesAddedWithoutRecomputeThrow) {
+  UnicastRouting r(topo_);
+  const NodeId extra = topo_.add_router();
+  topo_.add_link(ids_[4], extra);
+  EXPECT_THROW((void)r.next_hop(0, 4), std::logic_error);
+  r.recompute();
+  EXPECT_EQ(r.next_hop(0, extra), 1u);
 }
 
 TEST(Routing, PrefersLowerCostOverFewerHops) {
@@ -258,6 +311,105 @@ TEST(Routing, MatchesFloydWarshallOracleOnRandomGraphs) {
       }
     }
   }
+}
+
+/// Every next_hop() and cost() answer of `r` against Floyd-Warshall
+/// distances over the live links of `t` as it stands now.
+void expect_matches_oracle(const Topology& t, const UnicastRouting& r) {
+  constexpr std::uint64_t kFar = std::numeric_limits<std::uint64_t>::max() / 4;
+  const auto n = static_cast<NodeId>(t.node_count());
+  std::vector<std::vector<std::uint64_t>> d(
+      n, std::vector<std::uint64_t>(n, kFar));
+  for (LinkId l = 0; l < t.link_count(); ++l) {
+    const LinkInfo& info = t.link(l);
+    if (!info.up) continue;
+    d[info.a][info.b] = std::min<std::uint64_t>(d[info.a][info.b], info.cost);
+    d[info.b][info.a] = d[info.a][info.b];
+  }
+  const auto w = d;
+  for (NodeId i = 0; i < n; ++i) d[i][i] = 0;
+  for (NodeId k = 0; k < n; ++k) {
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = 0; j < n; ++j) {
+        d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+      }
+    }
+  }
+  for (NodeId from = 0; from < n; ++from) {
+    for (NodeId to = 0; to < n; ++to) {
+      SCOPED_TRACE(::testing::Message() << from << "->" << to);
+      std::optional<NodeId> want;
+      for (NodeId v = 0; from != to && v < n && !want; ++v) {
+        if (w[from][v] < kFar && w[from][v] + d[v][to] == d[from][to]) {
+          want = v;
+        }
+      }
+      EXPECT_EQ(r.next_hop(from, to), want);
+      if (d[from][to] < kFar) {
+        EXPECT_EQ(r.cost(from, to), d[from][to]);
+      } else {
+        EXPECT_FALSE(r.cost(from, to).has_value());
+      }
+    }
+  }
+}
+
+TEST(Routing, RecomputeDropsEveryCachedTree) {
+  // One UnicastRouting lives through rounds of link flips: each round
+  // queries every pair (so every tree is cached), flips about a quarter
+  // of the links, recomputes, and must then agree with a fresh oracle.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    sim::Rng rng(seed);
+    Topology t;
+    const auto n = static_cast<NodeId>(rng.between(6, 16));
+    for (NodeId i = 0; i < n; ++i) t.add_router();
+    const auto cost = [&] {
+      return static_cast<std::uint32_t>(rng.between(1, 4));
+    };
+    for (NodeId i = 1; i < n; ++i) {
+      t.add_link(rng.below(i), i, sim::milliseconds(1), cost());
+    }
+    for (std::uint32_t c = rng.below(2 * n); c > 0; --c) {
+      const NodeId a = rng.below(n);
+      const NodeId b = rng.below(n);
+      if (a != b) t.add_link(a, b, sim::milliseconds(1), cost());
+    }
+    UnicastRouting r(t);
+    for (int round = 0; round < 4; ++round) {
+      expect_matches_oracle(t, r);
+      for (LinkId l = 0; l < t.link_count(); ++l) {
+        if (rng.below(4) == 0) t.set_link_up(l, !t.link(l).up);
+      }
+      r.recompute();
+    }
+    expect_matches_oracle(t, r);
+  }
+}
+
+TEST(Routing, ScalesToTreesTheAllPairsTableCouldNotHold) {
+  // ~46k nodes: an N x N next-hop table would need about 8 GB; one tree
+  // toward the source is 46k entries. Every node's next hop toward the
+  // source host is its parent in the k-ary tree.
+  const auto g = workload::make_kary_tree(4, 6, {}, 10);
+  const Topology& t = g.topology;
+  ASSERT_GT(t.node_count(), 46000u);
+  std::vector<NodeId> parent(t.node_count(), kInvalidNode);
+  parent[g.source_router] = g.source_host;
+  for (LinkId l = 0; l < t.link_count(); ++l) {
+    const LinkInfo& info = t.link(l);
+    if (info.b != g.source_host) parent[info.b] = info.a;  // a: nearer root
+  }
+  const UnicastRouting r(t);
+  for (NodeId v = 0; v < t.node_count(); ++v) {
+    const auto hop = r.next_hop(v, g.source_host);
+    if (v == g.source_host) {
+      EXPECT_FALSE(hop.has_value());
+    } else {
+      ASSERT_EQ(hop, parent[v]) << "node " << v;
+    }
+  }
+  EXPECT_EQ(r.hop_count(g.receiver_hosts.back(), g.source_host), 8u);
 }
 
 }  // namespace
