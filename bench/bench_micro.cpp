@@ -1,8 +1,10 @@
 // Google-benchmark microbenchmarks for the hot paths the §5.3 analysis
 // cares about: FIB lookup, ECMP codec, subscription-event processing,
-// routing recomputation, and the error-curve evaluation.
+// routing recomputation, the invariant audit, and the error-curve
+// evaluation.
 #include <benchmark/benchmark.h>
 
+#include "audit/invariants.hpp"
 #include "counting/error_curve.hpp"
 #include "ecmp/codec.hpp"
 #include "express/fib.hpp"
@@ -10,6 +12,7 @@
 #include "net/network.hpp"
 #include "net/routing.hpp"
 #include "sim/random.hpp"
+#include "testbed/testbed.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace {
@@ -142,6 +145,27 @@ void BM_DijkstraRecompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraRecompute)->Arg(4)->Arg(16);
+
+void BM_InvariantAudit(benchmark::State& state) {
+  // One full audit of a settled tree shaped like the perfbench chaos
+  // workload: a 16 x 8 x 4 transit-stub graph (657 nodes) with every
+  // third receiver subscribed to one channel.
+  sim::Rng rng(1);
+  Testbed bed(workload::make_transit_stub(16, 8, 4, rng));
+  const ip::ChannelId channel = bed.source().allocate_channel();
+  for (std::size_t i = 0; i < bed.receiver_count(); i += 3) {
+    bed.receiver(i).new_subscription(channel);
+  }
+  bed.run_for(sim::seconds(2));
+  const audit::InvariantAuditor auditor(bed.net());
+  for (auto _ : state) {
+    const audit::AuditReport report = auditor.run();
+    if (!report.clean()) state.SkipWithError("settled tree is not clean");
+    benchmark::DoNotOptimize(report.channels_audited);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InvariantAudit);
 
 void BM_ErrorCurveEvaluate(benchmark::State& state) {
   counting::ErrorCurve curve(counting::CurveParams{0.3, 120, 4});

@@ -1,10 +1,13 @@
 #include "audit/invariants.hpp"
 
-#include <map>
+#include <algorithm>
 #include <optional>
-#include <set>
+#include <string>
+#include <type_traits>
+#include <typeinfo>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "express/host.hpp"
 #include "express/router.hpp"
@@ -17,13 +20,41 @@ namespace express::audit {
 
 namespace {
 
+using ChannelItem = std::unordered_map<ip::ChannelId, Channel>::value_type;
+
+/// One on-tree (router, channel) pair, as the loop pass consumes them.
+struct OnTree {
+  ip::ChannelId channel;
+  net::NodeId router = net::kInvalidNode;
+  const Channel* state = nullptr;
+};
+
+enum class Color : std::uint8_t { kWhite, kGray, kDone };
+
+/// Per-call scratch of one audit. Everything is sized once per call: a
+/// NodeId-indexed view of the EXPRESS nodes, then buffers that are
+/// refilled per router or per channel rather than reallocated.
 struct Walk {
   const net::Network* network = nullptr;
-  // Ordered maps: the walk appends violations while it iterates, and a
-  // reproducible audit report is itself one of the guarantees under test.
-  std::map<net::NodeId, const ExpressRouter*> routers;
-  std::map<net::NodeId, const ExpressHost*> hosts;
+  std::vector<const ExpressRouter*> routers;  ///< by NodeId; nullptr if none
+  std::vector<const ExpressHost*> hosts;      ///< by NodeId; nullptr if none
+  /// Ascending: violations are appended in walk order, and a
+  /// reproducible report is itself one of the guarantees under test.
+  std::vector<net::NodeId> router_ids;
+  std::vector<const ChannelItem*> items;  ///< one router's channels, sorted
+  net::InterfaceSet expected;             ///< one pair's member interfaces
+  std::vector<ip::ChannelId> orphans;     ///< one router's FIB orphans
+  std::vector<OnTree> on_tree;            ///< every pair, for the loop pass
+  std::vector<Color> color;               ///< by NodeId, loop pass
+  std::vector<net::NodeId> touched;       ///< nodes coloured this channel
   AuditReport report;
+
+  [[nodiscard]] const ExpressRouter* router(net::NodeId id) const {
+    return id < routers.size() ? routers[id] : nullptr;
+  }
+  [[nodiscard]] const ExpressHost* host(net::NodeId id) const {
+    return id < hosts.size() ? hosts[id] : nullptr;
+  }
 
   void flag(Check check, net::NodeId router, const ip::ChannelId& channel,
             std::string detail) {
@@ -33,34 +64,32 @@ struct Walk {
   }
 };
 
-bool is_router_node(const net::Network& network, net::NodeId id) {
-  return network.topology().node(id).kind == net::NodeKind::kRouter;
+/// This router's RPF neighbour toward the channel's source; nullopt
+/// when the source is unresolvable or unreachable. Resolved once per
+/// (router, channel) and shared by checks (a) and (b).
+std::optional<net::NodeId> resolve_rpf(const net::Network& network,
+                                       net::NodeId self,
+                                       const ip::ChannelId& channel) {
+  const auto source = network.node_of(channel.source);
+  if (!source) return std::nullopt;
+  return network.routing().rpf_neighbor(self, *source);
 }
 
-/// Mirror of ExpressRouter::at_root: the router is the channel's
-/// validation authority / tree root when the source is unresolvable,
-/// directly attached (upstream is a non-router), or unroutable.
-bool at_root(const Walk& w, net::NodeId self, const ip::ChannelId& channel,
-             const Channel& state) {
-  const auto src = w.network->node_of(channel.source);
-  if (!src) return true;
-  if (state.upstream != net::kInvalidNode &&
-      !is_router_node(*w.network, state.upstream)) {
-    return true;
-  }
-  return w.network->routing().rpf_neighbor(self, *src) == std::nullopt;
+bool is_router_node(const net::Network& network, net::NodeId id) {
+  return network.topology().node(id).kind == net::NodeKind::kRouter;
 }
 
 // --- (a) count conservation ------------------------------------------
 
 void check_conservation(Walk& w, net::NodeId self, const ExpressRouter& router,
-                        const ip::ChannelId& channel, const Channel& state) {
+                        const ip::ChannelId& channel, const Channel& state,
+                        std::optional<net::NodeId> rpf) {
   // Parent side: each downstream entry must restate what the child
   // itself currently claims.
   for (const auto& [neighbor, entry] : state.downstream) {
     ++w.report.edges_checked;
-    if (auto it = w.routers.find(neighbor); it != w.routers.end()) {
-      const Channel* child = it->second->subscriptions().find(channel);
+    if (const ExpressRouter* child_router = w.router(neighbor)) {
+      const Channel* child = child_router->subscriptions().find(channel);
       if (child == nullptr) {
         w.flag(Check::kCountConservation, self, channel,
                "downstream entry for router " + std::to_string(neighbor) +
@@ -82,8 +111,8 @@ void check_conservation(Walk& w, net::NodeId self, const ExpressRouter& router,
                    " != child's advertised " +
                    std::to_string(child->advertised_upstream));
       }
-    } else if (auto ht = w.hosts.find(neighbor); ht != w.hosts.end()) {
-      const std::int64_t local = ht->second->local_count(channel);
+    } else if (const ExpressHost* host = w.host(neighbor)) {
+      const std::int64_t local = host->local_count(channel);
       if (local != entry.count) {
         w.flag(Check::kCountConservation, self, channel,
                "recorded count " + std::to_string(entry.count) + " for host " +
@@ -98,8 +127,8 @@ void check_conservation(Walk& w, net::NodeId self, const ExpressRouter& router,
   const bool upstream_is_router = state.upstream != net::kInvalidNode &&
                                   is_router_node(*w.network, state.upstream);
   if (upstream_is_router && state.advertised_upstream > 0) {
-    if (auto it = w.routers.find(state.upstream); it != w.routers.end()) {
-      const Channel* parent = it->second->subscriptions().find(channel);
+    if (const ExpressRouter* parent_router = w.router(state.upstream)) {
+      const Channel* parent = parent_router->subscriptions().find(channel);
       if (parent == nullptr || !parent->downstream.contains(self)) {
         w.flag(Check::kCountConservation, self, channel,
                "advertised " + std::to_string(state.advertised_upstream) +
@@ -112,8 +141,11 @@ void check_conservation(Walk& w, net::NodeId self, const ExpressRouter& router,
   // The advertisement itself: sign-consistent with the subtree sum
   // always; exactly equal when drift is pushed proactively (§6) —
   // without proactive counting, non-zero -> non-zero drift is
-  // legitimately never sent (§3.2 only signals 0 <-> non-zero).
-  if (!at_root(w, self, channel, state) && upstream_is_router) {
+  // legitimately never sent (§3.2 only signals 0 <-> non-zero). Mirror
+  // of ExpressRouter::at_root: the router is the tree root when the
+  // source is unresolvable or unroutable (no RPF neighbour), or directly
+  // attached (which already fails upstream_is_router).
+  if (rpf && upstream_is_router) {
     const std::int64_t subtree = state.subtree_count();
     if ((state.advertised_upstream > 0) != (subtree > 0)) {
       w.flag(Check::kCountConservation, self, channel,
@@ -132,14 +164,12 @@ void check_conservation(Walk& w, net::NodeId self, const ExpressRouter& router,
 // --- (b) RPF consistency ---------------------------------------------
 
 void check_rpf(Walk& w, net::NodeId self, const ExpressRouter& router,
-               const ip::ChannelId& channel, const Channel& state) {
+               const ip::ChannelId& channel, const Channel& state,
+               std::optional<net::NodeId> rpf) {
   // Hysteresis (§3.2) intentionally delays the switch; an unsettled
   // router is not in violation yet.
   if (router.pending_route_switches() > 0) return;
-  const auto src = w.network->node_of(channel.source);
-  if (!src) return;
-  const auto rpf = w.network->routing().rpf_neighbor(self, *src);
-  if (!rpf) return;  // source unreachable: nothing to agree with
+  if (!rpf) return;  // source unresolvable or unreachable
   if (state.upstream != net::kInvalidNode && state.upstream != *rpf) {
     w.flag(Check::kRpfConsistency, self, channel,
            "upstream is " + std::to_string(state.upstream) +
@@ -150,8 +180,11 @@ void check_rpf(Walk& w, net::NodeId self, const ExpressRouter& router,
 
 // --- (c) orphan forwarding state -------------------------------------
 
+/// Runs over w.items, the router's channels as the conservation/RPF
+/// pass sorted them.
 void check_orphans(Walk& w, net::NodeId self, const ExpressRouter& router) {
-  for (const auto* kv : det::sorted_items(router.subscriptions().channels())) {
+  std::size_t with_fib = 0;
+  for (const ChannelItem* kv : w.items) {
     const auto& [channel, state] = *kv;
     const std::int64_t subtree = state.subtree_count();
     if (subtree <= 0) {
@@ -165,31 +198,39 @@ void check_orphans(Walk& w, net::NodeId self, const ExpressRouter& router) {
              "membership state without a FIB entry");
       continue;
     }
+    ++with_fib;
     // Replication set: every member with a currently resolvable
     // interface must be covered, and no interface may linger with no
     // member behind it. Skipped when adjacency is in flux (an
     // unresolvable member means a partition is still healing).
-    net::InterfaceSet expected;
+    w.expected.reset();
     bool resolvable = true;
     for (const auto& [neighbor, entry] : state.downstream) {
       if (entry.count <= 0) continue;
       if (auto iface = net::iface_toward(*w.network, self, neighbor)) {
-        expected.set(*iface);
+        w.expected.set(*iface);
       } else {
         resolvable = false;
       }
     }
-    if (resolvable && !(fib->oifs == expected)) {
+    if (resolvable && !(fib->oifs == w.expected)) {
       w.flag(Check::kOrphanState, self, channel,
              "FIB replication set does not match the member interfaces");
     }
   }
-  for (const auto* kv : det::sorted_items(router.fib().entries())) {
-    const auto& channel = kv->first;
+  // Every member channel found its own FIB entry; when that covers the
+  // whole FIB, no entry can lack membership state.
+  if (with_fib == router.fib().size()) return;
+  w.orphans.clear();
+  for (const auto& [channel, entry] : router.fib().entries()) {  // lint: order-independent (orphans sorted below)
     if (!router.subscriptions().contains(channel)) {
-      w.flag(Check::kOrphanState, self, channel,
-             "FIB entry without membership state");
+      w.orphans.push_back(channel);
     }
+  }
+  std::sort(w.orphans.begin(), w.orphans.end());
+  for (const ip::ChannelId& channel : w.orphans) {
+    w.flag(Check::kOrphanState, self, channel,
+           "FIB entry without membership state");
   }
 }
 
@@ -198,44 +239,49 @@ void check_orphans(Walk& w, net::NodeId self, const ExpressRouter& router) {
 void check_loops(Walk& w) {
   // Per channel, upstream pointers must form a forest: walk from every
   // on-tree router toward the source; a revisit inside one walk is a
-  // loop. Colors memoize finished walks so the pass stays linear.
-  std::set<ip::ChannelId> channels;
-  for (const auto& [id, router] : w.routers) {
-    // lint: order-independent (set union is commutative)
-    for (const auto& [channel, state] : router->subscriptions().channels()) {
-      channels.insert(channel);
-    }
-  }
-  enum class Color : std::uint8_t { kWhite, kGray, kDone };
-  for (const ip::ChannelId& channel : channels) {
-    std::unordered_map<net::NodeId, Color> color;
-    for (const auto& [start, router] : w.routers) {
-      if (router->subscriptions().find(channel) == nullptr) continue;
-      if (color[start] != Color::kWhite) continue;
-      std::vector<net::NodeId> path;
-      net::NodeId at = start;
+  // loop. Colours memoize finished walks so the pass stays linear; the
+  // nodes a channel coloured are reset to white before the next one.
+  std::sort(w.on_tree.begin(), w.on_tree.end(),
+            [](const OnTree& a, const OnTree& b) {
+              return a.channel != b.channel ? a.channel < b.channel
+                                            : a.router < b.router;
+            });
+  w.color.assign(w.routers.size(), Color::kWhite);
+  for (std::size_t i = 0; i < w.on_tree.size(); ++i) {
+    const OnTree& start = w.on_tree[i];
+    const ip::ChannelId& channel = start.channel;
+    if (w.color[start.router] == Color::kWhite) {
+      const std::size_t path = w.touched.size();
+      net::NodeId at = start.router;
+      const Channel* state = start.state;
       while (true) {
-        path.push_back(at);
-        color[at] = Color::kGray;
-        auto it = w.routers.find(at);
-        const Channel* state =
-            it != w.routers.end() ? it->second->subscriptions().find(channel)
-                                  : nullptr;
+        w.touched.push_back(at);
+        w.color[at] = Color::kGray;
         if (state == nullptr || state->upstream == net::kInvalidNode ||
-            !w.routers.contains(state->upstream)) {
+            w.router(state->upstream) == nullptr) {
           break;  // reached the root / a detached head: no loop this way
         }
         const net::NodeId up = state->upstream;
-        if (color[up] == Color::kGray) {
+        if (w.color[up] == Color::kGray) {
           w.flag(Check::kForwardingLoop, up, channel,
                  "upstream pointers revisit router " + std::to_string(up) +
-                     " (walk started at " + std::to_string(start) + ")");
+                     " (walk started at " + std::to_string(start.router) +
+                     ")");
           break;
         }
-        if (color[up] == Color::kDone) break;
+        if (w.color[up] == Color::kDone) break;
         at = up;
+        state = w.routers[at]->subscriptions().find(channel);
       }
-      for (net::NodeId n : path) color[n] = Color::kDone;
+      for (std::size_t k = path; k < w.touched.size(); ++k) {
+        w.color[w.touched[k]] = Color::kDone;
+      }
+    }
+    const bool last = i + 1 == w.on_tree.size() ||
+                      w.on_tree[i + 1].channel != channel;
+    if (last) {
+      for (net::NodeId n : w.touched) w.color[n] = Color::kWhite;
+      w.touched.clear();
     }
   }
 }
@@ -277,29 +323,39 @@ std::string AuditReport::to_string() const {
 AuditReport InvariantAuditor::run() const {
   Walk w;
   w.network = network_;
-  const net::Topology& topo = network_->topology();
-  for (net::NodeId id = 0; id < topo.node_count(); ++id) {
+  const std::size_t n = network_->topology().node_count();
+  w.routers.assign(n, nullptr);
+  w.hosts.assign(n, nullptr);
+  // Both classes are final, so an exact typeid match is what a
+  // dynamic_cast would decide, without its walk of the class hierarchy.
+  static_assert(std::is_final_v<ExpressRouter> && std::is_final_v<ExpressHost>);
+  for (net::NodeId id = 0; id < n; ++id) {
     const net::Node* node = network_->node(id);
     if (node == nullptr) continue;
-    if (const auto* router = dynamic_cast<const ExpressRouter*>(node)) {
-      w.routers.emplace(id, router);
-    } else if (const auto* host = dynamic_cast<const ExpressHost*>(node)) {
-      w.hosts.emplace(id, host);
+    if (typeid(*node) == typeid(ExpressRouter)) {
+      w.routers[id] = static_cast<const ExpressRouter*>(node);
+      w.router_ids.push_back(id);
+    } else if (typeid(*node) == typeid(ExpressHost)) {
+      w.hosts[id] = static_cast<const ExpressHost*>(node);
     }
   }
 
-  for (const auto& [id, router] : w.routers) {
+  for (const net::NodeId id : w.router_ids) {
+    const ExpressRouter& router = *w.routers[id];
     ++w.report.routers_audited;
-    for (const auto* kv : det::sorted_items(router->subscriptions().channels())) {
+    det::sorted_items_into(router.subscriptions().channels(), w.items);
+    for (const ChannelItem* kv : w.items) {
       const auto& [channel, state] = *kv;
       ++w.report.channels_audited;
-      check_conservation(w, id, *router, channel, state);
-      check_rpf(w, id, *router, channel, state);
+      const auto rpf = resolve_rpf(*network_, id, channel);
+      check_conservation(w, id, router, channel, state, rpf);
+      check_rpf(w, id, router, channel, state, rpf);
+      w.on_tree.push_back(OnTree{channel, id, &state});
     }
-    check_orphans(w, id, *router);
+    check_orphans(w, id, router);
   }
   check_loops(w);
-  return w.report;
+  return std::move(w.report);
 }
 
 }  // namespace express::audit

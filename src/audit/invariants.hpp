@@ -29,6 +29,14 @@
 // verdicts require quiescence (no control messages in flight); the
 // chaos campaign driver (workload/chaos) samples it at event
 // boundaries and records the first stable-clean instant per fault.
+//
+// Cost model: one pass over the nodes builds NodeId-indexed views of
+// the EXPRESS routers and hosts; after that the work is proportional to
+// the on-tree (router, channel) pairs and their downstream entries,
+// plus one sort of each router's channels and of the pairs for the
+// loop pass. Every lookup of a neighbour, colour or host is an index
+// into a per-call vector; there are no per-call maps or sets, and an
+// FIB is rescanned for orphans only when its size says one exists.
 #pragma once
 
 #include <cstdint>

@@ -40,7 +40,7 @@ struct HostStats {
   std::uint64_t control_bytes_sent = 0;
 };
 
-class ExpressHost : public net::Node {
+class ExpressHost final : public net::Node {
  public:
   /// Hosts are single-homed: interface 0 leads to the first-hop router.
   ExpressHost(net::Network& network, net::NodeId id);

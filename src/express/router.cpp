@@ -406,7 +406,8 @@ void ExpressRouter::on_remote_query(const net::Packet& inner) {
                   transport_.send_remote(
                       requester, ecmp::Message{ecmp::Count{
                                      query.channel, query.count_id,
-                                     result.count, query.query_seq}});
+                                     result.count, query.query_seq,
+                                     std::nullopt}});
                 });
   }
 }

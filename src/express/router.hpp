@@ -83,7 +83,7 @@ struct RouterStats : SubscriptionStats, ecmp::TransportStats, ForwardingStats {
   std::uint64_t unresolved_neighbor_updates = 0;
 };
 
-class ExpressRouter : public net::Node {
+class ExpressRouter final : public net::Node {
  public:
   ExpressRouter(net::Network& network, net::NodeId id, RouterConfig config = {});
   /// Cancels any hysteresis timers still pending against the scheduler.

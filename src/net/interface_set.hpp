@@ -23,6 +23,12 @@ class InterfaceSet {
     bits_[word] |= (std::uint64_t{1} << (iface % 64));
   }
 
+  /// Empty the set but keep its storage: a scratch set reused across a
+  /// loop allocates only when it first grows.
+  void reset() {
+    for (std::uint64_t& w : bits_) w = 0;
+  }
+
   void clear(std::uint32_t iface) {
     const std::size_t word = iface / 64;
     if (word < bits_.size()) bits_[word] &= ~(std::uint64_t{1} << (iface % 64));

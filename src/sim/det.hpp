@@ -38,14 +38,24 @@ template <typename Map>
   return items;
 }
 
+/// The same snapshot written into a caller-owned buffer (its previous
+/// contents are discarded), so a sweep over many maps reuses one
+/// allocation instead of making one per map.
 template <typename Map>
-[[nodiscard]] std::vector<const typename Map::value_type*> sorted_items(
-    const Map& map) {
-  std::vector<const typename Map::value_type*> items;
+void sorted_items_into(const Map& map,
+                       std::vector<const typename Map::value_type*>& items) {
+  items.clear();
   items.reserve(map.size());
   for (const auto& kv : map) items.push_back(&kv);  // lint: order-independent (sorted below)
   std::sort(items.begin(), items.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
+}
+
+template <typename Map>
+[[nodiscard]] std::vector<const typename Map::value_type*> sorted_items(
+    const Map& map) {
+  std::vector<const typename Map::value_type*> items;
+  sorted_items_into(map, items);
   return items;
 }
 

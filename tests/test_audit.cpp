@@ -213,6 +213,99 @@ TEST(Audit, DetectsForwardingLoop) {
   EXPECT_GE(report.count(Check::kForwardingLoop), 1u) << report.to_string();
 }
 
+// Pins the whole report, not just per-check counts: violations come out
+// router by router in ascending id, channels ascending within a router
+// (conservation and RPF first, then orphan state, then orphan FIB
+// entries), and forwarding loops last, per channel. A reordered,
+// duplicated or dropped violation changes the text.
+TEST(Audit, ReportIsExactAndOrdered) {
+  // Routers: root 0 (source host 1), d1 = 2..3, d2 = 4..7, leaves 8..15;
+  // receiver i hangs off leaf 8 + i.
+  ExpressNetwork sim(workload::make_kary_tree(2, 3));
+  const ip::ChannelId ch1 = sim.source().allocate_channel();
+  const ip::ChannelId ch2 = sim.source().allocate_channel();
+  for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
+    sim.receiver(i).new_subscription(ch1);
+    if (i < 4) sim.receiver(i).new_subscription(ch2);  // leaves 8..11
+  }
+  sim.run_for(sim::seconds(2));
+  ASSERT_TRUE(run_audit(sim).clean());
+
+  const auto router_at = [&sim](net::NodeId id) -> ExpressRouter& {
+    for (std::size_t i = 0; i < sim.router_count(); ++i) {
+      if (sim.roles().routers[i] == id) return sim.router(i);
+    }
+    ADD_FAILURE() << "no router " << id;
+    return sim.router(0);
+  };
+  const auto state_at = [&](net::NodeId id,
+                            const ip::ChannelId& ch) -> Channel& {
+    Channel* state = router_at(id).corrupt_subscriptions_for_test().find(ch);
+    EXPECT_NE(state, nullptr) << "router " << id << " off-tree";
+    return *state;
+  };
+
+  // ch1: count mismatch (3), host-count mismatch (15), zero subtree (14).
+  state_at(3, ch1).advertised_upstream += 3;
+  state_at(15, ch1).downstream.begin()->second.count += 1;
+  for (auto& [neighbor, entry] : state_at(14, ch1).downstream) entry.count = 0;
+  // ch2: wrong RPF upstream (9), orphan FIB entry (10), two-router loop
+  // 2 <-> 4.
+  state_at(9, ch2).upstream = 5;
+  router_at(10).corrupt_subscriptions_for_test().erase(ch2);
+  state_at(2, ch2).upstream = 4;
+  // Both channels: leaf 8 keeps two orphan FIB entries.
+  router_at(8).corrupt_subscriptions_for_test().erase(ch1);
+  router_at(8).corrupt_subscriptions_for_test().erase(ch2);
+
+  const AuditReport report = run_audit(sim);
+  std::string expected;
+  const auto line = [&expected](const char* check, net::NodeId router,
+                                const ip::ChannelId& ch, const char* detail) {
+    expected += std::string(check) + " @router " + std::to_string(router) +
+                " " + ch.to_string() + ": " + detail + "\n";
+  };
+  line("count_conservation", 0, ch1,
+       "recorded count 1 for router 3 != child's advertised 4");
+  line("count_conservation", 0, ch2,
+       "downstream entry for router 2 whose upstream is 4, not this router");
+  line("count_conservation", 2, ch2,
+       "advertised 1 to router 4 which has no matching downstream entry");
+  line("rpf_consistency", 2, ch2,
+       "upstream is 4 but RPF neighbor toward the source is 0");
+  line("count_conservation", 4, ch1,
+       "downstream entry for router 8 (count 1) but the child is off-tree");
+  line("count_conservation", 4, ch2,
+       "downstream entry for router 8 (count 1) but the child is off-tree");
+  line("count_conservation", 4, ch2,
+       "downstream entry for router 9 whose upstream is 5, not this router");
+  line("count_conservation", 5, ch2,
+       "downstream entry for router 10 (count 1) but the child is off-tree");
+  line("orphan_state", 8, ch1, "FIB entry without membership state");
+  line("orphan_state", 8, ch2, "FIB entry without membership state");
+  line("count_conservation", 9, ch2,
+       "advertised 1 to router 5 which has no matching downstream entry");
+  line("rpf_consistency", 9, ch2,
+       "upstream is 5 but RPF neighbor toward the source is 4");
+  line("orphan_state", 10, ch2, "FIB entry without membership state");
+  line("count_conservation", 14, ch1,
+       "recorded count 0 for host 22 != host's local count 1");
+  line("count_conservation", 14, ch1,
+       "advertised 1 upstream but subtree count is 0");
+  line("orphan_state", 14, ch1,
+       "on-tree with subtree count 0 (empty channels must be torn down)");
+  line("orphan_state", 14, ch1,
+       "FIB replication set does not match the member interfaces");
+  line("count_conservation", 15, ch1,
+       "recorded count 2 for host 23 != host's local count 1");
+  line("forwarding_loop", 2, ch2,
+       "upstream pointers revisit router 2 (walk started at 2)");
+  EXPECT_EQ(report.to_string(), expected);
+  EXPECT_EQ(report.routers_audited, 15u);
+  EXPECT_EQ(report.channels_audited, 20u);  // 14 on ch1 + 6 on ch2
+  EXPECT_EQ(report.edges_checked, 30u);
+}
+
 TEST(Audit, ReportFormattingNamesEveryCheck) {
   EXPECT_STREQ(audit::check_name(Check::kCountConservation),
                "count_conservation");

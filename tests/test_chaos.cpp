@@ -266,6 +266,63 @@ TEST(Convergence, ExpressCleanWithinHysteresisAfterCoreFlap) {
       << "converged in " << sim::to_seconds(outcome.convergence) << " s";
 }
 
+// The auditor at scale: one on-tree core link flaps under churn on an
+// 11,606-node tree (4-ary, depth 5, 10 hosts per leaf). Members are
+// few — every 256th receiver — which keeps the run short, while each
+// audit after the heal still walks every node of the graph.
+TEST(Chaos, LinkFlapOnTenThousandNodeTreeConvergesClean) {
+  ExpressNetwork sim(workload::make_kary_tree(4, 5, {}, 10));
+  ASSERT_GE(sim.net().topology().node_count(), 10000u);
+  const ip::ChannelId ch = sim.source().allocate_channel();
+  constexpr std::size_t kStride = 256;
+  const auto members =
+      static_cast<std::uint32_t>(sim.receiver_count() / kStride);
+  for (std::uint32_t m = 0; m < members; ++m) {
+    sim.receiver(m * kStride).new_subscription(ch);
+  }
+  sim.run_for(sim::seconds(2));
+
+  std::size_t routers_audited = 0;
+  auto audit = [&] {
+    const audit::AuditReport report = audit::InvariantAuditor(sim.net()).run();
+    routers_audited = report.routers_audited;
+    return report.violations.size();
+  };
+  ASSERT_EQ(audit(), 0u);
+
+  const auto link = on_tree_core_link(sim, ch);
+  ASSERT_TRUE(link.has_value()) << "no on-tree core link to cut";
+  Fault flap;
+  flap.kind = FaultKind::kLinkFlap;
+  flap.links.push_back(*link);
+  flap.hold = sim::seconds(1);
+
+  sim::Rng churn_rng(31);
+  auto churn = [&](std::size_t) {
+    const auto events = workload::poisson_churn(
+        members, sim::seconds(4), sim::seconds(2), sim::seconds(2), churn_rng);
+    for (const auto& ev : events) {
+      sim.net().scheduler().schedule_at(
+          sim.net().now() + (ev.at - sim::Time{}), [&sim, ev, ch] {
+            ExpressHost& host = sim.receiver(ev.host_index * kStride);
+            if (ev.join) {
+              host.new_subscription(ch);
+            } else {
+              host.delete_subscription(ch);
+            }
+          });
+    }
+  };
+  const ChaosReport report = workload::run_chaos_campaign(
+      sim.net(), {flap}, ChaosConfig{}, audit, churn);
+
+  EXPECT_EQ(report.faults_injected, 1u);
+  EXPECT_EQ(report.violations, 0u);
+  EXPECT_EQ(report.unconverged, 0u);
+  EXPECT_GT(report.audits_run, 1u);
+  EXPECT_EQ(routers_audited, sim.router_count());
+}
+
 // The same driver at delivery level for the PIM-SM baseline: the RP
 // tree has no re-route logic, so the check is end-to-end — after the
 // flap heals, data sent on the group reaches the member again.
