@@ -1,8 +1,10 @@
 // Google-benchmark microbenchmarks for the hot paths the §5.3 analysis
 // cares about: FIB lookup, ECMP codec, subscription-event processing,
-// routing recomputation, the invariant audit, and the error-curve
-// evaluation.
+// routing recomputation, the invariant audit, network set-up (attach),
+// and the error-curve evaluation.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "audit/invariants.hpp"
 #include "counting/error_curve.hpp"
@@ -166,6 +168,36 @@ void BM_InvariantAudit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InvariantAudit);
+
+void BM_AttachKaryTree(benchmark::State& state) {
+  // Network construction plus attach of every router and host on
+  // make_kary_tree(4, depth, {}, hosts_per_leaf): the set-up cost the
+  // metrics registry sets at scale, since every module instance binds
+  // its stats table once. Topology generation and teardown are untimed.
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  const auto hosts = static_cast<std::uint32_t>(state.range(1));
+  std::size_t nodes = 0;
+  std::size_t entries = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    workload::GeneratedTopology topo =
+        workload::make_kary_tree(4, depth, {}, hosts);
+    nodes = topo.topology.node_count();
+    state.ResumeTiming();
+    auto bed = std::make_unique<Testbed>(std::move(topo));
+    benchmark::DoNotOptimize(bed.get());
+    state.PauseTiming();
+    entries = bed->net().obs().registry.size();
+    bed.reset();
+    state.ResumeTiming();
+  }
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["registry_entries"] = static_cast<double>(entries);
+}
+BENCHMARK(BM_AttachKaryTree)
+    ->Args({4, 5})
+    ->Args({6, 10})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ErrorCurveEvaluate(benchmark::State& state) {
   counting::ErrorCurve curve(counting::CurveParams{0.3, 120, 4});

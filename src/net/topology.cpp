@@ -26,6 +26,9 @@ LinkId Topology::add_link(NodeId a, NodeId b, sim::Duration delay,
   if (cost == 0) throw std::invalid_argument("add_link: zero cost");
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(LinkInfo{a, b, delay, bandwidth_bps, cost, true});
+  link_ifaces_.push_back(
+      {static_cast<std::uint32_t>(nodes_[a].interfaces.size()),
+       static_cast<std::uint32_t>(nodes_[b].interfaces.size())});
   nodes_[a].interfaces.push_back(id);
   nodes_[b].interfaces.push_back(id);
   return id;
@@ -38,10 +41,9 @@ NodeId Topology::peer(LinkId link, NodeId from) const {
 
 std::optional<std::uint32_t> Topology::interface_on(NodeId node,
                                                     LinkId link) const {
-  const auto& ifaces = nodes_.at(node).interfaces;
-  for (std::uint32_t i = 0; i < ifaces.size(); ++i) {
-    if (ifaces[i] == link) return i;
-  }
+  if (link >= links_.size()) return std::nullopt;
+  if (links_[link].a == node) return link_ifaces_[link][0];
+  if (links_[link].b == node) return link_ifaces_[link][1];
   return std::nullopt;
 }
 

@@ -7,6 +7,7 @@
 // what EXPRESS FIB entries and per-interface subscriber counts key on.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -90,6 +91,7 @@ class Topology {
   [[nodiscard]] NodeId peer(LinkId link, NodeId from) const;
 
   /// The interface index on `node` that attaches to `link`, or nullopt.
+  /// O(1): add_link records the index at both ends.
   [[nodiscard]] std::optional<std::uint32_t> interface_on(NodeId node,
                                                           LinkId link) const;
 
@@ -115,6 +117,8 @@ class Topology {
  private:
   std::vector<NodeInfo> nodes_;
   std::vector<LinkInfo> links_;
+  /// Per link, its interface index on endpoint a and on endpoint b.
+  std::vector<std::array<std::uint32_t, 2>> link_ifaces_;
 };
 
 }  // namespace express::net

@@ -57,33 +57,84 @@ void Histogram::observe(std::uint64_t v) const {
 // Registry
 // ---------------------------------------------------------------------------
 
+void* Registry::Arena::allocate(std::size_t size, std::size_t align) {
+  // Chunks start small (a lone standalone module costs little) and
+  // double up to a cap, so the slack at the end of the newest chunk
+  // stays below kMaxChunk.
+  constexpr std::size_t kMinChunk = 256;
+  constexpr std::size_t kMaxChunk = 16 * 1024;
+  std::size_t offset = (used_ + align - 1) & ~(align - 1);
+  if (offset + size > capacity_) {
+    capacity_ = std::max(size, std::clamp(2 * capacity_, kMinChunk, kMaxChunk));
+    // operator new[] aligns a chunk for any align the callers assert.
+    chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(capacity_));
+    offset = 0;
+  }
+  used_ = offset + size;
+  return chunks_.back().get() + offset;
+}
+
+const Registry::Name* Registry::find(std::string_view name) const {
+  const auto it = std::ranges::lower_bound(names_, name, {}, &Name::text);
+  return it != names_.end() && it->text == name ? &*it : nullptr;
+}
+
 void Registry::publish(std::string_view name, Entity entity, MetricKind kind,
-                       const std::uint64_t* value) {
-  entries_[Key{std::string(name), entity}] = Entry{kind, value, nullptr};
+                       const void* data) {
+  auto name_it = std::ranges::lower_bound(names_, name, {}, &Name::text);
+  if (name_it == names_.end() || name_it->text != name) {
+    name_it = names_.insert(name_it, Name{std::string(name), {}});
+  }
+  std::vector<Column>& columns = name_it->columns;
+  auto col = std::ranges::lower_bound(columns, entity.kind, {}, &Column::kind);
+  if (col == columns.end() || col->kind != entity.kind) {
+    col = columns.insert(col, Column{entity.kind, {}});
+  }
+  // Modules bind in ascending id order almost always: try the back first.
+  std::vector<Slot>& slots = col->slots;
+  auto slot = slots.end();
+  if (!slots.empty() && slots.back().id >= entity.id) {
+    slot = std::ranges::lower_bound(slots, entity.id, {}, &Slot::id);
+  }
+  if (slot != slots.end() && slot->id == entity.id) {
+    *slot = Slot{entity.id, kind, data};  // re-registration: repoint
+    return;
+  }
+  slots.insert(slot, Slot{entity.id, kind, data});
+  ++size_;
 }
 
 Histogram Registry::histogram(std::string_view name, Entity entity) {
-  HistogramData& data = hists_.emplace_back();
-  entries_[Key{std::string(name), entity}] =
-      Entry{MetricKind::kHistogram, nullptr, &data};
-  return Histogram(&data);
+  auto* data = ::new (arena_.allocate(sizeof(HistogramData),
+                                      alignof(HistogramData))) HistogramData{};
+  publish(name, entity, MetricKind::kHistogram, data);
+  return Histogram(data);
 }
 
 std::uint64_t Registry::value(std::string_view name, Entity entity) const {
-  auto it = entries_.find(Key{std::string(name), entity});
-  if (it == entries_.end() || it->second.kind == MetricKind::kHistogram) {
+  const Name* n = find(name);
+  if (n == nullptr) return 0;
+  const auto col =
+      std::ranges::lower_bound(n->columns, entity.kind, {}, &Column::kind);
+  if (col == n->columns.end() || col->kind != entity.kind) return 0;
+  const auto slot =
+      std::ranges::lower_bound(col->slots, entity.id, {}, &Slot::id);
+  if (slot == col->slots.end() || slot->id != entity.id ||
+      slot->kind == MetricKind::kHistogram) {
     return 0;
   }
-  return *it->second.value;
+  return slot->scalar();
 }
 
 std::uint64_t Registry::sum(std::string_view name) const {
+  const Name* n = find(name);
+  if (n == nullptr) return 0;
   std::uint64_t total = 0;
-  // Keys sort by name first, so the matching entries form one run.
-  for (auto it = entries_.lower_bound(Key{std::string(name), Entity{}});
-       it != entries_.end() && it->first.name == name; ++it) {
-    if (it->second.kind != MetricKind::kHistogram) {
-      total += *it->second.value;
+  for (const Column& col : n->columns) {
+    for (const Slot& slot : col.slots) {
+      if (slot.kind != MetricKind::kHistogram) {
+        total += slot.scalar();
+      }
     }
   }
   return total;
@@ -110,34 +161,41 @@ const char* metric_kind_name(MetricKind kind) {
 }  // namespace
 
 std::string Registry::snapshot_json(sim::Time at) const {
-  // Canonical form: entries in std::map order (name, then entity kind,
-  // then entity id); keys inside each object alphabetical; integers
-  // only. Every byte below is a pure function of registry contents and
-  // the passed sim time.
+  // Canonical form: entries in (name, then entity kind, then entity id)
+  // order, which is the storage order of names_, columns and slots;
+  // keys inside each object alphabetical; integers only. Every byte
+  // below is a pure function of registry contents and the passed sim
+  // time.
   std::string out = "{\n\"metrics\": [";
   bool first = true;
-  for (const auto& [key, entry] : entries_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    if (entry.kind == MetricKind::kHistogram) {
-      const HistogramData& d = *entry.hist;
-      out += "{\"buckets\":[";
-      for (std::size_t i = 0; i < d.buckets.size(); ++i) {
-        if (i != 0) out += ',';
-        append_uint(out, d.buckets[i]);
+  for (const Name& name : names_) {
+    for (const Column& col : name.columns) {
+      for (const Slot& slot : col.slots) {
+        out += first ? "\n" : ",\n";
+        first = false;
+        const std::string entity = Entity{col.kind, slot.id}.to_string();
+        if (slot.kind == MetricKind::kHistogram) {
+          const auto& d = *static_cast<const HistogramData*>(slot.data);
+          out += "{\"buckets\":[";
+          for (std::size_t i = 0; i < d.buckets.size(); ++i) {
+            if (i != 0) out += ',';
+            append_uint(out, d.buckets[i]);
+          }
+          out += "],\"count\":";
+          append_uint(out, d.count);
+          out += ",\"entity\":\"" + entity + "\"";
+          out += ",\"kind\":\"histogram\",\"name\":\"" + name.text +
+                 "\",\"sum\":";
+          append_uint(out, d.sum);
+          out += "}";
+        } else {
+          out += "{\"entity\":\"" + entity + "\",\"kind\":\"";
+          out += metric_kind_name(slot.kind);
+          out += "\",\"name\":\"" + name.text + "\",\"value\":";
+          append_uint(out, slot.scalar());
+          out += "}";
+        }
       }
-      out += "],\"count\":";
-      append_uint(out, d.count);
-      out += ",\"entity\":\"" + key.entity.to_string() + "\"";
-      out += ",\"kind\":\"histogram\",\"name\":\"" + key.name + "\",\"sum\":";
-      append_uint(out, d.sum);
-      out += "}";
-    } else {
-      out += "{\"entity\":\"" + key.entity.to_string() + "\",\"kind\":\"";
-      out += metric_kind_name(entry.kind);
-      out += "\",\"name\":\"" + key.name + "\",\"value\":";
-      append_uint(out, *entry.value);
-      out += "}";
     }
   }
   out += "\n],\n\"sim_time_ns\": ";

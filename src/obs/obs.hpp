@@ -4,14 +4,14 @@
 //   * Registry — named counters/gauges/histograms, each owned by an
 //     Entity (router/host/link/...). A module declares its metrics
 //     once, as a table of {&XStats::field, "metric.name"} rows passed
-//     to Scope::bind<XStats>(). The registry allocates one zeroed,
-//     address-stable XStats block per call and publishes each listed
-//     field under its name; the module keeps the returned pointer, so
-//     a fast-path increment (`++stats_->field`) is one indirect add
-//     and `stats()` is a copy of the block. snapshot_json() serializes
-//     the whole registry in a canonical form (entries sorted by (name,
-//     entity), integers only, sim-time stamped) that is byte-identical
-//     across identically seeded runs.
+//     to Scope::bind<XStats>(). The registry carves one zeroed,
+//     address-stable XStats block per call from a chunked arena and
+//     publishes each listed field under its name; the module keeps the
+//     returned pointer, so a fast-path increment (`++stats_->field`) is
+//     one indirect add and `stats()` is a copy of the block.
+//     snapshot_json() serializes the whole registry in a canonical form
+//     (entries sorted by (name, entity), integers only, sim-time
+//     stamped) that is byte-identical across identically seeded runs.
 //   * Trace — a fixed-capacity ring of POD records (packet
 //     sent/delivered/dropped, subscription change, count-round
 //     start/end, timer fire, fault inject/heal) stamped with *sim*
@@ -32,18 +32,21 @@
 //
 // Determinism contract: nothing in this module reads wall clocks,
 // addresses, or iteration order of unordered containers. The registry
-// index is a std::map ordered by (name, entity); anonymous entity ids
-// come from a process-global monotonic counter, so in-process replays
-// of the same construction sequence serialize identically.
+// stores each metric name once, in a vector sorted by name bytes; under
+// each name, one column per entity kind (ascending kind) holds a slot
+// per entity (ascending id). That nesting is the (name, entity) order,
+// so snapshot_json() walks it directly. Memory is one 16-byte slot per
+// published field plus the blocks themselves, whatever the ids are:
+// anonymous entity ids come from a process-global monotonic counter
+// (unbounded), so in-process replays of the same construction sequence
+// serialize identically, and no column is indexed by raw id.
 #pragma once
 
 #include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <new>
 #include <optional>
@@ -153,8 +156,7 @@ class Registry {
   [[nodiscard]] S* bind(Entity entity, std::initializer_list<Metric<S>> rows) {
     static_assert(std::is_trivially_destructible_v<S> &&
                   alignof(S) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-    blocks_.push_back(std::make_unique<std::byte[]>(sizeof(S)));
-    S* block = ::new (blocks_.back().get()) S{};
+    S* block = ::new (arena_.allocate(sizeof(S), alignof(S))) S{};
     for (const Metric<S>& row : rows) {
       assert(row.kind != MetricKind::kHistogram);
       publish(row.name, entity, row.kind, &(block->*row.field));
@@ -170,7 +172,7 @@ class Registry {
                                     Entity entity) const;
   /// Sum of a scalar metric over every entity carrying it.
   [[nodiscard]] std::uint64_t sum(std::string_view name) const;
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Canonical JSON snapshot: one object per metric, entries sorted by
   /// (name, entity), object keys sorted alphabetically, integers only,
@@ -179,26 +181,50 @@ class Registry {
   [[nodiscard]] std::string snapshot_json(sim::Time at) const;
 
  private:
-  struct Key {
-    std::string name;
-    Entity entity;
-    friend auto operator<=>(const Key&, const Key&) = default;
-  };
-  struct Entry {
+  /// One published metric of one entity. `data` points at a uint64
+  /// field of a stats block, or at a HistogramData when kind says so.
+  struct Slot {
+    std::uint32_t id = 0;  ///< Entity::id
     MetricKind kind = MetricKind::kCounter;
-    const std::uint64_t* value = nullptr;  ///< scalar: field in a block
-    const HistogramData* hist = nullptr;   ///< histogram: in hists_
+    const void* data = nullptr;
+
+    [[nodiscard]] std::uint64_t scalar() const {
+      return *static_cast<const std::uint64_t*>(data);
+    }
+  };
+  /// Every entity of one kind that carries a name, ascending by id.
+  struct Column {
+    EntityKind kind = EntityKind::kNone;
+    std::vector<Slot> slots;
+  };
+  /// A metric name, stored once, and its columns ascending by kind.
+  struct Name {
+    std::string text;
+    std::vector<Column> columns;
+  };
+
+  /// Chunked bump allocator for stats blocks and histograms. A chunk is
+  /// never moved or freed before the registry, so carved storage stays
+  /// put; every block of a chunk is trivially destructible.
+  class Arena {
+   public:
+    [[nodiscard]] void* allocate(std::size_t size, std::size_t align);
+
+   private:
+    std::vector<std::unique_ptr<std::byte[]>> chunks_;
+    std::size_t used_ = 0;
+    std::size_t capacity_ = 0;
   };
 
   void publish(std::string_view name, Entity entity, MetricKind kind,
-               const std::uint64_t* value);
+               const void* data);
+  [[nodiscard]] const Name* find(std::string_view name) const;
 
-  std::map<Key, Entry> entries_;
-  /// Storage the entries point into. Neither container moves what it
-  /// already holds, so handed-out block pointers and Histogram handles
-  /// stay valid for the registry's lifetime.
-  std::vector<std::unique_ptr<std::byte[]>> blocks_;
-  std::deque<HistogramData> hists_;
+  /// Sorted by text, so snapshot_json() walks names, columns and slots
+  /// in (name, entity) order without sorting anything.
+  std::vector<Name> names_;
+  std::size_t size_ = 0;
+  Arena arena_;
 };
 
 // ---------------------------------------------------------------------------

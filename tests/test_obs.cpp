@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,6 +26,7 @@
 #include "obs/obs.hpp"
 #include "relay/participant.hpp"
 #include "relay/session_relay.hpp"
+#include "sim/random.hpp"
 #include "workload/chaos.hpp"
 #include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
@@ -125,6 +127,130 @@ TEST(ObsRegistry, HistogramBucketsByBitWidth) {
   // Histograms are not scalars: value()/sum() skip them.
   EXPECT_EQ(reg.value("test.latency", obs::Entity::router(1)), 0u);
   EXPECT_EQ(reg.sum("test.latency"), 0u);
+}
+
+/// The reference the registry is checked against: one std::map entry
+/// per (name, entity), pointing at the published field or histogram.
+struct ModelEntry {
+  obs::MetricKind kind = obs::MetricKind::kCounter;
+  const std::uint64_t* value = nullptr;
+  const obs::HistogramData* hist = nullptr;
+};
+using RegistryModel =
+    std::map<std::pair<std::string, obs::Entity>, ModelEntry>;
+
+/// snapshot_json() as the map-ordered model renders it.
+std::string model_snapshot(const RegistryModel& model, sim::Time at) {
+  std::string out = "{\n\"metrics\": [";
+  bool first = true;
+  for (const auto& [key, e] : model) {
+    out += first ? "\n" : ",\n";
+    first = false;
+    const std::string entity = key.second.to_string();
+    if (e.kind == obs::MetricKind::kHistogram) {
+      out += "{\"buckets\":[";
+      for (std::size_t i = 0; i < e.hist->buckets.size(); ++i) {
+        out += (i != 0 ? "," : "") + std::to_string(e.hist->buckets[i]);
+      }
+      out += "],\"count\":" + std::to_string(e.hist->count) +
+             ",\"entity\":\"" + entity +
+             "\",\"kind\":\"histogram\",\"name\":\"" + key.first +
+             "\",\"sum\":" + std::to_string(e.hist->sum) + "}";
+    } else {
+      out += "{\"entity\":\"" + entity + "\",\"kind\":\"" +
+             (e.kind == obs::MetricKind::kGauge ? "gauge" : "counter") +
+             "\",\"name\":\"" + key.first +
+             "\",\"value\":" + std::to_string(*e.value) + "}";
+    }
+  }
+  return out + "\n],\n\"sim_time_ns\": " + std::to_string(at.count()) +
+         "\n}\n";
+}
+
+TEST(ObsRegistry, MatchesAMapModelOnSeededBindSequences) {
+  // Seeded random bind / re-bind / histogram sequences over every
+  // entity kind, with ids past 10^6 and names that are byte-prefixes of
+  // each other. size(), value() and sum() must agree with the map
+  // model at every step, and snapshot_json() byte for byte every 25.
+  const std::vector<std::string> names = {
+      "a.b", "a.b.c", "a.b_c", "a.bc", "a", "a.b.", "b", "a.b.c.d"};
+  const std::vector<std::uint32_t> ids = {0, 1, 2, 7, 1'000'000, 1'000'001,
+                                          4'294'967'295u};
+  const std::vector<std::uint64_t ProbeStats::*> fields = {
+      &ProbeStats::hits, &ProbeStats::peak, &ProbeStats::unbound};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    sim::Rng rng(seed);
+    const auto pick = [&rng](const auto& v) -> const auto& {
+      return v[rng.below(static_cast<std::uint32_t>(v.size()))];
+    };
+    const auto entity = [&] {
+      return obs::Entity{static_cast<obs::EntityKind>(rng.below(8)), pick(ids)};
+    };
+    obs::Registry reg;
+    RegistryModel model;
+    std::vector<ProbeStats*> blocks;  // replaced ones included
+    std::vector<obs::Histogram> hists;
+    for (int step = 0; step < 300; ++step) {
+      const std::uint32_t op = rng.below(10);
+      if (op < 4) {  // bind (a re-bind when the entity already has the name)
+        const obs::Entity e = entity();
+        std::vector<obs::Metric<ProbeStats>> rows;
+        for (std::uint32_t r = 0, n = 1 + rng.below(3); r < n; ++r) {
+          rows.push_back({pick(fields), pick(names),
+                          rng.chance(0.3) ? obs::MetricKind::kGauge
+                                          : obs::MetricKind::kCounter});
+        }
+        ProbeStats* block = nullptr;
+        if (rows.size() == 1) {
+          block = reg.bind<ProbeStats>(e, {rows[0]});
+        } else if (rows.size() == 2) {
+          block = reg.bind<ProbeStats>(e, {rows[0], rows[1]});
+        } else {
+          block = reg.bind<ProbeStats>(e, {rows[0], rows[1], rows[2]});
+        }
+        EXPECT_EQ(block->hits + block->peak + block->unbound, 0u);
+        for (const auto& row : rows) {
+          model[{std::string(row.name), e}] = {row.kind, &(block->*row.field),
+                                               nullptr};
+        }
+        blocks.push_back(block);
+      } else if (op < 5) {  // histogram (re-)registration
+        const obs::Entity e = entity();
+        const std::string& name = pick(names);
+        hists.push_back(reg.histogram(name, e));
+        EXPECT_EQ(hists.back().data().count, 0u);
+        model[{name, e}] = {obs::MetricKind::kHistogram, nullptr,
+                            &hists.back().data()};
+      } else if (op < 8 && !blocks.empty()) {  // write any block, live or not
+        pick(blocks)->*pick(fields) = rng.below(1'000'000);
+      } else if (!hists.empty()) {
+        pick(hists).observe(rng.next_u64() >> rng.below(64));
+      }
+
+      ASSERT_EQ(reg.size(), model.size())
+          << "seed " << seed << " step " << step;
+      const obs::Entity probe = entity();
+      const std::string& name = pick(names);
+      const auto it = model.find({name, probe});
+      const std::uint64_t expect =
+          it == model.end() || it->second.value == nullptr ? 0
+                                                           : *it->second.value;
+      EXPECT_EQ(reg.value(name, probe), expect)
+          << name << " " << probe.to_string();
+      std::uint64_t total = 0;
+      for (const auto& [key, e] : model) {
+        if (key.first == name && e.value != nullptr) total += *e.value;
+      }
+      EXPECT_EQ(reg.sum(name), total) << name;
+      if (step % 25 == 24) {
+        const sim::Time at = sim::milliseconds(step);
+        ASSERT_EQ(reg.snapshot_json(at), model_snapshot(model, at))
+            << "seed " << seed << " step " << step;
+      }
+    }
+    EXPECT_EQ(reg.value("a.b.c.d.e", obs::Entity::router(1)), 0u);
+    EXPECT_EQ(reg.sum("a.b.c.d.e"), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------

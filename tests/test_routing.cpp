@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "net/lan.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/random.hpp"
@@ -111,6 +112,46 @@ TEST(Topology, FindByAddress) {
   const NodeId a = t.add_router();
   EXPECT_EQ(t.find_by_address(t.node(a).address), a);
   EXPECT_FALSE(t.find_by_address(ip::Address(1, 2, 3, 4)).has_value());
+}
+
+TEST(Topology, InterfaceOnMatchesALinearScanOfEveryNode) {
+  // interface_on answers from the indices add_link records at both
+  // ends; the oracle is a scan of the node's interface list. Parallel
+  // links and LAN hubs give a node several links to one neighbor.
+  sim::Rng rng(11);
+  std::vector<Topology> topologies;
+  topologies.push_back(workload::make_kary_tree(3, 3, {}, 2).topology);
+  topologies.push_back(workload::make_transit_stub(6, 3, 2, rng).topology);
+  Topology lan = workload::make_line(4).topology;
+  add_lan_segment(lan, 1, 5);
+  add_lan_segment(lan, 2, 3);
+  lan.add_link(0, 1);
+  lan.add_link(1, 0);
+  topologies.push_back(std::move(lan));
+  Topology multigraph;
+  for (int i = 0; i < 12; ++i) multigraph.add_router();
+  for (int i = 0; i < 80; ++i) {
+    const NodeId a = rng.below(12);
+    const NodeId b = rng.below(12);
+    if (a != b) multigraph.add_link(a, b);
+  }
+  topologies.push_back(std::move(multigraph));
+
+  for (const Topology& t : topologies) {
+    const auto links = static_cast<LinkId>(t.link_count());
+    for (NodeId n = 0; n < t.node_count(); ++n) {
+      const std::vector<LinkId>& ifaces = t.node(n).interfaces;
+      for (LinkId l = 0; l < links; ++l) {
+        std::optional<std::uint32_t> scan;
+        if (const auto it = std::find(ifaces.begin(), ifaces.end(), l);
+            it != ifaces.end()) {
+          scan = static_cast<std::uint32_t>(it - ifaces.begin());
+        }
+        EXPECT_EQ(t.interface_on(n, l), scan) << "node " << n << " link " << l;
+      }
+      EXPECT_EQ(t.interface_on(n, links), std::nullopt);
+    }
+  }
 }
 
 class LineRouting : public ::testing::Test {

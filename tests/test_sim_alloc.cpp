@@ -1,50 +1,24 @@
 // Heap-traffic tests for the simulator core.
 //
-// This file overrides global operator new/delete to count allocations,
-// proving the headline property of the slab scheduler: once warmed up,
-// a steady-state schedule → dispatch cycle touches the allocator zero
-// times. It lives in its own test binary so the counting overrides
-// cannot perturb (or be perturbed by) the other suites.
+// This binary links the counting operator new/delete of
+// alloc_counter.cpp, proving the headline property of the slab
+// scheduler: once warmed up, a steady-state schedule → dispatch cycle
+// touches the allocator zero times. It is its own test binary so the
+// counting overrides cannot perturb (or be perturbed by) the other
+// suites.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstddef>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/scheduler.hpp"
 
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-std::uint64_t allocation_count() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-}  // namespace
-
-// Counting overrides. gtest and the runtime allocate freely around the
-// measured regions; only the deltas inside them matter.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-
 namespace express::sim {
 namespace {
+
+using test::allocation_count;
 
 // A capture the size of the real transmit closures: a packet-sized blob
 // plus a couple of pointers. Must fit InlineFunction's inline buffer.
