@@ -8,6 +8,7 @@
 // the state at k=2, growing savings with k, but relay delay).
 #include <deque>
 #include <memory>
+#include <optional>
 
 #include "common.hpp"
 #include "testbed/delivery_log.hpp"
@@ -66,9 +67,14 @@ Option shared_relay(std::size_t speakers) {
   Testbed bed(workload::make_kary_tree(2, 3));
   relay::SessionRelay sr(bed.source(), relay::RelayConfig{});
   std::vector<std::unique_ptr<relay::Participant>> participants;
+  // Each participant's latest delivered frame.
+  std::vector<std::optional<relay::SessionDelivery>> last(
+      bed.receiver_count());
   for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
     participants.push_back(std::make_unique<relay::Participant>(
         bed.receiver(i), sr.channel(), bed.source().address()));
+    participants.back()->set_delivery_handler(
+        [&last, i](const relay::SessionDelivery& d) { last[i] = d; });
     sr.authorize(bed.receiver(i).address());
     participants.back()->join();
   }
@@ -81,15 +87,12 @@ Option shared_relay(std::size_t speakers) {
   std::uint64_t deliveries = 0;
   for (std::size_t s = 0; s < speakers; ++s) {
     const sim::Time sent = bed.net().now();
-    const std::size_t before = participants[(s + 1) % 8]->deliveries().size();
-    (void)before;
     participants[s]->speak(500);
     bed.run_for(sim::seconds(1));
     for (std::size_t i = 0; i < participants.size(); ++i) {
       if (i == s) continue;
-      const auto& ds = participants[i]->deliveries();
-      if (!ds.empty() && ds.back().speaker == bed.receiver(s).address()) {
-        delay_sum += sim::to_seconds(ds.back().at - sent) * 1e3;
+      if (last[i] && last[i]->speaker == bed.receiver(s).address()) {
+        delay_sum += sim::to_seconds(last[i]->at - sent) * 1e3;
         ++deliveries;
       }
     }

@@ -4,6 +4,8 @@
 // We measure end-to-end delay from the speaker to every participant and
 // check the paper's §4.5 bound: relayed delay <= 2x the distance from
 // the most distant subscriber to the SR (symmetric paths).
+#include <optional>
+
 #include "common.hpp"
 #include "testbed/testbed.hpp"
 #include "relay/participant.hpp"
@@ -18,9 +20,13 @@ int main() {
   relay::SessionRelay sr(bed.source(), relay::RelayConfig{});
 
   std::vector<std::unique_ptr<relay::Participant>> participants;
+  // Arrival time of each participant's latest relayed frame.
+  std::vector<std::optional<sim::Time>> last_at(bed.receiver_count());
   for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
     participants.push_back(std::make_unique<relay::Participant>(
         bed.receiver(i), sr.channel(), bed.source().address()));
+    participants.back()->set_delivery_handler(
+        [&last_at, i](const relay::SessionDelivery& d) { last_at[i] = d.at; });
     sr.authorize(bed.receiver(i).address());
     participants.back()->join();
   }
@@ -48,13 +54,11 @@ int main() {
                "stretch"});
   double worst_relayed = 0;
   for (std::size_t i = 0; i < participants.size(); ++i) {
-    const auto& deliveries = participants[i]->deliveries();
-    if (deliveries.empty()) {
+    if (!last_at[i]) {
       table.row({"recv" + std::to_string(i), "-", "-", "-"});
       continue;
     }
-    const double relayed_ms =
-        sim::to_seconds(deliveries.back().at - spoke_at) * 1e3;
+    const double relayed_ms = sim::to_seconds(*last_at[i] - spoke_at) * 1e3;
     worst_relayed = std::max(worst_relayed, relayed_ms);
     const double direct_ms =
         sim::to_seconds(routing

@@ -66,7 +66,6 @@ void CbtRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
   // lint: partial-switch (CBT-relevant subset; rest intentionally ignored)
   switch (msg.type) {
     case MsgType::kMembershipReport:
-      members_[msg.group].insert(in_iface);
       trees_[msg.group].ifaces.insert(in_iface);
       join_toward_core(msg.group);
       return;
@@ -74,14 +73,7 @@ void CbtRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
       trees_[msg.group].ifaces.insert(in_iface);
       join_toward_core(msg.group);
       return;
-    case MsgType::kLeaveGroup: {
-      auto member = members_.find(msg.group);
-      if (member != members_.end()) {
-        member->second.erase(in_iface);
-        if (member->second.empty()) members_.erase(member);
-      }
-      [[fallthrough]];
-    }
+    case MsgType::kLeaveGroup:
     case MsgType::kPruneStarG: {
       auto it = trees_.find(msg.group);
       if (it == trees_.end()) return;

@@ -74,7 +74,6 @@ class CbtRouter : public net::Node {
   /// protocol-agnostic replication primitive.
   express::ForwardingPlane plane_;
   std::unordered_map<ip::Address, Tree> trees_;
-  std::unordered_map<ip::Address, std::unordered_set<std::uint32_t>> members_;
 };
 
 }  // namespace express::baseline

@@ -1,29 +1,15 @@
 #include "baseline/wire.hpp"
 
+#include "ip/bytes.hpp"
+
 namespace express::baseline {
-
-namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t at) {
-  return (std::uint32_t{b[at]} << 24) | (std::uint32_t{b[at + 1]} << 16) |
-         (std::uint32_t{b[at + 2]} << 8) | std::uint32_t{b[at + 3]};
-}
-
-}  // namespace
 
 void encode_to(const Msg& msg, std::vector<std::uint8_t>& out) {
   out.push_back(static_cast<std::uint8_t>(msg.type));
   out.push_back(0);  // reserved
-  put_u32(out, msg.group.value());
-  put_u32(out, msg.source.value());
-  put_u32(out, msg.holdtime_ms);
+  ip::put_u32(out, msg.group.value());
+  ip::put_u32(out, msg.source.value());
+  ip::put_u32(out, msg.holdtime_ms);
 }
 
 std::vector<std::uint8_t> encode(const Msg& msg) {
@@ -41,9 +27,9 @@ std::optional<Msg> decode(std::span<const std::uint8_t> bytes) {
   }
   Msg msg;
   msg.type = static_cast<MsgType>(type);
-  msg.group = ip::Address{get_u32(bytes, 2)};
-  msg.source = ip::Address{get_u32(bytes, 6)};
-  msg.holdtime_ms = get_u32(bytes, 10);
+  msg.group = ip::Address{ip::get_u32(bytes, 2)};
+  msg.source = ip::Address{ip::get_u32(bytes, 6)};
+  msg.holdtime_ms = ip::get_u32(bytes, 10);
   return msg;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "ip/bytes.hpp"
+
 namespace express::ecmp {
 
 namespace {
@@ -11,42 +13,14 @@ constexpr std::uint8_t kFlagHasKey = 0x01;
 constexpr std::uint8_t kFlagHasSeq = 0x02;
 constexpr std::size_t kHeaderSize = 12;
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-  put_u16(out, static_cast<std::uint16_t>(v & 0xFFFF));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-  put_u32(out, static_cast<std::uint32_t>(v & 0xFFFFFFFFU));
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> b, std::size_t at) {
-  return static_cast<std::uint16_t>((b[at] << 8) | b[at + 1]);
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t at) {
-  return (std::uint32_t{b[at]} << 24) | (std::uint32_t{b[at + 1]} << 16) |
-         (std::uint32_t{b[at + 2]} << 8) | std::uint32_t{b[at + 3]};
-}
-
-std::uint64_t get_u64(std::span<const std::uint8_t> b, std::size_t at) {
-  return (static_cast<std::uint64_t>(get_u32(b, at)) << 32) | get_u32(b, at + 4);
-}
-
 void put_header(std::vector<std::uint8_t>& out, MessageType type,
                 std::uint8_t flags, CountId count_id,
                 const ip::ChannelId& channel) {
   out.push_back(static_cast<std::uint8_t>(type));
   out.push_back(flags);
-  put_u16(out, count_id);
-  put_u32(out, channel.source.value());
-  put_u32(out, channel.dest.value());
+  ip::put_u16(out, count_id);
+  ip::put_u32(out, channel.source.value());
+  ip::put_u32(out, channel.dest.value());
 }
 
 /// Counts are 32 bits on the wire (10M-subscriber channels fit with
@@ -89,16 +63,16 @@ void encode(const Message& msg, std::vector<std::uint8_t>& out) {
           const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                               m.timeout)
                               .count();
-          put_u32(out, saturate_u32(ms));
-          put_u32(out, m.query_seq);
+          ip::put_u32(out, saturate_u32(ms));
+          ip::put_u32(out, m.query_seq);
         } else if constexpr (std::is_same_v<T, Count>) {
           std::uint8_t flags = 0;
           if (m.query_seq != 0) flags |= kFlagHasSeq;
           if (m.key) flags |= kFlagHasKey;
           put_header(out, MessageType::kCount, flags, m.count_id, m.channel);
-          put_u32(out, saturate_u32(m.count));
-          if (m.query_seq != 0) put_u32(out, m.query_seq);
-          if (m.key) put_u64(out, *m.key);
+          ip::put_u32(out, saturate_u32(m.count));
+          if (m.query_seq != 0) ip::put_u32(out, m.query_seq);
+          if (m.key) ip::put_u64(out, *m.key);
         } else if constexpr (std::is_same_v<T, CountResponse>) {
           put_header(out, MessageType::kCountResponse, 0, m.count_id,
                      m.channel);
@@ -108,7 +82,7 @@ void encode(const Message& msg, std::vector<std::uint8_t>& out) {
           out.push_back(0);
         } else {
           put_header(out, MessageType::kKeyRegister, kFlagHasKey, 0, m.channel);
-          put_u64(out, m.key);
+          ip::put_u64(out, m.key);
         }
       },
       msg);
@@ -126,9 +100,9 @@ std::optional<std::pair<Message, std::size_t>> decode(
   if (bytes.size() < kHeaderSize) return std::nullopt;
   const auto type = static_cast<MessageType>(bytes[0]);
   const std::uint8_t flags = bytes[1];
-  const CountId count_id = get_u16(bytes, 2);
-  ip::ChannelId channel{ip::Address{get_u32(bytes, 4)},
-                        ip::Address{get_u32(bytes, 8)}};
+  const CountId count_id = ip::get_u16(bytes, 2);
+  ip::ChannelId channel{ip::Address{ip::get_u32(bytes, 4)},
+                        ip::Address{ip::get_u32(bytes, 8)}};
   std::size_t at = kHeaderSize;
   auto need = [&](std::size_t n) { return bytes.size() >= at + n; };
 
@@ -138,8 +112,8 @@ std::optional<std::pair<Message, std::size_t>> decode(
       CountQuery q;
       q.channel = channel;
       q.count_id = count_id;
-      q.timeout = sim::milliseconds(get_u32(bytes, at));
-      q.query_seq = get_u32(bytes, at + 4);
+      q.timeout = sim::milliseconds(ip::get_u32(bytes, at));
+      q.query_seq = ip::get_u32(bytes, at + 4);
       return std::pair<Message, std::size_t>{q, at + 8};
     }
     case MessageType::kCount: {
@@ -147,16 +121,16 @@ std::optional<std::pair<Message, std::size_t>> decode(
       Count c;
       c.channel = channel;
       c.count_id = count_id;
-      c.count = get_u32(bytes, at);
+      c.count = ip::get_u32(bytes, at);
       at += 4;
       if (flags & kFlagHasSeq) {
         if (!need(4)) return std::nullopt;
-        c.query_seq = get_u32(bytes, at);
+        c.query_seq = ip::get_u32(bytes, at);
         at += 4;
       }
       if (flags & kFlagHasKey) {
         if (!need(8)) return std::nullopt;
-        c.key = get_u64(bytes, at);
+        c.key = ip::get_u64(bytes, at);
         at += 8;
       }
       return std::pair<Message, std::size_t>{c, at};
@@ -177,7 +151,7 @@ std::optional<std::pair<Message, std::size_t>> decode(
       if (!need(8)) return std::nullopt;
       KeyRegister k;
       k.channel = channel;
-      k.key = get_u64(bytes, at);
+      k.key = ip::get_u64(bytes, at);
       return std::pair<Message, std::size_t>{k, at + 8};
     }
   }

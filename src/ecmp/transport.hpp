@@ -11,8 +11,10 @@
 //   * the shared control-sequence counter (discovery keepalives and
 //     router-initiated counts interleave on one sequence space).
 //
-// Timer/retry knobs live in TransportPolicy so the protocol layers
-// above never reach into raw durations.
+// TransportPolicy declares every timer/retry knob the session layer
+// uses, once: express::RouterConfig extends it with the router's own
+// knobs and hands it down unchanged, so the protocol layers above never
+// reach into raw durations.
 //
 // Module seam: the transport understands neighbors, packets, and
 // sessions — never channels. It holds no subscription or counting
@@ -60,7 +62,9 @@ struct TransportPolicy {
   sim::Duration udp_query_interval = sim::seconds(60);
   std::uint32_t udp_robustness = 2;
 
-  /// §5.3 TCP segment coalescing window. Unset = a packet per message.
+  /// TCP-mode segment batching (§5.3): coalesce ECMP messages to each
+  /// neighbor for up to this window (or until a 1480-byte segment
+  /// fills) before transmitting. Unset = one packet per message.
   std::optional<sim::Duration> batch_window;
 
   /// How long a UDP-mode downstream entry lives without a refresh.

@@ -9,22 +9,6 @@
 
 namespace express {
 
-namespace {
-
-ecmp::TransportPolicy make_policy(const RouterConfig& config) {
-  ecmp::TransportPolicy policy;
-  policy.timeout_rtt_multiple = config.timeout_rtt_multiple;
-  policy.neighbor_discovery = config.neighbor_discovery;
-  policy.neighbor_query_interval = config.neighbor_query_interval;
-  policy.neighbor_timeout = config.neighbor_timeout;
-  policy.udp_query_interval = config.udp_query_interval;
-  policy.udp_robustness = config.udp_robustness;
-  policy.batch_window = config.batch_window;
-  return policy;
-}
-
-}  // namespace
-
 ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
                              RouterConfig config)
     : net::Node(network, id),
@@ -44,7 +28,7 @@ ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
             maybe_send_proactive(channel);
           },
           scope_),
-      transport_(network, id, make_policy(config),
+      transport_(network, id, config,
                  ecmp::TransportHooks{
                      [this]() { return udp_refresh_round(); },
                      [this](net::NodeId neighbor) { neighbor_died(neighbor); },

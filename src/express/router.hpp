@@ -42,33 +42,17 @@
 
 namespace express {
 
-struct RouterConfig {
-  /// Multiple of the upstream-link RTT subtracted from a CountQuery's
-  /// timeout at each hop, so children time out before parents (§3.1).
-  double timeout_rtt_multiple = 2.0;
-
+/// A router's knobs: the ECMP session policy it hands its transport
+/// (timers, discovery, batching; field docs on TransportPolicy) plus
+/// the two the router itself acts on.
+struct RouterConfig : ecmp::TransportPolicy {
   /// Delay before acting on an upstream change, to damp route flaps (§3.2).
   sim::Duration route_change_hysteresis = sim::seconds(1);
-
-  /// Enable periodic neighbor discovery / keepalive queries (§3.3).
-  bool neighbor_discovery = false;
-  sim::Duration neighbor_query_interval = sim::seconds(30);
-  sim::Duration neighbor_timeout = sim::seconds(95);
-
-  /// UDP-mode soft state: per-channel refresh query interval and the
-  /// number of unanswered intervals before a downstream entry expires.
-  sim::Duration udp_query_interval = sim::seconds(60);
-  std::uint32_t udp_robustness = 2;
 
   /// When set, subscriber counts are maintained proactively (§6):
   /// aggregate changes are pushed upstream per the error-tolerance curve
   /// instead of only at 0 <-> non-zero transitions.
   std::optional<counting::CurveParams> proactive;
-
-  /// TCP-mode segment batching (§5.3): coalesce ECMP messages to each
-  /// neighbor for up to this window (or until a 1480-byte segment
-  /// fills) before transmitting. Unset = one packet per message.
-  std::optional<sim::Duration> batch_window;
 };
 
 /// Unified router counters: the subscription, ECMP transport and

@@ -1,31 +1,8 @@
 #include "ip/header.hpp"
 
+#include "ip/bytes.hpp"
+
 namespace express::ip {
-
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> b, std::size_t at) {
-  return static_cast<std::uint16_t>((b[at] << 8) | b[at + 1]);
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> b, std::size_t at) {
-  return (std::uint32_t{b[at]} << 24) | (std::uint32_t{b[at + 1]} << 16) |
-         (std::uint32_t{b[at + 2]} << 8) | std::uint32_t{b[at + 3]};
-}
-
-}  // namespace
 
 std::uint16_t internet_checksum(std::span<const std::uint8_t> bytes) {
   std::uint32_t sum = 0;

@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,9 +57,6 @@ class Network {
       : topology_(std::move(topology)),
         routing_(topology_),
         link_free_(topology_.link_count()) {
-    for (NodeId i = 0; i < topology_.node_count(); ++i) {
-      address_index_.emplace(topology_.node(i).address, i);
-    }
     stats_ = plane_.registry.bind<NetworkStats>(
         obs::Entity::network(),
         {
@@ -134,11 +130,10 @@ class Network {
     return id < nodes_.size() ? nodes_[id].get() : nullptr;
   }
 
-  /// Resolve a unicast address to its topology node (O(1) index).
+  /// Resolve a unicast address to its topology node (O(1), see
+  /// Topology::find_by_address).
   [[nodiscard]] std::optional<NodeId> node_of(ip::Address address) const {
-    auto it = address_index_.find(address);
-    if (it == address_index_.end()) return std::nullopt;
-    return it->second;
+    return topology_.find_by_address(address);
   }
 
   /// Transmit `packet` from `from` out its interface `iface`. Dropped
@@ -288,7 +283,6 @@ class Network {
   /// Per link, per direction ([0]: a->b, [1]: b->a): when the
   /// transmitter becomes free (FIFO serialization).
   std::vector<std::array<sim::Time, 2>> link_free_;
-  std::unordered_map<ip::Address, NodeId> address_index_;
   std::vector<FanoutBatch> fanout_pool_;
   std::vector<std::uint32_t> fanout_free_;  // recycled pool ids
   bool fanout_batching_ = true;

@@ -5,14 +5,12 @@
 
 namespace express::net {
 
-NodeId Topology::add_node(NodeKind kind, std::string name,
-                          std::optional<ip::Address> address) {
+NodeId Topology::add_node(NodeKind kind, std::string name) {
   const auto id = static_cast<NodeId>(nodes_.size());
   NodeInfo info;
   info.kind = kind;
   info.name = name.empty() ? ("n" + std::to_string(id)) : std::move(name);
-  info.address = address.value_or(
-      ip::Address{static_cast<std::uint32_t>(0x0A000001U + id)});
+  info.address = ip::Address{kNodeAddressBase + id};
   nodes_.push_back(std::move(info));
   return id;
 }
@@ -71,13 +69,6 @@ std::vector<NodeId> Topology::neighbors(NodeId node) const {
     if (links_.at(l).up) out.push_back(peer(l, node));
   }
   return out;
-}
-
-std::optional<NodeId> Topology::find_by_address(ip::Address addr) const {
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].address == addr) return i;
-  }
-  return std::nullopt;
 }
 
 }  // namespace express::net

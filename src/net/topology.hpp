@@ -5,6 +5,8 @@
 // propagation delay, a bandwidth, and a routing cost. Each endpoint of a
 // link occupies one interface slot on its node — interface indices are
 // what EXPRESS FIB entries and per-interface subscriber counts key on.
+// A node's unicast address follows from its id (kNodeAddressBase + id),
+// so resolving an address back to its node is arithmetic, not a lookup.
 #pragma once
 
 #include <array>
@@ -24,6 +26,10 @@ using LinkId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 inline constexpr LinkId kInvalidLink = std::numeric_limits<LinkId>::max();
 
+/// Node `id` has the unicast address kNodeAddressBase + id: node 0 is
+/// 10.0.0.1.
+inline constexpr std::uint32_t kNodeAddressBase = 0x0A000001U;
+
 enum class NodeKind : std::uint8_t {
   kRouter,
   kHost,
@@ -32,7 +38,7 @@ enum class NodeKind : std::uint8_t {
 
 struct NodeInfo {
   NodeKind kind = NodeKind::kRouter;
-  ip::Address address;            ///< the node's unicast address
+  ip::Address address;            ///< kNodeAddressBase + the node's id
   std::string name;               ///< for traces and error messages
   std::uint16_t domain = 0;       ///< administrative domain (settlements)
   std::vector<LinkId> interfaces; ///< interface i attaches to interfaces[i]
@@ -47,14 +53,11 @@ struct LinkInfo {
   bool up = true;
 };
 
-/// Mutable graph of nodes and links. Addresses are assigned automatically
-/// (10.x.y.z for routers and hosts) unless provided.
+/// Mutable graph of nodes and links.
 class Topology {
  public:
-  /// Add a node; returns its id. Address defaults to 10.(id>>16).(id>>8).(id)
-  /// +1 so node 0 is 10.0.0.1.
-  NodeId add_node(NodeKind kind, std::string name = {},
-                  std::optional<ip::Address> address = std::nullopt);
+  /// Add a node; returns its id. Its address is kNodeAddressBase + id.
+  NodeId add_node(NodeKind kind, std::string name = {});
 
   NodeId add_router(std::string name = {}) {
     return add_node(NodeKind::kRouter, std::move(name));
@@ -107,8 +110,13 @@ class Topology {
   /// All live neighbors of `node`.
   [[nodiscard]] std::vector<NodeId> neighbors(NodeId node) const;
 
-  /// Find a node by its unicast address (linear scan; test/tool use).
-  [[nodiscard]] std::optional<NodeId> find_by_address(ip::Address addr) const;
+  /// The node whose unicast address is `addr`, or nullopt: the inverse
+  /// of add_node's address assignment, O(1).
+  [[nodiscard]] std::optional<NodeId> find_by_address(ip::Address addr) const {
+    const std::uint32_t id = addr.value() - kNodeAddressBase;
+    if (id >= nodes_.size()) return std::nullopt;
+    return static_cast<NodeId>(id);
+  }
 
   [[nodiscard]] std::uint32_t interface_count(NodeId node) const {
     return static_cast<std::uint32_t>(nodes_.at(node).interfaces.size());

@@ -1,6 +1,8 @@
 #include "relay/participant.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 namespace express::relay {
 
@@ -19,6 +21,13 @@ Participant::Participant(ExpressHost& host, ip::ChannelId primary,
       [this](const net::Packet& packet, sim::Time at) {
         on_channel_data(packet, at);
       });
+}
+
+void Participant::set_delivery_handler(DeliveryHandler handler) {
+  if (delivery_handler_) {
+    throw std::logic_error("participant delivery handler already installed");
+  }
+  delivery_handler_ = std::move(handler);
 }
 
 void Participant::join() {
@@ -123,8 +132,8 @@ void Participant::on_channel_data(const net::Packet& packet, sim::Time at) {
     // Direct-channel traffic: record like relayed data (the sequence
     // space is the direct sender's own).
     if (frame->type == FrameType::kData) {
-      deliveries_.push_back(SessionDelivery{frame->speaker, frame->relay_seq,
-                                            packet.data_bytes, at, false});
+      deliver(SessionDelivery{frame->speaker, frame->relay_seq,
+                              packet.data_bytes, at, false});
     }
     return;
   }
@@ -137,8 +146,8 @@ void Participant::on_channel_data(const net::Packet& packet, sim::Time at) {
   switch (frame->type) {
     case FrameType::kData:
       seen_seqs_.insert(frame->relay_seq);
-      deliveries_.push_back(SessionDelivery{frame->speaker, frame->relay_seq,
-                                            packet.data_bytes, at, via_backup});
+      deliver(SessionDelivery{frame->speaker, frame->relay_seq,
+                              packet.data_bytes, at, via_backup});
       return;
     case FrameType::kHeartbeat:
       return;  // timer already re-armed above

@@ -30,6 +30,8 @@ struct ParticipantConfig {
   sim::Duration heartbeat_interval = sim::seconds(1);
 };
 
+/// One data frame a participant delivered: the record its delivery
+/// handler receives.
 struct SessionDelivery {
   ip::Address speaker;        ///< original sender, per the relay frame
   std::uint64_t relay_seq = 0;
@@ -74,9 +76,12 @@ class Participant {
   [[nodiscard]] std::optional<ip::Address> floor_holder() const {
     return floor_holder_;
   }
-  [[nodiscard]] const std::vector<SessionDelivery>& deliveries() const {
-    return deliveries_;
-  }
+  /// Invoked for every data frame delivered (relayed, via the backup
+  /// channel, or on an announced direct channel). The participant keeps
+  /// no per-frame log; a caller that needs one records it here. The
+  /// slot has one owner: a second install throws std::logic_error.
+  using DeliveryHandler = std::function<void(const SessionDelivery&)>;
+  void set_delivery_handler(DeliveryHandler handler);
   [[nodiscard]] bool failed_over() const { return failed_over_; }
   [[nodiscard]] std::optional<sim::Time> failover_at() const {
     return failover_at_;
@@ -89,6 +94,9 @@ class Participant {
 
  private:
   void on_channel_data(const net::Packet& packet, sim::Time at);
+  void deliver(const SessionDelivery& delivery) {
+    if (delivery_handler_) delivery_handler_(delivery);
+  }
   void arm_failover_timer();
   void fail_over();
   [[nodiscard]] ip::Address active_sr() const {
@@ -110,7 +118,7 @@ class Participant {
   std::optional<ip::ChannelId> direct_channel_;  ///< this host's own (§4.1)
   std::vector<ip::ChannelId> announced_;         ///< channels the SR announced
   std::uint64_t direct_seq_ = 1;
-  std::vector<SessionDelivery> deliveries_;
+  DeliveryHandler delivery_handler_;
   std::set<std::uint64_t> seen_seqs_;
   sim::EventHandle failover_timer_;
 };

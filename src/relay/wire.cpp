@@ -1,19 +1,15 @@
 #include "relay/wire.hpp"
 
+#include "ip/bytes.hpp"
+
 namespace express::relay {
 
 std::vector<std::uint8_t> encode(const Frame& frame) {
   std::vector<std::uint8_t> out;
   out.reserve(Frame::kSize);
   out.push_back(static_cast<std::uint8_t>(frame.type));
-  const std::uint32_t addr = frame.speaker.value();
-  out.push_back(static_cast<std::uint8_t>(addr >> 24));
-  out.push_back(static_cast<std::uint8_t>((addr >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((addr >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(addr & 0xFF));
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::uint8_t>((frame.relay_seq >> shift) & 0xFF));
-  }
+  ip::put_u32(out, frame.speaker.value());
+  ip::put_u64(out, frame.relay_seq);
   return out;
 }
 
@@ -26,15 +22,8 @@ std::optional<Frame> decode(std::span<const std::uint8_t> bytes) {
   }
   Frame frame;
   frame.type = static_cast<FrameType>(type);
-  frame.speaker = ip::Address{(std::uint32_t{bytes[1]} << 24) |
-                              (std::uint32_t{bytes[2]} << 16) |
-                              (std::uint32_t{bytes[3]} << 8) |
-                              std::uint32_t{bytes[4]}};
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 8; ++i) {
-    seq = (seq << 8) | bytes[static_cast<std::size_t>(5 + i)];
-  }
-  frame.relay_seq = seq;
+  frame.speaker = ip::Address{ip::get_u32(bytes, 1)};
+  frame.relay_seq = ip::get_u64(bytes, 5);
   return frame;
 }
 

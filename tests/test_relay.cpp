@@ -2,6 +2,9 @@
 // floor control, sequence numbering, and hot/cold standby failover.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <stdexcept>
+
 #include "helpers.hpp"
 #include "relay/monitor.hpp"
 #include "relay/participant.hpp"
@@ -15,10 +18,19 @@ namespace {
 using relay::Participant;
 using relay::ParticipantConfig;
 using relay::RelayConfig;
+using relay::SessionDelivery;
 using relay::SessionRelay;
 using relay::StandbyCluster;
 using relay::StandbyMode;
 using workload::make_star;
+
+using Log = std::vector<SessionDelivery>;
+
+/// Record every frame `p` delivers into `log` (participants keep none).
+void record(Participant& p, Log& log) {
+  p.set_delivery_handler(
+      [&log](const SessionDelivery& d) { log.push_back(d); });
+}
 
 class RelayTest : public ::testing::Test {
  protected:
@@ -26,6 +38,7 @@ class RelayTest : public ::testing::Test {
     for (std::size_t i = 0; i < 3; ++i) {
       participants_.push_back(std::make_unique<Participant>(
           sim_.receiver(i), sr_.channel(), sim_.source().address()));
+      record(*participants_.back(), logs_.emplace_back());
     }
   }
 
@@ -37,6 +50,7 @@ class RelayTest : public ::testing::Test {
   ExpressNetwork sim_;
   SessionRelay sr_;
   std::vector<std::unique_ptr<Participant>> participants_;
+  std::deque<Log> logs_;  ///< logs_[i] records participants_[i]
 };
 
 TEST_F(RelayTest, PrimarySourceReachesAllParticipants) {
@@ -44,10 +58,10 @@ TEST_F(RelayTest, PrimarySourceReachesAllParticipants) {
   sr_.start();
   sr_.send_as_primary(1000);
   sim_.run_for(sim::seconds(1));
-  for (auto& p : participants_) {
-    ASSERT_EQ(p->deliveries().size(), 1u);
-    EXPECT_EQ(p->deliveries()[0].speaker, sim_.source().address());
-    EXPECT_EQ(p->deliveries()[0].bytes, 1000u);
+  for (const Log& log : logs_) {
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].speaker, sim_.source().address());
+    EXPECT_EQ(log[0].bytes, 1000u);
   }
 }
 
@@ -57,9 +71,7 @@ TEST_F(RelayTest, UnauthorizedSenderIsDropped) {
   participants_[0]->speak(500);
   sim_.run_for(sim::seconds(1));
   EXPECT_EQ(sr_.stats().dropped_unauthorized, 1u);
-  for (auto& p : participants_) {
-    EXPECT_TRUE(p->deliveries().empty());
-  }
+  for (const Log& log : logs_) EXPECT_TRUE(log.empty());
 }
 
 TEST_F(RelayTest, AuthorizedSenderIsRelayedToEveryone) {
@@ -69,9 +81,9 @@ TEST_F(RelayTest, AuthorizedSenderIsRelayedToEveryone) {
   participants_[0]->speak(500);
   sim_.run_for(sim::seconds(1));
   EXPECT_EQ(sr_.stats().frames_relayed, 1u);
-  for (auto& p : participants_) {
-    ASSERT_EQ(p->deliveries().size(), 1u);
-    EXPECT_EQ(p->deliveries()[0].speaker, sim_.receiver(0).address());
+  for (const Log& log : logs_) {
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].speaker, sim_.receiver(0).address());
   }
 }
 
@@ -85,13 +97,24 @@ TEST_F(RelayTest, RelaySequenceNumbersAreContiguous) {
     sim_.run_for(sim::milliseconds(100));
   }
   sim_.run_for(sim::seconds(1));
-  ASSERT_EQ(participants_[2]->deliveries().size(), 5u);
+  ASSERT_EQ(logs_[2].size(), 5u);
   EXPECT_TRUE(participants_[2]->missing_seqs().empty());
   // SR-assigned sequence numbers increase monotonically.
   for (std::size_t i = 1; i < 5; ++i) {
-    EXPECT_GT(participants_[2]->deliveries()[i].relay_seq,
-              participants_[2]->deliveries()[i - 1].relay_seq);
+    EXPECT_GT(logs_[2][i].relay_seq, logs_[2][i - 1].relay_seq);
   }
+}
+
+TEST_F(RelayTest, DeliveryHandlerHasOneOwner) {
+  Log second;
+  EXPECT_THROW(record(*participants_[0], second), std::logic_error);
+  join_all();
+  sr_.start();
+  sr_.send_as_primary(100);
+  sim_.run_for(sim::seconds(1));
+  // The first install still owns the slot.
+  EXPECT_EQ(logs_[0].size(), 1u);
+  EXPECT_TRUE(second.empty());
 }
 
 TEST(RelayFloor, OneSpeakerAtATime) {
@@ -106,6 +129,8 @@ TEST(RelayFloor, OneSpeakerAtATime) {
     sr.authorize(sim.receiver(i).address());
     participants[i]->join();
   }
+  Log listener;
+  record(*participants[2], listener);
   sim.run_for(sim::seconds(1));
   sr.start();
 
@@ -123,8 +148,8 @@ TEST(RelayFloor, OneSpeakerAtATime) {
   participants[0]->speak(100);
   sim.run_for(sim::seconds(1));
   EXPECT_EQ(sr.stats().dropped_no_floor, 1u);
-  ASSERT_EQ(participants[2]->deliveries().size(), 1u);
-  EXPECT_EQ(participants[2]->deliveries()[0].speaker, sim.receiver(0).address());
+  ASSERT_EQ(listener.size(), 1u);
+  EXPECT_EQ(listener[0].speaker, sim.receiver(0).address());
 
   // Release: the queued requester gets the floor ("the answer
   // immediately follows the question").
@@ -178,7 +203,7 @@ TEST_F(RelayTest, InactiveRelayDropsEverything) {
   sim_.run_for(sim::seconds(2));
   EXPECT_EQ(sr_.stats().frames_relayed, 0u);
   EXPECT_EQ(sr_.stats().heartbeats_sent, 0u);
-  for (auto& p : participants_) EXPECT_TRUE(p->deliveries().empty());
+  for (const Log& log : logs_) EXPECT_TRUE(log.empty());
 }
 
 TEST_F(RelayTest, OpenAccessModeRelaysAnyone) {
@@ -188,6 +213,8 @@ TEST_F(RelayTest, OpenAccessModeRelaysAnyone) {
   SessionRelay sr(sim.source(), config);
   Participant speaker(sim.receiver(0), sr.channel(), sim.source().address());
   Participant listener(sim.receiver(1), sr.channel(), sim.source().address());
+  Log heard;
+  record(listener, heard);
   speaker.join();
   listener.join();
   sim.run_for(sim::seconds(1));
@@ -195,7 +222,7 @@ TEST_F(RelayTest, OpenAccessModeRelaysAnyone) {
   speaker.speak(100);
   sim.run_for(sim::seconds(1));
   EXPECT_EQ(sr.stats().frames_relayed, 1u);
-  EXPECT_EQ(listener.deliveries().size(), 1u);
+  EXPECT_EQ(heard.size(), 1u);
 }
 
 TEST_F(RelayTest, DirectChannelSwitchover) {
@@ -218,8 +245,8 @@ TEST_F(RelayTest, DirectChannelSwitchover) {
   participants_[0]->send_direct(900);
   sim_.run_for(sim::seconds(1));
   for (std::size_t i = 1; i < participants_.size(); ++i) {
-    ASSERT_FALSE(participants_[i]->deliveries().empty()) << i;
-    const auto& d = participants_[i]->deliveries().back();
+    ASSERT_FALSE(logs_[i].empty()) << i;
+    const auto& d = logs_[i].back();
     EXPECT_EQ(d.speaker, sim_.receiver(0).address());
     EXPECT_EQ(d.bytes, 900u);
   }
@@ -284,10 +311,12 @@ TEST_P(StandbyTest, FailoverDeliversViaBackup) {
   ParticipantConfig pconfig;
   pconfig.standby = GetParam();
   std::vector<std::unique_ptr<Participant>> participants;
+  std::deque<Log> logs;
   for (std::size_t i = 0; i < 2; ++i) {
     participants.push_back(std::make_unique<Participant>(
         sim.receiver(i), primary.channel(), sim.source().address(),
         backup.channel(), sim.receiver(3).address(), pconfig));
+    record(*participants[i], logs.emplace_back());
     participants[i]->join();
   }
   cluster.start();
@@ -310,9 +339,9 @@ TEST_P(StandbyTest, FailoverDeliversViaBackup) {
   // The promoted backup sources the session now.
   backup.send_as_primary(700);
   sim.run_for(sim::seconds(2));
-  for (auto& p : participants) {
-    ASSERT_FALSE(p->deliveries().empty());
-    const auto& last = p->deliveries().back();
+  for (const Log& log : logs) {
+    ASSERT_FALSE(log.empty());
+    const auto& last = log.back();
     EXPECT_TRUE(last.via_backup);
     EXPECT_EQ(last.bytes, 700u);
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "net/lan.hpp"
+#include "net/network.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/random.hpp"
@@ -108,10 +109,33 @@ TEST(Topology, NeighborsSkipDownLinks) {
 }
 
 TEST(Topology, FindByAddress) {
-  Topology t;
-  const NodeId a = t.add_router();
-  EXPECT_EQ(t.find_by_address(t.node(a).address), a);
-  EXPECT_FALSE(t.find_by_address(ip::Address(1, 2, 3, 4)).has_value());
+  // Oracle for the id-derived address plan: on each generator's graph,
+  // Network::node_of inverts every node's address, and addresses outside
+  // the assigned block (its two neighbors, the extremes, multicast and
+  // channel addresses) resolve to nothing.
+  sim::Rng rng(7);
+  std::vector<Topology> graphs;
+  graphs.push_back(workload::make_kary_tree(3, 3).topology);
+  graphs.push_back(workload::make_transit_stub(4, 3, 2, rng).topology);
+  auto lan = workload::make_kary_tree(2, 2);
+  add_lan_segment(lan.topology, lan.routers.back(), 5);
+  graphs.push_back(std::move(lan.topology));
+
+  for (Topology& graph : graphs) {
+    const Network net(std::move(graph));
+    const auto n = static_cast<std::uint32_t>(net.topology().node_count());
+    for (NodeId i = 0; i < n; ++i) {
+      EXPECT_EQ(net.node_of(net.topology().node(i).address), i);
+    }
+    EXPECT_EQ(net.topology().node(0).address, ip::Address(10, 0, 0, 1));
+    for (const ip::Address outside :
+         {ip::Address(10, 0, 0, 0), ip::Address{kNodeAddressBase + n},
+          ip::Address(0, 0, 0, 0), ip::Address(255, 255, 255, 255),
+          ip::Address(1, 2, 3, 4), ip::Address::single_source(42),
+          ip::kEcmpAllRouters}) {
+      EXPECT_FALSE(net.node_of(outside).has_value()) << outside.to_string();
+    }
+  }
 }
 
 TEST(Topology, InterfaceOnMatchesALinearScanOfEveryNode) {

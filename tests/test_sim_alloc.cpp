@@ -3,17 +3,21 @@
 // This binary links the counting operator new/delete of
 // alloc_counter.cpp, proving the headline property of the slab
 // scheduler: once warmed up, a steady-state schedule → dispatch cycle
-// touches the allocator zero times. It is its own test binary so the
+// touches the allocator zero times; and that building the network
+// fabric costs no per-node allocation. It is its own test binary so the
 // counting overrides cannot perturb (or be perturbed by) the other
 // suites.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "net/network.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/scheduler.hpp"
+#include "workload/topo_gen.hpp"
 
 namespace express::sim {
 namespace {
@@ -137,6 +141,19 @@ TEST(SchedulerAllocation, SimulationClosuresStayInline) {
   f();
   EXPECT_EQ(InlineFunction::boxed_count(), 1u);
   EXPECT_GT(allocation_count(), before);
+}
+
+TEST(NetworkAllocation, ConstructionMakesNoPerNodeAllocation) {
+  // Addresses resolve by arithmetic on node ids, so the fabric keeps no
+  // per-node index: a 46,422-node tree is built with per-link blocks
+  // from the registry's arena and a handful of vectors.
+  auto generated = workload::make_kary_tree(4, 6, {}, 10);
+  const auto nodes = static_cast<double>(generated.topology.node_count());
+  const std::uint64_t before = allocation_count();
+  const net::Network network(std::move(generated.topology));
+  const auto allocations = static_cast<double>(allocation_count() - before);
+  EXPECT_LT(allocations / nodes, 0.1)
+      << allocations << " allocations for " << nodes << " nodes";
 }
 
 }  // namespace

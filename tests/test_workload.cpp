@@ -1,5 +1,5 @@
-// Workload generators: topology shapes, churn schedules, the Fig. 8
-// scenario, and Zipf popularity.
+// Workload generators: topology shapes, churn schedules and the Fig. 8
+// scenario.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,6 @@
 #include "net/routing.hpp"
 #include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
-#include "workload/zipf.hpp"
 
 namespace express::workload {
 namespace {
@@ -113,37 +112,6 @@ TEST(Churn, Fig8ScheduleMatchesPaperShape) {
     EXPECT_FALSE(e.at > sim::seconds(206) && e.at < sim::seconds(300))
         << "event inside the quiet period at " << sim::to_seconds(e.at);
   }
-}
-
-TEST(Zipf, ProbabilitiesDecreaseAndSumToOne) {
-  ZipfSampler zipf(100, 1.0);
-  double sum = 0;
-  for (std::uint32_t k = 0; k < 100; ++k) {
-    sum += zipf.probability(k);
-    if (k > 0) {
-      EXPECT_LT(zipf.probability(k), zipf.probability(k - 1));
-    }
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-9);
-  EXPECT_DOUBLE_EQ(zipf.probability(200), 0.0);
-}
-
-TEST(Zipf, SamplingMatchesDistribution) {
-  ZipfSampler zipf(10, 1.0);
-  sim::Rng rng(23);
-  std::vector<int> counts(10, 0);
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) ++counts[zipf.sample(rng)];
-  for (std::uint32_t k = 0; k < 10; ++k) {
-    const double expected = zipf.probability(k) * n;
-    EXPECT_NEAR(counts[k], expected, expected * 0.1 + 50) << "rank " << k;
-  }
-}
-
-TEST(Zipf, HigherExponentIsMoreSkewed) {
-  ZipfSampler flat(50, 0.5), steep(50, 2.0);
-  EXPECT_GT(steep.probability(0), flat.probability(0));
-  EXPECT_LT(steep.probability(49), flat.probability(49));
 }
 
 }  // namespace
