@@ -75,14 +75,23 @@ for path in sys.argv[2:]:
 failures = []
 
 
+def lookup(doc, where, block, key):
+    """doc[block][key], or None after recording a named failure: a gated
+    row missing from the baseline or a run fails the gate."""
+    value = doc.get(block, {}).get(key)
+    if value is None:
+        print(f"  {block}.{key}: missing from {where} FAIL")
+        failures.append(f"{block}.{key} missing from {where}")
+    return value
+
+
 def check_median(name, block, key, higher_is_better):
     """Wall-time row: the median over the runs must stay within 10%."""
-    # Fast-path blocks appeared with the flat-FIB/timer-wheel PR; guard the
-    # missing-key case so the gate still runs against older baselines.
-    if block not in base or any(block not in r for r in runs):
+    baseline = lookup(base, "baseline", block, key)
+    values = [lookup(r, f"run {i + 1}", block, key)
+              for i, r in enumerate(runs)]
+    if baseline is None or None in values:
         return
-    baseline = base[block][key]
-    values = [r[block][key] for r in runs]
     median = statistics.median(values)
     if higher_is_better:
         label, bound = "floor", baseline * (1.0 - TOLERANCE)
@@ -134,8 +143,9 @@ EXACT = [
 ]
 if all(r.get("quick") == base.get("quick") for r in runs):
     for block, key in EXACT:
-        if key in base.get(block, {}):
-            check_exact(f"{block}.{key}", base[block][key],
+        baseline = lookup(base, "baseline", block, key)
+        if baseline is not None:
+            check_exact(f"{block}.{key}", baseline,
                         [r.get(block, {}).get(key) for r in runs])
     base_modules = base.get("modules", {})
     keys = base_modules.keys() | set().union(
@@ -189,25 +199,33 @@ def check_ceiling(name, baseline, current):
         failures.append(name)
 
 
+def lookup(doc, where, mode, key):
+    """doc[mode][key], or None after recording a named failure: a gated
+    row missing from the baseline or the run fails the gate."""
+    value = doc.get(mode, {}).get(key)
+    if value is None:
+        print(f"  {mode}.{key}: missing from {where} FAIL")
+        failures.append(f"{mode}.{key} missing from {where}")
+    return value
+
+
 print("bench_gate: comparing against committed BENCH_reliable.json")
-# Guard every key: the gate must keep running against baselines from
-# before (or after) a schema change instead of KeyError-ing.
 for mode in ("subcast", "channel_wide"):
-    if mode not in base or mode not in cur:
-        continue
-    if "delivered_all" in cur[mode] and not cur[mode]["delivered_all"]:
+    delivered_all = lookup(cur, "run", mode, "delivered_all")
+    if delivered_all is False:
         print(f"  {mode}.delivered_all: FAIL (blocks lost for good)")
         failures.append(f"{mode}.delivered_all")
     for key in ("repair_rounds", "repair_bytes"):
-        if key in base[mode] and key in cur[mode]:
-            check_ceiling(f"{mode}.{key}", base[mode][key], cur[mode][key])
+        baseline = lookup(base, "baseline", mode, key)
+        current = lookup(cur, "run", mode, key)
+        if baseline is not None and current is not None:
+            check_ceiling(f"{mode}.{key}", baseline, current)
 # The paper's point (§2.1): repairing through the covering subtree must
 # cost strictly less than flooding the channel.
-if "subcast" in cur and "channel_wide" in cur and \
-        "repair_bytes" in cur.get("subcast", {}) and \
-        "repair_bytes" in cur.get("channel_wide", {}):
-    sub_b = cur["subcast"]["repair_bytes"]
-    chan_b = cur["channel_wide"]["repair_bytes"]
+# (A missing repair_bytes row already failed above.)
+sub_b = cur.get("subcast", {}).get("repair_bytes")
+chan_b = cur.get("channel_wide", {}).get("repair_bytes")
+if sub_b is not None and chan_b is not None:
     verdict = "ok" if sub_b < chan_b else "FAIL"
     print(f"  subcast < channel_wide repair bytes   "
           f"{sub_b} vs {chan_b} {verdict}")

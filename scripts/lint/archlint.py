@@ -20,7 +20,7 @@ Architecture conformance (config: scripts/lint/layers.toml)
                          module not on its allow list.
   arch-pragma-once       header without `#pragma once`.
   arch-self-containment  a header that names another module's
-                         namespace (net::, obs::, sim::, det::, ...)
+                         namespace (net::, obs::, sim::, ...)
                          without directly including a header of that
                          module.
   doc-banner             a module header that does not open with a

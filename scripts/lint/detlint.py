@@ -9,9 +9,8 @@ driver implements the checks as source lints:
   unordered-effectful-loop   range-for over a std::unordered_{map,set}
                              whose body sends messages, schedules
                              events, appends to an output list, or
-                             feeds stats. Fix: iterate a sorted
-                             snapshot (det::sorted_items/sorted_keys),
-                             use std::map/std::set, or annotate
+                             feeds stats. Fix: use std::map/std::set
+                             or annotate
                              `// lint: order-independent (<why>)`.
   banned-construct           rand()/srand()/std::random_device, wall
                              clocks (system_clock, time(), ...), and
@@ -75,8 +74,6 @@ CONFIG = {
         "collect_dead_children",
         "query_children",
         "expire",
-        "sorted_items",
-        "sorted_keys",
     ],
 }
 
@@ -137,7 +134,7 @@ UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 #: The FlatFib (aliased `Fib`) is unordered for lint purposes too: its
 #: entries() view is in open-addressed table order — deterministic, but a
 #: function of the whole upsert/erase history, so effectful iteration
-#: without det::sorted_* is the same replay hazard as a hash map.
+#: is the same replay hazard as a hash map.
 FLATFIB_DECL_RE = re.compile(r"\b(?:FlatFib|Fib)\b")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
@@ -208,8 +205,6 @@ def check_unordered_loops(sf: SourceFile, variables: set, accessors: set,
         if colon is None:
             continue  # classic for(;;): index order is explicit
         range_expr = header[colon + 1 :].strip()
-        if "det::sorted_" in range_expr:
-            continue  # already iterating a sorted snapshot
         if not mentions_unordered(range_expr, variables, accessors):
             continue
         line = sf.line_of(m.start())
@@ -225,9 +220,8 @@ def check_unordered_loops(sf: SourceFile, variables: set, accessors: set,
             Finding(
                 "unordered-effectful-loop", sf.path, line, col,
                 f"iteration over unordered container `{range_expr}` has "
-                "order-dependent effects; iterate det::sorted_items/"
-                "sorted_keys, use std::map/set, or annotate "
-                "`// lint: order-independent (<why>)`",
+                "order-dependent effects; use std::map/std::set or "
+                "annotate `// lint: order-independent (<why>)`",
             )
         )
 
@@ -445,6 +439,13 @@ SELF_TEST_MIN_COUNTS = {
     "loss_model_rand.cpp": 3,  # rand, mt19937, bernoulli_distribution
 }
 
+#: Exact finding count for fixtures that plant a positive control next
+#: to their violation: one more finding means the control tripped.
+SELF_TEST_EXACT_COUNTS = {
+    "unordered_effectful_loop.cpp": 1,  # the std::map loop stays clean
+    "flat_fib_loop.cpp": 1,             # the annotated loop stays clean
+}
+
 
 def self_test(root: str) -> int:
     fixture_dir = os.path.join(root, "tests", "lint_fixtures")
@@ -470,6 +471,11 @@ def self_test(root: str) -> int:
         if want is not None and len(findings) < want:
             failures.append(f"{name}: expected >= {want} findings, "
                             f"got {len(findings)}")
+        exact = SELF_TEST_EXACT_COUNTS.get(name)
+        if exact is not None and len(findings) != exact:
+            failures.append(f"{name}: expected exactly {exact} findings, "
+                            f"got {len(findings)} — "
+                            + "; ".join(f.render() for f in findings))
     if failures:
         for f in failures:
             print(f"SELF-TEST FAIL {f}")

@@ -5,7 +5,6 @@
 #include <string>
 #include <type_traits>
 #include <typeinfo>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,13 +13,10 @@
 #include "express/subscription.hpp"
 #include "net/adjacency.hpp"
 #include "net/network.hpp"
-#include "sim/det.hpp"
 
 namespace express::audit {
 
 namespace {
-
-using ChannelItem = std::unordered_map<ip::ChannelId, Channel>::value_type;
 
 /// One on-tree (router, channel) pair, as the loop pass consumes them.
 struct OnTree {
@@ -41,12 +37,11 @@ struct Walk {
   /// Ascending: violations are appended in walk order, and a
   /// reproducible report is itself one of the guarantees under test.
   std::vector<net::NodeId> router_ids;
-  std::vector<const ChannelItem*> items;  ///< one router's channels, sorted
-  net::InterfaceSet expected;             ///< one pair's member interfaces
-  std::vector<ip::ChannelId> orphans;     ///< one router's FIB orphans
-  std::vector<OnTree> on_tree;            ///< every pair, for the loop pass
-  std::vector<Color> color;               ///< by NodeId, loop pass
-  std::vector<net::NodeId> touched;       ///< nodes coloured this channel
+  net::InterfaceSet expected;          ///< one pair's member interfaces
+  std::vector<ip::ChannelId> orphans;  ///< one router's FIB orphans
+  std::vector<OnTree> on_tree;         ///< every pair, for the loop pass
+  std::vector<Color> color;            ///< by NodeId, loop pass
+  std::vector<net::NodeId> touched;    ///< nodes coloured this channel
   AuditReport report;
 
   [[nodiscard]] const ExpressRouter* router(net::NodeId id) const {
@@ -180,12 +175,9 @@ void check_rpf(Walk& w, net::NodeId self, const ExpressRouter& router,
 
 // --- (c) orphan forwarding state -------------------------------------
 
-/// Runs over w.items, the router's channels as the conservation/RPF
-/// pass sorted them.
 void check_orphans(Walk& w, net::NodeId self, const ExpressRouter& router) {
   std::size_t with_fib = 0;
-  for (const ChannelItem* kv : w.items) {
-    const auto& [channel, state] = *kv;
+  for (const auto& [channel, state] : router.subscriptions().channels()) {
     const std::int64_t subtree = state.subtree_count();
     if (subtree <= 0) {
       w.flag(Check::kOrphanState, self, channel,
@@ -343,9 +335,7 @@ AuditReport InvariantAuditor::run() const {
   for (const net::NodeId id : w.router_ids) {
     const ExpressRouter& router = *w.routers[id];
     ++w.report.routers_audited;
-    det::sorted_items_into(router.subscriptions().channels(), w.items);
-    for (const ChannelItem* kv : w.items) {
-      const auto& [channel, state] = *kv;
+    for (const auto& [channel, state] : router.subscriptions().channels()) {
       ++w.report.channels_audited;
       const auto rpf = resolve_rpf(*network_, id, channel);
       check_conservation(w, id, router, channel, state, rpf);

@@ -1,7 +1,5 @@
 #include "baseline/dvmrp.hpp"
 
-#include "sim/det.hpp"
-
 namespace express::baseline {
 
 DvmrpRouter::DvmrpRouter(net::Network& network, net::NodeId id,
@@ -46,10 +44,8 @@ void DvmrpRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
   switch (msg.type) {
     case MsgType::kMembershipReport: {
       members_[msg.group].insert(in_iface);
-      // Graft back any branches we pruned for this group (§ DVMRP),
-      // emitting the Graft burst in (S, G) order rather than hash order.
-      for (auto* kv : det::sorted_items(sg_)) {
-        auto& [channel, state] = *kv;
+      // Graft back any branches we pruned for this group (§ DVMRP).
+      for (auto& [channel, state] : sg_) {
         if (channel.dest != msg.group || !state.prune_sent_upstream) continue;
         state.prune_sent_upstream = false;
         if (auto src = network().node_of(channel.source)) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -76,7 +77,7 @@ class DvmrpRouter : public net::Node {
   /// outgoing set, then replicates through the protocol-agnostic plane.
   express::ForwardingPlane plane_;
   std::unordered_map<ip::Address, std::unordered_set<std::uint32_t>> members_;
-  std::unordered_map<ip::ChannelId, SgState> sg_;  ///< keyed (S, G)
+  std::map<ip::ChannelId, SgState> sg_;  ///< keyed (S, G); grafts go in order
 };
 
 }  // namespace express::baseline

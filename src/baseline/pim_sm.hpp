@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -105,7 +106,7 @@ class PimSmRouter : public net::Node {
   ForwardingPlane plane_;
   std::unordered_map<ip::Address, std::unordered_set<std::uint32_t>> members_;
   std::unordered_map<ip::Address, StarG> star_g_;
-  std::unordered_map<ip::ChannelId, Sg> sg_;
+  std::map<ip::ChannelId, Sg> sg_;
   /// (S,G) RPT-prunes received per shared-tree interface.
   std::unordered_map<ip::ChannelId, std::unordered_set<std::uint32_t>>
       rpt_pruned_;

@@ -1,7 +1,5 @@
 #include "ecmp/session.hpp"
 
-#include <algorithm>
-
 namespace express::ecmp {
 
 bool NeighborTable::heard_from(net::NodeId neighbor, std::uint32_t iface,
@@ -19,19 +17,12 @@ bool NeighborTable::heard_from(net::NodeId neighbor, std::uint32_t iface,
 std::vector<NeighborSession> NeighborTable::expire(sim::Time now,
                                                    sim::Duration timeout) {
   std::vector<NeighborSession> dead;
-  // lint: order-independent (flag flips commute; result sorted below)
   for (auto& [id, s] : sessions_) {
     if (s.alive && now - s.last_heard > timeout) {
       s.alive = false;
       dead.push_back(s);
     }
   }
-  // The caller fires neighbor-death teardown per entry: hand the dead
-  // sessions over in neighbor order, not hash order.
-  std::sort(dead.begin(), dead.end(),
-            [](const NeighborSession& a, const NeighborSession& b) {
-              return a.neighbor < b.neighbor;
-            });
   return dead;
 }
 
@@ -49,7 +40,6 @@ bool NeighborTable::is_alive(net::NodeId neighbor) const {
 
 std::size_t NeighborTable::alive_count() const {
   std::size_t n = 0;
-  // lint: order-independent (commutative count)
   for (const auto& [id, s] : sessions_) {
     if (s.alive) ++n;
   }

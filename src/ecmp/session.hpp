@@ -14,8 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -57,13 +57,9 @@ class NeighborTable {
   [[nodiscard]] bool is_alive(net::NodeId neighbor) const;
   [[nodiscard]] std::size_t alive_count() const;
 
-  [[nodiscard]] const std::unordered_map<net::NodeId, NeighborSession>&
-  sessions() const {
-    return sessions_;
-  }
-
  private:
-  std::unordered_map<net::NodeId, NeighborSession> sessions_;
+  /// Ordered: expire() hands dead sessions to teardown in neighbor order.
+  std::map<net::NodeId, NeighborSession> sessions_;
 };
 
 }  // namespace express::ecmp

@@ -24,9 +24,10 @@
 //
 // Iteration-order contract: entries() exposes the dense store, whose
 // order is a deterministic function of the upsert/erase history (NOT
-// sorted, NOT insertion order once erase has run). Effectful iteration
-// must go through det::sorted_items — detlint enforces this, same as
-// for unordered_map.
+// sorted, NOT insertion order once erase has run). A loop with effects
+// must carry `// lint: order-independent (<why>)`, e.g. because it only
+// collects keys that are sorted afterwards — detlint enforces this, same
+// as for unordered_map.
 #pragma once
 
 #include <cstdint>
@@ -114,8 +115,8 @@ class FlatFib {
   }
 
   /// The dense entry store, in table order (deterministic but
-  /// history-dependent; see the header comment). Wrap in
-  /// det::sorted_items before any effectful iteration.
+  /// history-dependent; see the header comment). Effectful loops over
+  /// it must be order-independent.
   [[nodiscard]] const std::vector<std::pair<ip::ChannelId, FibEntry>>&
   entries() const {
     return dense_;

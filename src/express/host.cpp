@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/det.hpp"
-
 namespace express {
 
 ExpressHost::ExpressHost(net::Network& network, net::NodeId id)
@@ -284,10 +282,8 @@ void ExpressHost::on_query(const ecmp::CountQuery& query) {
   }
 
   if (query.count_id == ecmp::kAllChannelsId) {
-    // General query: re-announce every active subscription (§3.3), in
-    // channel order so the Count burst is reproducible on the wire.
-    for (const auto* kv : det::sorted_items(subscriptions_)) {
-      const auto& [channel, sub] = *kv;
+    // General query: re-announce every active subscription (§3.3).
+    for (const auto& [channel, sub] : subscriptions_) {
       if (sub.local_count == 0) continue;
       ecmp::Count count;
       count.channel = channel;

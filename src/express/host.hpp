@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -179,7 +180,8 @@ class ExpressHost final : public net::Node {
   net::NodeId first_hop_ = net::kInvalidNode;
   std::uint32_t next_channel_index_ = 1;  ///< local allocation database
   std::uint32_t next_query_seq_ = 1;
-  std::unordered_map<ip::ChannelId, Subscription> subscriptions_;
+  /// Ordered: a general query re-announces in channel order.
+  std::map<ip::ChannelId, Subscription> subscriptions_;
   std::unordered_map<std::uint32_t,
                      std::pair<std::function<void(CountResult)>, sim::EventHandle>>
       pending_queries_;

@@ -78,8 +78,7 @@ ip::ChannelId Participant::create_direct_channel() {
   return *direct_channel_;
 }
 
-void Participant::send_direct(std::uint32_t bytes, std::uint64_t app_seq) {
-  (void)app_seq;
+void Participant::send_direct(std::uint32_t bytes) {
   if (!direct_channel_) return;
   Frame frame;
   frame.type = FrameType::kData;

@@ -63,7 +63,7 @@ class Participant {
   /// session. Other participants with auto-subscribe (default) join it.
   ip::ChannelId create_direct_channel();
   /// Transmit on the direct channel created above (bypasses the SR).
-  void send_direct(std::uint32_t bytes, std::uint64_t app_seq = 0);
+  void send_direct(std::uint32_t bytes);
   /// Opt out of automatically joining announced direct channels.
   void set_auto_subscribe(bool enabled) { auto_subscribe_ = enabled; }
   [[nodiscard]] const std::vector<ip::ChannelId>& announced_channels() const {

@@ -41,8 +41,7 @@ void SessionRelay::heartbeat() {
       config_.heartbeat_interval, [this]() { heartbeat(); });
 }
 
-void SessionRelay::send_as_primary(std::uint32_t bytes, std::uint64_t app_seq) {
-  (void)app_seq;
+void SessionRelay::send_as_primary(std::uint32_t bytes) {
   if (!active_) return;
   relay_frame(host_.address(), bytes);
 }

@@ -83,7 +83,7 @@ class SessionRelay {
 
   /// The SR host speaking as the primary source (§4.1: the lecturer
   /// "either resides on the SR or relays its packets to it").
-  void send_as_primary(std::uint32_t bytes, std::uint64_t app_seq = 0);
+  void send_as_primary(std::uint32_t bytes);
 
   /// Next sequence number for *data* frames (contiguous, so receivers
   /// detect losses by gaps); control frames use a separate space.

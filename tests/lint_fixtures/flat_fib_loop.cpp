@@ -24,10 +24,11 @@ struct Router {
   }
 
   void audit_all() {
-    // Positive control: the sorted snapshot is the sanctioned way to
-    // iterate with effects, and must NOT be flagged.
-    for (const auto* entry : det::sorted_items(fib().entries())) {
-      control_.send_refresh(entry->first);
+    // Positive control: an effectful loop that argues its order away
+    // is sanctioned, and must NOT be flagged.
+    // lint: order-independent (refreshes are idempotent and commute)
+    for (const auto& entry : fib().entries()) {
+      control_.send_refresh(entry.first);
     }
   }
 };

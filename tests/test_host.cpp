@@ -4,6 +4,7 @@
 
 #include <deque>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "baseline/dvmrp.hpp"
@@ -284,36 +285,61 @@ TEST(Host, ResubscribeAfterUnsubscribeWorks) {
   EXPECT_EQ(sim.total_fib_entries(), 0u);
 }
 
+/// Stands in for the first-hop router: decodes and keeps every Count
+/// the host sends it.
+class CountSink : public net::Node {
+ public:
+  CountSink(net::Network& network, net::NodeId id) : Node(network, id) {}
+  void handle_packet(const net::Packet& packet, std::uint32_t) override {
+    for (const ecmp::Message& msg : ecmp::decode_all(packet.payload)) {
+      if (const auto* count = std::get_if<ecmp::Count>(&msg)) {
+        counts.push_back(*count);
+      }
+    }
+  }
+  std::vector<ecmp::Count> counts;
+};
+
 TEST(Host, GeneralQueryTriggersReannounce) {
   // §3.3: an all-channels CountQuery solicits Counts for everything the
-  // host subscribes to — used after router restarts.
-  ExpressNetwork sim(make_star(1, 1));
-  const ip::ChannelId ch1 = sim.source().allocate_channel();
-  const ip::ChannelId ch2 = sim.source().allocate_channel();
-  sim.receiver(0).new_subscription(ch1);
-  sim.receiver(0).new_subscription(ch2);
-  sim.run_for(sim::seconds(1));
-  const auto sent_before = sim.receiver(0).stats().counts_sent;
+  // host subscribes to — used after router restarts. The burst comes
+  // out in ascending channel order, whatever the subscription order.
+  net::Topology topo;
+  const net::NodeId edge = topo.add_router();
+  const net::NodeId host = topo.add_host();
+  topo.add_link(edge, host);
+  net::Network network(std::move(topo));
+  auto& sink = network.attach<CountSink>(edge);
+  auto& receiver = network.attach<ExpressHost>(host);
+  const ip::Address source(10, 9, 9, 9);
+  const ip::ChannelId ch1{source, ip::Address::single_source(1)};
+  const ip::ChannelId ch2{source, ip::Address::single_source(2)};
+  const ip::ChannelId ch3{source, ip::Address::single_source(3)};
+  receiver.new_subscription(ch3);
+  receiver.new_subscription(ch1);
+  receiver.new_subscription(ch2);
+  network.run();
+  ASSERT_EQ(sink.counts.size(), 3u);
+  sink.counts.clear();
+  const auto sent_before = receiver.stats().counts_sent;
 
-  // Simulate the edge router's general query by having the router issue
-  // a kAllChannelsId query on the host interface (UDP-mode machinery).
-  ExpressRouter& edge = sim.router(1);
-  (void)edge;
-  // Craft it via the router's own interface-mode refresh is indirect;
-  // instead verify the host's response logic directly through the wire:
   net::Packet packet;
-  packet.src = sim.net().topology().node(edge.id()).address;
-  packet.dst = sim.receiver(0).address();
+  packet.src = network.topology().node(edge).address;
+  packet.dst = receiver.address();
   packet.protocol = ip::Protocol::kEcmp;
   ecmp::CountQuery general;
   general.channel = ch1;  // channel field unused for all-channels
   general.count_id = ecmp::kAllChannelsId;
   packet.payload = ecmp::encode(ecmp::Message{general});
-  sim.net().send_to_neighbor(edge.id(), sim.roles().receiver_hosts[0],
-                             std::move(packet));
-  sim.run_for(sim::seconds(1));
-  // One Count re-announced per subscribed channel.
-  EXPECT_EQ(sim.receiver(0).stats().counts_sent, sent_before + 2);
+  network.send_to_neighbor(edge, host, std::move(packet));
+  network.run();
+  // One Count re-announced per subscribed channel, in channel order.
+  EXPECT_EQ(receiver.stats().counts_sent, sent_before + 3);
+  ASSERT_EQ(sink.counts.size(), 3u);
+  EXPECT_EQ(sink.counts[0].channel, ch1);
+  EXPECT_EQ(sink.counts[1].channel, ch2);
+  EXPECT_EQ(sink.counts[2].channel, ch3);
+  for (const ecmp::Count& count : sink.counts) EXPECT_EQ(count.count, 1);
 }
 
 }  // namespace
