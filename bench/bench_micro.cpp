@@ -86,7 +86,7 @@ void BM_EcmpDecodeSegment(benchmark::State& state) {
 BENCHMARK(BM_EcmpDecodeSegment);
 
 void BM_SubscribeEvent(benchmark::State& state) {
-  // Full router event: decode + hashed lookup + state + FIB + upstream
+  // Full router event: decode + channel lookup + state + FIB + upstream
   // send — the §5.3 per-event cost.
   net::Topology topo;
   const net::NodeId core = topo.add_router();

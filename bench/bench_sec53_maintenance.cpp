@@ -5,7 +5,7 @@
 // neighbors churning subscriptions: ~4,500 events/s at 4% CPU (~3,500
 // cycles/event), 33,000 events/s sustained at 43% (~5,200 cycles/event),
 // ~2,700 cycles per subscribe and ~3,300 per unsubscribe. We drive the
-// same event pipeline — wire decode, hashed channel lookup, state
+// same event pipeline — wire decode, channel-table lookup, state
 // allocation, FIB manipulation, upstream Count emission — through
 // ExpressRouter::handle_packet and report the modern equivalents, plus
 // the analytic million-channel scenario.

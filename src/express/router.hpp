@@ -191,8 +191,8 @@ class ExpressRouter final : public net::Node {
   [[nodiscard]] bool neighbor_reachable(net::NodeId neighbor) const;
   void remove_channel(const ip::ChannelId& channel);
   void refresh_fib(const ip::ChannelId& channel, const Channel& state);
-  void notify_total(const ip::ChannelId& channel) {
-    const std::int64_t total = table_.subtree_count(channel);
+  void notify_total(const ip::ChannelId& channel, const Channel& state) {
+    const std::int64_t total = state.subtree_count();
     scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
                 channel.packed(), static_cast<std::uint64_t>(total));
     if (total_observer_) {
