@@ -169,6 +169,31 @@ void BM_InvariantAudit(benchmark::State& state) {
 }
 BENCHMARK(BM_InvariantAudit);
 
+void BM_InvariantAuditKaryTree(benchmark::State& state) {
+  // One audit of make_kary_tree(4, depth, {}, 10) with one channel and
+  // four receivers: the on-tree state is the same few paths at every
+  // depth (depth 4: 2,902 nodes; depth 6: 46,422), so per-call cost
+  // that rises with depth is cost paid per node, not per on-tree pair.
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  Testbed bed(workload::make_kary_tree(4, depth, {}, 10));
+  const ip::ChannelId channel = bed.source().allocate_channel();
+  const std::size_t stride = bed.receiver_count() / 4;
+  for (std::size_t i = 0; i < bed.receiver_count(); i += stride) {
+    bed.receiver(i).new_subscription(channel);
+  }
+  bed.run_for(sim::seconds(2));
+  const audit::InvariantAuditor auditor(bed.net());
+  for (auto _ : state) {
+    const audit::AuditReport report = auditor.run();
+    if (!report.clean()) state.SkipWithError("settled tree is not clean");
+    benchmark::DoNotOptimize(report.channels_audited);
+  }
+  state.counters["nodes"] =
+      static_cast<double>(bed.net().topology().node_count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InvariantAuditKaryTree)->Arg(4)->Arg(6);
+
 void BM_AttachKaryTree(benchmark::State& state) {
   // Network construction plus attach of every router and host on
   // make_kary_tree(4, depth, {}, hosts_per_leaf): the set-up cost the

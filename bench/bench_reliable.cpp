@@ -88,20 +88,16 @@ ModeResult run_mode(bool subcast, std::uint32_t blocks, double loss_p) {
   // covering test has something to find.
   const net::Topology& topo = bed.net().topology();
   const net::NodeId lossy_host = bed.roles().receiver_hosts.back();
-  const net::LinkId drop = topo.node(lossy_host).interfaces.at(0);
-  const net::LinkInfo& drop_info = topo.link(drop);
-  const net::NodeId stub = drop_info.a == lossy_host ? drop_info.b : drop_info.a;
+  const net::NodeId stub = topo.neighbor_via(lossy_host, 0);
 
   net::ImpairmentConfig impair;
   impair.loss.kind = net::LossModel::Kind::kBernoulli;
   impair.loss.p = loss_p;
   ModeResult result;
   bed.net().seed_impairments(kImpairmentSeed);
-  for (net::LinkId link : topo.node(stub).interfaces) {
-    const net::LinkInfo& info = topo.link(link);
-    const net::NodeId other = info.a == stub ? info.b : info.a;
-    if (topo.node(other).kind != net::NodeKind::kHost) continue;
-    bed.net().set_link_impairments(link, impair);
+  for (const net::Port& port : topo.node(stub).ports) {
+    if (topo.node(port.peer).kind != net::NodeKind::kHost) continue;
+    bed.net().set_link_impairments(port.link, impair);
     ++result.lossy_links;
   }
 

@@ -12,6 +12,9 @@
 # bench_reliable binary both exist, the reliable repair-path gate runs
 # too: delivery must stay complete, repair rounds/bytes must not
 # regress, and subcast repair must keep beating channel-wide repair.
+# Both halves always run and print their verdicts; the script exits 1
+# at the end if either failed, so a core timing failure cannot hide a
+# reliable regression.
 #
 # Usage:
 #   scripts/bench_gate.sh [path/to/bench_core] [path/to/result.json]
@@ -58,7 +61,8 @@ else
   done
 fi
 
-python3 - "$baseline" "${results[@]}" <<'EOF'
+core_verdict=PASS
+python3 - "$baseline" "${results[@]}" <<'EOF' || core_verdict=FAIL
 import json
 import statistics
 import sys
@@ -169,13 +173,20 @@ EOF
 reliable_baseline="$repo_root/BENCH_reliable.json"
 reliable_bin="$(dirname "$bench_bin")/bench_reliable"
 
+reliable_verdict=SKIPPED
 if [[ -f "$reliable_baseline" && -x "$reliable_bin" ]]; then
   reliable_result="$(mktemp /tmp/bench_reliable.XXXXXX.json)"
   cleanup_files+=("$reliable_result")
   echo "bench_gate: running $reliable_bin ..."
-  (cd "$repo_root" && "$reliable_bin" --out "$reliable_result")
+  reliable_verdict=PASS
+  if ! (cd "$repo_root" && "$reliable_bin" --out "$reliable_result"); then
+    echo "bench_gate: $reliable_bin failed" >&2
+    reliable_verdict=FAIL
+  fi
+fi
 
-  python3 - "$reliable_baseline" "$reliable_result" <<'EOF'
+if [[ "$reliable_verdict" == PASS ]]; then
+  python3 - "$reliable_baseline" "$reliable_result" <<'EOF' || reliable_verdict=FAIL
 import json
 import sys
 
@@ -237,6 +248,11 @@ if failures:
     sys.exit(1)
 print("bench_gate: PASS (reliable)")
 EOF
-else
+elif [[ "$reliable_verdict" == SKIPPED ]]; then
   echo "bench_gate: skipping reliable gate (baseline or binary missing)"
+fi
+
+echo "bench_gate: core $core_verdict, reliable $reliable_verdict"
+if [[ "$core_verdict" == FAIL || "$reliable_verdict" == FAIL ]]; then
+  exit 1
 fi

@@ -125,8 +125,13 @@ POD_MEMBER_RE = re.compile(
 
 
 # --------------------------------------------------------------------------
-# Registry of unordered-container names and accessors (global, cross-file:
-# a loop in router.cpp may iterate an accessor declared in subscription.hpp).
+# Registry of unordered-container names and accessors. Accessors are
+# global (cross-file: a loop in router.cpp may iterate an accessor
+# declared in subscription.hpp). A variable or member name is scoped to
+# its declaring class, or its file outside any class, so an unordered
+# `sg_` in one class does not make another class's std::map `sg_`
+# unordered; only a member reached through an object (`state.x`,
+# `p->x`) is matched by name alone.
 # --------------------------------------------------------------------------
 
 UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
@@ -158,14 +163,35 @@ def skip_template_args(code: str, open_idx: int) -> int:
     return i
 
 
-def collect_unordered_names(files: list[SourceFile]) -> tuple[set, set]:
-    """(variable/member names, accessor-method names) of unordered
-    containers declared anywhere in the scanned tree."""
-    variables: set[str] = set()
+def scope_at(sf: SourceFile, structure, offset: int) -> tuple[str, str]:
+    """The scope a name at `offset` resolves in: ("class", name) inside a
+    class body or a member function (inline or out-of-line), else
+    ("file", path)."""
+    functions, classes, _enums = structure
+    fn = cpp_scan.enclosing_function(functions, offset)
+    if fn is not None and fn.cls:
+        return ("class", fn.cls)
+    ce = cpp_scan.in_class_body(classes, offset)
+    if ce is not None:
+        return ("class", ce.name)
+    return ("file", sf.path)
+
+
+def collect_unordered_names(files: list[SourceFile],
+                            structures: dict) -> tuple[dict, set]:
+    """({variable/member name: declaring scopes}, accessor-method names)
+    of unordered containers declared anywhere in the scanned tree."""
+    variables: dict[str, set] = {}
     accessors: set[str] = set()
     for sf in files:
+        decls = []
         for m in UNORDERED_DECL_RE.finditer(sf.code):
-            end = skip_template_args(sf.code, m.end() - 1)
+            decls.append(skip_template_args(sf.code, m.end() - 1))
+        # Same declaration shapes for FlatFib; `Fib::method` definitions,
+        # `class FlatFib {` and `using Fib = ...` yield no identifier and
+        # fall through.
+        decls.extend(m.end() for m in FLATFIB_DECL_RE.finditer(sf.code))
+        for end in decls:
             rest = sf.code[end : end + 160]
             rm = re.match(r"\s*&?\s*([A-Za-z_]\w*)\s*(\(|[;={])", rest)
             if not rm:
@@ -174,20 +200,8 @@ def collect_unordered_names(files: list[SourceFile]) -> tuple[set, set]:
             if tail == "(":
                 accessors.add(name)
             else:
-                variables.add(name)
-        for m in FLATFIB_DECL_RE.finditer(sf.code):
-            # Same declaration shapes as above; `Fib::method` definitions,
-            # `class FlatFib {` and `using Fib = ...` yield no identifier
-            # and fall through.
-            rest = sf.code[m.end() : m.end() + 160]
-            rm = re.match(r"\s*&?\s*([A-Za-z_]\w*)\s*(\(|[;={])", rest)
-            if not rm:
-                continue
-            name, tail = rm.group(1), rm.group(2)
-            if tail == "(":
-                accessors.add(name)
-            else:
-                variables.add(name)
+                scope = scope_at(sf, structures[sf.path], end)
+                variables.setdefault(name, set()).add(scope)
     return variables, accessors
 
 
@@ -195,8 +209,8 @@ def collect_unordered_names(files: list[SourceFile]) -> tuple[set, set]:
 # Check: unordered-effectful-loop
 # --------------------------------------------------------------------------
 
-def check_unordered_loops(sf: SourceFile, variables: set, accessors: set,
-                          findings: list) -> None:
+def check_unordered_loops(sf: SourceFile, structure, variables: dict,
+                          accessors: set, findings: list) -> None:
     for m in RANGE_FOR_RE.finditer(sf.code):
         open_paren = m.end() - 1
         close = match_paren(sf.code, open_paren)
@@ -205,7 +219,8 @@ def check_unordered_loops(sf: SourceFile, variables: set, accessors: set,
         if colon is None:
             continue  # classic for(;;): index order is explicit
         range_expr = header[colon + 1 :].strip()
-        if not mentions_unordered(range_expr, variables, accessors):
+        scope = scope_at(sf, structure, m.start())
+        if not mentions_unordered(range_expr, scope, variables, accessors):
             continue
         line = sf.line_of(m.start())
         col = sf.col_of(m.start())
@@ -261,7 +276,8 @@ def split_range_for(header: str):
     return None
 
 
-def mentions_unordered(range_expr: str, variables: set, accessors: set) -> bool:
+def mentions_unordered(range_expr: str, scope: tuple, variables: dict,
+                       accessors: set) -> bool:
     if "unordered_" in range_expr:
         return True
     for ident in IDENT_RE.finditer(range_expr):
@@ -270,7 +286,10 @@ def mentions_unordered(range_expr: str, variables: set, accessors: set) -> bool:
         if name in accessors and after.startswith("("):
             return True
         if name in variables and not after.startswith("("):
-            return True
+            before = range_expr[: ident.start()].rstrip()
+            through_object = before.endswith((".", "->"))
+            if through_object or scope in variables[name]:
+                return True
     return False
 
 
@@ -422,6 +441,7 @@ def check_suppressions(sf: SourceFile, findings: list) -> None:
 SELF_TESTS = {
     "unordered_effectful_loop.cpp": {"unordered-effectful-loop"},
     "flat_fib_loop.cpp": {"unordered-effectful-loop"},
+    "scoped_member_names.cpp": {"unordered-effectful-loop"},
     "banned_constructs.cpp": {"banned-construct"},
     "uninitialized_message_pod.cpp": {"uninitialized-message-pod"},
     "discarded_effects.cpp": {"discarded-effect"},
@@ -444,6 +464,7 @@ SELF_TEST_MIN_COUNTS = {
 SELF_TEST_EXACT_COUNTS = {
     "unordered_effectful_loop.cpp": 1,  # the std::map loop stays clean
     "flat_fib_loop.cpp": 1,             # the annotated loop stays clean
+    "scoped_member_names.cpp": 1,       # the other class's std::map stays clean
 }
 
 
@@ -503,7 +524,8 @@ def run(root: str, paths=None) -> list:
         files = [cpp_scan.load(p) for p in paths]
     else:
         files = [cpp_scan.load(p) for p in iter_sources(root, CONFIG["src_dirs"])]
-    variables, accessors = collect_unordered_names(files)
+    structures = {sf.path: cpp_scan.scan_structure(sf) for sf in files}
+    variables, accessors = collect_unordered_names(files, structures)
 
     msg_files = {os.path.normpath(os.path.join(root, p))
                  for p in CONFIG["message_struct_files"]}
@@ -517,7 +539,8 @@ def run(root: str, paths=None) -> list:
         # not apply message-struct rules to ordinary classes).
         fixture = f"{os.sep}lint_fixtures{os.sep}" in norm
         ban_clocks = fixture or norm.startswith(clock_dirs)
-        check_unordered_loops(sf, variables, accessors, findings)
+        check_unordered_loops(sf, structures[sf.path], variables, accessors,
+                              findings)
         check_banned(sf, ban_clocks, findings)
         if fixture or norm in msg_files:
             check_message_pods(sf, findings)

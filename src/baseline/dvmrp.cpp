@@ -124,7 +124,7 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
   const auto iface_count = network().topology().interface_count(id());
   for (std::uint32_t iface = 0; iface < iface_count; ++iface) {
     if (iface == in_iface) continue;
-    const net::LinkId link = network().topology().node(id()).interfaces[iface];
+    const net::LinkId link = network().topology().port(id(), iface).link;
     if (!network().topology().link(link).up) continue;
     if (iface_is_host(iface)) {
       auto member = members_.find(packet.dst);

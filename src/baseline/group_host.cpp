@@ -6,7 +6,7 @@ namespace express::baseline {
 
 GroupHost::GroupHost(net::Network& network, net::NodeId id)
     : net::Node(network, id) {
-  if (network.topology().node(id).interfaces.size() != 1) {
+  if (network.topology().interface_count(id) != 1) {
     throw std::logic_error("group hosts are single-homed in this simulator");
   }
   scope_ = network.node_scope(id);

@@ -185,10 +185,9 @@ void Transport::neighbor_discovery_tick() {
   // §3.3: periodically multicast a neighbors CountQuery on each
   // interface; on point-to-point links that is a direct query.
   const auto& info = network_->topology().node(node_);
-  for (std::uint32_t iface = 0; iface < info.interfaces.size(); ++iface) {
-    const net::LinkId link = info.interfaces[iface];
-    if (!network_->topology().link(link).up) continue;
-    const net::NodeId peer = network_->topology().peer(link, node_);
+  for (const net::Port& port : info.ports) {
+    if (!network_->topology().link(port.link).up) continue;
+    const net::NodeId peer = port.peer;
     if (network_->topology().node(peer).kind != net::NodeKind::kRouter) {
       continue;
     }
@@ -214,8 +213,7 @@ void Transport::neighbor_discovery_tick() {
 }
 
 sim::Duration Transport::link_rtt(std::uint32_t iface) const {
-  const net::LinkId link =
-      network_->topology().node(node_).interfaces.at(iface);
+  const net::LinkId link = network_->topology().port(node_, iface).link;
   return network_->topology().link(link).delay * 2;
 }
 

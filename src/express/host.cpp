@@ -10,7 +10,7 @@ ExpressHost::ExpressHost(net::Network& network, net::NodeId id)
   if (info.kind != net::NodeKind::kHost) {
     throw std::logic_error("ExpressHost attached to a non-host node");
   }
-  if (info.interfaces.size() != 1) {
+  if (info.ports.size() != 1) {
     throw std::logic_error("hosts are single-homed in this simulator");
   }
   first_hop_ = network.topology().neighbor_via(id, 0);

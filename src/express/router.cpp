@@ -1,5 +1,6 @@
 #include "express/router.hpp"
 
+#include <stdexcept>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -8,9 +9,22 @@
 
 namespace express {
 
+namespace {
+
+/// `id`, checked to be a router node before any module binds to it: the
+/// invariant auditor finds EXPRESS routers by node kind.
+net::NodeId router_node(const net::Network& network, net::NodeId id) {
+  if (network.topology().node(id).kind != net::NodeKind::kRouter) {
+    throw std::logic_error("ExpressRouter attached to a non-router node");
+  }
+  return id;
+}
+
+}  // namespace
+
 ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
                              RouterConfig config)
-    : net::Node(network, id),
+    : net::Node(network, router_node(network, id)),
       config_(config),
       scope_(network.node_scope(id)),
       forwarding_(network, id),
@@ -251,7 +265,7 @@ bool ExpressRouter::neighbor_reachable(net::NodeId neighbor) const {
     // LAN-attached (or multi-hop) neighbor: reachable iff routed.
     return network().routing().next_hop(id(), neighbor).has_value();
   }
-  const net::LinkId link = network().topology().node(id()).interfaces.at(*iface);
+  const net::LinkId link = network().topology().port(id(), *iface).link;
   return network().topology().link(link).up;
 }
 

@@ -102,11 +102,9 @@ void ExpressRouter::on_routing_change() {
     // subtracting our count right now, so our advertisement is void.
     if (state.upstream != net::kInvalidNode &&
         state.advertised_upstream > 0) {
-      auto up_iface = network().topology().interface_to(id(), state.upstream);
-      if (up_iface) {
-        const net::LinkId link =
-            network().topology().node(id()).interfaces.at(*up_iface);
-        if (!network().topology().link(link).up) {
+      const net::Topology& topo = network().topology();
+      if (auto up_iface = topo.interface_to(id(), state.upstream)) {
+        if (!topo.link(topo.port(id(), *up_iface).link).up) {
           state.advertised_upstream = 0;
         }
       }

@@ -251,8 +251,7 @@ SubscriptionTable::collect_dead_children(const net::Network& network,
     for (const auto& [neighbor, entry] : state.downstream) {
       auto direct = network.topology().interface_to(self, neighbor);
       if (direct) {
-        const net::LinkId link =
-            network.topology().node(self).interfaces.at(*direct);
+        const net::LinkId link = network.topology().port(self, *direct).link;
         if (!network.topology().link(link).up) {
           dead.emplace_back(channel, neighbor);
         }
@@ -334,8 +333,7 @@ std::int64_t SubscriptionTable::local_contribution(
       for (const auto& [neighbor, entry] : state.downstream) {
         if (entry.count <= 0) continue;
         if (auto iface = net::iface_toward(network, self, neighbor)) {
-          const net::LinkId link =
-              network.topology().node(self).interfaces.at(*iface);
+          const net::LinkId link = network.topology().port(self, *iface).link;
           weight += network.topology().link(link).cost;
         }
       }

@@ -128,14 +128,13 @@ void Network::deliver_packet(NodeId to, const Packet& packet,
 
 void Network::send_on_interface(NodeId from, std::uint32_t iface,
                                 Packet packet) {
-  const LinkId link = topology_.node(from).interfaces.at(iface);
+  const Port& port = topology_.port(from, iface);
   const Crossing c =
-      cross_link(from, link, packet, packet.wire_size(), scheduler_.now());
+      cross_link(from, port.link, packet, packet.wire_size(), scheduler_.now());
   if (c.outcome != Crossing::kArrives) return;
-  const NodeId to = topology_.peer(link, from);
   // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
   scheduler_.schedule_at(
-      c.arrival, [this, to, iface = *topology_.interface_on(to, link),
+      c.arrival, [this, to = port.peer, iface = port.peer_iface,
                   p = std::move(packet)]() { deliver_packet(to, p, iface); });
 }
 
@@ -167,13 +166,12 @@ void Network::deliver_fanout_batch(std::uint32_t id) {
 
 bool Network::Fanout::add(std::uint32_t iface) {
   Network& net = *net_;
-  const LinkId link = net.topology_.node(from_).interfaces.at(iface);
-  const Crossing c = net.cross_link(from_, link, packet_, wire_bytes_,
+  const Port& port = net.topology_.port(from_, iface);
+  const Crossing c = net.cross_link(from_, port.link, packet_, wire_bytes_,
                                     net.scheduler_.now());
   if (c.outcome == Crossing::kLinkDown) return false;
   if (c.outcome == Crossing::kLost) return true;  // consumed its wire slot
-  const NodeId to = net.topology_.peer(link, from_);
-  const DeliveryTarget target{to, *net.topology_.interface_on(to, link)};
+  const DeliveryTarget target{port.peer, port.peer_iface};
   if (!net.fanout_batching_) {
     // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
     net.scheduler_.schedule_at(
@@ -248,7 +246,7 @@ void Network::send_unicast(NodeId from, Packet packet) {
   const std::uint32_t size = packet.wire_size();
   sim::Time at = scheduler_.now();
   NodeId hop = from;
-  LinkId link = kInvalidLink;
+  std::uint32_t iface = 0;  // arrival interface at `hop`
   while (hop != *dest) {
     if (packet.ttl == 0) {
       ++stats_->packets_dropped_ttl;
@@ -257,16 +255,17 @@ void Network::send_unicast(NodeId from, Packet packet) {
     }
     --packet.ttl;
     const NodeId next = routing_.next_hop(hop, *dest).value();
-    link = topology_.node(hop).interfaces[*topology_.interface_to(hop, next)];
-    const Crossing c = cross_link(hop, link, packet, size, at);
+    const Port& port = topology_.port(hop, *topology_.interface_to(hop, next));
+    const Crossing c = cross_link(hop, port.link, packet, size, at);
     if (c.outcome != Crossing::kArrives) return;  // upstream stays charged
     at = c.arrival;
     hop = next;
+    iface = port.peer_iface;
   }
   // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-  scheduler_.schedule_at(
-      at, [this, to = hop, iface = *topology_.interface_on(hop, link),
-           p = std::move(packet)]() { deliver_packet(to, p, iface); });
+  scheduler_.schedule_at(at, [this, to = hop, iface, p = std::move(packet)]() {
+    deliver_packet(to, p, iface);
+  });
 }
 
 void Network::set_link_up(LinkId link, bool up) {

@@ -59,7 +59,7 @@ inline std::size_t replicate(Network& network, NodeId node,
   oifs.for_each([&](std::uint32_t iface) {
     if (opts.exclude_iface && iface == *opts.exclude_iface) return;
     if (opts.skip_down_links) {
-      const LinkId link = network.topology().node(node).interfaces[iface];
+      const LinkId link = network.topology().port(node, iface).link;
       if (!network.topology().link(link).up) return;
     }
     if (fanout.add(iface)) ++copies;
@@ -83,7 +83,7 @@ inline std::size_t replicate_all(Network& network, NodeId node,
   for (std::uint32_t iface = 0; iface < ports; ++iface) {
     if (opts.exclude_iface && iface == *opts.exclude_iface) continue;
     if (opts.skip_down_links) {
-      const LinkId link = network.topology().node(node).interfaces[iface];
+      const LinkId link = network.topology().port(node, iface).link;
       if (!network.topology().link(link).up) continue;
     }
     if (fanout.add(iface)) ++copies;

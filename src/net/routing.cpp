@@ -35,9 +35,9 @@ const std::vector<NodeId>& UnicastRouting::tree(NodeId dest) const {
     const auto [d, u] = queue.top();
     queue.pop();
     if (d > dist[u]) continue;  // superseded entry
-    for (LinkId lid : topo_->node(u).interfaces) {
-      const LinkInfo& l = topo_->link(lid);
-      const NodeId v = topo_->peer(lid, u);
+    for (const Port& p : topo_->node(u).ports) {
+      const LinkInfo& l = topo_->link(p.link);
+      const NodeId v = p.peer;
       if (l.up && d + l.cost < dist[v]) {
         dist[v] = d + l.cost;
         queue.emplace(dist[v], v);
@@ -51,9 +51,9 @@ const std::vector<NodeId>& UnicastRouting::tree(NodeId dest) const {
   hop.assign(n_, kInvalidNode);
   for (NodeId v = 0; v < n_; ++v) {
     if (v == dest || dist[v] == kUnreachable) continue;
-    for (LinkId lid : topo_->node(v).interfaces) {
-      const LinkInfo& l = topo_->link(lid);
-      const NodeId u = topo_->peer(lid, v);
+    for (const Port& p : topo_->node(v).ports) {
+      const LinkInfo& l = topo_->link(p.link);
+      const NodeId u = p.peer;
       if (l.up && dist[u] + l.cost == dist[v] && u < hop[v]) hop[v] = u;
     }
   }
@@ -74,7 +74,7 @@ bool UnicastRouting::walk(NodeId from, NodeId to, Visit visit) const {
     const auto nh = next_hop(from, to);
     if (!nh || hops == n_) return false;
     const auto iface = topo_->interface_to(from, *nh);
-    visit(*nh, topo_->link(topo_->node(from).interfaces[*iface]));
+    visit(*nh, topo_->link(topo_->port(from, *iface).link));
     from = *nh;
   }
   return true;

@@ -24,11 +24,12 @@ LinkId Topology::add_link(NodeId a, NodeId b, sim::Duration delay,
   if (cost == 0) throw std::invalid_argument("add_link: zero cost");
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(LinkInfo{a, b, delay, bandwidth_bps, cost, true});
-  link_ifaces_.push_back(
-      {static_cast<std::uint32_t>(nodes_[a].interfaces.size()),
-       static_cast<std::uint32_t>(nodes_[b].interfaces.size())});
-  nodes_[a].interfaces.push_back(id);
-  nodes_[b].interfaces.push_back(id);
+  std::vector<Port>& at_a = nodes_[a].ports;
+  std::vector<Port>& at_b = nodes_[b].ports;
+  const auto iface_a = static_cast<std::uint32_t>(at_a.size());
+  const auto iface_b = static_cast<std::uint32_t>(at_b.size());
+  at_a.push_back(Port{id, b, iface_b});
+  at_b.push_back(Port{id, a, iface_a});
   return id;
 }
 
@@ -39,34 +40,33 @@ NodeId Topology::peer(LinkId link, NodeId from) const {
 
 std::optional<std::uint32_t> Topology::interface_on(NodeId node,
                                                     LinkId link) const {
-  if (link >= links_.size()) return std::nullopt;
-  if (links_[link].a == node) return link_ifaces_[link][0];
-  if (links_[link].b == node) return link_ifaces_[link][1];
+  if (node >= nodes_.size()) return std::nullopt;
+  const std::vector<Port>& ports = nodes_[node].ports;
+  for (std::uint32_t i = 0; i < ports.size(); ++i) {
+    if (ports[i].link == link) return i;
+  }
   return std::nullopt;
 }
 
 std::optional<std::uint32_t> Topology::interface_to(NodeId node,
                                                     NodeId neighbor) const {
-  const auto& ifaces = nodes_.at(node).interfaces;
+  const std::vector<Port>& ports = nodes_.at(node).ports;
   const auto rank = [&](std::uint32_t i) {  // up first, then cheaper
-    return std::pair(!links_[ifaces[i]].up, links_[ifaces[i]].cost);
+    const LinkInfo& l = links_[ports[i].link];
+    return std::pair(!l.up, l.cost);
   };
   std::optional<std::uint32_t> best;
-  for (std::uint32_t i = 0; i < ifaces.size(); ++i) {
-    if (peer(ifaces[i], node) != neighbor) continue;
+  for (std::uint32_t i = 0; i < ports.size(); ++i) {
+    if (ports[i].peer != neighbor) continue;
     if (!best || rank(i) < rank(*best)) best = i;
   }
   return best;
 }
 
-NodeId Topology::neighbor_via(NodeId node, std::uint32_t iface) const {
-  return peer(nodes_.at(node).interfaces.at(iface), node);
-}
-
 std::vector<NodeId> Topology::neighbors(NodeId node) const {
   std::vector<NodeId> out;
-  for (LinkId l : nodes_.at(node).interfaces) {
-    if (links_.at(l).up) out.push_back(peer(l, node));
+  for (const Port& p : nodes_.at(node).ports) {
+    if (links_[p.link].up) out.push_back(p.peer);
   }
   return out;
 }

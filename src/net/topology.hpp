@@ -5,11 +5,13 @@
 // propagation delay, a bandwidth, and a routing cost. Each endpoint of a
 // link occupies one interface slot on its node — interface indices are
 // what EXPRESS FIB entries and per-interface subscriber counts key on.
+// Each slot is one Port record naming the link, the node on its far
+// side and the interface the link occupies there, so a link crossing or
+// a neighbour lookup reads one entry instead of chasing the link table.
 // A node's unicast address follows from its id (kNodeAddressBase + id),
 // so resolving an address back to its node is arithmetic, not a lookup.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -36,12 +38,20 @@ enum class NodeKind : std::uint8_t {
   kLanHub,  ///< layer-2 repeater for multi-access segments (net/lan.hpp)
 };
 
+/// One interface of a node: the link it attaches to and that link's
+/// far end. add_link writes both ends' records; they never change.
+struct Port {
+  LinkId link = kInvalidLink;
+  NodeId peer = kInvalidNode;       ///< the node on the far side
+  std::uint32_t peer_iface = 0;     ///< the link's interface index at peer
+};
+
 struct NodeInfo {
   NodeKind kind = NodeKind::kRouter;
-  ip::Address address;            ///< kNodeAddressBase + the node's id
-  std::string name;               ///< for traces and error messages
-  std::uint16_t domain = 0;       ///< administrative domain (settlements)
-  std::vector<LinkId> interfaces; ///< interface i attaches to interfaces[i]
+  ip::Address address;          ///< kNodeAddressBase + the node's id
+  std::string name;             ///< for traces and error messages
+  std::uint16_t domain = 0;     ///< administrative domain (settlements)
+  std::vector<Port> ports;      ///< interface i is ports[i]
 };
 
 struct LinkInfo {
@@ -94,18 +104,27 @@ class Topology {
   [[nodiscard]] NodeId peer(LinkId link, NodeId from) const;
 
   /// The interface index on `node` that attaches to `link`, or nullopt.
-  /// O(1): add_link records the index at both ends.
+  /// Scans the node's port records.
   [[nodiscard]] std::optional<std::uint32_t> interface_on(NodeId node,
                                                           LinkId link) const;
 
   /// The interface index on `node` leading directly to `neighbor`. Among
   /// parallel links it prefers an up link, then the lower cost, then the
   /// lower index: the link unicast routing relaxes toward that neighbor.
+  /// Scans the node's port records and reads the link table only for
+  /// ports whose peer is `neighbor`.
   [[nodiscard]] std::optional<std::uint32_t> interface_to(NodeId node,
                                                           NodeId neighbor) const;
 
+  /// Interface `iface` of `node`; throws std::out_of_range for either.
+  [[nodiscard]] const Port& port(NodeId node, std::uint32_t iface) const {
+    return nodes_.at(node).ports.at(iface);
+  }
+
   /// The neighbor reached through interface `iface` of `node`.
-  [[nodiscard]] NodeId neighbor_via(NodeId node, std::uint32_t iface) const;
+  [[nodiscard]] NodeId neighbor_via(NodeId node, std::uint32_t iface) const {
+    return port(node, iface).peer;
+  }
 
   /// All live neighbors of `node`.
   [[nodiscard]] std::vector<NodeId> neighbors(NodeId node) const;
@@ -119,14 +138,12 @@ class Topology {
   }
 
   [[nodiscard]] std::uint32_t interface_count(NodeId node) const {
-    return static_cast<std::uint32_t>(nodes_.at(node).interfaces.size());
+    return static_cast<std::uint32_t>(nodes_.at(node).ports.size());
   }
 
  private:
   std::vector<NodeInfo> nodes_;
   std::vector<LinkInfo> links_;
-  /// Per link, its interface index on endpoint a and on endpoint b.
-  std::vector<std::array<std::uint32_t, 2>> link_ifaces_;
 };
 
 }  // namespace express::net

@@ -4,10 +4,18 @@
 // corruption is caught by exactly the check built for it.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "audit/invariants.hpp"
+#include "baseline/dvmrp.hpp"
+#include "express/host.hpp"
+#include "express/router.hpp"
 #include "helpers.hpp"
+#include "net/lan.hpp"
+#include "net/network.hpp"
 #include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
 
@@ -321,6 +329,128 @@ TEST(Audit, ReportFormattingNamesEveryCheck) {
   EXPECT_NE(text.find("wrong upstream"), std::string::npos);
   EXPECT_EQ(report.count(Check::kRpfConsistency), 1u);
   EXPECT_EQ(report.count(Check::kOrphanState), 0u);
+}
+
+TEST(Audit, ExpressNodesAttachOnlyToTheirOwnKind) {
+  // The auditor pre-filters nodes by kind before resolving their type;
+  // that is exact only because EXPRESS nodes refuse any other kind.
+  net::Topology topo;
+  const net::NodeId router = topo.add_router();
+  const net::NodeId host = topo.add_host();
+  topo.add_link(router, host);
+  const net::LanSegment lan = net::add_lan_segment(topo, router, 1);
+  net::Network network(std::move(topo));
+  EXPECT_THROW(network.attach<ExpressRouter>(host), std::logic_error);
+  EXPECT_THROW(network.attach<ExpressRouter>(lan.hub), std::logic_error);
+  EXPECT_THROW(network.attach<ExpressHost>(router), std::logic_error);
+  EXPECT_THROW(network.attach<ExpressHost>(lan.hub), std::logic_error);
+  // A refused attach leaves the slot free for the right kind.
+  EXPECT_NO_THROW(network.attach<ExpressRouter>(router));
+  EXPECT_NO_THROW(network.attach<ExpressHost>(host));
+  EXPECT_NO_THROW(network.attach<net::LanHub>(lan.hub));
+  EXPECT_NO_THROW(network.attach<ExpressHost>(lan.hosts[0]));
+}
+
+TEST(Audit, CountersMatchADynamicCastScanOnAMixedTopology) {
+  //   src - r0 - r1 - h1          r1 - d (router, detached)
+  //         |    |                r1 - dh (host, detached)
+  //         |    r3 (off-tree)
+  //         r2 = [hub] - lh0 lh1
+  //         b (DVMRP router)
+  net::Topology topo;
+  const net::NodeId r0 = topo.add_router("r0");
+  const net::NodeId src = topo.add_host("src");
+  const net::NodeId r1 = topo.add_router("r1");
+  const net::NodeId r2 = topo.add_router("r2");
+  const net::NodeId r3 = topo.add_router("r3");
+  const net::NodeId b = topo.add_router("b");
+  const net::NodeId d = topo.add_router("d");
+  const net::NodeId h1 = topo.add_host("h1");
+  const net::NodeId dh = topo.add_host("dh");
+  topo.add_link(r0, src);
+  topo.add_link(r0, r1);
+  topo.add_link(r0, r2);
+  topo.add_link(r0, b);
+  topo.add_link(r1, r3);
+  topo.add_link(r1, h1);
+  topo.add_link(r1, d);
+  topo.add_link(r1, dh);
+  const net::LanSegment lan = net::add_lan_segment(topo, r2, 2);
+  net::Network network(std::move(topo));
+  for (net::NodeId r : {r0, r1, r2, r3}) network.attach<ExpressRouter>(r);
+  network.attach<baseline::DvmrpRouter>(b);
+  network.attach<net::LanHub>(lan.hub);
+  auto& source = network.attach<ExpressHost>(src);
+  auto& receiver = network.attach<ExpressHost>(h1);
+  auto& lan_receiver = network.attach<ExpressHost>(lan.hosts[0]);
+  network.attach<ExpressHost>(lan.hosts[1]);
+  const ip::ChannelId ch = source.allocate_channel();
+  receiver.new_subscription(ch);
+  lan_receiver.new_subscription(ch);
+  network.run_until(sim::seconds(2));
+  ASSERT_TRUE(InvariantAuditor(network).run().clean());
+
+  // Zero-count downstream entries naming every kind of node: only an
+  // EXPRESS child can disagree with one (an off-tree router, or a host
+  // whose local count is not 0); the rest are counted and ignored.
+  const auto add_entries = [&](net::NodeId at,
+                               std::initializer_list<net::NodeId> children) {
+    auto& router = static_cast<ExpressRouter&>(*network.node(at));
+    Channel* state = router.corrupt_subscriptions_for_test().find(ch);
+    ASSERT_NE(state, nullptr) << "router " << at << " off-tree";
+    for (net::NodeId child : children) {
+      ASSERT_TRUE(state->downstream.try_emplace(child).second) << child;
+    }
+  };
+  add_entries(r1, {b, d, dh, lan.hub, r3, src});
+  add_entries(r2, {h1, lan.hosts[1], 9999});
+
+  // The reference resolves every node by dynamic_cast, as the auditor
+  // once did, and predicts the parent-side count checks it decides.
+  std::size_t routers = 0;
+  std::size_t channels = 0;
+  std::size_t edges = 0;
+  std::string expected;
+  for (net::NodeId id = 0; id < network.topology().node_count(); ++id) {
+    const auto* router = dynamic_cast<const ExpressRouter*>(network.node(id));
+    if (router == nullptr) continue;
+    ++routers;
+    for (const auto& [channel, state] : router->subscriptions().channels()) {
+      ++channels;
+      for (const auto& [child, entry] : state.downstream) {
+        ++edges;
+        const std::string head = "count_conservation @router " +
+                                 std::to_string(id) + " " +
+                                 channel.to_string() + ": ";
+        const net::Node* node = network.node(child);
+        if (const auto* r = dynamic_cast<const ExpressRouter*>(node)) {
+          if (!r->on_tree(channel)) {
+            expected += head + "downstream entry for router " +
+                        std::to_string(child) + " (count " +
+                        std::to_string(entry.count) +
+                        ") but the child is off-tree\n";
+          }
+        } else if (const auto* h = dynamic_cast<const ExpressHost*>(node)) {
+          if (h->local_count(channel) != entry.count) {
+            expected += head + "recorded count " +
+                        std::to_string(entry.count) + " for host " +
+                        std::to_string(child) + " != host's local count " +
+                        std::to_string(h->local_count(channel));
+            expected += "\n";
+          }
+        }
+      }
+    }
+  }
+  const AuditReport report = InvariantAuditor(network).run();
+  EXPECT_EQ(report.routers_audited, routers);
+  EXPECT_EQ(report.channels_audited, channels);
+  EXPECT_EQ(report.edges_checked, edges);
+  EXPECT_EQ(report.to_string(), expected);
+  // Not vacuous: four EXPRESS routers among six router nodes, and the
+  // off-tree router and the subscribed host were both flagged.
+  EXPECT_EQ(routers, 4u);
+  EXPECT_EQ(report.violations.size(), 2u) << report.to_string();
 }
 
 }  // namespace

@@ -133,8 +133,7 @@ TEST(Failover, SourceLinkFailureStopsDeliveryCleanly) {
   // Cut the receiver's access link: rD loses its only subscriber.
   const auto iface = d.network->topology().interface_to(d.rd, d.recv_node);
   ASSERT_TRUE(iface.has_value());
-  const net::LinkId access =
-      d.network->topology().node(d.rd).interfaces[*iface];
+  const net::LinkId access = d.network->topology().port(d.rd, *iface).link;
   d.network->set_link_up(access, false);
   d.run_for(sim::seconds(2));
 

@@ -237,8 +237,8 @@ TEST(Host, CountQueryGuardResolvesOnDeadNetwork) {
   sim.run_for(sim::seconds(1));
 
   // Cut the source's access link so the reply can never arrive.
-  const auto iface = sim.net().topology().node(sim.roles().source_host)
-                         .interfaces.at(0);
+  const auto iface =
+      sim.net().topology().port(sim.roles().source_host, 0).link;
   std::optional<CountResult> result;
   sim.source().count_query(ch, ecmp::kSubscriberId, sim::seconds(2),
                            [&](CountResult r) { result = r; });

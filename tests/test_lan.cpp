@@ -144,7 +144,7 @@ TEST(Lan, DeadHostLinkIsSkippedNotMisattributed) {
   auto hub_iface = lan.network->topology().interface_to(lan.segment.hub, victim);
   ASSERT_TRUE(hub_iface.has_value());
   const net::LinkId drop =
-      lan.network->topology().node(lan.segment.hub).interfaces.at(*hub_iface);
+      lan.network->topology().port(lan.segment.hub, *hub_iface).link;
 
   lan.network->set_link_up(drop, false);
   lan.run_for(sim::milliseconds(500));

@@ -566,7 +566,7 @@ void run_express_scenario(Testbed& bed) {
   }
   // Lossy and reordering links on the way down to two leaves.
   const auto leaf_link = [&](std::size_t receiver) {
-    return topo.node(roles.receiver_hosts.at(receiver)).interfaces.at(0);
+    return topo.port(roles.receiver_hosts.at(receiver), 0).link;
   };
   net::ImpairmentConfig lossy;
   lossy.loss.kind = net::LossModel::Kind::kBernoulli;
@@ -629,9 +629,10 @@ void run_express_scenario(Testbed& bed) {
       .new_subscription(bed.source().allocate_channel());
   bed.run_for(sim::milliseconds(15));
   const net::NodeId right = roles.routers.at(2);
-  const net::LinkId cut = topo.node(roles.source_router)
-                              .interfaces.at(*topo.interface_to(
-                                  roles.source_router, right));
+  const net::LinkId cut =
+      topo.port(roles.source_router,
+                *topo.interface_to(roles.source_router, right))
+          .link;
   bed.source_router().initiate_count(secure, ecmp::kSubscriberId,
                                      sim::milliseconds(500),
                                      [](CountResult) {});
@@ -682,9 +683,10 @@ TEST(ObsViews, RouterStatsEqualsRegistrySlotsAfterSeededChurn) {
   member.new_subscription(lan_src.allocate_channel());
   lan_net.run_until(sim::seconds(1));
   const net::Topology& lan_topo = lan_net.topology();
-  lan_net.set_link_up(lan_topo.node(lan.hub).interfaces.at(
-                          *lan_topo.interface_to(lan.hub, lan.hosts[0])),
-                      false);
+  lan_net.set_link_up(
+      lan_topo.port(lan.hub, *lan_topo.interface_to(lan.hub, lan.hosts[0]))
+          .link,
+      false);
   lan_net.run_until(sim::seconds(2));
   for (const ExpressRouter* r : {lan_core, lan_edge}) {
     routers.check(lan_net.obs().registry, obs::Entity::router(r->id()),

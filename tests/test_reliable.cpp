@@ -30,7 +30,7 @@ void impair_receiver_links(ExpressNetwork& sim, double p,
   sim.net().seed_impairments(seed);
   for (net::NodeId host : sim.roles().receiver_hosts) {
     sim.net().set_link_impairments(
-        sim.net().topology().node(host).interfaces.at(0), lossy);
+        sim.net().topology().port(host, 0).link, lossy);
   }
 }
 
@@ -291,7 +291,7 @@ TEST(Reliable, RunToCompletionGivesUpAfterMaxRounds) {
   sim.net().seed_impairments(0xD0A);
   const net::NodeId host = sim.roles().receiver_hosts.at(0);
   sim.net().set_link_impairments(
-      sim.net().topology().node(host).interfaces.at(0), black_hole);
+      sim.net().topology().port(host, 0).link, black_hole);
 
   PublisherConfig config;
   config.max_rounds = 3;

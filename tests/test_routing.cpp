@@ -138,11 +138,10 @@ TEST(Topology, FindByAddress) {
   }
 }
 
-TEST(Topology, InterfaceOnMatchesALinearScanOfEveryNode) {
-  // interface_on answers from the indices add_link records at both
-  // ends; the oracle is a scan of the node's interface list. Parallel
-  // links and LAN hubs give a node several links to one neighbor.
-  sim::Rng rng(11);
+/// Graphs where a node has several links to one neighbour or many
+/// neighbours: a k-ary tree, a transit-stub graph, a line with two LAN
+/// hubs and doubled links, and a random multigraph with parallel links.
+std::vector<Topology> oracle_topologies(sim::Rng& rng) {
   std::vector<Topology> topologies;
   topologies.push_back(workload::make_kary_tree(3, 3, {}, 2).topology);
   topologies.push_back(workload::make_transit_stub(6, 3, 2, rng).topology);
@@ -160,11 +159,30 @@ TEST(Topology, InterfaceOnMatchesALinearScanOfEveryNode) {
     if (a != b) multigraph.add_link(a, b);
   }
   topologies.push_back(std::move(multigraph));
+  return topologies;
+}
 
-  for (const Topology& t : topologies) {
+/// Per node, its links in interface order, rebuilt from the link table
+/// alone: add_link gives each endpoint the next interface slot, so a
+/// node's interfaces are its incident links in ascending id.
+std::vector<std::vector<LinkId>> incident_links(const Topology& t) {
+  std::vector<std::vector<LinkId>> incident(t.node_count());
+  for (LinkId l = 0; l < t.link_count(); ++l) {
+    incident[t.link(l).a].push_back(l);
+    incident[t.link(l).b].push_back(l);
+  }
+  return incident;
+}
+
+TEST(Topology, InterfaceOnMatchesALinearScanOfEveryNode) {
+  // The oracle is a scan of each node's incident links, rebuilt from
+  // the link table without the port records interface_on reads.
+  sim::Rng rng(11);
+  for (const Topology& t : oracle_topologies(rng)) {
     const auto links = static_cast<LinkId>(t.link_count());
+    const auto incident = incident_links(t);
     for (NodeId n = 0; n < t.node_count(); ++n) {
-      const std::vector<LinkId>& ifaces = t.node(n).interfaces;
+      const std::vector<LinkId>& ifaces = incident[n];
       for (LinkId l = 0; l < links; ++l) {
         std::optional<std::uint32_t> scan;
         if (const auto it = std::find(ifaces.begin(), ifaces.end(), l);
@@ -176,6 +194,85 @@ TEST(Topology, InterfaceOnMatchesALinearScanOfEveryNode) {
       EXPECT_EQ(t.interface_on(n, links), std::nullopt);
     }
   }
+}
+
+/// A copy of `t` whose link costs are a random permutation of its own
+/// costs widened to 1..4, so parallel links tie and differ at random.
+Topology with_permuted_costs(const Topology& t, sim::Rng& rng) {
+  std::vector<std::uint32_t> costs;
+  for (LinkId l = 0; l < t.link_count(); ++l) costs.push_back(1 + l % 4);
+  for (std::size_t i = costs.size(); i > 1; --i) {
+    std::swap(costs[i - 1], costs[rng.below(static_cast<std::uint32_t>(i))]);
+  }
+  Topology out;
+  for (NodeId n = 0; n < t.node_count(); ++n) {
+    out.add_node(t.node(n).kind, t.node(n).name);
+  }
+  for (LinkId l = 0; l < t.link_count(); ++l) {
+    const LinkInfo& info = t.link(l);
+    out.add_link(info.a, info.b, info.delay, costs[l], info.bandwidth_bps);
+  }
+  return out;
+}
+
+TEST(Topology, InterfaceToMatchesALinearScan) {
+  // The oracle is the interface_to of a topology without port records:
+  // a scan of the node's links that asks the link table for each one's
+  // far end, keeping the up, then cheaper, then lower-index match.
+  const auto scan_interface_to =
+      [](const Topology& t, const std::vector<LinkId>& ifaces, NodeId node,
+         NodeId neighbor) -> std::optional<std::uint32_t> {
+    const auto rank = [&](std::uint32_t i) {
+      return std::pair(!t.link(ifaces[i]).up, t.link(ifaces[i]).cost);
+    };
+    std::optional<std::uint32_t> best;
+    for (std::uint32_t i = 0; i < ifaces.size(); ++i) {
+      if (t.peer(ifaces[i], node) != neighbor) continue;
+      if (!best || rank(i) < rank(*best)) best = i;
+    }
+    return best;
+  };
+  sim::Rng rng(23);
+  std::size_t compared = 0;
+  std::size_t parallel_choices = 0;
+  for (const Topology& base : oracle_topologies(rng)) {
+    Topology t = with_permuted_costs(base, rng);
+    const auto incident = incident_links(t);
+    // Every port record names its link and that link's far end.
+    for (NodeId n = 0; n < t.node_count(); ++n) {
+      ASSERT_EQ(t.interface_count(n), incident[n].size());
+      for (std::uint32_t i = 0; i < t.interface_count(n); ++i) {
+        const Port& port = t.port(n, i);
+        EXPECT_EQ(port.link, incident[n][i]) << "node " << n << " iface " << i;
+        EXPECT_EQ(port.peer, t.peer(port.link, n));
+        EXPECT_EQ(port.peer_iface, t.interface_on(port.peer, port.link));
+        EXPECT_EQ(t.neighbor_via(n, i), port.peer);
+      }
+    }
+    for (int round = 0; round < 4; ++round) {
+      for (LinkId l = 0; l < t.link_count(); ++l) {
+        if (rng.chance(0.3)) t.set_link_up(l, !t.link(l).up);
+      }
+      for (NodeId n = 0; n < t.node_count(); ++n) {
+        std::vector<NodeId> neighbors;
+        for (LinkId l : incident[n]) neighbors.push_back(t.peer(l, n));
+        neighbors.push_back(n);  // never a neighbour of itself
+        neighbors.push_back(static_cast<NodeId>(t.node_count()));
+        for (NodeId m : neighbors) {
+          const auto expected = scan_interface_to(t, incident[n], n, m);
+          EXPECT_EQ(t.interface_to(n, m), expected)
+              << "node " << n << " neighbour " << m << " round " << round;
+          ++compared;
+          const auto links_to_m = std::count_if(
+              incident[n].begin(), incident[n].end(),
+              [&](LinkId l) { return t.peer(l, n) == m; });
+          if (links_to_m > 1) ++parallel_choices;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(parallel_choices, 100u);  // the ranking was exercised
 }
 
 class LineRouting : public ::testing::Test {

@@ -3,8 +3,10 @@
 // This binary links the counting operator new/delete of
 // alloc_counter.cpp, proving the headline property of the slab
 // scheduler: once warmed up, a steady-state schedule → dispatch cycle
-// touches the allocator zero times; and that building the network
-// fabric costs no per-node allocation. It is its own test binary so the
+// touches the allocator zero times; that building the network fabric
+// costs no per-node allocation; and that an invariant audit's scratch
+// is sized by the on-tree state, not by the network. It is its own
+// test binary so the
 // counting overrides cannot perturb (or be perturbed by) the other
 // suites.
 #include <gtest/gtest.h>
@@ -14,14 +16,17 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "audit/invariants.hpp"
 #include "net/network.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/scheduler.hpp"
+#include "testbed/testbed.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::sim {
 namespace {
 
+using test::allocated_bytes;
 using test::allocation_count;
 
 // A capture the size of the real transmit closures: a packet-sized blob
@@ -154,6 +159,27 @@ TEST(NetworkAllocation, ConstructionMakesNoPerNodeAllocation) {
   const auto allocations = static_cast<double>(allocation_count() - before);
   EXPECT_LT(allocations / nodes, 0.1)
       << allocations << " allocations for " << nodes << " nodes";
+}
+
+TEST(AuditAllocation, AuditOfALargeTreeIsSizedByItsOnTreeState) {
+  // One channel with four receivers on a 46,422-node tree: the audit
+  // walks a few dozen (router, channel) pairs, so its heap traffic must
+  // not scale with the node count (two NodeId-indexed pointer views of
+  // this tree alone would be ~740 KB).
+  Testbed bed(workload::make_kary_tree(4, 6, {}, 10));
+  const ip::ChannelId channel = bed.source().allocate_channel();
+  for (std::size_t i = 0; i < bed.receiver_count(); i += 10'000) {
+    bed.receiver(i).new_subscription(channel);
+  }
+  bed.run_for(sim::seconds(2));
+  const audit::InvariantAuditor auditor(bed.net());
+  const std::uint64_t before = allocated_bytes();
+  const audit::AuditReport report = auditor.run();
+  const std::uint64_t bytes = allocated_bytes() - before;
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_EQ(report.routers_audited, 5461u);
+  EXPECT_GT(report.channels_audited, 4u);
+  EXPECT_LT(bytes, 64u * 1024u) << bytes << " bytes for one audit";
 }
 
 }  // namespace

@@ -232,8 +232,7 @@ TEST(Transport, TcpTeardownMidQueryYieldsPartialCount) {
   const net::NodeId right = bed.roles().routers[2];
   auto iface = bed.net().topology().interface_to(root, right);
   ASSERT_TRUE(iface.has_value());
-  const net::LinkId link =
-      bed.net().topology().node(root).interfaces.at(*iface);
+  const net::LinkId link = bed.net().topology().port(root, *iface).link;
 
   std::optional<CountResult> result;
   bed.source_router().initiate_count(
