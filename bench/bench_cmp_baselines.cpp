@@ -185,7 +185,7 @@ int main() {
         baseline::PimConfig c;
         // Network-chosen RP off the source's path — the paper's
         // complaint: applications have no control over RP placement.
-        c.rp = g.topology.node(g.routers[kRendezvousRouter]).address;
+        c.rp = g.topology.address(g.routers[kRendezvousRouter]);
         return c;
       },
       [](const baseline::PimSmRouter& r) { return r.state_entries(); }));
@@ -194,7 +194,7 @@ int main() {
       "PIM-SM +SPT", ip::Protocol::kPim,
       [](const workload::GeneratedTopology& g) {
         baseline::PimConfig c;
-        c.rp = g.topology.node(g.routers[kRendezvousRouter]).address;
+        c.rp = g.topology.address(g.routers[kRendezvousRouter]);
         c.spt_switchover = true;
         return c;
       },
@@ -204,7 +204,7 @@ int main() {
       "CBT", ip::Protocol::kCbt,
       [](const workload::GeneratedTopology& g) {
         baseline::CbtConfig c;
-        c.core = g.topology.node(g.routers[kRendezvousRouter]).address;
+        c.core = g.topology.address(g.routers[kRendezvousRouter]);
         return c;
       },
       [](const baseline::CbtRouter& r) { return r.state_entries(); }));

@@ -105,7 +105,7 @@ void BM_SubscribeEvent(benchmark::State& state) {
   network.attach<Sink>(child);
   network.attach<Sink>(up);
   network.attach<Sink>(src);
-  const ip::Address src_addr = network.topology().node(src).address;
+  const ip::Address src_addr = network.topology().address(src);
 
   std::uint32_t i = 0;
   std::int64_t toggle = 1;
@@ -115,8 +115,8 @@ void BM_SubscribeEvent(benchmark::State& state) {
         ip::ChannelId{src_addr, ip::Address::single_source(i % 4096)};
     msg.count = toggle;
     net::Packet packet;
-    packet.src = network.topology().node(child).address;
-    packet.dst = network.topology().node(core).address;
+    packet.src = network.topology().address(child);
+    packet.dst = network.topology().address(core);
     packet.protocol = ip::Protocol::kEcmp;
     packet.payload = ecmp::encode(ecmp::Message{msg});
     router.handle_packet(packet, 0);

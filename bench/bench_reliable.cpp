@@ -102,7 +102,7 @@ ModeResult run_mode(bool subcast, std::uint32_t blocks, double loss_p) {
   }
 
   reliable::PublisherConfig config;
-  if (subcast) config.repair_candidates.push_back(topo.node(stub).address);
+  if (subcast) config.repair_candidates.push_back(topo.address(stub));
   reliable::Publisher publisher(bed.source(), channel, config);
   publisher.publish(blocks);
   bed.run_for(sim::seconds(5));  // drain the publish phase

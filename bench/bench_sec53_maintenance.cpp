@@ -58,15 +58,15 @@ int main() {
   // Ethernet neighbors") plus an upstream side: sources live behind
   // neighbor 8, so joins propagate upstream like in a real core.
   net::Topology topo;
-  const net::NodeId core = topo.add_router("core");
+  const net::NodeId core = topo.add_router();
   std::vector<net::NodeId> neighbors;
   for (int i = 0; i < 8; ++i) {
-    neighbors.push_back(topo.add_router("n" + std::to_string(i)));
+    neighbors.push_back(topo.add_router());
     topo.add_link(core, neighbors.back());
   }
-  const net::NodeId upstream = topo.add_router("up");
+  const net::NodeId upstream = topo.add_router();
   topo.add_link(core, upstream);
-  const net::NodeId src_host = topo.add_host("src");
+  const net::NodeId src_host = topo.add_host();
   topo.add_link(upstream, src_host);
 
   net::Network network(std::move(topo));
@@ -75,7 +75,7 @@ int main() {
   network.attach<SinkNode>(upstream);
   network.attach<SinkNode>(src_host);
 
-  const ip::Address src = network.topology().node(src_host).address;
+  const ip::Address src = network.topology().address(src_host);
   const std::uint32_t kChannels = 100'000;
 
   // Pre-encode subscribe/unsubscribe packets for a cycling channel set;
@@ -87,8 +87,8 @@ int main() {
     msg.channel = ip::ChannelId{src, ip::Address::single_source(channel_index)};
     msg.count = count;
     net::Packet packet;
-    packet.src = network.topology().node(from).address;
-    packet.dst = network.topology().node(core).address;
+    packet.src = network.topology().address(from);
+    packet.dst = network.topology().address(core);
     packet.protocol = ip::Protocol::kEcmp;
     packet.payload = ecmp::encode(ecmp::Message{msg});
     return packet;

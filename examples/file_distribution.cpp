@@ -92,7 +92,7 @@ int main() {
   const ExpressRouter& last_leaf =
       bed.router(bed.router_count() - 1);  // kary layout: leaves are last
   const ip::Address repair_point =
-      bed.net().topology().node(last_leaf.id()).address;
+      bed.net().topology().address(last_leaf.id());
   int repairs = 0;
   for (int block = 1; block <= kBlocks; ++block) {
     if (missing_per_block[block] > 0) {

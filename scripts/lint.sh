@@ -50,11 +50,12 @@ fi
 
 if [[ "${1:-}" == "--changed" ]]; then
   # Files git considers modified (staged + unstaged + untracked),
-  # restricted to C++ sources under src/. Archlint still scans the
-  # whole tree for cross-file context but reports only these files.
+  # restricted to C++ sources under src/; deleted files have nothing
+  # left to scan. Archlint still scans the whole tree for cross-file
+  # context but reports only these files.
   mapfile -t changed < <(
     cd "$repo_root" && {
-      git diff --name-only HEAD --
+      git diff --name-only --diff-filter=d HEAD --
       git ls-files --others --exclude-standard
     } | sort -u | grep -E '^src/.*\.(cpp|hpp|h|cc)$' || true
   )

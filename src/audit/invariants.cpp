@@ -11,7 +11,6 @@
 #include "express/host.hpp"
 #include "express/router.hpp"
 #include "express/subscription.hpp"
-#include "net/adjacency.hpp"
 #include "net/network.hpp"
 
 namespace express::audit {
@@ -117,7 +116,7 @@ void check_conservation(Walk& w, net::NodeId self, const ExpressRouter& router,
     ++w.report.edges_checked;
     subtree += entry.count;
     if (fib != nullptr && entry.count > 0) {
-      if (auto iface = net::iface_toward(*w.network, self, neighbor)) {
+      if (auto iface = w.network->topology().reach(self, neighbor).iface) {
         w.expected.set(*iface);
       } else {
         resolvable = false;
@@ -189,7 +188,7 @@ void check_conservation(Walk& w, net::NodeId self, const ExpressRouter& router,
       w.flag(Check::kCountConservation, self, channel,
              "advertised " + std::to_string(state.advertised_upstream) +
                  " upstream but subtree count is " + std::to_string(subtree));
-    } else if (router.config().proactive &&
+    } else if (router.proactive() &&
                state.advertised_upstream != subtree) {
       w.flag(Check::kCountConservation, self, channel,
              "proactive mode: advertised " +

@@ -157,7 +157,7 @@ void CbtRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
 void CbtRouter::send_control(net::NodeId neighbor, const Msg& msg) {
   net::Packet packet;
   packet.src = address();
-  packet.dst = network().topology().node(neighbor).address;
+  packet.dst = network().topology().address(neighbor);
   packet.protocol = ip::Protocol::kCbt;
   packet.payload = encode(msg);
   network().send_to_neighbor(id(), neighbor, std::move(packet));

@@ -171,7 +171,7 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
 void DvmrpRouter::send_control(net::NodeId neighbor, const Msg& msg) {
   net::Packet packet;
   packet.src = address();
-  packet.dst = network().topology().node(neighbor).address;
+  packet.dst = network().topology().address(neighbor);
   packet.protocol = ip::Protocol::kIgmp;
   packet.payload = encode(msg);
   network().send_to_neighbor(id(), neighbor, std::move(packet));

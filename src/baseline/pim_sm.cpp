@@ -333,7 +333,7 @@ void PimSmRouter::on_register(const net::Packet& packet) {
 void PimSmRouter::send_control(net::NodeId neighbor, const Msg& msg) {
   net::Packet packet;
   packet.src = address();
-  packet.dst = network().topology().node(neighbor).address;
+  packet.dst = network().topology().address(neighbor);
   packet.protocol = ip::Protocol::kPim;
   packet.payload = encode(msg);
   network().send_to_neighbor(id(), neighbor, std::move(packet));

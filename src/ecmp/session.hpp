@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -30,7 +29,6 @@ enum class Mode : std::uint8_t {
 
 struct NeighborSession {
   net::NodeId neighbor = net::kInvalidNode;
-  std::uint32_t iface = 0;
   sim::Time last_heard{0};
   bool alive = true;
 };
@@ -39,23 +37,15 @@ struct NeighborSession {
 class NeighborTable {
  public:
   /// Record traffic (or an explicit keepalive/discovery reply) from
-  /// `neighbor` on `iface` at time `now`. Returns true only when a
-  /// previously *failed* session revives — the TCP re-establishment on
-  /// which the downstream neighbor re-announces all its channels
-  /// (§3.2). First contact returns false: the initial join itself is
-  /// the announcement.
-  bool heard_from(net::NodeId neighbor, std::uint32_t iface, sim::Time now);
+  /// `neighbor` at time `now`. Returns true only when a previously
+  /// *failed* session revives — the TCP re-establishment on which the
+  /// downstream neighbor re-announces all its channels (§3.2). First
+  /// contact returns false: the initial join itself is the announcement.
+  bool heard_from(net::NodeId neighbor, sim::Time now);
 
   /// Sweep for sessions silent longer than `timeout`; marks them dead
   /// and returns them (the router then subtracts their counts, §3.2).
   std::vector<NeighborSession> expire(sim::Time now, sim::Duration timeout);
-
-  /// Explicitly kill one session (e.g. link-down notification).
-  /// Returns the session if it was alive.
-  std::optional<NeighborSession> kill(net::NodeId neighbor);
-
-  [[nodiscard]] bool is_alive(net::NodeId neighbor) const;
-  [[nodiscard]] std::size_t alive_count() const;
 
  private:
   /// Ordered: expire() hands dead sessions to teardown in neighbor order.

@@ -69,19 +69,19 @@ void Transport::send(net::NodeId neighbor, const Message& msg) {
 void Transport::transmit(net::NodeId neighbor,
                          std::vector<std::uint8_t> payload) {
   net::Packet packet;
-  packet.src = network_->topology().node(node_).address;
-  packet.dst = network_->topology().node(neighbor).address;
+  packet.src = network_->topology().address(node_);
+  packet.dst = network_->topology().address(neighbor);
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = std::move(payload);
   stats_->control_bytes_sent += packet.payload.size();
-  auto iface = net::iface_toward(*network_, node_, neighbor);
+  const auto iface = network_->topology().reach(node_, neighbor).iface;
   if (!iface) return;  // unreachable (partition); like a failed TCP write
   network_->send_on_interface(node_, *iface, std::move(packet));
 }
 
 void Transport::send_lan_query(std::uint32_t iface, const CountQuery& query) {
   net::Packet packet;
-  packet.src = network_->topology().node(node_).address;
+  packet.src = network_->topology().address(node_);
   packet.dst = ip::kEcmpAllRouters;  // LAN-wide general query
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = encode(Message{query});
@@ -93,7 +93,7 @@ void Transport::send_lan_query(std::uint32_t iface, const CountQuery& query) {
 void Transport::send_remote(ip::Address dest, const Message& msg) {
   classify_sent(msg);
   net::Packet packet;
-  packet.src = network_->topology().node(node_).address;
+  packet.src = network_->topology().address(node_);
   packet.dst = dest;
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = encode(msg);
@@ -108,7 +108,7 @@ Delivery Transport::receive(const net::Packet& packet,
       network_->topology().neighbor_via(node_, in_iface));
   stats_->control_bytes_received += packet.payload.size();
   delivery.reestablished =
-      neighbors_.heard_from(delivery.from, in_iface, network_->now());
+      neighbors_.heard_from(delivery.from, network_->now());
   delivery.messages = decode_all(packet.payload);
   for (const Message& msg : delivery.messages) {
     std::visit(
@@ -192,7 +192,8 @@ void Transport::neighbor_discovery_tick() {
       continue;
     }
     CountQuery query;
-    query.channel = ip::ChannelId{info.address, ip::kEcmpAllRouters};
+    query.channel = ip::ChannelId{network_->topology().address(node_),
+                                  ip::kEcmpAllRouters};
     query.count_id = kNeighborsId;
     query.timeout = policy_.neighbor_query_interval;
     query.query_seq = (next_seq_++ & 0xFFFF) | 0x40000000U;

@@ -38,7 +38,6 @@
 #include "ecmp/messages.hpp"
 #include "ecmp/session.hpp"
 #include "ip/address.hpp"
-#include "net/adjacency.hpp"
 #include "net/network.hpp"
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
@@ -48,10 +47,6 @@ namespace express::ecmp {
 /// Retry/timeout policy for ECMP sessions: every duration the transport
 /// (or a layer above, via accessors) uses to arm a timer.
 struct TransportPolicy {
-  /// Multiple of the upstream-link RTT subtracted from a CountQuery's
-  /// timeout at each hop, so children time out before parents (§3.1).
-  double timeout_rtt_multiple = 2.0;
-
   /// Enable periodic neighbor discovery / keepalive queries (§3.3).
   bool neighbor_discovery = false;
   sim::Duration neighbor_query_interval = sim::seconds(30);
@@ -164,7 +159,6 @@ class Transport {
 
   /// Copy of the registry-bound block (see DESIGN.md §11).
   [[nodiscard]] TransportStats stats() const { return *stats_; }
-  [[nodiscard]] const NeighborTable& neighbors() const { return neighbors_; }
   [[nodiscard]] std::uint64_t segments_sent() const {
     return batcher_ ? batcher_->segments_sent() : 0;
   }

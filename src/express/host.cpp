@@ -366,7 +366,7 @@ void ExpressHost::send_ecmp(const ecmp::Message& msg) {
   // LAN the hub repeats to everyone, so control goes to the well-known
   // ECMP address (§3.2) and the router picks it up.
   packet.dst = on_lan_ ? ip::kEcmpAllRouters
-                       : network().topology().node(first_hop_).address;
+                       : network().topology().address(first_hop_);
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = ecmp::encode(msg);
   stats_->control_bytes_sent += packet.payload.size();

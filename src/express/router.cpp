@@ -5,11 +5,13 @@
 #include <variant>
 #include <vector>
 
-#include "net/adjacency.hpp"
-
 namespace express {
 
 namespace {
+
+/// Multiple of the upstream-link RTT subtracted from a CountQuery's
+/// timeout at each hop, so children time out before parents (§3.1).
+constexpr double kTimeoutRttMultiple = 2.0;
 
 /// `id`, checked to be a router node before any module binds to it: the
 /// invariant auditor finds EXPRESS routers by node kind.
@@ -25,7 +27,8 @@ net::NodeId router_node(const net::Network& network, net::NodeId id) {
 ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
                              RouterConfig config)
     : net::Node(network, router_node(network, id)),
-      config_(config),
+      route_change_hysteresis_(config.route_change_hysteresis),
+      proactive_(config.proactive),
       scope_(network.node_scope(id)),
       forwarding_(network, id),
       table_(scope_),
@@ -185,9 +188,7 @@ void ExpressRouter::apply_subscriber_count(const ip::ChannelId& channel,
         state.rpf_iface = *rif;
       }
     }
-    if (config_.proactive) {
-      counting_.enable_proactive(channel, *config_.proactive);
-    }
+    if (proactive_) counting_.enable_proactive(channel, *proactive_);
   }
 
   bool decidable = false;
@@ -233,7 +234,7 @@ void ExpressRouter::update_upstream(
       channel, state, key_to_forward, upstream_is_router);
   switch (plan.send) {
     case UpstreamSend::kJoin:
-      if (neighbor_reachable(state.upstream)) {
+      if (network().topology().reach(id(), state.upstream).up) {
         send_count(state.upstream, channel, plan.total, plan.key);
         counting_.note_advertised(channel, plan.total);
       } else {
@@ -246,7 +247,7 @@ void ExpressRouter::update_upstream(
     case UpstreamSend::kPrune:
       // A prune lost to a dead link is harmless: the upstream dropped
       // this child's entry in its own dead-link cleanup.
-      if (neighbor_reachable(state.upstream)) {
+      if (network().topology().reach(id(), state.upstream).up) {
         send_count(state.upstream, channel, 0, std::nullopt);
       }
       break;
@@ -259,21 +260,11 @@ void ExpressRouter::update_upstream(
   if (plan.remove_channel) remove_channel(channel);
 }
 
-bool ExpressRouter::neighbor_reachable(net::NodeId neighbor) const {
-  const auto iface = network().topology().interface_to(id(), neighbor);
-  if (!iface) {
-    // LAN-attached (or multi-hop) neighbor: reachable iff routed.
-    return network().routing().next_hop(id(), neighbor).has_value();
-  }
-  const net::LinkId link = network().topology().port(id(), *iface).link;
-  return network().topology().link(link).up;
-}
-
 void ExpressRouter::maybe_send_proactive(const ip::ChannelId& channel) {
   Channel* state = table_.find(channel);
   if (state == nullptr) return;
   if (state->upstream == net::kInvalidNode ||
-      !neighbor_reachable(state->upstream)) {
+      !network().topology().reach(id(), state->upstream).up) {
     return;  // no live upstream connection: the drift waits for the heal
   }
   const std::int64_t total = state->subtree_count();
@@ -290,7 +281,7 @@ void ExpressRouter::refresh_fib(const ip::ChannelId& channel,
   entry.oifs = net::InterfaceSet{};
   for (const auto& [neighbor, down] : state.downstream) {
     if (down.count <= 0) continue;
-    if (auto iface = net::iface_toward(network(), id(), neighbor)) {
+    if (auto iface = network().topology().reach(id(), neighbor).iface) {
       entry.oifs.set(*iface);
     }
   }
@@ -344,8 +335,9 @@ void ExpressRouter::on_response(const ecmp::CountResponse& msg,
 void ExpressRouter::on_key_register(const ecmp::KeyRegister& msg,
                                     net::NodeId from) {
   // Only the channel source itself, directly attached, may register.
-  const auto& info = network().topology().node(from);
-  if (info.kind != net::NodeKind::kHost || info.address != msg.channel.source) {
+  const net::Topology& topo = network().topology();
+  if (topo.node(from).kind != net::NodeKind::kHost ||
+      topo.address(from) != msg.channel.source) {
     return;
   }
   table_.register_key(msg.channel, msg.key);
@@ -380,7 +372,7 @@ void ExpressRouter::on_query(const ecmp::CountQuery& msg, net::NodeId from,
   // upstream neighbor before fanning out, so we reply (possibly
   // partially) before our parent gives up on us.
   const sim::Duration remaining = CountingEngine::decremented_timeout(
-      msg.timeout, transport_.link_rtt(iface), config_.timeout_rtt_multiple);
+      msg.timeout, transport_.link_rtt(iface), kTimeoutRttMultiple);
   start_query(msg.channel, msg.count_id, remaining, from, msg.query_seq,
               nullptr);
 }
@@ -428,9 +420,9 @@ void ExpressRouter::start_query(const ip::ChannelId& channel,
     return;
   }
   const std::int64_t local =
-      table_.local_contribution(*state, count_id, network(), id());
+      table_.local_contribution(*state, count_id, network().topology(), id());
   const std::vector<net::NodeId> children =
-      table_.query_children(*state, count_id, network(), id());
+      table_.query_children(*state, count_id, network().topology(), id());
   if (!counting_.start_round(channel, count_id, timeout, requester, query_seq,
                              local, static_cast<std::uint32_t>(children.size()),
                              std::move(local_done))) {

@@ -44,7 +44,8 @@ namespace express {
 
 /// A router's knobs: the ECMP session policy it hands its transport
 /// (timers, discovery, batching; field docs on TransportPolicy) plus
-/// the two the router itself acts on.
+/// the two the router itself acts on. The router keeps only those two;
+/// the policy lives in the transport, read through policy().
 struct RouterConfig : ecmp::TransportPolicy {
   /// Delay before acting on an upstream change, to damp route flaps (§3.2).
   sim::Duration route_change_hysteresis = sim::seconds(1);
@@ -60,10 +61,10 @@ struct RouterConfig : ecmp::TransportPolicy {
 /// plus two counters of its own. No field name repeats across bases.
 struct RouterStats : SubscriptionStats, ecmp::TransportStats, ForwardingStats {
   std::uint64_t proactive_updates_sent = 0;  ///< from the counting engine
-  /// Neighbor-death / dead-child updates skipped because the adjacency
-  /// view no longer resolves an interface toward the neighbor (the link
-  /// vanished before the event fired). Previously misattributed to
-  /// interface 0.
+  /// Neighbor-death / dead-child updates skipped because no interface
+  /// resolves toward the neighbor any more (net::Topology::reach: a LAN
+  /// host behind a dead hub link, a router no longer adjacent).
+  /// Previously misattributed to interface 0.
   std::uint64_t unresolved_neighbor_updates = 0;
 };
 
@@ -155,7 +156,10 @@ class ExpressRouter final : public net::Node {
   [[nodiscard]] SubscriptionTable& corrupt_subscriptions_for_test() {
     return table_;
   }
-  [[nodiscard]] const RouterConfig& config() const { return config_; }
+  /// The §6 proactive-counting curve, when counts are pushed on drift.
+  [[nodiscard]] const std::optional<counting::CurveParams>& proactive() const {
+    return proactive_;
+  }
   /// Route switches currently held back by hysteresis — nonzero means
   /// the RPF invariant is legitimately unsettled (§3.2).
   [[nodiscard]] std::size_t pending_route_switches() const {
@@ -185,10 +189,6 @@ class ExpressRouter final : public net::Node {
                               std::optional<ip::ChannelKey> key);
   void update_upstream(const ip::ChannelId& channel, Channel& state,
                        std::optional<ip::ChannelKey> key_to_forward);
-  /// Can a write to `neighbor` reach it right now? False while the
-  /// direct link is down (a dead TCP connection, §3.2): a Count sent
-  /// then is a failed write and must not count as an advertisement.
-  [[nodiscard]] bool neighbor_reachable(net::NodeId neighbor) const;
   void remove_channel(const ip::ChannelId& channel);
   void refresh_fib(const ip::ChannelId& channel, const Channel& state);
   void notify_total(const ip::ChannelId& channel, const Channel& state) {
@@ -246,7 +246,8 @@ class ExpressRouter final : public net::Node {
     return network().node_of(channel.source).value_or(net::kInvalidNode);
   }
 
-  RouterConfig config_;
+  sim::Duration route_change_hysteresis_;
+  std::optional<counting::CurveParams> proactive_;
   /// Bound before the modules so their constructors can register
   /// against this router's entity.
   obs::Scope scope_;

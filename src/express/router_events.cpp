@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "express/router.hpp"
-#include "net/adjacency.hpp"
 
 namespace express {
 
@@ -16,7 +15,8 @@ namespace express {
 
 bool ExpressRouter::udp_refresh_round() {
   const std::vector<UdpAction> actions = table_.udp_refresh_actions(
-      network(), id(), network().now(), transport_.policy().udp_lifetime(),
+      network().topology(), id(), network().now(),
+      transport_.policy().udp_lifetime(),
       [this](std::uint32_t iface) {
         return transport_.mode(iface) == ecmp::Mode::kUdp;
       });
@@ -26,7 +26,7 @@ bool ExpressRouter::udp_refresh_round() {
         // A dead neighbor (chaos router death, downed link) cannot
         // answer: skip the query instead of leaking refresh bytes onto
         // the dead link. The entry still ages out via kExpire.
-        if (!neighbor_reachable(action.neighbor)) break;
+        if (!network().topology().reach(id(), action.neighbor).up) break;
         send_query(action.neighbor, action.channel, ecmp::kSubscriberId,
                    transport_.policy().udp_reply_timeout(), 0);
         break;
@@ -54,10 +54,10 @@ void ExpressRouter::neighbor_died(net::NodeId neighbor) {
   for (const auto& [channel, state] : table_.channels()) {
     if (state.downstream.contains(neighbor)) affected.push_back(channel);
   }
+  const auto iface = network().topology().reach(id(), neighbor).iface;
   for (const ip::ChannelId& channel : affected) {
-    auto iface = network().topology().interface_to(id(), neighbor);
     if (!iface) {
-      // The adjacency no longer knows this neighbor (link removed before
+      // No interface resolves toward this neighbor (link removed before
       // the death fired). Applying the zero-count with a made-up
       // interface would mutate the wrong interface's state; leave the
       // entry for soft-state expiry / reconnection to settle instead.
@@ -75,8 +75,8 @@ void ExpressRouter::neighbor_died(net::NodeId neighbor) {
 void ExpressRouter::on_routing_change() {
   // First, drop downstream entries whose link died (connection reset).
   for (const auto& [channel, neighbor] :
-       table_.collect_dead_children(network(), id())) {
-    auto iface = net::iface_toward(network(), id(), neighbor);
+       table_.collect_dead_children(network().topology(), id())) {
+    const auto iface = network().topology().reach(id(), neighbor).iface;
     if (!iface) {
       // No interface resolves toward the child (e.g. a LAN host whose
       // hub link died): skip rather than misattribute the zero-count to
@@ -102,12 +102,9 @@ void ExpressRouter::on_routing_change() {
     // subtracting our count right now, so our advertisement is void.
     if (state.upstream != net::kInvalidNode &&
         state.advertised_upstream > 0) {
-      const net::Topology& topo = network().topology();
-      if (auto up_iface = topo.interface_to(id(), state.upstream)) {
-        if (!topo.link(topo.port(id(), *up_iface).link).up) {
-          state.advertised_upstream = 0;
-        }
-      }
+      const net::Reach upstream =
+          network().topology().reach(id(), state.upstream);
+      if (upstream.iface && !upstream.up) state.advertised_upstream = 0;
     }
 
     auto new_up = network().routing().rpf_neighbor(id(), src);
@@ -129,7 +126,7 @@ void ExpressRouter::on_routing_change() {
     if (handle.pending()) continue;  // already scheduled
     const ip::ChannelId ch = channel;
     handle = network().scheduler().schedule_after(
-        config_.route_change_hysteresis,
+        route_change_hysteresis_,
         [this, ch]() { execute_route_switch(ch); });
   }
 }

@@ -3,8 +3,6 @@
 #include <set>
 #include <utility>
 
-#include "net/adjacency.hpp"
-
 namespace express {
 
 Channel* SubscriptionTable::find(const ip::ChannelId& channel) {
@@ -242,21 +240,14 @@ RouteSwitch SubscriptionTable::apply_route_switch(
 }
 
 std::vector<std::pair<ip::ChannelId, net::NodeId>>
-SubscriptionTable::collect_dead_children(const net::Network& network,
+SubscriptionTable::collect_dead_children(const net::Topology& topology,
                                          net::NodeId self) const {
   std::vector<std::pair<ip::ChannelId, net::NodeId>> dead;
   // The caller replays `dead` as zero-count leaves, so its order is
   // protocol-visible.
   for (const auto& [channel, state] : channels_) {
     for (const auto& [neighbor, entry] : state.downstream) {
-      auto direct = network.topology().interface_to(self, neighbor);
-      if (direct) {
-        const net::LinkId link = network.topology().port(self, *direct).link;
-        if (!network.topology().link(link).up) {
-          dead.emplace_back(channel, neighbor);
-        }
-      } else if (!network.routing().next_hop(self, neighbor)) {
-        // LAN-attached (or multi-hop) neighbor now unreachable.
+      if (!topology.reach(self, neighbor).up) {
         dead.emplace_back(channel, neighbor);
       }
     }
@@ -265,7 +256,7 @@ SubscriptionTable::collect_dead_children(const net::Network& network,
 }
 
 std::vector<UdpAction> SubscriptionTable::udp_refresh_actions(
-    const net::Network& network, net::NodeId self, sim::Time now,
+    const net::Topology& topology, net::NodeId self, sim::Time now,
     sim::Duration lifetime,
     const std::function<bool(std::uint32_t)>& iface_is_udp) const {
   std::vector<UdpAction> actions;
@@ -276,7 +267,7 @@ std::vector<UdpAction> SubscriptionTable::udp_refresh_actions(
   // channel/neighbor order of the tables.
   for (const auto& [channel, state] : channels_) {
     for (const auto& [neighbor, entry] : state.downstream) {
-      auto iface = net::iface_toward(network, self, neighbor);
+      const auto iface = topology.reach(self, neighbor).iface;
       if (!iface || !iface_is_udp(*iface)) continue;
       UdpAction action;
       action.channel = channel;
@@ -287,7 +278,8 @@ std::vector<UdpAction> SubscriptionTable::udp_refresh_actions(
         expired.push_back(action);
         continue;
       }
-      if (net::iface_is_lan(network, self, *iface)) {
+      if (topology.node(topology.neighbor_via(self, *iface)).kind ==
+          net::NodeKind::kLanHub) {
         // One LAN-wide general query per (channel, wire) covers every
         // member on the segment (§3.2: all UDP neighbors respond).
         if (!lan_queried.insert({channel, *iface}).second) continue;
@@ -303,8 +295,8 @@ std::vector<UdpAction> SubscriptionTable::udp_refresh_actions(
 }
 
 std::int64_t SubscriptionTable::local_contribution(
-    const Channel& state, ecmp::CountId count_id, const net::Network& network,
-    net::NodeId self) const {
+    const Channel& state, ecmp::CountId count_id,
+    const net::Topology& topology, net::NodeId self) const {
   switch (count_id) {
     case ecmp::kLinkCountId: {
       std::int64_t links = 0;
@@ -316,11 +308,10 @@ std::int64_t SubscriptionTable::local_contribution(
     case ecmp::kDomainLinkCountId: {
       // Only tree links whose far end stays inside our domain count
       // toward that domain's settlement.
-      const std::uint16_t my_domain = network.topology().node(self).domain;
+      const std::uint16_t my_domain = topology.node(self).domain;
       std::int64_t links = 0;
       for (const auto& [neighbor, entry] : state.downstream) {
-        if (entry.count > 0 &&
-            network.topology().node(neighbor).domain == my_domain) {
+        if (entry.count > 0 && topology.node(neighbor).domain == my_domain) {
           ++links;
         }
       }
@@ -332,9 +323,8 @@ std::int64_t SubscriptionTable::local_contribution(
       std::int64_t weight = 0;
       for (const auto& [neighbor, entry] : state.downstream) {
         if (entry.count <= 0) continue;
-        if (auto iface = net::iface_toward(network, self, neighbor)) {
-          const net::LinkId link = network.topology().port(self, *iface).link;
-          weight += network.topology().link(link).cost;
+        if (auto iface = topology.reach(self, neighbor).iface) {
+          weight += topology.link(topology.port(self, *iface).link).cost;
         }
       }
       return weight;
@@ -345,16 +335,16 @@ std::int64_t SubscriptionTable::local_contribution(
 }
 
 std::vector<net::NodeId> SubscriptionTable::query_children(
-    const Channel& state, ecmp::CountId count_id, const net::Network& network,
-    net::NodeId self) const {
+    const Channel& state, ecmp::CountId count_id,
+    const net::Topology& topology, net::NodeId self) const {
   // Children: downstream tree neighbors. Network-layer counts stop at
   // routers (§3.1 footnote 3); subscriber/app counts reach leaf hosts;
   // domain-scoped counts never cross a domain boundary.
-  const std::uint16_t my_domain = network.topology().node(self).domain;
+  const std::uint16_t my_domain = topology.node(self).domain;
   std::vector<net::NodeId> children;
   for (const auto& [neighbor, entry] : state.downstream) {
     if (entry.count <= 0) continue;
-    const auto& info = network.topology().node(neighbor);
+    const auto& info = topology.node(neighbor);
     if (info.kind == net::NodeKind::kHost &&
         !ecmp::forwarded_to_hosts(count_id)) {
       continue;

@@ -12,11 +12,12 @@
 // owns no timers, and installs no FIB entries — each mutating method
 // instead returns an effect description (who to acknowledge, who to
 // reject, whether to rejoin upstream) that the router turns into ECMP
-// messages, FIB refreshes, and observer callbacks. Topology/routing
-// queries it needs (RPF interfaces, node kinds, domains) are answered
-// by the const net::Network& passed per call; it never mutates the
-// network. This is what makes the subscription logic unit-testable
-// without a simulation running (see tests/test_subscription.cpp).
+// messages, FIB refreshes, and observer callbacks. Topology queries it
+// needs (the interface toward a neighbor, node kinds, domains, link
+// costs) are answered by the const net::Topology& passed per call; it
+// never mutates the topology. This is what makes the subscription
+// logic unit-testable without a simulation running (see
+// tests/test_subscription.cpp).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,7 @@
 
 #include "ecmp/count_id.hpp"
 #include "ip/channel.hpp"
-#include "net/network.hpp"
+#include "net/topology.hpp"
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
 
@@ -208,15 +209,16 @@ class SubscriptionTable {
                                  std::optional<std::uint32_t> new_rpf_iface,
                                  bool old_upstream_is_router);
 
-  /// Downstream entries whose link or route died (connection reset).
+  /// Downstream entries `self` can no longer reach (connection reset):
+  /// net::Topology::reach says the way to them is down.
   [[nodiscard]] std::vector<std::pair<ip::ChannelId, net::NodeId>>
-  collect_dead_children(const net::Network& network, net::NodeId self) const;
+  collect_dead_children(const net::Topology& topology, net::NodeId self) const;
 
   /// One UDP soft-state round (§3.2): refresh queries for live entries
   /// (one LAN-wide general query per multi-access interface), then the
   /// expirations, in legacy execution order.
   [[nodiscard]] std::vector<UdpAction> udp_refresh_actions(
-      const net::Network& network, net::NodeId self, sim::Time now,
+      const net::Topology& topology, net::NodeId self, sim::Time now,
       sim::Duration lifetime,
       const std::function<bool(std::uint32_t)>& iface_is_udp) const;
 
@@ -224,13 +226,13 @@ class SubscriptionTable {
   /// This router's own contribution to a network-layer count.
   [[nodiscard]] std::int64_t local_contribution(const Channel& state,
                                                 ecmp::CountId count_id,
-                                                const net::Network& network,
+                                                const net::Topology& topology,
                                                 net::NodeId self) const;
   /// Downstream tree neighbors a CountQuery fans out to: hosts only for
   /// host-visible ids; domain-scoped counts stay inside the domain.
   [[nodiscard]] std::vector<net::NodeId> query_children(
       const Channel& state, ecmp::CountId count_id,
-      const net::Network& network, net::NodeId self) const;
+      const net::Topology& topology, net::NodeId self) const;
 
   // --- introspection -------------------------------------------------
   /// §5.2 management-state estimate for channels + key registry.

@@ -10,7 +10,9 @@
 //
 // Constraints (asserted by construction, documented here): hubs are
 // leaves of the router topology — no hub-to-hub links (no L2 loops),
-// and one router per segment.
+// and one router per segment. Topology::reach relies on them: it
+// resolves a host on a segment through the router's port to the hub,
+// since the hub is then the only way to the host.
 #pragma once
 
 #include "net/network.hpp"
@@ -45,7 +47,7 @@ inline LanSegment add_lan_segment(Topology& topology, NodeId router,
                                   sim::Duration delay = sim::microseconds(50),
                                   double bandwidth_bps = 100e6) {
   LanSegment segment;
-  segment.hub = topology.add_node(NodeKind::kLanHub, "lan");
+  segment.hub = topology.add_node(NodeKind::kLanHub);
   topology.add_link(router, segment.hub, delay, 1, bandwidth_bps);
   for (std::uint32_t h = 0; h < host_count; ++h) {
     const NodeId host = topology.add_host();

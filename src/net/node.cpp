@@ -4,9 +4,6 @@
 
 namespace express::net {
 
-Node::Node(Network& network, NodeId id)
-    : network_(&network),
-      id_(id),
-      address_(network.topology().node(id).address) {}
+Node::Node(Network& network, NodeId id) : network_(&network), id_(id) {}
 
 }  // namespace express::net

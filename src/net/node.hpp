@@ -25,7 +25,7 @@ class Node {
   virtual ~Node() = default;
 
   [[nodiscard]] NodeId id() const { return id_; }
-  [[nodiscard]] ip::Address address() const { return address_; }
+  [[nodiscard]] ip::Address address() const { return Topology::address(id_); }
 
   /// Deliver a packet that arrived on `in_interface` of this node.
   virtual void handle_packet(const Packet& packet, std::uint32_t in_interface) = 0;
@@ -44,7 +44,6 @@ class Node {
  private:
   Network* network_;
   NodeId id_;
-  ip::Address address_;
 };
 
 }  // namespace express::net

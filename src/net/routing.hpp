@@ -14,10 +14,13 @@
 // are undirected, so that gives every node's distance to it). RPF only
 // ever routes toward channel sources, and unicast sends only toward their
 // destinations, so a simulation builds few trees, and a host is a
-// Dijkstra root only when something routes to it. `recompute()` drops every tree; the next query rebuilds the one
-// it needs from the topology as it then stands. Path metrics (cost, hop
-// count, delay) are not stored; they are summed along the next-hop walk,
-// over the link that Topology::interface_to picks at each hop.
+// Dijkstra root only when something routes to it. Resolving a neighbour
+// (an adjacent node, or a host behind an adjacent LAN hub) asks for no
+// tree: Topology::reach answers it from the port records. `recompute()`
+// drops every tree; the next query rebuilds the one it needs from the
+// topology as it then stands. Path metrics (cost, hop count, delay) are
+// not stored; they are summed along the next-hop walk, over the link
+// that Topology::interface_to picks at each hop.
 //
 // The cache is filled from const queries, so one instance must not be
 // queried from two threads at once.

@@ -1,17 +1,12 @@
 #include "net/topology.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace express::net {
 
-NodeId Topology::add_node(NodeKind kind, std::string name) {
+NodeId Topology::add_node(NodeKind kind) {
   const auto id = static_cast<NodeId>(nodes_.size());
-  NodeInfo info;
-  info.kind = kind;
-  info.name = name.empty() ? ("n" + std::to_string(id)) : std::move(name);
-  info.address = ip::Address{kNodeAddressBase + id};
-  nodes_.push_back(std::move(info));
+  nodes_.push_back(NodeInfo{kind, 0, {}});
   return id;
 }
 
@@ -48,19 +43,16 @@ std::optional<std::uint32_t> Topology::interface_on(NodeId node,
   return std::nullopt;
 }
 
-std::optional<std::uint32_t> Topology::interface_to(NodeId node,
-                                                    NodeId neighbor) const {
-  const std::vector<Port>& ports = nodes_.at(node).ports;
-  const auto rank = [&](std::uint32_t i) {  // up first, then cheaper
-    const LinkInfo& l = links_[ports[i].link];
-    return std::pair(!l.up, l.cost);
-  };
-  std::optional<std::uint32_t> best;
-  for (std::uint32_t i = 0; i < ports.size(); ++i) {
-    if (ports[i].peer != neighbor) continue;
-    if (!best || rank(i) < rank(*best)) best = i;
+Reach Topology::reach_through_hub(NodeId node, NodeId neighbor) const {
+  const NodeInfo& far = nodes_.at(neighbor);
+  if (far.kind != NodeKind::kHost || far.ports.size() != 1) return {};
+  const Port& wire = far.ports.front();
+  if (nodes_[wire.peer].kind != NodeKind::kLanHub || !links_[wire.link].up) {
+    return {};
   }
-  return best;
+  auto iface = interface_to(node, wire.peer);
+  if (!iface || !links_[port(node, *iface).link].up) return {};
+  return {iface, true};
 }
 
 std::vector<NodeId> Topology::neighbors(NodeId node) const {

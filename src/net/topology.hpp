@@ -9,13 +9,17 @@
 // side and the interface the link occupies there, so a link crossing or
 // a neighbour lookup reads one entry instead of chasing the link table.
 // A node's unicast address follows from its id (kNodeAddressBase + id),
-// so resolving an address back to its node is arithmetic, not a lookup.
+// so it is not stored, and resolving an address back to its node is
+// arithmetic, not a lookup. A node record holds only its kind, its
+// domain and its ports (32 bytes). reach() is the control planes' one
+// answer to "which interface leads to this neighbour, and does a write
+// through it arrive now?".
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "ip/address.hpp"
@@ -48,11 +52,11 @@ struct Port {
 
 struct NodeInfo {
   NodeKind kind = NodeKind::kRouter;
-  ip::Address address;          ///< kNodeAddressBase + the node's id
-  std::string name;             ///< for traces and error messages
   std::uint16_t domain = 0;     ///< administrative domain (settlements)
   std::vector<Port> ports;      ///< interface i is ports[i]
 };
+// Every node pays this; the audit and routing walk nodes by this stride.
+static_assert(sizeof(NodeInfo) == 32, "NodeInfo is kind + domain + ports");
 
 struct LinkInfo {
   NodeId a = kInvalidNode;
@@ -63,18 +67,22 @@ struct LinkInfo {
   bool up = true;
 };
 
+/// How a node reaches a neighbour (Topology::reach).
+struct Reach {
+  /// The interface toward the neighbour; nullopt when none leads there.
+  std::optional<std::uint32_t> iface;
+  /// Every link on the way is up: a write through iface arrives now.
+  bool up = false;
+};
+
 /// Mutable graph of nodes and links.
 class Topology {
  public:
-  /// Add a node; returns its id. Its address is kNodeAddressBase + id.
-  NodeId add_node(NodeKind kind, std::string name = {});
+  /// Add a node; returns its id. Its address is address(id).
+  NodeId add_node(NodeKind kind);
 
-  NodeId add_router(std::string name = {}) {
-    return add_node(NodeKind::kRouter, std::move(name));
-  }
-  NodeId add_host(std::string name = {}) {
-    return add_node(NodeKind::kHost, std::move(name));
-  }
+  NodeId add_router() { return add_node(NodeKind::kRouter); }
+  NodeId add_host() { return add_node(NodeKind::kHost); }
 
   /// Connect two nodes; returns the link id. Each call consumes one new
   /// interface slot on both endpoints. Throws std::invalid_argument, and
@@ -113,8 +121,20 @@ class Topology {
   /// lower index: the link unicast routing relaxes toward that neighbor.
   /// Scans the node's port records and reads the link table only for
   /// ports whose peer is `neighbor`.
-  [[nodiscard]] std::optional<std::uint32_t> interface_to(NodeId node,
-                                                          NodeId neighbor) const;
+  [[nodiscard]] std::optional<std::uint32_t> interface_to(
+      NodeId node, NodeId neighbor) const {
+    const std::vector<Port>& ports = nodes_.at(node).ports;
+    const auto rank = [&](std::uint32_t i) {  // up first, then cheaper
+      const LinkInfo& l = links_[ports[i].link];
+      return std::pair(!l.up, l.cost);
+    };
+    std::optional<std::uint32_t> best;
+    for (std::uint32_t i = 0; i < ports.size(); ++i) {
+      if (ports[i].peer != neighbor) continue;
+      if (!best || rank(i) < rank(*best)) best = i;
+    }
+    return best;
+  }
 
   /// Interface `iface` of `node`; throws std::out_of_range for either.
   [[nodiscard]] const Port& port(NodeId node, std::uint32_t iface) const {
@@ -126,11 +146,32 @@ class Topology {
     return port(node, iface).peer;
   }
 
+  /// How `node` reaches `neighbor`. An adjacent neighbor resolves
+  /// through interface_to, also over a down link (up is then false). A
+  /// host whose only link goes to a LAN hub adjacent to `node` resolves
+  /// through `node`'s port to that hub, but only while both the
+  /// node-hub and hub-host links are up. Anything else is unreachable.
+  /// Relies on net/lan.hpp's constraints (a hub is a leaf with one
+  /// router), which make the hub the only way to its hosts.
+  [[nodiscard]] Reach reach(NodeId node, NodeId neighbor) const {
+    // Inline, as interface_to is: the audit and the FIB refresh ask
+    // once per tree edge.
+    if (const auto iface = interface_to(node, neighbor)) {
+      return {iface, links_[nodes_[node].ports[*iface].link].up};
+    }
+    return reach_through_hub(node, neighbor);
+  }
+
   /// All live neighbors of `node`.
   [[nodiscard]] std::vector<NodeId> neighbors(NodeId node) const;
 
+  /// The unicast address of node `id`: node 0 is 10.0.0.1.
+  [[nodiscard]] static constexpr ip::Address address(NodeId id) {
+    return ip::Address{kNodeAddressBase + id};
+  }
+
   /// The node whose unicast address is `addr`, or nullopt: the inverse
-  /// of add_node's address assignment, O(1).
+  /// of address(), O(1).
   [[nodiscard]] std::optional<NodeId> find_by_address(ip::Address addr) const {
     const std::uint32_t id = addr.value() - kNodeAddressBase;
     if (id >= nodes_.size()) return std::nullopt;
@@ -142,6 +183,9 @@ class Topology {
   }
 
  private:
+  /// reach() for a neighbor no port leads to directly.
+  [[nodiscard]] Reach reach_through_hub(NodeId node, NodeId neighbor) const;
+
   std::vector<NodeInfo> nodes_;
   std::vector<LinkInfo> links_;
 };

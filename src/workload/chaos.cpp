@@ -81,7 +81,7 @@ std::vector<Fault> make_fault_schedule(const net::Topology& topology,
     } else {
       fault.kind = FaultKind::kPartition;
       const std::size_t width =
-          std::min(config.partition_links, links.size() - 1);
+          std::min(kPartitionLinks, links.size() - 1);
       std::vector<net::LinkId> pool = links;
       for (std::size_t i = 0; i < width; ++i) {
         const std::uint32_t pick =
@@ -133,7 +133,7 @@ ChaosReport run_chaos_campaign(net::Network& network,
     outcome.kind = fault.kind;
 
     if (churn) churn(i);
-    network.run_until(network.now() + config.churn_window);
+    network.run_until(network.now() + kChurnWindow);
 
     outcome.injected_at = network.now();
     for (net::LinkId link : fault.links) {

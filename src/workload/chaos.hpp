@@ -44,6 +44,13 @@ struct Fault {
   sim::Duration hold = sim::milliseconds(500);  ///< down time before heal
 };
 
+/// Links cut per partition fault (all but one when the graph has fewer).
+inline constexpr std::size_t kPartitionLinks = 3;
+
+/// Workload window before each fault (the churn callback schedules
+/// into it); the fault hits a network mid-churn, not an idle one.
+inline constexpr sim::Duration kChurnWindow = sim::seconds(1);
+
 struct FaultPlanConfig {
   std::size_t fault_count = 200;
   sim::Duration min_hold = sim::milliseconds(200);
@@ -52,7 +59,6 @@ struct FaultPlanConfig {
   double link_flap_weight = 0.6;
   double router_down_weight = 0.25;
   double partition_weight = 0.15;
-  std::size_t partition_links = 3;  ///< links cut per partition fault
 };
 
 /// Deterministically draw `fault_count` faults over the router-router
@@ -64,9 +70,6 @@ struct FaultPlanConfig {
     sim::Rng& rng);
 
 struct ChaosConfig {
-  /// Workload window before each fault (the churn callback schedules
-  /// into it); the fault hits a network mid-churn, not an idle one.
-  sim::Duration churn_window = sim::seconds(1);
   /// Settle budget after each heal: if the network has not quiesced
   /// within this, the fault is recorded as unconverged.
   sim::Duration settle_cap = sim::seconds(30);

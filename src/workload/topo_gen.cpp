@@ -1,15 +1,14 @@
 #include "workload/topo_gen.hpp"
 
-#include <string>
+#include <utility>
 
 namespace express::workload {
 
 namespace {
 
 net::NodeId add_receiver(GeneratedTopology& g, net::NodeId router,
-                         const LinkParams& links, std::size_t index) {
-  const net::NodeId host =
-      g.topology.add_host("recv" + std::to_string(index));
+                         const LinkParams& links) {
+  const net::NodeId host = g.topology.add_host();
   g.topology.add_link(router, host, links.edge_delay, 1,
                       links.edge_bandwidth_bps);
   g.receiver_hosts.push_back(host);
@@ -21,23 +20,22 @@ net::NodeId add_receiver(GeneratedTopology& g, net::NodeId router,
 GeneratedTopology make_star(std::uint32_t receivers, std::uint32_t hops,
                             const LinkParams& links) {
   GeneratedTopology g;
-  g.source_router = g.topology.add_router("root");
+  g.source_router = g.topology.add_router();
   g.routers.push_back(g.source_router);
-  g.source_host = g.topology.add_host("src");
+  g.source_host = g.topology.add_host();
   g.topology.add_link(g.source_router, g.source_host, links.edge_delay, 1,
                       links.edge_bandwidth_bps);
 
   for (std::uint32_t r = 0; r < receivers; ++r) {
     net::NodeId prev = g.source_router;
     for (std::uint32_t h = 0; h < hops; ++h) {
-      const net::NodeId router = g.topology.add_router(
-          "r" + std::to_string(r) + "_" + std::to_string(h));
+      const net::NodeId router = g.topology.add_router();
       g.topology.add_link(prev, router, links.core_delay, 1,
                           links.core_bandwidth_bps);
       g.routers.push_back(router);
       prev = router;
     }
-    add_receiver(g, prev, links, r);
+    add_receiver(g, prev, links);
   }
   return g;
 }
@@ -46,9 +44,9 @@ GeneratedTopology make_kary_tree(std::uint32_t arity, std::uint32_t depth,
                                  const LinkParams& links,
                                  std::uint32_t hosts_per_leaf) {
   GeneratedTopology g;
-  g.source_router = g.topology.add_router("root");
+  g.source_router = g.topology.add_router();
   g.routers.push_back(g.source_router);
-  g.source_host = g.topology.add_host("src");
+  g.source_host = g.topology.add_host();
   g.topology.add_link(g.source_router, g.source_host, links.edge_delay, 1,
                       links.edge_bandwidth_bps);
 
@@ -58,8 +56,7 @@ GeneratedTopology make_kary_tree(std::uint32_t arity, std::uint32_t depth,
     next.reserve(level.size() * arity);
     for (net::NodeId parent : level) {
       for (std::uint32_t a = 0; a < arity; ++a) {
-        const net::NodeId child = g.topology.add_router(
-            "d" + std::to_string(d) + "_" + std::to_string(next.size()));
+        const net::NodeId child = g.topology.add_router();
         g.topology.add_link(parent, child, links.core_delay, 1,
                             links.core_bandwidth_bps);
         g.routers.push_back(child);
@@ -68,10 +65,9 @@ GeneratedTopology make_kary_tree(std::uint32_t arity, std::uint32_t depth,
     }
     level = std::move(next);
   }
-  std::size_t host_index = 0;
   for (net::NodeId leaf : level) {
     for (std::uint32_t h = 0; h < hosts_per_leaf; ++h) {
-      add_receiver(g, leaf, links, host_index++);
+      add_receiver(g, leaf, links);
     }
   }
   return g;
@@ -81,11 +77,11 @@ GeneratedTopology make_line(std::uint32_t routers, const LinkParams& links) {
   GeneratedTopology g;
   net::NodeId prev = net::kInvalidNode;
   for (std::uint32_t i = 0; i < routers; ++i) {
-    const net::NodeId router = g.topology.add_router("r" + std::to_string(i));
+    const net::NodeId router = g.topology.add_router();
     g.routers.push_back(router);
     if (i == 0) {
       g.source_router = router;
-      g.source_host = g.topology.add_host("src");
+      g.source_host = g.topology.add_host();
       g.topology.add_link(router, g.source_host, links.edge_delay, 1,
                           links.edge_bandwidth_bps);
     } else {
@@ -94,7 +90,7 @@ GeneratedTopology make_line(std::uint32_t routers, const LinkParams& links) {
     }
     prev = router;
   }
-  add_receiver(g, prev, links, 0);
+  add_receiver(g, prev, links);
   return g;
 }
 
@@ -106,7 +102,7 @@ GeneratedTopology make_transit_stub(std::uint32_t transit,
   std::vector<net::NodeId> core;
   core.reserve(transit);
   for (std::uint32_t t = 0; t < transit; ++t) {
-    const net::NodeId router = g.topology.add_router("t" + std::to_string(t));
+    const net::NodeId router = g.topology.add_router();
     core.push_back(router);
     g.routers.push_back(router);
     if (t > 0) {
@@ -128,20 +124,18 @@ GeneratedTopology make_transit_stub(std::uint32_t transit,
     }
   }
 
-  std::size_t host_index = 0;
   for (std::uint32_t t = 0; t < transit; ++t) {
     for (std::uint32_t s = 0; s < stubs_per_transit; ++s) {
-      const net::NodeId stub = g.topology.add_router(
-          "s" + std::to_string(t) + "_" + std::to_string(s));
+      const net::NodeId stub = g.topology.add_router();
       g.routers.push_back(stub);
       g.topology.add_link(core[t], stub, links.core_delay, 1,
                           links.core_bandwidth_bps);
       for (std::uint32_t h = 0; h < hosts_per_stub; ++h) {
-        add_receiver(g, stub, links, host_index++);
+        add_receiver(g, stub, links);
       }
       if (g.source_router == net::kInvalidNode) {
         g.source_router = stub;
-        g.source_host = g.topology.add_host("src");
+        g.source_host = g.topology.add_host();
         g.topology.add_link(stub, g.source_host, links.edge_delay, 1,
                             links.edge_bandwidth_bps);
       }

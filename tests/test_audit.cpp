@@ -358,15 +358,15 @@ TEST(Audit, CountersMatchADynamicCastScanOnAMixedTopology) {
   //         r2 = [hub] - lh0 lh1
   //         b (DVMRP router)
   net::Topology topo;
-  const net::NodeId r0 = topo.add_router("r0");
-  const net::NodeId src = topo.add_host("src");
-  const net::NodeId r1 = topo.add_router("r1");
-  const net::NodeId r2 = topo.add_router("r2");
-  const net::NodeId r3 = topo.add_router("r3");
-  const net::NodeId b = topo.add_router("b");
-  const net::NodeId d = topo.add_router("d");
-  const net::NodeId h1 = topo.add_host("h1");
-  const net::NodeId dh = topo.add_host("dh");
+  const net::NodeId r0 = topo.add_router();
+  const net::NodeId src = topo.add_host();
+  const net::NodeId r1 = topo.add_router();
+  const net::NodeId r2 = topo.add_router();
+  const net::NodeId r3 = topo.add_router();
+  const net::NodeId b = topo.add_router();
+  const net::NodeId d = topo.add_router();
+  const net::NodeId h1 = topo.add_host();
+  const net::NodeId dh = topo.add_host();
   topo.add_link(r0, src);
   topo.add_link(r0, r1);
   topo.add_link(r0, r2);

@@ -104,10 +104,8 @@ TEST_P(BaselineProperty, PimSmDeliversToMembersOnly) {
   h.roles = workload::make_kary_tree(2, 3);
   baseline::PimConfig config;
   // Random RP placement each seed: correctness must not depend on it.
-  config.rp = h.roles.topology
-                  .node(h.roles.routers[rng.below(
-                      static_cast<std::uint32_t>(h.roles.routers.size()))])
-                  .address;
+  config.rp = h.roles.topology.address(h.roles.routers[rng.below(
+      static_cast<std::uint32_t>(h.roles.routers.size()))]);
   config.spt_switchover = rng.chance(0.5);
   auto roles_copy = h.roles;
   h.network = std::make_unique<net::Network>(std::move(roles_copy.topology));
@@ -124,10 +122,8 @@ TEST_P(BaselineProperty, CbtDeliversToMembersOnly) {
   Harness h;
   h.roles = workload::make_kary_tree(2, 3);
   baseline::CbtConfig config;
-  config.core = h.roles.topology
-                    .node(h.roles.routers[rng.below(
-                        static_cast<std::uint32_t>(h.roles.routers.size()))])
-                    .address;
+  config.core = h.roles.topology.address(h.roles.routers[rng.below(
+      static_cast<std::uint32_t>(h.roles.routers.size()))]);
   auto roles_copy = h.roles;
   h.network = std::make_unique<net::Network>(std::move(roles_copy.topology));
   for (net::NodeId r : h.roles.routers) {

@@ -186,7 +186,7 @@ TEST(PimSm, SharedTreeDeliversViaRp) {
   auto topo = workload::make_kary_tree(2, 2);
   // RP = the right depth-1 router (routers[2]).
   PimConfig config;
-  config.rp = topo.topology.node(topo.routers[2]).address;
+  config.rp = topo.topology.address(topo.routers[2]);
   PimNet sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
@@ -207,7 +207,7 @@ TEST(PimSm, SharedTreeDeliversViaRp) {
 TEST(PimSm, RegisterStopSwitchesToNativeForwarding) {
   auto topo = workload::make_kary_tree(2, 2);
   PimConfig config;
-  config.rp = topo.topology.node(topo.routers[2]).address;
+  config.rp = topo.topology.address(topo.routers[2]);
   PimNet sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
@@ -231,7 +231,7 @@ TEST(PimSm, RegisterStopSwitchesToNativeForwarding) {
 TEST(PimSm, SptSwitchoverBuildsSourceTree) {
   auto topo = workload::make_kary_tree(2, 2);
   PimConfig config;
-  config.rp = topo.topology.node(topo.routers[2]).address;
+  config.rp = topo.topology.address(topo.routers[2]);
   config.spt_switchover = true;
   PimNet sim(std::move(topo), config);
 
@@ -253,7 +253,7 @@ TEST(PimSm, SptSwitchoverBuildsSourceTree) {
 TEST(PimSm, LeavePrunesSharedTree) {
   auto topo = workload::make_kary_tree(2, 2);
   PimConfig config;
-  config.rp = topo.topology.node(topo.routers[0]).address;  // RP at root
+  config.rp = topo.topology.address(topo.routers[0]);  // RP at root
   PimNet sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
@@ -282,7 +282,7 @@ struct CbtNet : BaselineNet<CbtRouter, CbtConfig> {
 TEST(Cbt, BidirectionalTreeDeliversBothWays) {
   auto topo = workload::make_kary_tree(2, 2);
   CbtConfig config;
-  config.core = topo.topology.node(topo.routers[0]).address;  // core at root
+  config.core = topo.topology.address(topo.routers[0]);  // core at root
   CbtNet sim(std::move(topo), config);
 
   // Two members on opposite branches; both also send.
@@ -307,7 +307,7 @@ TEST(Cbt, OffTreeSenderTunnelsToCore) {
   CbtConfig config;
   // Core away from the source's first hop, so the non-member source's
   // first-hop router must tunnel.
-  config.core = topo.topology.node(topo.routers[2]).address;
+  config.core = topo.topology.address(topo.routers[2]);
   CbtNet sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kCbt);
@@ -328,7 +328,7 @@ TEST(Cbt, OffTreeSenderTunnelsToCore) {
 TEST(Cbt, OneStateEntryPerGroupRegardlessOfSenders) {
   auto topo = workload::make_kary_tree(2, 2);
   CbtConfig config;
-  config.core = topo.topology.node(topo.routers[0]).address;
+  config.core = topo.topology.address(topo.routers[0]);
   CbtNet sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kCbt);
@@ -346,7 +346,7 @@ TEST(Cbt, OneStateEntryPerGroupRegardlessOfSenders) {
 TEST(Cbt, LeaveCascadesPrunes) {
   auto topo = workload::make_kary_tree(2, 2);
   CbtConfig config;
-  config.core = topo.topology.node(topo.routers[0]).address;
+  config.core = topo.topology.address(topo.routers[0]);
   CbtNet sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kCbt);

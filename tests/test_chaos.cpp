@@ -329,7 +329,7 @@ TEST(Chaos, LinkFlapOnTenThousandNodeTreeConvergesClean) {
 TEST(Convergence, PimSmDeliveryResumesAfterCoreFlap) {
   auto roles = workload::make_kary_tree(2, 2);
   baseline::PimConfig config;
-  config.rp = roles.topology.node(roles.routers[0]).address;
+  config.rp = roles.topology.address(roles.routers[0]);
   const ip::Address group(225, 4, 5, 6);
 
   // Root--left-mid core link: on the RP tree for receiver 0.

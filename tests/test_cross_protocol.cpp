@@ -55,7 +55,7 @@ DeliveryMatrix run_express() {
 DeliveryMatrix run_pim() {
   auto topo = workload::make_kary_tree(2, 2);
   PimConfig config;
-  config.rp = topo.topology.node(topo.routers[0]).address;  // RP at the root
+  config.rp = topo.topology.address(topo.routers[0]);  // RP at the root
   const ip::Address group(225, 1, 2, 3);
 
   auto roles = std::move(topo);

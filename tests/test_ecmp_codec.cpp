@@ -199,24 +199,35 @@ TEST(Codec, BatchStopsAtGarbage) {
 
 TEST(NeighborTable, FirstContactIsNotARevival) {
   NeighborTable t;
-  EXPECT_FALSE(t.heard_from(3, 0, sim::seconds(1)));
-  EXPECT_FALSE(t.heard_from(3, 0, sim::seconds(2)));
-  EXPECT_TRUE(t.is_alive(3));
-  EXPECT_EQ(t.alive_count(), 1u);
+  EXPECT_FALSE(t.heard_from(3, sim::seconds(1)));
+  EXPECT_FALSE(t.heard_from(3, sim::seconds(2)));
+  // One live session, last heard at 2 s: silent past the timeout at
+  // 8 s, not yet at 7 s.
+  EXPECT_TRUE(t.expire(sim::seconds(7), sim::seconds(5)).empty());
+  const auto dead = t.expire(sim::seconds(8), sim::seconds(5));
+  ASSERT_EQ(dead.size(), 1u);
+  EXPECT_EQ(dead[0].neighbor, 3u);
+  EXPECT_EQ(dead[0].last_heard, sim::seconds(2));
 }
 
 TEST(NeighborTable, ExpiresSilentNeighbors) {
   NeighborTable t;
-  t.heard_from(1, 0, sim::seconds(0));
-  t.heard_from(2, 1, sim::seconds(9));
+  t.heard_from(1, sim::seconds(0));
+  t.heard_from(2, sim::seconds(9));
   auto dead = t.expire(sim::seconds(10), sim::seconds(5));
   ASSERT_EQ(dead.size(), 1u);
   EXPECT_EQ(dead[0].neighbor, 1u);
-  EXPECT_FALSE(t.is_alive(1));
-  EXPECT_TRUE(t.is_alive(2));
-  // Re-hearing revives the session (reports re-establishment).
-  EXPECT_TRUE(t.heard_from(1, 0, sim::seconds(11)));
-  EXPECT_TRUE(t.is_alive(1));
+  // A dead session expires once; 2 is still alive and expires later.
+  dead = t.expire(sim::seconds(15), sim::seconds(5));
+  ASSERT_EQ(dead.size(), 1u);
+  EXPECT_EQ(dead[0].neighbor, 2u);
+  // Re-hearing revives the session (reports re-establishment), and a
+  // revived session can expire again.
+  EXPECT_TRUE(t.heard_from(1, sim::seconds(16)));
+  EXPECT_FALSE(t.heard_from(1, sim::seconds(17)));
+  dead = t.expire(sim::seconds(30), sim::seconds(5));
+  ASSERT_EQ(dead.size(), 1u);
+  EXPECT_EQ(dead[0].neighbor, 1u);
 }
 
 TEST(NeighborTable, ExpireReturnsDeadSessionsInNeighborIdOrder) {
@@ -226,27 +237,16 @@ TEST(NeighborTable, ExpireReturnsDeadSessionsInNeighborIdOrder) {
   // order the session hash map yielded; it must be ascending neighbor
   // id regardless of when each session was first heard.
   NeighborTable t;
-  t.heard_from(7, 0, sim::seconds(0));
-  t.heard_from(3, 1, sim::seconds(0));
-  t.heard_from(9, 2, sim::seconds(0));
-  t.heard_from(1, 3, sim::seconds(0));
+  t.heard_from(7, sim::seconds(0));
+  t.heard_from(3, sim::seconds(0));
+  t.heard_from(9, sim::seconds(0));
+  t.heard_from(1, sim::seconds(0));
   auto dead = t.expire(sim::seconds(10), sim::seconds(5));
   ASSERT_EQ(dead.size(), 4u);
   EXPECT_EQ(dead[0].neighbor, 1u);
   EXPECT_EQ(dead[1].neighbor, 3u);
   EXPECT_EQ(dead[2].neighbor, 7u);
   EXPECT_EQ(dead[3].neighbor, 9u);
-}
-
-TEST(NeighborTable, KillMarksDead) {
-  NeighborTable t;
-  t.heard_from(5, 2, sim::seconds(1));
-  auto killed = t.kill(5);
-  ASSERT_TRUE(killed.has_value());
-  EXPECT_EQ(killed->iface, 2u);
-  EXPECT_FALSE(t.is_alive(5));
-  EXPECT_FALSE(t.kill(5).has_value());  // already dead
-  EXPECT_FALSE(t.kill(99).has_value()); // unknown
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ TEST(Subcast, ViaOffTreeRouterIsDropped) {
   // no FIB entry, packet silently discarded (counted at the router).
   ExpressRouter& off_tree = sim.router(2);
   ASSERT_FALSE(off_tree.on_tree(ch));
-  sim.source().subcast(ch, sim.net().topology().node(off_tree.id()).address,
+  sim.source().subcast(ch, sim.net().topology().address(off_tree.id()),
                        500, 7);
   sim.run_for(sim::seconds(1));
   EXPECT_EQ(sim.receiver(0).stats().data_received, 0u);
@@ -154,7 +154,7 @@ TEST(Subcast, RootRelayReachesEverySubscriber) {
   }
   sim.run_for(sim::seconds(1));
   sim.source().subcast(
-      ch, sim.net().topology().node(sim.source_router().id()).address, 500, 9);
+      ch, sim.net().topology().address(sim.source_router().id()), 500, 9);
   sim.run_for(sim::seconds(1));
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     EXPECT_EQ(sim.receiver(i).stats().data_received, 1u) << i;
@@ -229,12 +229,12 @@ TEST(Counting, DomainScopedLinkCountStopsAtBoundary) {
   // neighbor ISP.
   net::Topology topo;
   // src -- r0 -- r1 | r2 -- r3 -- recv   (domain A: r0,r1; B: r2,r3)
-  const auto r0 = topo.add_router("a0");
-  const auto r1 = topo.add_router("a1");
-  const auto r2 = topo.add_router("b0");
-  const auto r3 = topo.add_router("b1");
-  const auto src = topo.add_host("src");
-  const auto dst = topo.add_host("recv");
+  const auto r0 = topo.add_router();
+  const auto r1 = topo.add_router();
+  const auto r2 = topo.add_router();
+  const auto r3 = topo.add_router();
+  const auto src = topo.add_host();
+  const auto dst = topo.add_host();
   topo.add_link(r0, src);
   topo.add_link(r0, r1);
   topo.add_link(r1, r2);

@@ -272,7 +272,7 @@ TEST(ExpressBasic, SubcastReachesOnlySubtree) {
   // receivers 0 and 1 (leaves of the left half).
   ExpressRouter& mid = sim.router(1);
   ASSERT_TRUE(mid.on_tree(ch));
-  sim.source().subcast(ch, sim.net().topology().node(mid.id()).address, 800, 99);
+  sim.source().subcast(ch, sim.net().topology().address(mid.id()), 800, 99);
   sim.run_for(sim::seconds(1));
 
   int delivered = 0;
@@ -292,8 +292,9 @@ TEST(ExpressBasic, SubcastFromNonSourceIsDropped) {
   // receiver(1) attempts to subcast on a channel it does not own.
   ExpressHost& intruder = sim.receiver(1);
   const ip::ChannelId forged{intruder.address(), ch.dest};
-  intruder.subcast(forged, sim.net().topology().node(sim.source_router().id()).address,
-                   800, 13);
+  intruder.subcast(forged,
+                   sim.net().topology().address(sim.source_router().id()), 800,
+                   13);
   sim.run_for(sim::seconds(1));
   EXPECT_EQ(sim.receiver(0).stats().data_received, 0u);
 }

@@ -17,12 +17,12 @@ namespace {
 struct DiamondNet {
   DiamondNet() {
     net::Topology topo;
-    ra = topo.add_router("rA");
-    rb = topo.add_router("rB");
-    rc = topo.add_router("rC");
-    rd = topo.add_router("rD");
-    src_node = topo.add_host("src");
-    recv_node = topo.add_host("recv");
+    ra = topo.add_router();
+    rb = topo.add_router();
+    rc = topo.add_router();
+    rd = topo.add_router();
+    src_node = topo.add_host();
+    recv_node = topo.add_host();
     topo.add_link(ra, src_node, sim::milliseconds(1));
     link_ab = topo.add_link(ra, rb, sim::milliseconds(1), 1);
     link_bd = topo.add_link(rb, rd, sim::milliseconds(1), 1);

@@ -324,7 +324,7 @@ TEST(Host, GeneralQueryTriggersReannounce) {
   const auto sent_before = receiver.stats().counts_sent;
 
   net::Packet packet;
-  packet.src = network.topology().node(edge).address;
+  packet.src = network.topology().address(edge);
   packet.dst = receiver.address();
   packet.protocol = ip::Protocol::kEcmp;
   ecmp::CountQuery general;

@@ -18,10 +18,10 @@ namespace {
 struct LanNet {
   explicit LanNet(RouterConfig config = {}, std::uint32_t lan_hosts = 4) {
     net::Topology topo;
-    core_id = topo.add_router("core");
-    edge_id = topo.add_router("edge");
+    core_id = topo.add_router();
+    edge_id = topo.add_router();
     topo.add_link(core_id, edge_id, sim::milliseconds(1));
-    src_id = topo.add_host("src");
+    src_id = topo.add_host();
     topo.add_link(core_id, src_id, sim::milliseconds(1));
     segment = net::add_lan_segment(topo, edge_id, lan_hosts);
     network = std::make_unique<net::Network>(std::move(topo));

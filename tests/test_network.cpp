@@ -152,8 +152,8 @@ TEST(Network, UnicastTransitsWithoutTouchingIntermediateNodes) {
   Network network(std::move(topo));
   auto& rm = network.attach<Recorder>(m);
   auto& rb = network.attach<Recorder>(b);
-  Packet p = data_packet(network.topology().node(a).address,
-                         network.topology().node(b).address, 100, 1);
+  Packet p = data_packet(network.topology().address(a),
+                         network.topology().address(b), 100, 1);
   network.send_unicast(a, std::move(p));
   network.run();
   EXPECT_TRUE(rm.arrivals.empty());
@@ -182,8 +182,8 @@ TEST(Network, UnicastLoopbackDelivers) {
   topo.add_link(a, topo.add_router());
   Network network(std::move(topo));
   auto& ra = network.attach<Recorder>(a);
-  Packet p = data_packet(network.topology().node(a).address,
-                         network.topology().node(a).address, 10, 7);
+  Packet p = data_packet(network.topology().address(a),
+                         network.topology().address(a), 10, 7);
   network.send_unicast(a, std::move(p));
   network.run();
   ASSERT_EQ(ra.arrivals.size(), 1u);
@@ -207,11 +207,11 @@ TEST(Network, ParallelLinkCarriesTrafficWhenItsTwinIsDown) {
   EXPECT_EQ(network.routing().next_hop(a, h), b);
   EXPECT_EQ(network.routing().rpf_interface(a, h), 1u);
   EXPECT_EQ(network.routing().cost(a, h), 2u);
-  const ip::Address from = network.topology().node(a).address;
+  const ip::Address from = network.topology().address(a);
   network.send_unicast(
-      a, data_packet(from, network.topology().node(h).address, 100, 1));
+      a, data_packet(from, network.topology().address(h), 100, 1));
   network.send_to_neighbor(
-      a, b, data_packet(from, network.topology().node(b).address, 100, 2));
+      a, b, data_packet(from, network.topology().address(b), 100, 2));
   network.run();
   ASSERT_EQ(rh.arrivals.size(), 1u);
   ASSERT_EQ(rb.arrivals.size(), 1u);

@@ -594,7 +594,7 @@ void run_express_scenario(Testbed& bed) {
   }
   bed.run_for(sim::seconds(1));
   for (std::uint64_t s = 0; s < 4; ++s) bed.source().send(secure, 300, s);
-  bed.source().subcast(secure, topo.node(roles.routers.at(1)).address, 200);
+  bed.source().subcast(secure, topo.address(roles.routers.at(1)), 200);
   bed.source().count_query(secure, ecmp::kSubscriberId, sim::seconds(1),
                            [](CountResult) {});
   bed.run_for(sim::seconds(2));
@@ -664,10 +664,10 @@ TEST(ObsViews, RouterStatsEqualsRegistrySlotsAfterSeededChurn) {
   // The one counter a tree cannot move: a UDP-mode LAN member whose hub
   // link dies before its neighbor-death update fires.
   net::Topology topo;
-  const net::NodeId core = topo.add_router("core");
-  const net::NodeId edge = topo.add_router("edge");
+  const net::NodeId core = topo.add_router();
+  const net::NodeId edge = topo.add_router();
   topo.add_link(core, edge, sim::milliseconds(1));
-  const net::NodeId src = topo.add_host("src");
+  const net::NodeId src = topo.add_host();
   topo.add_link(core, src, sim::milliseconds(1));
   const net::LanSegment lan = net::add_lan_segment(topo, edge, 2);
   net::Network lan_net(std::move(topo));
@@ -821,7 +821,7 @@ TEST(ObsViews, BaselineRelaySchedulerAndFibStatsEqualRegistrySlots) {
   {
     auto topo = workload::make_kary_tree(2, 2);
     baseline::PimConfig config;
-    config.rp = topo.topology.node(topo.routers[2]).address;
+    config.rp = topo.topology.address(topo.routers[2]);
     config.spt_switchover = true;
     GroupNet<baseline::PimSmRouter> g(std::move(topo), config);
     run_group_scenario(g, ip::Protocol::kPim);
@@ -873,7 +873,7 @@ TEST(ObsViews, BaselineRelaySchedulerAndFibStatsEqualRegistrySlots) {
   {
     auto topo = workload::make_kary_tree(2, 2);
     baseline::CbtConfig config;
-    config.core = topo.topology.node(topo.routers[2]).address;
+    config.core = topo.topology.address(topo.routers[2]);
     GroupNet<baseline::CbtRouter> g(std::move(topo), config);
     run_group_scenario(g, ip::Protocol::kCbt);
     auto cbt = ViewCheck<baseline::CbtStats>({

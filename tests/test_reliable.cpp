@@ -97,7 +97,7 @@ TEST(Reliable, SubcastRepairSparesCompleteSubtrees) {
 
   PublisherConfig config;
   config.repair_point =
-      sim.net().topology().node(sim.router(sim.router_count() - 1).id()).address;
+      sim.net().topology().address(sim.router(sim.router_count() - 1).id());
   Publisher publisher(sim.source(), ch, config);
   publisher.publish(5);
   sim.run_for(sim::seconds(1));
@@ -197,8 +197,8 @@ TEST(Reliable, RunToCompletionSubcastsThroughFirstCoveringCandidate) {
   const net::Topology& topo = sim.net().topology();
   PublisherConfig config;
   config.repair_candidates = {
-      topo.node(sim.router(sim.router_count() - 2).id()).address,  // clean
-      topo.node(sim.router(sim.router_count() - 1).id()).address,  // covers
+      topo.address(sim.router(sim.router_count() - 2).id()),  // clean
+      topo.address(sim.router(sim.router_count() - 1).id()),  // covers
   };
   Publisher publisher(sim.source(), ch, config);
   publisher.publish(5);
@@ -241,7 +241,7 @@ TEST(Reliable, RunToCompletionFallsBackChannelWideWhenNoCandidateCovers) {
 
   PublisherConfig config;
   config.repair_candidates = {
-      sim.net().topology().node(sim.router(sim.router_count() - 1).id()).address};
+      sim.net().topology().address(sim.router(sim.router_count() - 1).id())};
   Publisher publisher(sim.source(), ch, config);
   publisher.publish(5);
   sim.run_for(sim::seconds(1));

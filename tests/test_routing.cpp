@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/lan.hpp"
@@ -21,7 +22,7 @@ TEST(Topology, NodesGetDistinctAddresses) {
   Topology t;
   const NodeId a = t.add_router();
   const NodeId b = t.add_host();
-  EXPECT_NE(t.node(a).address, t.node(b).address);
+  EXPECT_NE(t.address(a), t.address(b));
   EXPECT_EQ(t.node(a).kind, NodeKind::kRouter);
   EXPECT_EQ(t.node(b).kind, NodeKind::kHost);
 }
@@ -125,9 +126,9 @@ TEST(Topology, FindByAddress) {
     const Network net(std::move(graph));
     const auto n = static_cast<std::uint32_t>(net.topology().node_count());
     for (NodeId i = 0; i < n; ++i) {
-      EXPECT_EQ(net.node_of(net.topology().node(i).address), i);
+      EXPECT_EQ(net.node_of(net.topology().address(i)), i);
     }
-    EXPECT_EQ(net.topology().node(0).address, ip::Address(10, 0, 0, 1));
+    EXPECT_EQ(net.topology().address(0), ip::Address(10, 0, 0, 1));
     for (const ip::Address outside :
          {ip::Address(10, 0, 0, 0), ip::Address{kNodeAddressBase + n},
           ip::Address(0, 0, 0, 0), ip::Address(255, 255, 255, 255),
@@ -206,7 +207,7 @@ Topology with_permuted_costs(const Topology& t, sim::Rng& rng) {
   }
   Topology out;
   for (NodeId n = 0; n < t.node_count(); ++n) {
-    out.add_node(t.node(n).kind, t.node(n).name);
+    out.add_node(t.node(n).kind);
   }
   for (LinkId l = 0; l < t.link_count(); ++l) {
     const LinkInfo& info = t.link(l);
@@ -273,6 +274,86 @@ TEST(Topology, InterfaceToMatchesALinearScan) {
   }
   EXPECT_GT(compared, 1000u);
   EXPECT_GT(parallel_choices, 100u);  // the ranking was exercised
+}
+
+TEST(Topology, ReachMatchesInterfaceTowardAndNeighborReachable) {
+  // The oracle is how the control planes resolved a neighbour before
+  // Topology::reach: interface_to, else the RPF interface of a unicast
+  // route toward the neighbour; reachable while the direct link is up,
+  // else while a route exists. The routing fallback only ever served
+  // LAN hosts, which reach resolves from the port records alone.
+  const auto iface_toward = [](const Topology& t, const UnicastRouting& r,
+                               NodeId self, NodeId neighbor) {
+    if (auto direct = t.interface_to(self, neighbor)) return direct;
+    return r.rpf_interface(self, neighbor);
+  };
+  const auto neighbor_reachable = [](const Topology& t,
+                                     const UnicastRouting& r, NodeId self,
+                                     NodeId neighbor) {
+    const auto iface = t.interface_to(self, neighbor);
+    if (!iface) return r.next_hop(self, neighbor).has_value();
+    return t.link(t.port(self, *iface).link).up;
+  };
+  sim::Rng rng(31);
+  std::vector<Topology> graphs = oracle_topologies(rng);
+  // test_lan's shape: core -- edge -- [hub] -- 4 hosts, a source on core.
+  Topology lan;
+  const NodeId core = lan.add_router();
+  const NodeId edge = lan.add_router();
+  lan.add_link(core, edge);
+  lan.add_link(core, lan.add_host());
+  add_lan_segment(lan, edge, 4);
+  graphs.push_back(std::move(lan));
+  // The LAN shape of FindByAddress: a segment on a k-ary tree's leaf.
+  auto tree = workload::make_kary_tree(2, 2);
+  add_lan_segment(tree.topology, tree.routers.back(), 5);
+  graphs.push_back(std::move(tree.topology));
+
+  std::size_t compared = 0;
+  std::size_t lan_hosts = 0;
+  std::size_t wire_down_hub_up = 0;  // the hub-host link alone is down
+  for (Topology& t : graphs) {
+    // Every router's adjacent nodes, and the hosts on its adjacent hubs.
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (NodeId n = 0; n < t.node_count(); ++n) {
+      if (t.node(n).kind != NodeKind::kRouter) continue;
+      for (std::uint32_t i = 0; i < t.interface_count(n); ++i) {
+        const NodeId m = t.neighbor_via(n, i);
+        pairs.emplace_back(n, m);
+        if (t.node(m).kind != NodeKind::kLanHub) continue;
+        for (std::uint32_t j = 0; j < t.interface_count(m); ++j) {
+          const NodeId h = t.neighbor_via(m, j);
+          if (t.node(h).kind == NodeKind::kHost) pairs.emplace_back(n, h);
+        }
+      }
+    }
+    for (int round = 0; round < 8; ++round) {
+      const UnicastRouting routing(t);
+      for (const auto& [n, m] : pairs) {
+        const Reach reach = t.reach(n, m);
+        EXPECT_EQ(reach.iface, iface_toward(t, routing, n, m))
+            << "router " << n << " neighbour " << m << " round " << round;
+        EXPECT_EQ(reach.up, neighbor_reachable(t, routing, n, m))
+            << "router " << n << " neighbour " << m << " round " << round;
+        ++compared;
+        if (t.node(m).kind != NodeKind::kHost || t.interface_to(n, m)) {
+          continue;
+        }
+        ++lan_hosts;
+        const Port& wire = t.port(m, 0);
+        const auto to_hub = t.interface_to(n, wire.peer);
+        if (!t.link(wire.link).up && t.link(t.port(n, *to_hub).link).up) {
+          ++wire_down_hub_up;
+        }
+      }
+      for (LinkId l = 0; l < t.link_count(); ++l) {
+        if (rng.chance(0.3)) t.set_link_up(l, !t.link(l).up);
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(lan_hosts, 50u);
+  EXPECT_GT(wire_down_hub_up, 10u);  // the hub-host check was exercised
 }
 
 class LineRouting : public ::testing::Test {

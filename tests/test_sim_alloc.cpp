@@ -3,12 +3,12 @@
 // This binary links the counting operator new/delete of
 // alloc_counter.cpp, proving the headline property of the slab
 // scheduler: once warmed up, a steady-state schedule → dispatch cycle
-// touches the allocator zero times; that building the network fabric
-// costs no per-node allocation; and that an invariant audit's scratch
-// is sized by the on-tree state, not by the network. It is its own
-// test binary so the
-// counting overrides cannot perturb (or be perturbed by) the other
-// suites.
+// touches the allocator zero times; that a topology requests a few
+// hundred bytes a node and building the network fabric over it costs
+// no per-node allocation; and that an invariant audit's scratch is
+// sized by the on-tree state, not by the network. It is its own test
+// binary so the counting overrides cannot perturb (or be perturbed by)
+// the other suites.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -146,6 +146,21 @@ TEST(SchedulerAllocation, SimulationClosuresStayInline) {
   f();
   EXPECT_EQ(InlineFunction::boxed_count(), 1u);
   EXPECT_GT(allocation_count(), before);
+}
+
+TEST(TopologyAllocation, BuildingATreeRequestsFewBytesPerNode) {
+  // A node record is its kind, domain and port list (32 bytes); its
+  // address follows from its id and it carries no name. Building the
+  // 46,422-node tree requests the node table with its doubling growth
+  // (~90 B a node), each node's ports and the link table: ~243 B a
+  // node. The bound fails a 72-byte record that also stores the address
+  // and a name string (~356 B a node).
+  const std::uint64_t before = allocated_bytes();
+  const auto generated = workload::make_kary_tree(4, 6, {}, 10);
+  const auto bytes = static_cast<double>(allocated_bytes() - before);
+  const auto nodes = static_cast<double>(generated.topology.node_count());
+  EXPECT_LT(bytes / nodes, 300.0)
+      << bytes << " bytes for " << nodes << " nodes";
 }
 
 TEST(NetworkAllocation, ConstructionMakesNoPerNodeAllocation) {

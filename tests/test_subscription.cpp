@@ -318,7 +318,8 @@ struct SweepFixture {
 TEST(Subscription, DeadChildrenComeOutInChannelOrder) {
   SweepFixture fx;
   fx.network.set_link_up(0, false);
-  const auto dead = fx.table.collect_dead_children(fx.network, fx.kSelf);
+  const auto dead =
+      fx.table.collect_dead_children(fx.network.topology(), fx.kSelf);
   std::vector<std::pair<ip::ChannelId, net::NodeId>> want;
   for (std::uint32_t n = 1; n <= 6; ++n) {
     want.emplace_back(channel_n(n), fx.kChild);
@@ -331,7 +332,7 @@ TEST(Subscription, UdpRefreshActionsComeOutInChannelOrder) {
   // ones first, then the expirations, each group ascending by channel.
   SweepFixture fx({2, 4, 6});
   const auto actions = fx.table.udp_refresh_actions(
-      fx.network, fx.kSelf, sim::seconds(12), sim::seconds(5),
+      fx.network.topology(), fx.kSelf, sim::seconds(12), sim::seconds(5),
       [](std::uint32_t) { return true; });
   ASSERT_EQ(actions.size(), 6u);
   const std::vector<std::pair<UdpAction::Kind, std::uint32_t>> want{
