@@ -2,7 +2,7 @@
 //
 // Every experiment in this repo executes on the same two hot paths: the
 // discrete-event scheduler and per-hop packet replication. This bench
-// pins their performance trajectory with five measurements; regressions
+// pins their performance trajectory with four measurements; regressions
 // are judged against the previously committed BENCH_core.json:
 //
 //   1. scheduler  — events/sec through schedule/cancel/dispatch rounds.
@@ -15,9 +15,6 @@
 //                   packet/byte counters are reported so substrate
 //                   rewrites can prove they preserved behavior.
 //   4. fib        — (S,E) lookups/sec through the FlatFib.
-//   5. timer_wheel — scheduler events/sec on a refresh-timer-heavy
-//                   load, wheel-enabled vs heap-only (Scheduler(false)),
-//                   the workload shape the hierarchical wheel targets.
 //
 // Output: a human table on stdout and machine-readable JSON (default
 // BENCH_core.json in the working directory; see --out). Run from the
@@ -147,67 +144,6 @@ FibScore measure_fib(bool quick) {
 }
 
 // ---------------------------------------------------------------------
-// 1c. Timer wheel vs heap-only scheduler
-// ---------------------------------------------------------------------
-
-struct WheelScore {
-  double events_per_sec = 0;
-  double heap_only_events_per_sec = 0;
-  std::uint64_t fired = 0;
-};
-
-double timer_load_rate(bool use_wheel, std::uint32_t timers,
-                       std::uint32_t periods, std::uint64_t* fired_out) {
-  // The load the wheel exists for: a standing population of periodic
-  // 30 s refresh timers (UDP soft-state refresh, counting timeouts).
-  // Heap-only re-arms sift through a `timers`-deep heap on every fire;
-  // the wheel parks each re-arm at O(1) and cascades lazily.
-  sim::Scheduler s(use_wheel);
-  std::uint64_t fired = 0;
-  struct Refresh {
-    sim::Scheduler* s;
-    std::uint64_t* fired;
-    void operator()() const {
-      ++*fired;
-      s->schedule_after(sim::seconds(30), *this);
-    }
-  };
-  const std::int64_t spread = sim::seconds(30).count();
-  for (std::uint32_t i = 0; i < timers; ++i) {
-    const sim::Time first{1 + (spread * i) / timers};
-    s.schedule_at(first, Refresh{&s, &fired});
-  }
-  const auto t0 = Clock::now();
-  s.run_until(sim::seconds(30) * periods);
-  const double secs = elapsed_s(t0);
-  *fired_out = fired;
-  return static_cast<double>(fired) / secs;
-}
-
-WheelScore measure_timer_wheel(bool quick) {
-  const std::uint32_t timers = quick ? 5'000 : 20'000;
-  const std::uint32_t periods = quick ? 10 : 25;
-  WheelScore score;
-  std::uint64_t fired_wheel = 0;
-  std::uint64_t fired_heap = 0;
-  for (int round = 0; round < (quick ? 1 : 3); ++round) {
-    const double a = timer_load_rate(true, timers, periods, &fired_wheel);
-    const double b = timer_load_rate(false, timers, periods, &fired_heap);
-    if (a > score.events_per_sec) score.events_per_sec = a;
-    if (b > score.heap_only_events_per_sec) {
-      score.heap_only_events_per_sec = b;
-    }
-  }
-  if (fired_wheel != fired_heap) {
-    std::fprintf(stderr, "bench_core: timer load divergence (%llu vs %llu)\n",
-                 static_cast<unsigned long long>(fired_wheel),
-                 static_cast<unsigned long long>(fired_heap));
-  }
-  score.fired = fired_wheel;
-  return score;
-}
-
-// ---------------------------------------------------------------------
 // 2. Packet fan-out through the real stack
 // ---------------------------------------------------------------------
 
@@ -327,8 +263,7 @@ ChurnScore measure_churn(bool quick) {
 // ---------------------------------------------------------------------
 
 void write_json(const std::string& path, bool quick, const SchedulerScore& nw,
-                const FibScore& fib, const WheelScore& wheel,
-                const FanoutScore& fan, const ChurnScore& churn) {
+                const FibScore& fib, const FanoutScore& fan, const ChurnScore& churn) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_core: cannot write %s\n", path.c_str());
@@ -347,15 +282,6 @@ void write_json(const std::string& path, bool quick, const SchedulerScore& nw,
   std::fprintf(f, "    \"entries\": %llu,\n",
                static_cast<unsigned long long>(fib.entries));
   std::fprintf(f, "    \"lookups_per_sec\": %.0f\n", fib.lookups_per_sec);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"timer_wheel\": {\n");
-  std::fprintf(f, "    \"events_per_sec\": %.0f,\n", wheel.events_per_sec);
-  std::fprintf(f, "    \"heap_only_events_per_sec\": %.0f,\n",
-               wheel.heap_only_events_per_sec);
-  std::fprintf(f, "    \"speedup_vs_heap\": %.2f,\n",
-               wheel.events_per_sec / wheel.heap_only_events_per_sec);
-  std::fprintf(f, "    \"events\": %llu\n",
-               static_cast<unsigned long long>(wheel.fired));
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fanout\": {\n");
   std::fprintf(f, "    \"ns_per_hop\": %.1f,\n", fan.ns_per_hop);
@@ -435,20 +361,12 @@ int main(int argc, char** argv) {
   }
 
   const FibScore fib = measure_fib(quick);
-  const WheelScore wheel = measure_timer_wheel(quick);
   const FanoutScore fan = measure_fanout(quick ? 200 : 2000);
   const ChurnScore churn = measure_churn(quick);
 
   Table table({"section", "metric", "value"});
   table.row({"scheduler", "events/sec", fmt(nw.events_per_sec / 1e6, 2) + "M"});
   table.row({"fib", "lookups/sec", fmt(fib.lookups_per_sec / 1e6, 2) + "M"});
-  table.row({"timer_wheel", "events/sec",
-             fmt(wheel.events_per_sec / 1e6, 2) + "M"});
-  table.row({"timer_wheel", "heap-only events/sec",
-             fmt(wheel.heap_only_events_per_sec / 1e6, 2) + "M"});
-  table.row({"timer_wheel", "speedup vs heap",
-             fmt(wheel.events_per_sec / wheel.heap_only_events_per_sec, 2) +
-                 "x"});
   table.row({"fanout", "ns/hop", fmt(fan.ns_per_hop, 1)});
   table.row({"fanout", "hops", fmt_int(fan.hops)});
   table.row({"churn", "subscribers", fmt_int(churn.subscribers)});
@@ -467,6 +385,6 @@ int main(int argc, char** argv) {
   note("regressions are judged against the committed BENCH_core.json");
   note("(scripts/bench_gate.sh).");
 
-  write_json(out, quick, nw, fib, wheel, fan, churn);
+  write_json(out, quick, nw, fib, fan, churn);
   return 0;
 }

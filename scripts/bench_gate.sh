@@ -2,12 +2,12 @@
 # Performance regression gate: re-run bench_core RUNS times and compare
 # against the committed BENCH_core.json baseline. Wall-time rows are
 # judged on their median over the runs: it fails (exit 1) if the median
-# scheduler, FIB or timer-wheel throughput drops by more than 10%, or
-# the median churn wall time rises by more than 10%. When both sides
-# used the same --quick setting, every run must also match the
-# baseline's deterministic work counters exactly: scheduler,
-# timer-wheel and churn event counts, fan-out hops and sends, FIB
-# entries, churn packet/byte/delivery totals, and the modules block.
+# scheduler or FIB throughput drops by more than 10%, or the median
+# churn wall time rises by more than 10%. When both sides used the same
+# --quick setting, every run must also match the baseline's
+# deterministic work counters exactly: scheduler and churn event
+# counts, fan-out hops and sends, FIB entries, churn packet/byte/
+# delivery totals, and the modules block.
 # When a committed BENCH_reliable.json baseline and the
 # bench_reliable binary both exist, the reliable repair-path gate runs
 # too: delivery must stay complete, repair rounds/bytes must not
@@ -114,8 +114,6 @@ print(f"bench_gate: comparing {len(runs)} run(s) against committed "
       "BENCH_core.json")
 check_median("scheduler.events_per_sec", "scheduler", "events_per_sec", True)
 check_median("fib.lookups_per_sec", "fib", "lookups_per_sec", True)
-check_median("timer_wheel.events_per_sec", "timer_wheel", "events_per_sec",
-             True)
 check_median("churn.wall_s", "churn", "wall_s", False)
 
 
@@ -135,7 +133,6 @@ def check_exact(name, baseline, currents):
 # match (same --quick setting). Any drift means behaviour changed.
 EXACT = [
     ("scheduler", "events"),
-    ("timer_wheel", "events"),
     ("fanout", "hops"),
     ("fanout", "sends"),
     ("fib", "entries"),

@@ -276,7 +276,7 @@ class Network {
   UnicastRouting routing_;
   /// Declared before scheduler_ so the scheduler can bind to it.
   obs::Plane plane_;
-  sim::Scheduler scheduler_{true, obs::Scope{&plane_, obs::Entity::network()}};
+  sim::Scheduler scheduler_{obs::Scope{&plane_, obs::Entity::network()}};
   std::vector<std::unique_ptr<Node>> nodes_;
   /// Registry-owned blocks, one per link.
   std::vector<LinkStats*> link_stats_;

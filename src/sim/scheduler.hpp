@@ -12,35 +12,17 @@
 //     mark of concurrent events, scheduling allocates nothing.
 //   * Closures are stored in place inside the record (InlineFunction's
 //     120-byte buffer), not on the heap, and are *moved* out at
-//     dispatch — never copied, unlike the former priority_queue design
-//     that copied the whole entry (closure included) on every pop.
-//   * The ready queue is an index-based 4-ary min-heap over slab slots,
+//     dispatch — never copied.
+//   * The queue is one index-based 4-ary min-heap over slab slots,
 //     keyed by (time, seq) so the FIFO tie-break among equal-time
 //     events — and with it determinism — is preserved exactly.
-//   * Far-future events (protocol refresh timers, counting timeouts,
-//     pre-scheduled workload churn) never touch the heap up front: a
-//     hierarchical timer wheel parks them in coarse slots (4 levels x
-//     256 slots, level-0 slot ~268 ms, level-3 horizon ~570 years) as
-//     intrusive lists threaded through the slab records. A slot
-//     cascades into finer levels — and ultimately the heap — only when
-//     its start time comes due, so the heap stays small and hot. The
-//     level-0 slot is deliberately coarse: events closer than one slot
-//     go straight to the heap (which handles near events at full
-//     speed anyway), so every cascade drains a whole chain and the
-//     slot-scan cost amortises over the chain, never per event.
-//     Cascaded events keep their original sequence numbers, so the
-//     (time, seq) dispatch order is bit-for-bit identical to a
-//     heap-only build (Scheduler(false) disables the wheel to check
-//     exactly that).
 //   * EventHandle is a (slot, generation) pair: cancellation and
 //     pending() checks are O(1) with no per-event shared_ptr<bool>.
 //     Cancellation stays lazy (the slot is reclaimed when its heap
-//     entry surfaces or its wheel slot cascades), and the generation
-//     counter makes handles to recycled slots inert rather than
-//     dangerous.
+//     entry surfaces), and the generation counter makes handles to
+//     recycled slots inert rather than dangerous.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -65,7 +47,6 @@ struct SchedulerStats {
   std::uint64_t clamped_past_events = 0;
   std::uint64_t pending = 0;       ///< queued now (incl. cancelled slots)
   std::uint64_t peak_pending = 0;  ///< high-water mark of `pending`
-  std::uint64_t parked = 0;        ///< events currently in wheel slots
   std::uint64_t slab_slots = 0;    ///< event records ever allocated
   std::uint64_t free_slots = 0;    ///< records currently recycled/idle
 };
@@ -106,31 +87,23 @@ class Scheduler {
   using Action = InlineFunction;
   using Handle = EventHandle;
 
-  Scheduler();
-
-  /// `use_timer_wheel = false` forces every event through the heap —
-  /// same dispatch order bit for bit, used by the determinism tests and
-  /// the timer-wheel A/B bench. `scope` binds the scheduler's counters
-  /// (and kTimerFire trace records) to an observability plane; default
-  /// resolves to the process-global plane under an anonymous entity.
-  explicit Scheduler(bool use_timer_wheel, obs::Scope scope = {});
+  /// `scope` binds the scheduler's counters (and kTimerFire trace
+  /// records) to an observability plane; the default resolves to the
+  /// process-global plane under an anonymous entity.
+  explicit Scheduler(obs::Scope scope = {});
 
   /// Current simulated time. Starts at zero.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Number of events still queued (including lazily-cancelled ones),
-  /// whether heaped or parked in wheel slots.
-  [[nodiscard]] std::size_t pending_events() const {
-    return heap_.size() + parked_;
-  }
+  /// Number of events still queued (including lazily-cancelled ones).
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
 
   /// Time of the earliest event that can still fire, or nullopt when
   /// the queue holds nothing live — the quiescence probe. Unlike
   /// pending_events() this sees through lazy cancellation: dead heap
-  /// tops are reclaimed on the way (each heaped slot has exactly one
+  /// tops are reclaimed on the way (each queued slot has exactly one
   /// heap entry, so popping a dead top is exactly the cleanup run_until
-  /// would do), and due wheel slots cascade first so a parked event is
-  /// never misreported as later than it is.
+  /// would do).
   [[nodiscard]] std::optional<Time> next_event_time();
 
   /// Total events executed since construction (cancelled events excluded).
@@ -148,8 +121,7 @@ class Scheduler {
   /// occupancy, which is read live.
   [[nodiscard]] SchedulerStats stats() const {
     SchedulerStats s = *stats_;
-    s.pending = heap_.size() + parked_;
-    s.parked = parked_;
+    s.pending = heap_.size();
     s.slab_slots = slab_.size();
     s.free_slots = free_.size();
     return s;
@@ -184,24 +156,8 @@ class Scheduler {
 
   static constexpr std::uint32_t kNilSlot = ~std::uint32_t{0};
 
-  // Wheel geometry: 4 levels x 256 slots. A level-l slot spans
-  // 2^(28 + 8l) ns, so level 0 resolves ~268 ms and the level-3
-  // horizon is ~570 simulated years. Events within one level-0 slot
-  // go straight to the heap: a finer level would cascade chains of
-  // one, paying the slot-scan per event instead of per chain (the
-  // protocol's sub-268 ms timers are exactly what the heap is fast
-  // at — it is the standing 30 s refresh population that must stay
-  // out of it).
-  static constexpr unsigned kWheelLevels = 4;
-  static constexpr unsigned kWheelSlotBits = 8;
-  static constexpr std::uint32_t kWheelSlots = 1u << kWheelSlotBits;
-  static constexpr unsigned kWheelShift0 = 28;
-
   struct EventRecord {
-    Time when{};
-    std::uint64_t seq = 0;          // insertion order, fixed for life
     std::uint32_t generation = 0;
-    std::uint32_t next = kNilSlot;  // intrusive wheel-slot chain
     bool live = false;  // scheduled and not yet fired or cancelled
     Action action;
   };
@@ -223,6 +179,7 @@ class Scheduler {
     [[nodiscard]] std::uint32_t slot() const {
       return static_cast<std::uint32_t>(seq_slot & ((1U << kSlotBits) - 1));
     }
+    [[nodiscard]] std::uint64_t seq() const { return seq_slot >> kSlotBits; }
   };
 
   [[nodiscard]] bool handle_pending(std::uint32_t slot,
@@ -244,8 +201,7 @@ class Scheduler {
     ++rec.generation;      // invalidate outstanding handles
     rec.action.reset();    // release captured resources immediately
     ++stats_->cancelled;
-    // The slot itself is reclaimed when its heap entry surfaces or its
-    // wheel slot cascades.
+    // The slot itself is reclaimed when its heap entry surfaces.
   }
 
   std::uint32_t acquire_slot();
@@ -259,22 +215,8 @@ class Scheduler {
   void heap_push(HeapEntry entry);
   void heap_pop_top();
 
-  /// Route a scheduled record to a wheel slot or the heap. Levels at or
-  /// above `max_level` are not considered — cascading a level-l slot
-  /// re-enqueues with max_level = l, so records only ever move to finer
-  /// levels (or the heap) and cascades terminate.
-  void enqueue_record(std::uint32_t slot, unsigned max_level);
-  void park_record(std::uint32_t slot, unsigned level, unsigned shift);
-
-  /// Flush the wheel slot that realises next_wheel_time_.
-  void cascade_earliest();
-  void recompute_next_wheel_time();
-  [[nodiscard]] int first_occupied_offset(unsigned level,
-                                          std::uint32_t cur) const;
-
-  /// Reclaim dead heap tops and cascade every wheel slot that starts at
-  /// or before the earliest heaped event, so heap_[0] is the true front
-  /// of the queue. Returns false when nothing live remains.
+  /// Reclaim dead heap tops so heap_[0] is the true front of the
+  /// queue. Returns false when nothing live remains.
   bool refresh_front();
 
   /// Pop and run the front event (refresh_front() must have returned
@@ -284,13 +226,6 @@ class Scheduler {
   std::vector<EventRecord> slab_;
   std::vector<std::uint32_t> free_;  // recycled slab slots
   std::vector<HeapEntry> heap_;      // 4-ary min-heap keyed by (when, seq)
-
-  bool wheel_enabled_ = true;
-  std::uint64_t parked_ = 0;         // events currently in wheel slots
-  Time next_wheel_time_ = kNever;    // earliest occupied slot start
-  std::array<std::array<std::uint32_t, kWheelSlots>, kWheelLevels> wheel_{};
-  std::array<std::array<std::uint64_t, kWheelSlots / 64>, kWheelLevels>
-      wheel_bits_{};
 
   Time now_{0};
   std::uint64_t next_seq_ = 0;

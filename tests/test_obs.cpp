@@ -510,8 +510,8 @@ ViewCheck<net::LinkStats> link_check() {
   });
 }
 
-/// SchedulerStats' occupancy fields (pending, parked, slab_slots,
-/// free_slots) are read live and published nowhere.
+/// SchedulerStats' occupancy fields (pending, slab_slots, free_slots)
+/// are read live and published nowhere.
 ViewCheck<sim::SchedulerStats> scheduler_check() {
   return ViewCheck<sim::SchedulerStats>({
       {&sim::SchedulerStats::scheduled, "sim.sched.scheduled"},
@@ -946,7 +946,7 @@ TEST(ObsViews, BaselineRelaySchedulerAndFibStatsEqualRegistrySlots) {
   obs::Plane plane;
   {
     // scheduled 8, executed 5, cancelled 3, clamped 2, peak pending 7.
-    sim::Scheduler sched(true, obs::Scope{&plane, obs::Entity::router(1)});
+    sim::Scheduler sched(obs::Scope{&plane, obs::Entity::router(1)});
     sched.schedule_at(sim::milliseconds(10), [] {});
     sched.run();
     for (int i = 0; i < 2; ++i) sched.schedule_at(sim::milliseconds(1), [] {});

@@ -1,6 +1,9 @@
 // Unit tests for the discrete-event scheduler and deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -319,6 +322,136 @@ TEST(Scheduler, SelfCancelStaysInertUnderHeavySlotRecycling) {
   EXPECT_EQ(pending_seen, 0);
   EXPECT_EQ(s.stats().cancelled, 0u);
   EXPECT_EQ(s.stats().executed, static_cast<std::uint64_t>(2 * kRounds));
+}
+
+TEST(Scheduler, MixedLoadFiresInTimeThenSchedulingOrder) {
+  // Oracle check of the dispatch contract: every event that is not
+  // cancelled fires at its scheduled time, in (time, scheduling order).
+  // The test logs each schedule call and derives the expected order
+  // itself with a stable sort on time.
+  struct Armed {
+    Time at{};
+    std::uint64_t id = 0;
+    bool cancelled = false;
+  };
+  struct Fired {
+    Time at{};
+    std::uint64_t id = 0;
+    bool operator==(const Fired&) const = default;
+  };
+  Scheduler s;
+  std::vector<Armed> armed;  // in scheduling order
+  std::vector<Fired> fired;
+  auto arm = [&](Time when) {
+    const std::uint64_t id = armed.size();
+    armed.push_back({when, id});
+    return s.schedule_at(
+        when, [&fired, &s, id] { fired.push_back({s.now(), id}); });
+  };
+
+  // A spread of near, mid and far delays.
+  Rng rng(99);
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 2000; ++i) {
+    Duration d{};
+    switch (rng.below(4)) {
+      case 0: d = microseconds(rng.below(2000)); break;
+      case 1: d = milliseconds(rng.below(200)); break;
+      case 2: d = milliseconds(200 + rng.below(60000)); break;
+      default: d = seconds(60 + rng.below(10000)); break;
+    }
+    handles.push_back(arm(s.now() + d));
+  }
+
+  // Equal-time burst: FIFO tie-break among identical timestamps.
+  for (int i = 0; i < 50; ++i) arm(Time{milliseconds(500)});
+
+  // Cancel a deterministic subset.
+  for (std::size_t i = 0; i < handles.size(); i += 7) {
+    handles[i].cancel();
+    armed[i].cancelled = true;
+  }
+
+  // A self-rescheduling 37 s timer, re-armed from inside dispatch.
+  int hops = 40;
+  std::function<void(Time)> arm_hop = [&](Time when) {
+    const std::uint64_t id = armed.size();
+    armed.push_back({when, id});
+    s.schedule_at(when, [&fired, &s, &hops, &arm_hop, id] {
+      fired.push_back({s.now(), id});
+      if (--hops > 0) arm_hop(s.now() + seconds(37));
+    });
+  };
+  arm_hop(Time{milliseconds(1)});
+
+  // Run in deadline slices, then drain.
+  s.run_until(Time{seconds(1)});
+  s.run_until(Time{seconds(120)});
+  s.run();
+
+  std::vector<Armed> expected;
+  for (const Armed& a : armed) {
+    if (!a.cancelled) expected.push_back(a);
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Armed& a, const Armed& b) { return a.at < b.at; });
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    ASSERT_TRUE(fired[i] == (Fired{expected[i].at, expected[i].id}))
+        << "divergence at event " << i << ": fired id " << fired[i].id
+        << " at " << fired[i].at.count() << " ns, expected id "
+        << expected[i].id << " at " << expected[i].at.count() << " ns";
+  }
+}
+
+TEST(Scheduler, FarEventIsVisibleAcrossADeadline) {
+  Scheduler s;
+  std::uint64_t fired = 0;
+  s.schedule_after(milliseconds(1), [&fired] { ++fired; });
+  s.schedule_after(seconds(30), [&fired] { ++fired; });
+  EXPECT_EQ(s.pending_events(), 2u);
+  ASSERT_TRUE(s.next_event_time().has_value());
+  EXPECT_EQ(*s.next_event_time(), Time{milliseconds(1)});
+  s.run_until(Time{seconds(1)});
+  EXPECT_EQ(fired, 1u);
+  // The far timer is still queued, and the quiescence probe reports its
+  // true time.
+  EXPECT_EQ(s.pending_events(), 1u);
+  ASSERT_TRUE(s.next_event_time().has_value());
+  EXPECT_EQ(*s.next_event_time(), Time{seconds(30)});
+  s.run();
+  EXPECT_EQ(fired, 2u);
+}
+
+TEST(Scheduler, CancelledFarEventNeverFiresAndFreesItsSlot) {
+  Scheduler s;
+  std::uint64_t fired = 0;
+  EventHandle far = s.schedule_after(seconds(45), [&fired] { ++fired; });
+  EXPECT_TRUE(far.pending());
+  far.cancel();
+  EXPECT_FALSE(far.pending());
+  s.run();
+  EXPECT_EQ(fired, 0u);
+  EXPECT_EQ(s.executed_events(), 0u);
+  EXPECT_EQ(s.stats().cancelled, 1u);
+  EXPECT_EQ(s.stats().pending, 0u);
+  EXPECT_EQ(s.stats().free_slots, 1u);  // reclaimed when it surfaced
+}
+
+TEST(Scheduler, DeadlineBetweenTwoCloseEventsSplitsThem) {
+  // A run_until deadline that falls between two events 10 us apart
+  // fires the first and leaves the second to fire on time afterwards.
+  Scheduler s;
+  std::vector<Time> fired;
+  s.schedule_at(Time{seconds(10)}, [&] { fired.push_back(s.now()); });
+  s.schedule_at(Time{seconds(10) + microseconds(10)},
+                [&] { fired.push_back(s.now()); });
+  s.run_until(Time{seconds(10) + microseconds(5)});
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(s.now(), Time{seconds(10) + microseconds(5)});
+  s.run();
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[1], Time{seconds(10) + microseconds(10)});
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -72,33 +72,38 @@ TEST(SchedulerAllocation, SteadyStateDispatchIsAllocationFree) {
 TEST(SchedulerAllocation, SelfReschedulingTimerIsAllocationFree) {
   // The common protocol-timer pattern: a handler that re-arms itself.
   // The slot is recycled before the handler runs, so the timer reuses
-  // its own record forever.
-  Scheduler s;
-  std::uint64_t ticks = 0;
+  // its own record forever — for a short protocol timer and for a
+  // 30 s refresh-period timer alike.
+  for (const Duration period : {milliseconds(10), seconds(30)}) {
+    SCOPED_TRACE(period.count());
+    Scheduler s;
+    std::uint64_t ticks = 0;
 
-  struct TimerLoop {
-    Scheduler& s;
-    std::uint64_t& ticks;
-    std::uint64_t remaining;
-    Blob blob{};
-    void operator()() {
-      ++ticks;
-      if (--remaining > 0) {
-        s.schedule_after(milliseconds(10), TimerLoop{s, ticks, remaining});
+    struct TimerLoop {
+      Scheduler& s;
+      std::uint64_t& ticks;
+      Duration period;
+      std::uint64_t remaining;
+      Blob blob{};
+      void operator()() {
+        ++ticks;
+        if (--remaining > 0) {
+          s.schedule_after(period, TimerLoop{s, ticks, period, remaining});
+        }
       }
-    }
-  };
+    };
 
-  s.schedule_after(milliseconds(10), TimerLoop{s, ticks, 8});
-  s.run();  // warm-up ticks
+    s.schedule_after(period, TimerLoop{s, ticks, period, 8});
+    s.run();  // warm-up ticks
 
-  const std::uint64_t before = allocation_count();
-  s.schedule_after(milliseconds(10), TimerLoop{s, ticks, 1000});
-  s.run();
-  const std::uint64_t after = allocation_count();
+    const std::uint64_t before = allocation_count();
+    s.schedule_after(period, TimerLoop{s, ticks, period, 1000});
+    s.run();
+    const std::uint64_t after = allocation_count();
 
-  EXPECT_EQ(ticks, 8u + 1000u);
-  EXPECT_EQ(after - before, 0u) << "timer re-arm hit the heap";
+    EXPECT_EQ(ticks, 8u + 1000u);
+    EXPECT_EQ(after - before, 0u) << "timer re-arm hit the heap";
+  }
 }
 
 TEST(SchedulerAllocation, CancellationIsAllocationFree) {
