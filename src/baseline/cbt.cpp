@@ -3,11 +3,13 @@
 #include <limits>
 #include <memory>
 
+#include "net/replicate.hpp"
+
 namespace express::baseline {
 
 CbtRouter::CbtRouter(net::Network& network, net::NodeId id, CbtConfig config)
-    : net::Node(network, id), config_(config),
-      scope_(network.node_scope(id)), plane_(network, id) {
+    : GroupRouter(network, id, ip::Protocol::kCbt), config_(config),
+      scope_(network.node_scope(id)) {
   stats_ = scope_.bind<CbtStats>({
       {&CbtStats::joins_sent, "baseline.cbt.joins_sent"},
       {&CbtStats::prunes_sent, "baseline.cbt.prunes_sent"},
@@ -52,7 +54,7 @@ void CbtRouter::join_toward_core(ip::Address group) {
   if (!iface) return;
   tree.upstream_iface = *iface;
   tree.has_upstream = true;
-  tree.ifaces.insert(*iface);  // bidirectional: the upstream is a tree link
+  tree.ifaces.set(*iface);  // bidirectional: the upstream is a tree link
   Msg join;
   join.type = MsgType::kJoinStarG;
   join.group = group;
@@ -66,11 +68,8 @@ void CbtRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
   // lint: partial-switch (CBT-relevant subset; rest intentionally ignored)
   switch (msg.type) {
     case MsgType::kMembershipReport:
-      trees_[msg.group].ifaces.insert(in_iface);
-      join_toward_core(msg.group);
-      return;
     case MsgType::kJoinStarG:
-      trees_[msg.group].ifaces.insert(in_iface);
+      trees_[msg.group].ifaces.set(in_iface);
       join_toward_core(msg.group);
       return;
     case MsgType::kLeaveGroup:
@@ -78,11 +77,11 @@ void CbtRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
       auto it = trees_.find(msg.group);
       if (it == trees_.end()) return;
       Tree& tree = it->second;
-      tree.ifaces.erase(in_iface);
+      tree.ifaces.clear(in_iface);
       // If only the upstream link remains, the branch is dead: prune up.
       const bool only_upstream =
-          tree.has_upstream && tree.ifaces.size() == 1 &&
-          tree.ifaces.contains(tree.upstream_iface);
+          tree.has_upstream && tree.ifaces.count() == 1 &&
+          tree.ifaces.test(tree.upstream_iface);
       if (tree.ifaces.empty() || only_upstream) {
         if (tree.has_upstream) {
           const net::NodeId up =
@@ -111,19 +110,17 @@ void CbtRouter::inject(const net::Packet& packet, std::uint32_t except_iface) {
                 packet.wire_size());
     return;
   }
-  net::InterfaceSet set;
-  // lint: order-independent (bitmap build is commutative)
-  for (std::uint32_t iface : it->second.ifaces) set.set(iface);
   net::ReplicateOptions opts;
   opts.exclude_iface = except_iface;
   opts.skip_down_links = true;
-  stats_->data_copies_sent += plane_.replicate(packet, set, opts);
+  stats_->data_copies_sent +=
+      net::replicate(network(), id(), packet, it->second.ifaces, opts);
 }
 
 void CbtRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
   auto it = trees_.find(packet.dst);
   const bool arrival_on_tree =
-      it != trees_.end() && it->second.ifaces.contains(in_iface);
+      it != trees_.end() && it->second.ifaces.test(in_iface);
   if (arrival_on_tree) {
     // Bidirectional forwarding: everywhere except where it came from.
     inject(packet, in_iface);
@@ -131,10 +128,7 @@ void CbtRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
   }
   // Off-tree or non-member sender: the first-hop router tunnels the
   // packet to the core, which injects it into the tree.
-  const net::NodeId peer = network().topology().neighbor_via(id(), in_iface);
-  const bool from_attached_host =
-      network().topology().node(peer).kind == net::NodeKind::kHost;
-  if (!from_attached_host) {
+  if (!iface_is_host(in_iface)) {
     ++stats_->drops;
     scope_.emit(network().now(), obs::TraceType::kPacketDropped,
                 static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
@@ -152,15 +146,6 @@ void CbtRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
   outer.inner = std::make_shared<net::Packet>(packet);
   ++stats_->encapsulated_to_core;
   network().send_unicast(id(), std::move(outer));
-}
-
-void CbtRouter::send_control(net::NodeId neighbor, const Msg& msg) {
-  net::Packet packet;
-  packet.src = address();
-  packet.dst = network().topology().address(neighbor);
-  packet.protocol = ip::Protocol::kCbt;
-  packet.payload = encode(msg);
-  network().send_to_neighbor(id(), neighbor, std::move(packet));
 }
 
 }  // namespace express::baseline

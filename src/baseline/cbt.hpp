@@ -12,13 +12,12 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "baseline/group_router.hpp"
 #include "baseline/wire.hpp"
-#include "express/forwarding.hpp"
 #include "ip/address.hpp"
+#include "net/interface_set.hpp"
 #include "net/network.hpp"
-#include "net/node.hpp"
 #include "obs/obs.hpp"
 
 namespace express::baseline {
@@ -36,7 +35,7 @@ struct CbtStats {
   std::uint64_t drops = 0;
 };
 
-class CbtRouter : public net::Node {
+class CbtRouter : public GroupRouter {
  public:
   CbtRouter(net::Network& network, net::NodeId id, CbtConfig config);
 
@@ -56,7 +55,7 @@ class CbtRouter : public net::Node {
     /// All tree interfaces: member hosts, downstream routers, and the
     /// upstream toward the core. Bidirectional: data arriving on any of
     /// them fans out to all the others.
-    std::unordered_set<std::uint32_t> ifaces;
+    net::InterfaceSet ifaces;
     std::uint32_t upstream_iface = 0;
     bool has_upstream = false;
   };
@@ -65,14 +64,10 @@ class CbtRouter : public net::Node {
   void on_data(const net::Packet& packet, std::uint32_t in_iface);
   void inject(const net::Packet& packet, std::uint32_t except_iface);
   void join_toward_core(ip::Address group);
-  void send_control(net::NodeId neighbor, const Msg& msg);
 
   CbtConfig config_;
   obs::Scope scope_;
   CbtStats* stats_ = nullptr;  ///< registry-owned block
-  /// Shared data plane: CBT's bidirectional tree interfaces feed the
-  /// protocol-agnostic replication primitive.
-  express::ForwardingPlane plane_;
   std::unordered_map<ip::Address, Tree> trees_;
 };
 

@@ -1,11 +1,13 @@
 #include "baseline/dvmrp.hpp"
 
+#include "net/replicate.hpp"
+
 namespace express::baseline {
 
 DvmrpRouter::DvmrpRouter(net::Network& network, net::NodeId id,
                          DvmrpConfig config)
-    : net::Node(network, id), config_(config),
-      scope_(network.node_scope(id)), plane_(network, id) {
+    : GroupRouter(network, id, ip::Protocol::kIgmp), config_(config),
+      scope_(network.node_scope(id)) {
   stats_ = scope_.bind<DvmrpStats>({
       {&DvmrpStats::data_packets_forwarded,
        "baseline.dvmrp.data_packets_forwarded"},
@@ -17,11 +19,6 @@ DvmrpRouter::DvmrpRouter(net::Network& network, net::NodeId id,
       {&DvmrpStats::grafts_sent, "baseline.dvmrp.grafts_sent"},
       {&DvmrpStats::grafts_received, "baseline.dvmrp.grafts_received"},
   });
-}
-
-bool DvmrpRouter::iface_is_host(std::uint32_t iface) const {
-  const net::NodeId peer = network().topology().neighbor_via(id(), iface);
-  return network().topology().node(peer).kind == net::NodeKind::kHost;
 }
 
 void DvmrpRouter::handle_packet(const net::Packet& packet,
@@ -43,7 +40,7 @@ void DvmrpRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
   // lint: partial-switch (DVMRP-relevant subset; rest intentionally ignored)
   switch (msg.type) {
     case MsgType::kMembershipReport: {
-      members_[msg.group].insert(in_iface);
+      members_[msg.group].set(in_iface);
       // Graft back any branches we pruned for this group (§ DVMRP).
       for (auto& [channel, state] : sg_) {
         if (channel.dest != msg.group || !state.prune_sent_upstream) continue;
@@ -64,7 +61,7 @@ void DvmrpRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
     case MsgType::kLeaveGroup: {
       auto it = members_.find(msg.group);
       if (it != members_.end()) {
-        it->second.erase(in_iface);
+        it->second.clear(in_iface);
         if (it->second.empty()) members_.erase(it);
       }
       return;
@@ -120,7 +117,7 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
   std::erase_if(state.pruned_until,
                 [&](const auto& kv) { return kv.second <= now; });
 
-  std::vector<std::uint32_t> oifs;
+  oifs_.reset();
   const auto iface_count = network().topology().interface_count(id());
   for (std::uint32_t iface = 0; iface < iface_count; ++iface) {
     if (iface == in_iface) continue;
@@ -128,17 +125,17 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
     if (!network().topology().link(link).up) continue;
     if (iface_is_host(iface)) {
       auto member = members_.find(packet.dst);
-      if (member != members_.end() && member->second.contains(iface)) {
-        oifs.push_back(iface);
+      if (member != members_.end() && member->second.test(iface)) {
+        oifs_.set(iface);
       }
       continue;
     }
     if (state.pruned_until.contains(iface)) continue;
-    oifs.push_back(iface);
+    oifs_.set(iface);
     ++stats_->flood_copies;
   }
 
-  if (oifs.empty()) {
+  if (oifs_.empty()) {
     // Leaf with no interest: prune toward the source (once per lifetime).
     if (!state.prune_sent_upstream || state.prune_expiry <= now) {
       auto up = network().routing().rpf_neighbor(id(), *src_node);
@@ -161,20 +158,8 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
   }
 
   ++stats_->data_packets_forwarded;
-  net::InterfaceSet set;
-  for (std::uint32_t iface : oifs) set.set(iface);
-  // Link state was already checked while building `oifs`.
-  net::ReplicateOptions opts;
-  stats_->data_copies_sent += plane_.replicate(packet, set, opts);
-}
-
-void DvmrpRouter::send_control(net::NodeId neighbor, const Msg& msg) {
-  net::Packet packet;
-  packet.src = address();
-  packet.dst = network().topology().address(neighbor);
-  packet.protocol = ip::Protocol::kIgmp;
-  packet.payload = encode(msg);
-  network().send_to_neighbor(id(), neighbor, std::move(packet));
+  // Link state was already checked while building `oifs_`.
+  stats_->data_copies_sent += net::replicate(network(), id(), packet, oifs_);
 }
 
 }  // namespace express::baseline

@@ -12,14 +12,12 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
+#include "baseline/group_router.hpp"
 #include "baseline/wire.hpp"
-#include "express/forwarding.hpp"
 #include "ip/channel.hpp"
+#include "net/interface_set.hpp"
 #include "net/network.hpp"
-#include "net/node.hpp"
 #include "obs/obs.hpp"
 #include "sim/time.hpp"
 
@@ -42,7 +40,7 @@ struct DvmrpStats {
   std::uint64_t grafts_received = 0;
 };
 
-class DvmrpRouter : public net::Node {
+class DvmrpRouter : public GroupRouter {
  public:
   DvmrpRouter(net::Network& network, net::NodeId id, DvmrpConfig config = {});
 
@@ -67,17 +65,15 @@ class DvmrpRouter : public net::Node {
 
   void on_control(const Msg& msg, std::uint32_t in_iface);
   void forward_data(const net::Packet& packet, std::uint32_t in_iface);
-  void send_control(net::NodeId neighbor, const Msg& msg);
-  [[nodiscard]] bool iface_is_host(std::uint32_t iface) const;
 
   DvmrpConfig config_;
   obs::Scope scope_;
   DvmrpStats* stats_ = nullptr;  ///< registry-owned block
-  /// Shared data plane: DVMRP resolves flood-minus-prunes into an
-  /// outgoing set, then replicates through the protocol-agnostic plane.
-  express::ForwardingPlane plane_;
-  std::unordered_map<ip::Address, std::unordered_set<std::uint32_t>> members_;
+  std::unordered_map<ip::Address, net::InterfaceSet> members_;
   std::map<ip::ChannelId, SgState> sg_;  ///< keyed (S, G); grafts go in order
+  /// Flood-minus-prunes set of the packet being forwarded, reused
+  /// across packets.
+  net::InterfaceSet oifs_;
 };
 
 }  // namespace express::baseline

@@ -31,15 +31,7 @@ void GroupHost::join_group(ip::Address group, ip::Protocol control) {
   groups_.insert(group);
   scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
               std::uint64_t{group.value()}, 1);
-  Msg msg;
-  msg.type = MsgType::kMembershipReport;
-  msg.group = group;
-  net::Packet packet;
-  packet.src = address();
-  packet.dst = group;
-  packet.protocol = control;
-  packet.payload = encode(msg);
-  network().send_on_interface(id(), 0, std::move(packet));
+  send_membership(MsgType::kMembershipReport, group, control);
 }
 
 void GroupHost::leave_group(ip::Address group, ip::Protocol control) {
@@ -47,8 +39,13 @@ void GroupHost::leave_group(ip::Address group, ip::Protocol control) {
   scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
               std::uint64_t{group.value()}, 0);
   filters_.erase(group);
+  send_membership(MsgType::kLeaveGroup, group, control);
+}
+
+void GroupHost::send_membership(MsgType type, ip::Address group,
+                                ip::Protocol control) {
   Msg msg;
-  msg.type = MsgType::kLeaveGroup;
+  msg.type = type;
   msg.group = group;
   net::Packet packet;
   packet.src = address();

@@ -70,6 +70,9 @@ class GroupHost : public net::Node {
   }
 
  private:
+  /// Send a membership report or leave for `group` to the first hop.
+  void send_membership(MsgType type, ip::Address group, ip::Protocol control);
+
   std::unordered_set<ip::Address> groups_;
   std::unordered_map<ip::Address, std::unordered_set<ip::Address>> filters_;
   DataHandler data_handler_;

@@ -1,11 +1,11 @@
 #include "baseline/igmp.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace express::baseline {
 
-IgmpRoundResult igmp_query_round(std::uint32_t members, bool suppression,
-                                 sim::Rng& rng) {
+IgmpRoundResult igmp_query_round(std::uint32_t members, bool suppression) {
   IgmpRoundResult result;
   if (members == 0) {
     result.count_is_exact = true;
@@ -17,14 +17,9 @@ IgmpRoundResult igmp_query_round(std::uint32_t members, bool suppression,
     result.count_is_exact = true;
     return result;
   }
-  // v2: every member draws a delay; the earliest wins, the rest hear it
-  // and suppress. (On a real LAN a few extra reports race through; the
-  // single-winner model is the intended steady state.)
-  double best = 2.0;
-  for (std::uint32_t m = 0; m < members; ++m) {
-    best = std::min(best, rng.uniform());
-  }
-  (void)best;
+  // v2: the earliest delay wins, the rest hear it and suppress. (On a
+  // real LAN a few extra reports race through; the single-winner model
+  // is the intended steady state.)
   result.reports_sent = 1;
   result.reports_suppressed = members - 1;
   result.observed_count = 1;  // querier learns only "at least one"
@@ -35,14 +30,14 @@ IgmpRoundResult igmp_query_round(std::uint32_t members, bool suppression,
 SourceFilter SourceFilter::include(std::vector<ip::Address> sources) {
   SourceFilter f;
   f.mode_ = Mode::kInclude;
-  for (ip::Address s : sources) f.sources_.insert(s);
+  f.sources_.insert(sources.begin(), sources.end());
   return f;
 }
 
 SourceFilter SourceFilter::exclude(std::vector<ip::Address> sources) {
   SourceFilter f;
   f.mode_ = Mode::kExclude;
-  for (ip::Address s : sources) f.sources_.insert(s);
+  f.sources_.insert(sources.begin(), sources.end());
   return f;
 }
 
@@ -54,28 +49,21 @@ bool SourceFilter::accepts(ip::Address source) const {
 void SourceFilter::merge(const SourceFilter& other) {
   // RFC 3376: the interface must accept anything either record accepts.
   if (mode_ == Mode::kInclude && other.mode_ == Mode::kInclude) {
-    // lint: order-independent (set union is commutative)
-    for (ip::Address s : other.sources_) sources_.insert(s);
+    sources_.insert(other.sources_.begin(), other.sources_.end());
     return;
   }
   if (mode_ == Mode::kExclude && other.mode_ == Mode::kExclude) {
     // EXCLUDE(A) union EXCLUDE(B) accepts ~A or ~B = ~(A intersect B).
-    std::unordered_set<ip::Address> intersection;
-    // lint: order-independent (set intersection is commutative)
-    for (ip::Address s : sources_) {
-      if (other.sources_.contains(s)) intersection.insert(s);
-    }
-    sources_ = std::move(intersection);
+    std::erase_if(sources_,
+                  [&](ip::Address s) { return !other.sources_.contains(s); });
     return;
   }
   // Mixed: EXCLUDE(X) union INCLUDE(Y) = EXCLUDE(X - Y).
   const SourceFilter& excl = (mode_ == Mode::kExclude) ? *this : other;
   const SourceFilter& incl = (mode_ == Mode::kExclude) ? other : *this;
-  std::unordered_set<ip::Address> remaining;
-  // lint: order-independent (set difference is commutative)
-  for (ip::Address s : excl.sources_) {
-    if (!incl.sources_.contains(s)) remaining.insert(s);
-  }
+  std::set<ip::Address> remaining;
+  std::ranges::set_difference(excl.sources_, incl.sources_,
+                              std::inserter(remaining, remaining.end()));
   mode_ = Mode::kExclude;
   sources_ = std::move(remaining);
 }

@@ -13,11 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
 #include "ip/address.hpp"
-#include "sim/random.hpp"
 
 namespace express::baseline {
 
@@ -31,12 +30,11 @@ struct IgmpRoundResult {
 };
 
 /// Simulate one general-query round on a shared LAN with `members`
-/// members. With suppression (IGMPv2) each member draws a response
-/// delay uniform in [0, max_response); the earliest report suppresses
-/// all later ones. Without suppression (IGMPv3 / ECMP UDP mode) every
-/// member reports.
-IgmpRoundResult igmp_query_round(std::uint32_t members, bool suppression,
-                                 sim::Rng& rng);
+/// members. With suppression (IGMPv2) the member whose random response
+/// delay expires first reports and every later one hears it and stays
+/// silent; who wins does not change what the querier learns. Without
+/// suppression (IGMPv3 / ECMP UDP mode) every member reports.
+IgmpRoundResult igmp_query_round(std::uint32_t members, bool suppression);
 
 /// IGMPv3 per-(interface, group) source filter state.
 class SourceFilter {
@@ -50,9 +48,6 @@ class SourceFilter {
   static SourceFilter exclude(std::vector<ip::Address> sources);
 
   [[nodiscard]] Mode mode() const { return mode_; }
-  [[nodiscard]] const std::unordered_set<ip::Address>& sources() const {
-    return sources_;
-  }
 
   /// Would traffic from `source` be delivered under this filter?
   [[nodiscard]] bool accepts(ip::Address source) const;
@@ -69,7 +64,7 @@ class SourceFilter {
 
  private:
   Mode mode_ = Mode::kInclude;
-  std::unordered_set<ip::Address> sources_;
+  std::set<ip::Address> sources_;
 };
 
 }  // namespace express::baseline

@@ -3,12 +3,14 @@
 #include <limits>
 #include <memory>
 
+#include "net/replicate.hpp"
+
 namespace express::baseline {
 
 PimSmRouter::PimSmRouter(net::Network& network, net::NodeId id,
                          PimConfig config)
-    : net::Node(network, id), config_(config),
-      scope_(network.node_scope(id)), plane_(network, id) {
+    : GroupRouter(network, id, ip::Protocol::kPim), config_(config),
+      scope_(network.node_scope(id)) {
   stats_ = scope_.bind<PimStats>({
       {&PimStats::joins_star_g, "baseline.pim.joins_star_g"},
       {&PimStats::joins_sg, "baseline.pim.joins_sg"},
@@ -33,11 +35,6 @@ std::optional<std::uint32_t> PimSmRouter::rpf_iface_toward(
   auto node = network().node_of(addr);
   if (!node) return std::nullopt;
   return network().routing().rpf_interface(id(), *node);
-}
-
-bool PimSmRouter::iface_is_host(std::uint32_t iface) const {
-  const net::NodeId peer = network().topology().neighbor_via(id(), iface);
-  return network().topology().node(peer).kind == net::NodeKind::kHost;
 }
 
 void PimSmRouter::handle_packet(const net::Packet& packet,
@@ -95,63 +92,32 @@ void PimSmRouter::join_source_tree(const ip::ChannelId& sg) {
 void PimSmRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
   switch (msg.type) {
     case MsgType::kMembershipReport:
-      members_[msg.group].insert(in_iface);
-      star_g_[msg.group].oifs.insert(in_iface);
+      members_[msg.group].set(in_iface);
+      star_g_[msg.group].oifs.set(in_iface);
       join_shared_tree(msg.group);
       return;
-    case MsgType::kLeaveGroup: {
-      auto member = members_.find(msg.group);
-      if (member != members_.end()) {
-        member->second.erase(in_iface);
+    case MsgType::kLeaveGroup:
+      if (auto member = members_.find(msg.group); member != members_.end()) {
+        member->second.clear(in_iface);
         if (member->second.empty()) members_.erase(member);
       }
-      auto it = star_g_.find(msg.group);
-      if (it == star_g_.end()) return;
-      it->second.oifs.erase(in_iface);
-      if (it->second.oifs.empty()) {
-        if (it->second.joined_upstream && !is_rp()) {
-          if (auto up = toward(config_.rp)) {
-            Msg prune;
-            prune.type = MsgType::kPruneStarG;
-            prune.group = msg.group;
-            send_control(*up, prune);
-            ++stats_->prunes;
-          }
-        }
-        star_g_.erase(it);
-      }
+      drop_shared_branch(msg.group, in_iface, /*erase_at_rp=*/true);
       return;
-    }
     case MsgType::kJoinStarG:
-      star_g_[msg.group].oifs.insert(in_iface);
+      star_g_[msg.group].oifs.set(in_iface);
       join_shared_tree(msg.group);
       return;
-    case MsgType::kPruneStarG: {
-      auto it = star_g_.find(msg.group);
-      if (it == star_g_.end()) return;
-      it->second.oifs.erase(in_iface);
-      if (it->second.oifs.empty() && !is_rp()) {
-        if (it->second.joined_upstream) {
-          if (auto up = toward(config_.rp)) {
-            Msg prune;
-            prune.type = MsgType::kPruneStarG;
-            prune.group = msg.group;
-            send_control(*up, prune);
-            ++stats_->prunes;
-          }
-        }
-        star_g_.erase(it);
-      }
+    case MsgType::kPruneStarG:
+      drop_shared_branch(msg.group, in_iface, /*erase_at_rp=*/false);
       return;
-    }
     case MsgType::kJoinSG:
-      sg_[ip::ChannelId{msg.source, msg.group}].oifs.insert(in_iface);
+      sg_[ip::ChannelId{msg.source, msg.group}].oifs.set(in_iface);
       join_source_tree(ip::ChannelId{msg.source, msg.group});
       return;
     case MsgType::kPruneSG:
       // RPT-prune: stop sending this source's packets down that branch
       // of the shared tree (the receiver switched to the SPT).
-      rpt_pruned_[ip::ChannelId{msg.source, msg.group}].insert(in_iface);
+      rpt_pruned_[ip::ChannelId{msg.source, msg.group}].set(in_iface);
       return;
     case MsgType::kRegisterStop:
       register_stopped_.insert(ip::ChannelId{msg.source, msg.group});
@@ -163,16 +129,33 @@ void PimSmRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
   }
 }
 
+void PimSmRouter::drop_shared_branch(ip::Address group, std::uint32_t iface,
+                                     bool erase_at_rp) {
+  auto it = star_g_.find(group);
+  if (it == star_g_.end()) return;
+  it->second.oifs.clear(iface);
+  if (!it->second.oifs.empty() || (is_rp() && !erase_at_rp)) return;
+  // Only a non-RP router ever joins upstream (join_shared_tree).
+  if (it->second.joined_upstream) {
+    if (auto up = toward(config_.rp)) {
+      Msg prune;
+      prune.type = MsgType::kPruneStarG;
+      prune.group = group;
+      send_control(*up, prune);
+      ++stats_->prunes;
+    }
+  }
+  star_g_.erase(it);
+}
+
 void PimSmRouter::deliver(const net::Packet& packet,
-                          const std::unordered_set<std::uint32_t>& oifs,
+                          const net::InterfaceSet& oifs,
                           std::uint32_t in_iface) {
-  net::InterfaceSet set;
-  // lint: order-independent (bitmap build is commutative)
-  for (std::uint32_t iface : oifs) set.set(iface);
   net::ReplicateOptions opts;
   opts.exclude_iface = in_iface;
   opts.skip_down_links = true;
-  stats_->data_copies_sent += plane_.replicate(packet, set, opts);
+  stats_->data_copies_sent +=
+      net::replicate(network(), id(), packet, oifs, opts);
 }
 
 void PimSmRouter::maybe_spt_switchover(const net::Packet& packet) {
@@ -183,9 +166,7 @@ void PimSmRouter::maybe_spt_switchover(const net::Packet& packet) {
   if (member == members_.end() || member->second.empty()) return;
   switched_.insert(sg);
   // Join the source tree with our member interfaces as the initial oifs.
-  Sg& state = sg_[sg];
-  // lint: order-independent (set union is commutative)
-  for (std::uint32_t iface : member->second) state.oifs.insert(iface);
+  sg_[sg].oifs |= member->second;
   join_source_tree(sg);
   // RPT-prune this source off the shared tree.
   if (auto up = toward(config_.rp)) {
@@ -200,25 +181,19 @@ void PimSmRouter::maybe_spt_switchover(const net::Packet& packet) {
   }
 }
 
-std::unordered_set<std::uint32_t> PimSmRouter::inherited_oifs(
-    const ip::ChannelId& sg) const {
-  // PIM-SM oif inheritance: an (S,G) entry forwards to its own oifs
-  // plus the (*,G) oifs, minus branches RPT-pruned for this source.
+const net::InterfaceSet& PimSmRouter::inherited_oifs(const ip::ChannelId& sg,
+                                                     const Sg* source_tree) {
   // RPT-prunes remove only the shared-tree contribution: an interface
   // that explicitly (S,G)-joined keeps receiving.
-  std::unordered_set<std::uint32_t> oifs;
+  oifs_.reset();
   if (auto star = star_g_.find(sg.dest); star != star_g_.end()) {
-    oifs = star->second.oifs;
+    oifs_ |= star->second.oifs;
   }
   if (auto pruned = rpt_pruned_.find(sg); pruned != rpt_pruned_.end()) {
-    // lint: order-independent (set difference is commutative)
-    for (std::uint32_t iface : pruned->second) oifs.erase(iface);
+    oifs_ -= pruned->second;
   }
-  if (auto it = sg_.find(sg); it != sg_.end()) {
-    // lint: order-independent (set union is commutative)
-    for (std::uint32_t iface : it->second.oifs) oifs.insert(iface);
-  }
-  return oifs;
+  if (source_tree != nullptr) oifs_ |= source_tree->oifs;
+  return oifs_;
 }
 
 void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
@@ -235,7 +210,7 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
     // from the RP fail the more-specific iif check and are dropped.
     Sg& state = sg_[sg];
     state.joined_upstream = true;  // the source is adjacent
-    deliver(packet, inherited_oifs(sg), in_iface);
+    deliver(packet, inherited_oifs(sg, &state), in_iface);
     if (!is_rp() && !register_stopped_.contains(sg)) {
       // Register triangle: encapsulate to the RP.
       net::Packet outer;
@@ -260,7 +235,7 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
                   packet.wire_size());
       return;
     }
-    deliver(packet, inherited_oifs(sg), in_iface);
+    deliver(packet, inherited_oifs(sg, &it->second), in_iface);
     it->second.native_seen = true;
     if (is_rp() && it->second.registering_router != ip::Address{}) {
       // Native (S,G) reached the RP: tell the first hop to stop
@@ -281,15 +256,11 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
     return;
   }
 
-  // Shared tree: iif must face the RP.
-  if (auto it = star_g_.find(packet.dst); it != star_g_.end()) {
+  // Shared tree (no (S,G) entry): iif must face the RP.
+  if (star_g_.contains(packet.dst)) {
     auto rpf = rpf_iface_toward(config_.rp);
     if ((rpf && *rpf == in_iface) || is_rp()) {
-      auto oifs = it->second.oifs;
-      if (auto pruned = rpt_pruned_.find(sg); pruned != rpt_pruned_.end()) {
-        for (std::uint32_t iface : pruned->second) oifs.erase(iface);
-      }
-      deliver(packet, oifs, in_iface);
+      deliver(packet, inherited_oifs(sg, nullptr), in_iface);
       maybe_spt_switchover(packet);
       return;
     }
@@ -314,29 +285,18 @@ void PimSmRouter::on_register(const net::Packet& packet) {
     return;
   }
 
-  // Forward the decapsulated packet down the shared tree.
-  if (auto it = star_g_.find(inner.dst); it != star_g_.end()) {
-    auto oifs = it->second.oifs;
-    if (auto pruned = rpt_pruned_.find(sg); pruned != rpt_pruned_.end()) {
-      for (std::uint32_t iface : pruned->second) oifs.erase(iface);
-    }
+  // Forward the decapsulated packet down the shared tree only: the
+  // (S,G) branches being built get native data, not register copies.
+  if (star_g_.contains(inner.dst)) {
     // No meaningful in_iface for a decapsulated packet.
-    deliver(inner, oifs, std::numeric_limits<std::uint32_t>::max());
+    deliver(inner, inherited_oifs(sg, nullptr),
+            std::numeric_limits<std::uint32_t>::max());
   }
 
   // Build the native path: join toward the source, remember who to stop.
   Sg& state = sg_[sg];
   state.registering_router = packet.src;
   join_source_tree(sg);
-}
-
-void PimSmRouter::send_control(net::NodeId neighbor, const Msg& msg) {
-  net::Packet packet;
-  packet.src = address();
-  packet.dst = network().topology().address(neighbor);
-  packet.protocol = ip::Protocol::kPim;
-  packet.payload = encode(msg);
-  network().send_to_neighbor(id(), neighbor, std::move(packet));
 }
 
 }  // namespace express::baseline

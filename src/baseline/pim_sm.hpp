@@ -14,15 +14,15 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
+#include "baseline/group_router.hpp"
 #include "baseline/wire.hpp"
-#include "express/forwarding.hpp"
 #include "ip/channel.hpp"
+#include "net/interface_set.hpp"
 #include "net/network.hpp"
-#include "net/node.hpp"
 #include "obs/obs.hpp"
 
 namespace express::baseline {
@@ -45,7 +45,7 @@ struct PimStats {
   std::uint64_t drops = 0;
 };
 
-class PimSmRouter : public net::Node {
+class PimSmRouter : public GroupRouter {
  public:
   PimSmRouter(net::Network& network, net::NodeId id, PimConfig config);
 
@@ -68,11 +68,11 @@ class PimSmRouter : public net::Node {
 
  private:
   struct StarG {
-    std::unordered_set<std::uint32_t> oifs;  ///< router + member-host ifaces
+    net::InterfaceSet oifs;  ///< router + member-host ifaces
     bool joined_upstream = false;
   };
   struct Sg {
-    std::unordered_set<std::uint32_t> oifs;
+    net::InterfaceSet oifs;
     bool joined_upstream = false;
     /// SPT bit: native (S,G) data has arrived, so register copies are
     /// redundant and suppressed at the RP.
@@ -83,33 +83,36 @@ class PimSmRouter : public net::Node {
 
   void on_control(const Msg& msg, std::uint32_t in_iface);
   void on_data(const net::Packet& packet, std::uint32_t in_iface);
-  [[nodiscard]] std::unordered_set<std::uint32_t> inherited_oifs(
-      const ip::ChannelId& sg) const;
+  /// PIM-SM oif inheritance for `sg` into `oifs_`: the (*,G) oifs
+  /// minus the branches RPT-pruned for this source, plus `source_tree`'s
+  /// own oifs when given.
+  const net::InterfaceSet& inherited_oifs(const ip::ChannelId& sg,
+                                          const Sg* source_tree);
   void on_register(const net::Packet& packet);
-  void deliver(const net::Packet& packet,
-               const std::unordered_set<std::uint32_t>& oifs,
+  void deliver(const net::Packet& packet, const net::InterfaceSet& oifs,
                std::uint32_t in_iface);
   void join_shared_tree(ip::Address group);
   void join_source_tree(const ip::ChannelId& sg);
-  void send_control(net::NodeId neighbor, const Msg& msg);
+  /// Drop `iface` from (*,G); once the entry is empty, prune it toward
+  /// the RP and erase it. The RP keeps an empty entry unless
+  /// `erase_at_rp` (a host leave) says otherwise.
+  void drop_shared_branch(ip::Address group, std::uint32_t iface,
+                          bool erase_at_rp);
   void maybe_spt_switchover(const net::Packet& packet);
   [[nodiscard]] std::optional<net::NodeId> toward(ip::Address addr) const;
   [[nodiscard]] std::optional<std::uint32_t> rpf_iface_toward(
       ip::Address addr) const;
-  [[nodiscard]] bool iface_is_host(std::uint32_t iface) const;
 
   PimConfig config_;
   obs::Scope scope_;
   PimStats* stats_ = nullptr;  ///< registry-owned block
-  /// Shared data plane: PIM computes its outgoing set per packet (oif
-  /// inheritance) and hands replication to the protocol-agnostic plane.
-  ForwardingPlane plane_;
-  std::unordered_map<ip::Address, std::unordered_set<std::uint32_t>> members_;
+  std::unordered_map<ip::Address, net::InterfaceSet> members_;
   std::unordered_map<ip::Address, StarG> star_g_;
   std::map<ip::ChannelId, Sg> sg_;
   /// (S,G) RPT-prunes received per shared-tree interface.
-  std::unordered_map<ip::ChannelId, std::unordered_set<std::uint32_t>>
-      rpt_pruned_;
+  std::unordered_map<ip::ChannelId, net::InterfaceSet> rpt_pruned_;
+  /// Outgoing set of the packet being forwarded, reused across packets.
+  net::InterfaceSet oifs_;
   /// First-hop state: sources told to stop registering (native path up).
   std::unordered_set<ip::ChannelId> register_stopped_;
   /// Last-hop state: sources already switched to the SPT.

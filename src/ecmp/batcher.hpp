@@ -45,7 +45,6 @@ class Batcher {
       flush_now(neighbor);
     }
     encode(msg, q.bytes);
-    ++q.messages;
     if (q.bytes.size() >= kMaxSegmentBytes) {
       flush_now(neighbor);
       return;
@@ -63,7 +62,6 @@ class Batcher {
     it->second.timer.cancel();
     std::vector<std::uint8_t> payload = std::move(it->second.bytes);
     it->second.bytes = {};
-    it->second.messages = 0;
     ++segments_sent_;
     flush_(neighbor, std::move(payload));
   }
@@ -81,7 +79,6 @@ class Batcher {
  private:
   struct Queue {
     std::vector<std::uint8_t> bytes;
-    std::size_t messages = 0;
     sim::EventHandle timer;
   };
 

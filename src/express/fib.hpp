@@ -164,8 +164,7 @@ class FlatFib {
   FibStats* stats_;  ///< registry-owned block
 };
 
-/// The FIB used throughout the stack (forwarding plane, baselines,
-/// audit). Kept as an alias so call sites read `Fib` while detlint and
+/// The FIB of the EXPRESS forwarding plane, read by the audit. Kept as an alias so call sites read `Fib` while detlint and
 /// the property tests can name the concrete container.
 using Fib = FlatFib;
 

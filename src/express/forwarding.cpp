@@ -36,12 +36,4 @@ bool ForwardingPlane::relay_subcast(const net::Packet& packet) {
   return true;
 }
 
-std::size_t ForwardingPlane::replicate(const net::Packet& packet,
-                                       const net::InterfaceSet& oifs,
-                                       const net::ReplicateOptions& opts) {
-  const std::size_t copies = net::replicate(*network_, node_, packet, oifs, opts);
-  stats_->data_copies_sent += copies;
-  return copies;
-}
-
 }  // namespace express

@@ -1,7 +1,7 @@
-// The protocol-agnostic data plane (paper §3.4).
+// The EXPRESS data plane (paper §3.4).
 //
 // ForwardingPlane owns one node's FIB and its replication counters and
-// implements the three data-path operations every experiment exercises:
+// implements the two EXPRESS data-path operations:
 //
 //   * forward()       — the EXPRESS fast path: exact-match (S, E)
 //                       lookup, RPF check (inside Fib::lookup), then
@@ -11,12 +11,10 @@
 //                       injected into the channel tree at this router.
 //                       No TTL decrement and no arrival exclusion — the
 //                       decapsulated packet starts fresh here.
-//   * replicate()     — raw interface-set replication for protocols
-//                       that compute their outgoing set per packet
-//                       (PIM-SM's oif inheritance, CBT's bidirectional
-//                       tree, DVMRP's flood-minus-prunes). This is what
-//                       lets the baselines delete their private copies
-//                       of the replication loop.
+//
+// Both end in net::replicate, the copy loop the PIM-SM, CBT and DVMRP
+// baselines call directly with the outgoing sets they compute per
+// packet; they hold no FIB and so no plane.
 //
 // Module seam: the plane knows packets, the FIB, and interfaces. It
 // knows nothing of ECMP messages, subscriptions, keys, counting, or
@@ -65,13 +63,6 @@ class ForwardingPlane {
   /// from the channel source) into the tree at this node. The inner
   /// packet is replicated to the full outgoing set as-is.
   bool relay_subcast(const net::Packet& packet);
-
-  /// Protocol-agnostic replication for callers that computed their own
-  /// outgoing set. Counts copies in this plane's stats and returns the
-  /// number sent.
-  std::size_t replicate(const net::Packet& packet,
-                        const net::InterfaceSet& oifs,
-                        const net::ReplicateOptions& opts);
 
   [[nodiscard]] Fib& fib() { return fib_; }
   [[nodiscard]] const Fib& fib() const { return fib_; }

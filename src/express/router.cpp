@@ -231,7 +231,7 @@ void ExpressRouter::update_upstream(
       state.upstream != net::kInvalidNode &&
       network().topology().node(state.upstream).kind == net::NodeKind::kRouter;
   const UpstreamPlan plan = table_.plan_upstream_update(
-      channel, state, key_to_forward, upstream_is_router);
+      state, key_to_forward, upstream_is_router);
   switch (plan.send) {
     case UpstreamSend::kJoin:
       if (network().topology().reach(id(), state.upstream).up) {

@@ -113,9 +113,8 @@ DownstreamEntry& SubscriptionTable::apply_join(Channel& state,
 }
 
 UpstreamPlan SubscriptionTable::plan_upstream_update(
-    const ip::ChannelId& channel, Channel& state,
-    std::optional<ip::ChannelKey> key_to_forward, bool upstream_is_router) {
-  (void)channel;
+    Channel& state, std::optional<ip::ChannelKey> key_to_forward,
+    bool upstream_is_router) {
   UpstreamPlan plan;
   plan.total = state.subtree_count();
 

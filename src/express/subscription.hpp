@@ -192,8 +192,7 @@ class SubscriptionTable {
 
   /// Decide what (if anything) to send upstream after a membership
   /// change, mutating advertised/pending-key state accordingly.
-  UpstreamPlan plan_upstream_update(const ip::ChannelId& channel,
-                                    Channel& state,
+  UpstreamPlan plan_upstream_update(Channel& state,
                                     std::optional<ip::ChannelKey> key_to_forward,
                                     bool upstream_is_router);
 

@@ -10,6 +10,7 @@
 // format asserts the 32-interface budget.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,20 @@ class InterfaceSet {
   void clear(std::uint32_t iface) {
     const std::size_t word = iface / 64;
     if (word < bits_.size()) bits_[word] &= ~(std::uint64_t{1} << (iface % 64));
+  }
+
+  /// Add every interface of `other`.
+  InterfaceSet& operator|=(const InterfaceSet& other) {
+    if (other.bits_.size() > bits_.size()) bits_.resize(other.bits_.size(), 0);
+    for (std::size_t i = 0; i < other.bits_.size(); ++i) bits_[i] |= other.bits_[i];
+    return *this;
+  }
+
+  /// Remove every interface of `other`.
+  InterfaceSet& operator-=(const InterfaceSet& other) {
+    const std::size_t n = std::min(bits_.size(), other.bits_.size());
+    for (std::size_t i = 0; i < n; ++i) bits_[i] &= ~other.bits_[i];
+    return *this;
   }
 
   [[nodiscard]] bool test(std::uint32_t iface) const {

@@ -3,12 +3,14 @@
 // paper argues EXPRESS improves on.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
+#include <utility>
 
 #include "baseline/cbt.hpp"
 #include "baseline/dvmrp.hpp"
 #include "baseline/group_host.hpp"
 #include "baseline/pim_sm.hpp"
+#include "group_net.hpp"
 #include "net/network.hpp"
 #include "testbed/delivery_log.hpp"
 #include "workload/topo_gen.hpp"
@@ -25,33 +27,10 @@ using baseline::PimSmRouter;
 
 const ip::Address kGroup(225, 1, 2, 3);
 
-/// Wire a generated topology with baseline routers of type R.
-template <typename R, typename... Args>
-struct BaselineNet {
-  explicit BaselineNet(workload::GeneratedTopology generated, Args... args)
-      : roles(std::move(generated)),
-        network(std::make_unique<net::Network>(std::move(roles.topology))) {
-    for (net::NodeId r : roles.routers) {
-      routers.push_back(&network->attach<R>(r, args...));
-    }
-    source = &network->attach<GroupHost>(roles.source_host);
-    for (net::NodeId h : roles.receiver_hosts) {
-      receivers.push_back(&network->attach<GroupHost>(h));
-    }
-  }
-  void run_for(sim::Duration d) { network->run_until(network->now() + d); }
-
-  workload::GeneratedTopology roles;
-  std::unique_ptr<net::Network> network;
-  std::vector<R*> routers;
-  GroupHost* source = nullptr;
-  std::vector<GroupHost*> receivers;
-};
-
 // ---------------------------------------------------------------- DVMRP
 
 TEST(Dvmrp, FloodsThenDelivers) {
-  BaselineNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
+  GroupNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
   sim.receivers[0]->join_group(kGroup);
   sim.receivers[3]->join_group(kGroup);
   sim.run_for(sim::seconds(1));
@@ -66,7 +45,7 @@ TEST(Dvmrp, FloodsThenDelivers) {
 TEST(Dvmrp, EveryRouterHoldsStateAfterFlood) {
   // The scalability problem: even routers with zero subscribers hold
   // (S,G) state once the flood reaches them.
-  BaselineNet<DvmrpRouter> sim(workload::make_kary_tree(2, 3));
+  GroupNet<DvmrpRouter> sim(workload::make_kary_tree(2, 3));
   sim.receivers[0]->join_group(kGroup);
   sim.run_for(sim::seconds(1));
   sim.source->send_to_group(kGroup, 100, 1);
@@ -80,7 +59,7 @@ TEST(Dvmrp, EveryRouterHoldsStateAfterFlood) {
 }
 
 TEST(Dvmrp, PrunesStopOffTreeTraffic) {
-  BaselineNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
+  GroupNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
   sim.receivers[0]->join_group(kGroup);
   sim.run_for(sim::seconds(1));
   // First packet floods everywhere and triggers prunes.
@@ -109,7 +88,7 @@ TEST(Dvmrp, PrunesStopOffTreeTraffic) {
 }
 
 TEST(Dvmrp, GraftRestoresPrunedBranch) {
-  BaselineNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
+  GroupNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
   sim.receivers[0]->join_group(kGroup);
   sim.run_for(sim::seconds(1));
   sim.source->send_to_group(kGroup, 100, 1);
@@ -128,7 +107,7 @@ TEST(Dvmrp, PruneExpiryRefloods) {
   // flood resumes every prune lifetime even with zero membership change.
   baseline::DvmrpConfig config;
   config.prune_lifetime = sim::seconds(5);
-  BaselineNet<DvmrpRouter, baseline::DvmrpConfig> sim(
+  GroupNet<DvmrpRouter> sim(
       workload::make_kary_tree(2, 2), config);
   sim.receivers[0]->join_group(kGroup);
   sim.run_for(sim::seconds(1));
@@ -164,7 +143,7 @@ TEST(Dvmrp, PruneExpiryRefloods) {
 TEST(Dvmrp, AnySourceCanSend) {
   // The group model's property (and problem): receiver(1)'s host can
   // blast the group and members receive it.
-  BaselineNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
+  GroupNet<DvmrpRouter> sim(workload::make_kary_tree(2, 2));
   DeliveryLog log;
   sim.receivers[0]->set_data_handler(log.handler());
   sim.receivers[0]->join_group(kGroup);
@@ -177,17 +156,12 @@ TEST(Dvmrp, AnySourceCanSend) {
 
 // ---------------------------------------------------------------- PIM-SM
 
-struct PimNet : BaselineNet<PimSmRouter, PimConfig> {
-  explicit PimNet(workload::GeneratedTopology generated, PimConfig config)
-      : BaselineNet<PimSmRouter, PimConfig>(std::move(generated), config) {}
-};
-
 TEST(PimSm, SharedTreeDeliversViaRp) {
   auto topo = workload::make_kary_tree(2, 2);
   // RP = the right depth-1 router (routers[2]).
   PimConfig config;
   config.rp = topo.topology.address(topo.routers[2]);
-  PimNet sim(std::move(topo), config);
+  GroupNet<PimSmRouter> sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
   sim.run_for(sim::seconds(1));
@@ -208,7 +182,7 @@ TEST(PimSm, RegisterStopSwitchesToNativeForwarding) {
   auto topo = workload::make_kary_tree(2, 2);
   PimConfig config;
   config.rp = topo.topology.address(topo.routers[2]);
-  PimNet sim(std::move(topo), config);
+  GroupNet<PimSmRouter> sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
   sim.run_for(sim::seconds(1));
@@ -233,7 +207,7 @@ TEST(PimSm, SptSwitchoverBuildsSourceTree) {
   PimConfig config;
   config.rp = topo.topology.address(topo.routers[2]);
   config.spt_switchover = true;
-  PimNet sim(std::move(topo), config);
+  GroupNet<PimSmRouter> sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
   sim.run_for(sim::seconds(1));
@@ -254,7 +228,7 @@ TEST(PimSm, LeavePrunesSharedTree) {
   auto topo = workload::make_kary_tree(2, 2);
   PimConfig config;
   config.rp = topo.topology.address(topo.routers[0]);  // RP at root
-  PimNet sim(std::move(topo), config);
+  GroupNet<PimSmRouter> sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
   sim.run_for(sim::seconds(1));
@@ -272,18 +246,41 @@ TEST(PimSm, LeavePrunesSharedTree) {
   }
 }
 
-// ------------------------------------------------------------------ CBT
+TEST(PimSm, RpKeepsAnEmptyEntryAfterAPruneButNotAfterAHostLeave) {
+  // The RP erases an emptied (*,G) when its last member host leaves,
+  // and keeps it when its last downstream router prunes.
+  auto topo = workload::make_kary_tree(2, 2);
+  const net::NodeId rp_node =
+      topo.topology.neighbor_via(topo.receiver_hosts[0], 0);
+  PimConfig config;
+  config.rp = topo.topology.address(rp_node);
+  GroupNet<PimSmRouter> sim(std::move(topo), config);
+  PimSmRouter* rp = nullptr;
+  for (auto* r : sim.routers) {
+    if (r->is_rp()) rp = r;
+  }
+  ASSERT_NE(rp, nullptr);
 
-struct CbtNet : BaselineNet<CbtRouter, CbtConfig> {
-  explicit CbtNet(workload::GeneratedTopology generated, CbtConfig config)
-      : BaselineNet<CbtRouter, CbtConfig>(std::move(generated), config) {}
-};
+  sim.receivers[3]->join_group(kGroup, ip::Protocol::kPim);
+  sim.run_for(sim::seconds(1));
+  sim.receivers[3]->leave_group(kGroup, ip::Protocol::kPim);
+  sim.run_for(sim::seconds(1));
+  EXPECT_TRUE(rp->on_shared_tree(kGroup));
+
+  sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
+  sim.run_for(sim::seconds(1));
+  sim.receivers[0]->leave_group(kGroup, ip::Protocol::kPim);
+  sim.run_for(sim::seconds(1));
+  EXPECT_FALSE(rp->on_shared_tree(kGroup));
+}
+
+// ------------------------------------------------------------------ CBT
 
 TEST(Cbt, BidirectionalTreeDeliversBothWays) {
   auto topo = workload::make_kary_tree(2, 2);
   CbtConfig config;
   config.core = topo.topology.address(topo.routers[0]);  // core at root
-  CbtNet sim(std::move(topo), config);
+  GroupNet<CbtRouter> sim(std::move(topo), config);
 
   // Two members on opposite branches; both also send.
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kCbt);
@@ -308,7 +305,7 @@ TEST(Cbt, OffTreeSenderTunnelsToCore) {
   // Core away from the source's first hop, so the non-member source's
   // first-hop router must tunnel.
   config.core = topo.topology.address(topo.routers[2]);
-  CbtNet sim(std::move(topo), config);
+  GroupNet<CbtRouter> sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kCbt);
   sim.run_for(sim::seconds(1));
@@ -329,7 +326,7 @@ TEST(Cbt, OneStateEntryPerGroupRegardlessOfSenders) {
   auto topo = workload::make_kary_tree(2, 2);
   CbtConfig config;
   config.core = topo.topology.address(topo.routers[0]);
-  CbtNet sim(std::move(topo), config);
+  GroupNet<CbtRouter> sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kCbt);
   sim.receivers[1]->join_group(kGroup, ip::Protocol::kCbt);
@@ -347,7 +344,7 @@ TEST(Cbt, LeaveCascadesPrunes) {
   auto topo = workload::make_kary_tree(2, 2);
   CbtConfig config;
   config.core = topo.topology.address(topo.routers[0]);
-  CbtNet sim(std::move(topo), config);
+  GroupNet<CbtRouter> sim(std::move(topo), config);
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kCbt);
   sim.run_for(sim::seconds(1));
@@ -355,6 +352,51 @@ TEST(Cbt, LeaveCascadesPrunes) {
   sim.run_for(sim::seconds(1));
   for (auto* r : sim.routers) {
     EXPECT_FALSE(r->on_tree(kGroup));
+  }
+}
+
+// ---------------------------------------------------------- determinism
+
+/// {registry snapshot, trace JSONL} of the group scenario run on a
+/// 1,023-router binary tree.
+template <class R, class... Config>
+std::pair<std::string, std::string> capture_group_scenario(
+    ip::Protocol control, Config... config) {
+  GroupNet<R> g(workload::make_kary_tree(2, 9), config...);
+  g.net.obs().trace.enable(1 << 17);
+  run_group_scenario(g, control);
+  const obs::Plane& plane = g.net.obs();
+  return {plane.registry.snapshot_json(g.net.now()), plane.trace.to_jsonl()};
+}
+
+TEST(BaselineDeterminism, TwoRunsPrintByteIdenticalSnapshotAndTrace) {
+  const auto probe = workload::make_kary_tree(2, 9);
+  ASSERT_GE(probe.routers.size(), 1000u);
+  const ip::Address rp = probe.topology.address(probe.routers[2]);
+  const auto expect_identical = [](const auto& a, const auto& b) {
+    EXPECT_GT(a.first.size(), 0u);
+    EXPECT_GT(a.second.size(), 0u);
+    EXPECT_EQ(a.first, b.first);    // metrics snapshot
+    EXPECT_EQ(a.second, b.second);  // trace JSONL
+  };
+  for (const bool spt : {false, true}) {
+    SCOPED_TRACE(spt ? "PIM-SM with SPT switchover" : "PIM-SM");
+    const PimConfig config{rp, spt};
+    expect_identical(
+        capture_group_scenario<PimSmRouter>(ip::Protocol::kPim, config),
+        capture_group_scenario<PimSmRouter>(ip::Protocol::kPim, config));
+  }
+  {
+    SCOPED_TRACE("DVMRP");
+    expect_identical(capture_group_scenario<DvmrpRouter>(ip::Protocol::kIgmp),
+                     capture_group_scenario<DvmrpRouter>(ip::Protocol::kIgmp));
+  }
+  {
+    SCOPED_TRACE("CBT");
+    const CbtConfig config{rp};
+    expect_identical(
+        capture_group_scenario<CbtRouter>(ip::Protocol::kCbt, config),
+        capture_group_scenario<CbtRouter>(ip::Protocol::kCbt, config));
   }
 }
 

@@ -1,5 +1,5 @@
 // Cross-protocol data-plane equivalence: EXPRESS and PIM-SM both route
-// their replication through the shared ForwardingPlane, so on the same
+// their replication through the shared net::replicate, so on the same
 // topology with the same membership they must deliver exactly the same
 // packet sets to the same receivers (the protocols differ in control
 // cost and state, §4 — not in who gets the data).

@@ -267,6 +267,28 @@ TEST(InterfaceSet, FitsIn32) {
   EXPECT_FALSE(s.fits_in_32());
 }
 
+TEST(InterfaceSet, UnionAndDifferenceAcrossWordCounts) {
+  // PIM's oif inheritance: (*,G) | (S,G), minus RPT-pruned branches,
+  // with operands of different lengths on either side.
+  net::InterfaceSet star, sg, pruned;
+  star.set(1);
+  star.set(2);
+  sg.set(130);
+  pruned.set(2);
+  pruned.set(70);
+  net::InterfaceSet oifs;
+  oifs |= star;
+  oifs -= pruned;  // longer operand: only the shared words are touched
+  oifs |= sg;      // grows to sg's length
+  std::vector<std::uint32_t> seen;
+  oifs.for_each([&](std::uint32_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{1, 130}));
+  oifs -= star;  // shorter operand: the high words stay
+  seen.clear();
+  oifs.for_each([&](std::uint32_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{130}));
+}
+
 TEST(InterfaceSet, EqualityIgnoresTrailingZeros) {
   net::InterfaceSet a, b;
   a.set(100);

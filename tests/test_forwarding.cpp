@@ -1,12 +1,13 @@
-// Unit tests for the shared data plane (express/forwarding): the
+// Unit tests for the EXPRESS data plane (express/forwarding): the
 // EXPRESS fast path (§3.4), subcast relay (§2.1), and the raw
-// replication primitive the baseline protocols reuse.
+// replication primitive (net::replicate) the baseline protocols call.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "express/forwarding.hpp"
 #include "net/network.hpp"
+#include "net/replicate.hpp"
 
 namespace express {
 namespace {
@@ -153,7 +154,9 @@ TEST(ForwardingPlane, SubcastOffChannelRouterRefuses) {
   EXPECT_EQ(star.plane->stats().subcasts_relayed, 0u);
 }
 
-TEST(ForwardingPlane, ReplicateHonorsExclusionAndDownLinks) {
+TEST(Replicate, HonorsExclusionAndDownLinks) {
+  // The baselines' call: their own outgoing set, arrival excluded, dead
+  // links skipped before copying.
   Star star;
   net::InterfaceSet oifs;
   oifs.set(0);
@@ -164,14 +167,17 @@ TEST(ForwardingPlane, ReplicateHonorsExclusionAndDownLinks) {
   net::ReplicateOptions opts;
   opts.exclude_iface = 0;
   opts.skip_down_links = true;
-  EXPECT_EQ(star.plane->replicate(data_packet(9), oifs, opts), 1u);
+  EXPECT_EQ(net::replicate(*star.network, star.center, data_packet(9), oifs,
+                           opts),
+            1u);
   star.network->run();
 
   // iface 0 excluded, iface 1 down: only iface 2 receives.
   EXPECT_TRUE(star.neighbors[0]->sequences.empty());
   EXPECT_TRUE(star.neighbors[1]->sequences.empty());
   ASSERT_EQ(star.neighbors[2]->sequences.size(), 1u);
-  EXPECT_EQ(star.plane->stats().data_copies_sent, 1u);
+  // Skipped before copying, not sent and dropped by the link.
+  EXPECT_EQ(star.network->stats().packets_dropped_link_down, 0u);
 }
 
 }  // namespace

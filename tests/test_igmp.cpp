@@ -8,8 +8,7 @@ namespace express::baseline {
 namespace {
 
 TEST(IgmpRound, SuppressionHidesTheCount) {
-  sim::Rng rng(1);
-  const auto result = igmp_query_round(100, /*suppression=*/true, rng);
+  const auto result = igmp_query_round(100, /*suppression=*/true);
   EXPECT_EQ(result.reports_sent, 1u);
   EXPECT_EQ(result.reports_suppressed, 99u);
   EXPECT_FALSE(result.count_is_exact);  // querier learns only "non-zero"
@@ -17,25 +16,22 @@ TEST(IgmpRound, SuppressionHidesTheCount) {
 
 TEST(IgmpRound, NoSuppressionYieldsExactCount) {
   // ECMP UDP mode / IGMPv3 behaviour: every member answers.
-  sim::Rng rng(2);
-  const auto result = igmp_query_round(100, /*suppression=*/false, rng);
+  const auto result = igmp_query_round(100, /*suppression=*/false);
   EXPECT_EQ(result.reports_sent, 100u);
   EXPECT_EQ(result.observed_count, 100);
   EXPECT_TRUE(result.count_is_exact);
 }
 
 TEST(IgmpRound, EmptyLanIsSilent) {
-  sim::Rng rng(3);
   for (bool suppression : {true, false}) {
-    const auto result = igmp_query_round(0, suppression, rng);
+    const auto result = igmp_query_round(0, suppression);
     EXPECT_EQ(result.reports_sent, 0u);
     EXPECT_TRUE(result.count_is_exact);
   }
 }
 
 TEST(IgmpRound, SingleMemberIsExactEitherWay) {
-  sim::Rng rng(4);
-  const auto result = igmp_query_round(1, true, rng);
+  const auto result = igmp_query_round(1, true);
   EXPECT_EQ(result.reports_sent, 1u);
   EXPECT_TRUE(result.count_is_exact);
 }

@@ -21,6 +21,7 @@
 #include "baseline/dvmrp.hpp"
 #include "baseline/group_host.hpp"
 #include "baseline/pim_sm.hpp"
+#include "group_net.hpp"
 #include "net/lan.hpp"
 #include "testbed/testbed.hpp"
 #include "obs/obs.hpp"
@@ -33,6 +34,9 @@
 
 namespace express {
 namespace {
+
+using test::GroupNet;
+using test::run_group_scenario;
 
 // ---------------------------------------------------------------------
 // Registry units
@@ -728,73 +732,6 @@ TEST(ObsViews, RouterStatsEqualsRegistrySlotsAfterSeededChurn) {
   EXPECT_EQ(fwd, reg.sum("express.fwd.data_packets_forwarded"));
   EXPECT_EQ(link_bytes, reg.sum("net.link.bytes"));
   EXPECT_EQ(link_bytes, bed.net().total_link_bytes());
-}
-
-/// A group-model network: baseline routers of type R and a GroupHost on
-/// every host node.
-template <class R>
-struct GroupNet {
-  template <class... Args>
-  explicit GroupNet(workload::GeneratedTopology generated, Args... args)
-      : roles(std::move(generated)), net(std::move(roles.topology)) {
-    for (net::NodeId r : roles.routers) {
-      routers.push_back(&net.template attach<R>(r, args...));
-    }
-    source = &net.template attach<baseline::GroupHost>(roles.source_host);
-    for (net::NodeId h : roles.receiver_hosts) {
-      receivers.push_back(&net.template attach<baseline::GroupHost>(h));
-    }
-  }
-
-  workload::GeneratedTopology roles;
-  net::Network net;
-  std::vector<R*> routers;
-  baseline::GroupHost* source = nullptr;
-  std::vector<baseline::GroupHost*> receivers;
-};
-
-/// Joins on several branches (one member filtering the source out), a
-/// packet train, a member sender, a leave and a late join, then group
-/// data injected where no protocol expects it: from a child router into
-/// its parent and from a router into a host that never joined.
-template <class R>
-void run_group_scenario(GroupNet<R>& g, ip::Protocol control) {
-  const ip::Address group(225, 1, 2, 3);
-  const auto run_for = [&g](sim::Duration d) {
-    g.net.run_until(g.net.now() + d);
-  };
-  g.receivers[0]->join_group(group, control);
-  g.receivers[3]->join_group(group, control);
-  g.receivers[2]->join_group(group, control);
-  g.receivers[2]->set_include_filter(group, {g.receivers[0]->address()});
-  run_for(sim::seconds(1));
-  for (std::uint32_t i = 1; i <= 6; ++i) {
-    g.source->send_to_group(group, 100 * i, i);
-    run_for(sim::seconds(1));
-  }
-  g.receivers[0]->send_to_group(group, 40, 7);
-  g.receivers[3]->leave_group(group, control);
-  run_for(sim::seconds(1));
-  g.receivers[1]->join_group(group, control);
-  run_for(sim::seconds(1));
-  for (std::uint32_t i = 8; i <= 9; ++i) {
-    g.source->send_to_group(group, 100, i);
-    run_for(sim::seconds(1));
-  }
-  net::Packet stray;
-  stray.src = g.source->address();
-  stray.dst = group;
-  stray.data_bytes = 64;
-  const net::NodeId root = g.roles.source_router;
-  for (int i = 0; i < 3; ++i) {
-    g.net.send_to_neighbor(g.roles.routers.at(1), root, stray);
-  }
-  stray.dst = ip::Address(225, 9, 9, 9);
-  g.net.send_to_neighbor(g.roles.routers.at(1), root, stray);
-  const net::NodeId bystander = g.roles.receiver_hosts.at(3);
-  g.net.send_to_neighbor(g.net.topology().neighbor_via(bystander, 0),
-                         bystander, stray);
-  run_for(sim::seconds(1));
 }
 
 TEST(ObsViews, BaselineRelaySchedulerAndFibStatsEqualRegistrySlots) {

@@ -5,8 +5,10 @@
 // scheduler: once warmed up, a steady-state schedule → dispatch cycle
 // touches the allocator zero times; that a topology requests a few
 // hundred bytes a node and building the network fabric over it costs
-// no per-node allocation; and that an invariant audit's scratch is
-// sized by the on-tree state, not by the network. It is its own test
+// no per-node allocation; that an invariant audit's scratch is sized by
+// the on-tree state, not by the network; and that the group-model
+// baselines attach cheaply and forward a warmed-up flow without
+// touching the allocator. It is its own test
 // binary so the counting overrides cannot perturb (or be perturbed by)
 // the other suites.
 #include <gtest/gtest.h>
@@ -17,6 +19,10 @@
 
 #include "alloc_counter.hpp"
 #include "audit/invariants.hpp"
+#include "baseline/cbt.hpp"
+#include "baseline/dvmrp.hpp"
+#include "baseline/pim_sm.hpp"
+#include "group_net.hpp"
 #include "net/network.hpp"
 #include "sim/inline_function.hpp"
 #include "sim/scheduler.hpp"
@@ -204,3 +210,91 @@ TEST(AuditAllocation, AuditOfALargeTreeIsSizedByItsOnTreeState) {
 
 }  // namespace
 }  // namespace express::sim
+
+namespace express::test {
+namespace {
+
+const ip::Address kGroup(225, 1, 2, 3);
+
+/// Heap bytes one router of type R requests when attached to a
+/// make_kary_tree(2, 4) network (31 routers).
+template <class R, class... Config>
+double attach_bytes_per_router(Config... config) {
+  auto generated = workload::make_kary_tree(2, 4);
+  net::Network network(std::move(generated.topology));
+  const std::uint64_t before = allocated_bytes();
+  for (net::NodeId r : generated.routers) network.attach<R>(r, config...);
+  return static_cast<double>(allocated_bytes() - before) /
+         static_cast<double>(generated.routers.size());
+}
+
+/// Allocations per data packet of a 200-packet train on
+/// make_kary_tree(2, 4) with every 4th receiver joined, measured after
+/// a warm-up train from the same sender: a new sender's first packets
+/// create its (S,G) state, so only the second train is steady state.
+template <class R, class... Config>
+double allocations_per_packet(ip::Protocol control, bool member_sender,
+                              Config... config) {
+  constexpr std::uint64_t kTrain = 200;
+  GroupNet<R> g(workload::make_kary_tree(2, 4), config...);
+  for (std::size_t i = 0; i < g.receivers.size(); i += 4) {
+    g.receivers[i]->join_group(kGroup, control);
+  }
+  g.run_for(sim::seconds(1));
+  baseline::GroupHost& sender = member_sender ? *g.receivers[0] : *g.source;
+  const auto train = [&](std::uint64_t first) {
+    for (std::uint64_t seq = first; seq < first + kTrain; ++seq) {
+      sender.send_to_group(kGroup, 100, seq);
+      g.run_for(sim::milliseconds(10));
+    }
+  };
+  train(0);
+  const std::uint64_t before = allocation_count();
+  const std::uint64_t received = g.receivers[4]->stats().data_received;
+  train(kTrain);
+  EXPECT_EQ(g.receivers[4]->stats().data_received - received, kTrain);
+  return static_cast<double>(allocation_count() - before) /
+         static_cast<double>(kTrain);
+}
+
+TEST(BaselineAllocation, AttachRequestsFewBytesPerRouter) {
+  // A baseline router is its protocol tables and one registry-bound
+  // stats block; it holds no FIB and no forwarding plane (a plane's FIB
+  // and its 8 registry rows cost ~500 B a router).
+  const ip::Address root = net::Topology::address(0);
+  EXPECT_LT(attach_bytes_per_router<baseline::PimSmRouter>(
+                baseline::PimConfig{root}),
+            900.0);
+  EXPECT_LT(attach_bytes_per_router<baseline::CbtRouter>(
+                baseline::CbtConfig{root}),
+            550.0);
+  EXPECT_LT(attach_bytes_per_router<baseline::DvmrpRouter>(), 700.0);
+}
+
+TEST(BaselineAllocation, SteadyStateDataPacketIsAllocationFree) {
+  // Outgoing sets are net::InterfaceSets computed into one reused set
+  // per router and replicated in place, as on the EXPRESS fast path.
+  // The RP (and core) sits off the source's first hop, so the warm-up
+  // train also runs PIM's register triangle to its RegisterStop.
+  const auto probe = workload::make_kary_tree(2, 4);
+  const ip::Address rp = probe.topology.address(probe.routers[2]);
+  EXPECT_EQ((allocations_per_packet<baseline::PimSmRouter>(
+                ip::Protocol::kPim, false, baseline::PimConfig{rp})),
+            0.0)
+      << "PIM-SM shared tree";
+  EXPECT_EQ((allocations_per_packet<baseline::PimSmRouter>(
+                ip::Protocol::kPim, false, baseline::PimConfig{rp, true})),
+            0.0)
+      << "PIM-SM with SPT switchover";
+  EXPECT_EQ(allocations_per_packet<baseline::DvmrpRouter>(ip::Protocol::kIgmp,
+                                                          false),
+            0.0)
+      << "DVMRP";
+  EXPECT_EQ((allocations_per_packet<baseline::CbtRouter>(
+                ip::Protocol::kCbt, true, baseline::CbtConfig{rp})),
+            0.0)
+      << "CBT, member sender";
+}
+
+}  // namespace
+}  // namespace express::test

@@ -83,7 +83,7 @@ TEST(Subscription, ValidatedKeyIsCachedThenEvictedWithChannel) {
   table.apply_join(state, kChild1, 1, kKeyA, decidable, sim::Time{0}, is_new);
 
   const UpstreamPlan plan = table.plan_upstream_update(
-      kCh, state, kKeyA, /*upstream_is_router=*/true);
+      state, kKeyA, /*upstream_is_router=*/true);
   EXPECT_EQ(plan.send, UpstreamSend::kJoin);
   ASSERT_TRUE(plan.key.has_value());
   EXPECT_EQ(*plan.key, kKeyA);
@@ -123,7 +123,7 @@ TEST(Subscription, InvalidVerdictRejectsSentKeyAndRetriesOther) {
                    is_new);
   // The plan itself is not under test here; the call runs for its
   // side effect of recording pending_sent_key = A.
-  const UpstreamPlan sent = table.plan_upstream_update(kCh, state, kKeyA, true);
+  const UpstreamPlan sent = table.plan_upstream_update(state, kKeyA, true);
   EXPECT_EQ(sent.send, UpstreamSend::kJoin);
   table.apply_join(state, kChild2, 1, kKeyB, false, sim::Time{0}, is_new);
 
@@ -141,7 +141,7 @@ TEST(Subscription, InvalidVerdictRejectsSentKeyAndRetriesOther) {
   EXPECT_EQ(table.stats().auth_rejects, 1u);
 
   // A second rejection (of key B) empties the channel.
-  const UpstreamPlan retry = table.plan_upstream_update(kCh, state, kKeyB, true);
+  const UpstreamPlan retry = table.plan_upstream_update(state, kKeyB, true);
   EXPECT_EQ(retry.send, UpstreamSend::kJoin);
   const VerdictEffects gone = table.apply_upstream_verdict(kCh, false);
   ASSERT_EQ(gone.reject.size(), 1u);
@@ -168,7 +168,7 @@ TEST(Subscription, VerdictEffectsEmitInNeighborIdOrder) {
   table.apply_join(state, 13, 1, kKeyA, false, sim::Time{0}, is_new);
   table.apply_join(state, 14, 1, kKeyB, false, sim::Time{0}, is_new);
   table.apply_join(state, 12, 1, kKeyA, false, sim::Time{0}, is_new);
-  const UpstreamPlan plan = table.plan_upstream_update(kCh, state, kKeyA, true);
+  const UpstreamPlan plan = table.plan_upstream_update(state, kKeyA, true);
   EXPECT_EQ(plan.send, UpstreamSend::kJoin);  // pending_sent_key is now A
 
   // The upstream accepts key A: the A-children validate, the B-children
@@ -192,7 +192,7 @@ TEST(Subscription, RejectedVerdictRetriesLowestIdChildsKey) {
                    is_new);
   table.apply_join(state, 12, 1, kKeyC, false, sim::Time{0}, is_new);
   table.apply_join(state, 13, 1, kKeyA, false, sim::Time{0}, is_new);
-  const UpstreamPlan plan = table.plan_upstream_update(kCh, state, kKeyA, true);
+  const UpstreamPlan plan = table.plan_upstream_update(state, kKeyA, true);
   EXPECT_EQ(plan.send, UpstreamSend::kJoin);
 
   const VerdictEffects fx = table.apply_upstream_verdict(kCh, false);
@@ -210,7 +210,7 @@ TEST(Subscription, PlanJoinPruneAndDrift) {
 
   bool is_new = false;
   table.apply_join(state, kChild1, 2, std::nullopt, true, sim::Time{0}, is_new);
-  UpstreamPlan plan = table.plan_upstream_update(kCh, state, std::nullopt, true);
+  UpstreamPlan plan = table.plan_upstream_update(state, std::nullopt, true);
   EXPECT_EQ(plan.send, UpstreamSend::kJoin);
   EXPECT_EQ(plan.total, 2);
   EXPECT_EQ(state.advertised_upstream, 2);
@@ -218,12 +218,12 @@ TEST(Subscription, PlanJoinPruneAndDrift) {
 
   // The aggregate moves without crossing zero: drift, not join/prune.
   table.apply_join(state, kChild1, 4, std::nullopt, true, sim::Time{0}, is_new);
-  plan = table.plan_upstream_update(kCh, state, std::nullopt, true);
+  plan = table.plan_upstream_update(state, std::nullopt, true);
   EXPECT_EQ(plan.send, UpstreamSend::kDrift);
   EXPECT_FALSE(plan.remove_channel);
 
   table.remove_downstream(state, kChild1);
-  plan = table.plan_upstream_update(kCh, state, std::nullopt, true);
+  plan = table.plan_upstream_update(state, std::nullopt, true);
   EXPECT_EQ(plan.send, UpstreamSend::kPrune);
   EXPECT_TRUE(plan.remove_channel);
   EXPECT_EQ(state.advertised_upstream, 0);
@@ -238,13 +238,13 @@ TEST(Subscription, RootPlanNeverSendsUpstream) {
   bool is_new = false;
   table.apply_join(state, kChild1, 1, std::nullopt, true, sim::Time{0}, is_new);
   UpstreamPlan plan = table.plan_upstream_update(
-      kCh, state, std::nullopt, /*upstream_is_router=*/false);
+      state, std::nullopt, /*upstream_is_router=*/false);
   EXPECT_EQ(plan.send, UpstreamSend::kNone);
   EXPECT_TRUE(state.validated_upstream);
   EXPECT_FALSE(plan.remove_channel);
 
   table.remove_downstream(state, kChild1);
-  plan = table.plan_upstream_update(kCh, state, std::nullopt, false);
+  plan = table.plan_upstream_update(state, std::nullopt, false);
   EXPECT_TRUE(plan.remove_channel);
 }
 
