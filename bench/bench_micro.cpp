@@ -10,6 +10,7 @@
 #include "counting/error_curve.hpp"
 #include "ecmp/codec.hpp"
 #include "express/fib.hpp"
+#include "express/host.hpp"
 #include "express/router.hpp"
 #include "net/network.hpp"
 #include "net/routing.hpp"
@@ -149,9 +150,10 @@ void BM_DijkstraRecompute(benchmark::State& state) {
 BENCHMARK(BM_DijkstraRecompute)->Arg(4)->Arg(16);
 
 void BM_InvariantAudit(benchmark::State& state) {
-  // One full audit of a settled tree shaped like the perfbench chaos
+  // One full walk of a settled tree shaped like the perfbench chaos
   // workload: a 16 x 8 x 4 transit-stub graph (657 nodes) with every
-  // third receiver subscribed to one channel.
+  // third receiver subscribed to one channel. (run() after the first
+  // call re-walks only what changed; full_walk() is the cold cost.)
   sim::Rng rng(1);
   Testbed bed(workload::make_transit_stub(16, 8, 4, rng));
   const ip::ChannelId channel = bed.source().allocate_channel();
@@ -161,7 +163,7 @@ void BM_InvariantAudit(benchmark::State& state) {
   bed.run_for(sim::seconds(2));
   const audit::InvariantAuditor auditor(bed.net());
   for (auto _ : state) {
-    const audit::AuditReport report = auditor.run();
+    const audit::AuditReport report = auditor.full_walk();
     if (!report.clean()) state.SkipWithError("settled tree is not clean");
     benchmark::DoNotOptimize(report.channels_audited);
   }
@@ -170,7 +172,7 @@ void BM_InvariantAudit(benchmark::State& state) {
 BENCHMARK(BM_InvariantAudit);
 
 void BM_InvariantAuditKaryTree(benchmark::State& state) {
-  // One audit of make_kary_tree(4, depth, {}, 10) with one channel and
+  // One full walk of make_kary_tree(4, depth, {}, 10) with one channel and
   // four receivers: the on-tree state is the same few paths at every
   // depth (depth 4: 2,902 nodes; depth 6: 46,422), so per-call cost
   // that rises with depth is cost paid per node, not per on-tree pair.
@@ -184,7 +186,7 @@ void BM_InvariantAuditKaryTree(benchmark::State& state) {
   bed.run_for(sim::seconds(2));
   const audit::InvariantAuditor auditor(bed.net());
   for (auto _ : state) {
-    const audit::AuditReport report = auditor.run();
+    const audit::AuditReport report = auditor.full_walk();
     if (!report.clean()) state.SkipWithError("settled tree is not clean");
     benchmark::DoNotOptimize(report.channels_audited);
   }
@@ -193,6 +195,50 @@ void BM_InvariantAuditKaryTree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InvariantAuditKaryTree)->Arg(4)->Arg(6);
+
+void BM_InvariantAuditAfterOneChange(benchmark::State& state) {
+  // The incremental audit's steady state: the memo is warm, one host
+  // toggles its subscription and the network settles (untimed), then
+  // one run() re-walks what changed. Arg 0 is the 16 x 8 x 4
+  // transit-stub tree of BM_InvariantAudit, Arg 4 and 6 the k-ary trees
+  // of BM_InvariantAuditKaryTree; the toggling host shares an on-tree
+  // stub or leaf with a standing member.
+  const auto shape = static_cast<std::uint32_t>(state.range(0));
+  sim::Rng rng(1);
+  Testbed bed(shape == 0 ? workload::make_transit_stub(16, 8, 4, rng)
+                         : workload::make_kary_tree(4, shape, {}, 10));
+  const ip::ChannelId channel = bed.source().allocate_channel();
+  const std::size_t stride = shape == 0 ? 3 : bed.receiver_count() / 4;
+  for (std::size_t i = 0; i < bed.receiver_count(); i += stride) {
+    bed.receiver(i).new_subscription(channel);
+  }
+  bed.run_for(sim::seconds(2));
+  const audit::InvariantAuditor auditor(bed.net());
+  if (!auditor.run().clean()) state.SkipWithError("settled tree is not clean");
+  ExpressHost& toggling = bed.receiver(1);
+  bool joined = false;
+  std::size_t walked = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (joined) {
+      toggling.delete_subscription(channel);
+    } else {
+      toggling.new_subscription(channel);
+    }
+    joined = !joined;
+    bed.run_for(sim::seconds(1));
+    state.ResumeTiming();
+    const audit::AuditReport report = auditor.run();
+    if (!report.clean()) state.SkipWithError("settled tree is not clean");
+    walked += report.routers_walked;
+  }
+  state.counters["routers_walked"] = benchmark::Counter(
+      static_cast<double>(walked), benchmark::Counter::kAvgIterations);
+  state.counters["nodes"] =
+      static_cast<double>(bed.net().topology().node_count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InvariantAuditAfterOneChange)->Arg(0)->Arg(4)->Arg(6);
 
 void BM_AttachKaryTree(benchmark::State& state) {
   // Network construction plus attach of every router and host on

@@ -24,26 +24,38 @@
 //       every walk toward the source terminates without revisiting a
 //       router.
 //
-// The auditor is read-only and event-free: it schedules nothing and
-// sends nothing, so it can run between any two events. Meaningful
-// verdicts require quiescence (no control messages in flight); the
-// chaos campaign driver (workload/chaos) samples it at event
-// boundaries and records the first stable-clean instant per fault.
+// The auditor is event-free: it schedules nothing and sends nothing, so
+// it can run between any two events, and it changes no protocol state.
+// Its one write is bookkeeping: the first run() installs a memo as the
+// network's state observer (net::StateObserver), which routers and
+// hosts tell of every change to the hard state the checks read; the
+// memo is destroyed with the network. Meaningful verdicts require
+// quiescence (no control messages in flight); the chaos campaign driver
+// (workload/chaos) samples it at event boundaries and records the first
+// stable-clean instant per fault.
 //
-// Cost model: the router pass reads one node-kind byte per node and
-// resolves a node's type only when it is a router node or a check names
-// it as a neighbour; ExpressRouter and ExpressHost refuse to attach to a
-// node of another kind, so the kind is an exact pre-filter. The rest is
-// proportional to the on-tree (router, channel) pairs and their
-// downstream entries: one walk over a pair's entries checks their
-// counts, sums the subtree and collects the replication set (a member's
-// interface found by a scan of the router's port records), the orphan
-// check reports what that walk recorded, and the loop pass colours the
-// pairs themselves, finding an upstream pair by binary search within its
-// channel. The pairs are sorted for that pass only when they span
-// channels out of order. The scratch is sized by the pairs, never by the
-// node count; there are no per-call maps or sets, and an FIB is
-// rescanned for orphans only when its size says one exists.
+// Cost model: the report is assembled from per-router shares, each the
+// output of one per-router pass over that router's (router, channel)
+// pairs and their downstream entries: one walk over a pair's entries
+// checks their counts, sums the subtree and collects the replication
+// set (a member's interface found by a scan of the router's port
+// records), and the orphan check reports what that walk recorded. The
+// first run() walks every node (one node-kind byte per node; a node's
+// type is resolved only for router nodes and the neighbours a check
+// names, the kind being an exact pre-filter because ExpressRouter and
+// ExpressHost refuse other kinds). After that a sample re-walks only the
+// routers whose state was noted as changed and the routers holding
+// state next to any noted node; a unicast routing change re-walks every
+// router holding state, never the stateless rest. The loop pass colours
+// all pairs, finding an upstream pair by binary search within its
+// channel, and re-runs only when a pair's upstream pointer changed or a
+// pair came or went. A sample with nothing changed costs one check of
+// the routing version, plus the formatting of any standing violations.
+// The memo holds two bits per node; per router with state, its counts
+// and its findings as numbers (the detail text is formatted only into
+// a report); and every pair's upstream pointer as the last loop pass
+// saw it. An FIB is rescanned for orphans only when its size says one
+// exists.
 #pragma once
 
 #include <cstdint>
@@ -84,6 +96,10 @@ struct AuditReport {
   std::size_t routers_audited = 0;
   std::size_t channels_audited = 0;  ///< (router, channel) pairs
   std::size_t edges_checked = 0;     ///< parent/child count agreements
+  /// Work of this call alone: EXPRESS routers whose per-router pass ran
+  /// (every one on the first call, the changed few after). Not part of
+  /// the verdict; an incremental and a full walk differ only here.
+  std::size_t routers_walked = 0;
 
   [[nodiscard]] bool clean() const { return violations.empty(); }
   [[nodiscard]] std::size_t count(Check check) const;
@@ -100,7 +116,14 @@ class InvariantAuditor {
   explicit InvariantAuditor(const net::Network& network)
       : network_(&network) {}
 
+  /// The report of the network as it stands. Incremental: re-walks only
+  /// what changed since the previous run() on the same network.
   [[nodiscard]] AuditReport run() const;
+
+  /// The same report from a walk of every router against a scratch memo,
+  /// leaving the installed one untouched: the reference run() is tested
+  /// against.
+  [[nodiscard]] AuditReport full_walk() const;
 
  private:
   const net::Network* network_;

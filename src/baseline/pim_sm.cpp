@@ -101,14 +101,14 @@ void PimSmRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
         member->second.clear(in_iface);
         if (member->second.empty()) members_.erase(member);
       }
-      drop_shared_branch(msg.group, in_iface, /*erase_at_rp=*/true);
+      drop_shared_branch(msg.group, in_iface);
       return;
     case MsgType::kJoinStarG:
       star_g_[msg.group].oifs.set(in_iface);
       join_shared_tree(msg.group);
       return;
     case MsgType::kPruneStarG:
-      drop_shared_branch(msg.group, in_iface, /*erase_at_rp=*/false);
+      drop_shared_branch(msg.group, in_iface);
       return;
     case MsgType::kJoinSG:
       sg_[ip::ChannelId{msg.source, msg.group}].oifs.set(in_iface);
@@ -129,12 +129,12 @@ void PimSmRouter::on_control(const Msg& msg, std::uint32_t in_iface) {
   }
 }
 
-void PimSmRouter::drop_shared_branch(ip::Address group, std::uint32_t iface,
-                                     bool erase_at_rp) {
+void PimSmRouter::drop_shared_branch(ip::Address group,
+                                     std::uint32_t iface) {
   auto it = star_g_.find(group);
   if (it == star_g_.end()) return;
   it->second.oifs.clear(iface);
-  if (!it->second.oifs.empty() || (is_rp() && !erase_at_rp)) return;
+  if (!it->second.oifs.empty()) return;
   // Only a non-RP router ever joins upstream (join_shared_tree).
   if (it->second.joined_upstream) {
     if (auto up = toward(config_.rp)) {

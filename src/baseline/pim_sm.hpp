@@ -94,10 +94,8 @@ class PimSmRouter : public GroupRouter {
   void join_shared_tree(ip::Address group);
   void join_source_tree(const ip::ChannelId& sg);
   /// Drop `iface` from (*,G); once the entry is empty, prune it toward
-  /// the RP and erase it. The RP keeps an empty entry unless
-  /// `erase_at_rp` (a host leave) says otherwise.
-  void drop_shared_branch(ip::Address group, std::uint32_t iface,
-                          bool erase_at_rp);
+  /// the RP (unless this is the RP) and erase it.
+  void drop_shared_branch(ip::Address group, std::uint32_t iface);
   void maybe_spt_switchover(const net::Packet& packet);
   [[nodiscard]] std::optional<net::NodeId> toward(ip::Address addr) const;
   [[nodiscard]] std::optional<std::uint32_t> rpf_iface_toward(

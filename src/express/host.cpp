@@ -169,6 +169,7 @@ void ExpressHost::new_subscription(const ip::ChannelId& channel,
                                    SubscribeCallback done) {
   Subscription& sub = subscriptions_[channel];
   ++sub.local_count;
+  network().note_state_change(id());
   if (key) sub.key = key;
   if (sub.local_count == 1) {
     sub.pending_result = std::move(done);
@@ -195,6 +196,7 @@ void ExpressHost::delete_subscription(const ip::ChannelId& channel) {
   ecmp::Count update;
   update.channel = channel;
   update.count = --it->second.local_count;
+  network().note_state_change(id());
   if (update.count > 0) {
     update.key = it->second.key;  // other local apps remain; refresh count
   } else {
@@ -349,6 +351,7 @@ void ExpressHost::on_response(const ecmp::CountResponse& response) {
   if (response.status == ecmp::Status::kInvalidKey) {
     SubscribeCallback cb = std::move(it->second.pending_result);
     subscriptions_.erase(it);
+    network().note_state_change(id());
     if (cb) cb(ecmp::Status::kInvalidKey);
     return;
   }

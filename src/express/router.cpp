@@ -232,6 +232,10 @@ void ExpressRouter::update_upstream(
       network().topology().node(state.upstream).kind == net::NodeKind::kRouter;
   const UpstreamPlan plan = table_.plan_upstream_update(
       state, key_to_forward, upstream_is_router);
+  // A join or prune moves the advertisement the audit cross-checks.
+  if (plan.send == UpstreamSend::kJoin || plan.send == UpstreamSend::kPrune) {
+    note_state_change();
+  }
   switch (plan.send) {
     case UpstreamSend::kJoin:
       if (network().topology().reach(id(), state.upstream).up) {
@@ -272,10 +276,14 @@ void ExpressRouter::maybe_send_proactive(const ip::ChannelId& channel) {
   send_count(state->upstream, channel, total, state->cached_key);
   counting_.proactive_update_sent(channel, total);
   state->advertised_upstream = total;
+  note_state_change();
 }
 
 void ExpressRouter::refresh_fib(const ip::ChannelId& channel,
                                 const Channel& state) {
+  // Every membership change ends here, so this note also covers the
+  // table mutation that preceded it in the same event.
+  note_state_change();
   FibEntry& entry = forwarding_.fib().upsert(channel);
   entry.iif = state.rpf_iface;
   entry.oifs = net::InterfaceSet{};
@@ -289,6 +297,7 @@ void ExpressRouter::refresh_fib(const ip::ChannelId& channel,
 
 void ExpressRouter::remove_channel(const ip::ChannelId& channel) {
   if (!table_.erase(channel)) return;
+  note_state_change();
   counting_.erase_channel(channel);
   if (auto it = pending_switches_.find(channel);
       it != pending_switches_.end()) {

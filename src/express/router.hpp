@@ -152,8 +152,11 @@ class ExpressRouter final : public net::Node {
   }
   /// Mutable membership state, for *fault injection only*: audit tests
   /// corrupt it deliberately to prove the auditor catches each class of
-  /// inconsistency. Protocol code must never use this.
+  /// inconsistency. Protocol code must never use this. Each call notes
+  /// the router as changed for the audit's memo, so a mutation must go
+  /// through a fresh call after every audit.
   [[nodiscard]] SubscriptionTable& corrupt_subscriptions_for_test() {
+    note_state_change();
     return table_;
   }
   /// The §6 proactive-counting curve, when counts are pushed on drift.
@@ -241,6 +244,11 @@ class ExpressRouter final : public net::Node {
 
   // --- route changes --------------------------------------------------
   void execute_route_switch(const ip::ChannelId& channel);
+
+  /// Report a change of the hard state the invariant audit reads (the
+  /// table, the FIB, the pending route switches) to the network's state
+  /// observer. Bookkeeping only; never called on the data path.
+  void note_state_change() const { network().note_state_change(id()); }
 
   [[nodiscard]] net::NodeId source_node(const ip::ChannelId& channel) const {
     return network().node_of(channel.source).value_or(net::kInvalidNode);

@@ -104,7 +104,10 @@ void ExpressRouter::on_routing_change() {
         state.advertised_upstream > 0) {
       const net::Reach upstream =
           network().topology().reach(id(), state.upstream);
-      if (upstream.iface && !upstream.up) state.advertised_upstream = 0;
+      if (upstream.iface && !upstream.up) {
+        state.advertised_upstream = 0;
+        note_state_change();
+      }
     }
 
     auto new_up = network().routing().rpf_neighbor(id(), src);
@@ -113,6 +116,7 @@ void ExpressRouter::on_routing_change() {
           pending != pending_switches_.end()) {
         pending->second.cancel();
         pending_switches_.erase(pending);
+        note_state_change();
       }
       // Connection re-established with the same upstream after an
       // outage: re-announce (§3.2 unsolicited Counts on establishment).
@@ -128,11 +132,13 @@ void ExpressRouter::on_routing_change() {
     handle = network().scheduler().schedule_after(
         route_change_hysteresis_,
         [this, ch]() { execute_route_switch(ch); });
+    note_state_change();
   }
 }
 
 void ExpressRouter::execute_route_switch(const ip::ChannelId& channel) {
   pending_switches_.erase(channel);
+  note_state_change();
   Channel* state = table_.find(channel);
   if (state == nullptr) return;
   const net::NodeId src = source_node(channel);

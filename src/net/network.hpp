@@ -45,6 +45,22 @@ struct NetworkStats {
   std::uint64_t packets_reordered = 0;     ///< impairment-model reorders
 };
 
+/// Bookkeeping for a reader that keeps its own memory of node state
+/// between reads (the invariant audit): nodes report each change of
+/// the hard state such a reader inspects through
+/// Network::note_state_change. An observer is not protocol state; it
+/// schedules and sends nothing.
+class StateObserver {
+ public:
+  StateObserver() = default;
+  StateObserver(const StateObserver&) = delete;
+  StateObserver& operator=(const StateObserver&) = delete;
+  StateObserver(StateObserver&&) = delete;
+  StateObserver& operator=(StateObserver&&) = delete;
+  virtual ~StateObserver() = default;
+  virtual void on_state_change(NodeId id) = 0;
+};
+
 /// One delivery destination of a batched fan-out.
 struct DeliveryTarget {
   NodeId to = 0;
@@ -120,7 +136,24 @@ class Network {
     auto node = std::make_unique<T>(*this, id, std::forward<Args>(args)...);
     T& ref = *node;
     nodes_.at(id) = std::move(node);
+    note_state_change(id);
     return ref;
+  }
+
+  /// Node `id`'s observed hard state changed (see StateObserver): one
+  /// null check when no observer is installed. Never called on the
+  /// data path.
+  void note_state_change(NodeId id) const {
+    if (state_observer_ != nullptr) state_observer_->on_state_change(id);
+  }
+  /// The one observer slot. It is filled from const readers, the way
+  /// UnicastRouting fills its tree cache from const queries, and the
+  /// observer is destroyed with the network.
+  [[nodiscard]] StateObserver* state_observer() const {
+    return state_observer_.get();
+  }
+  void set_state_observer(std::unique_ptr<StateObserver> observer) const {
+    state_observer_ = std::move(observer);
   }
 
   [[nodiscard]] Node* node(NodeId id) {
@@ -277,6 +310,8 @@ class Network {
   /// Declared before scheduler_ so the scheduler can bind to it.
   obs::Plane plane_;
   sim::Scheduler scheduler_{obs::Scope{&plane_, obs::Entity::network()}};
+  /// Declared before nodes_, so it outlives every node.
+  mutable std::unique_ptr<StateObserver> state_observer_;
   std::vector<std::unique_ptr<Node>> nodes_;
   /// Registry-owned blocks, one per link.
   std::vector<LinkStats*> link_stats_;

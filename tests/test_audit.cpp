@@ -1,15 +1,19 @@
 // InvariantAuditor (src/audit): a quiescent EXPRESS network passes all
 // four tree invariants; an in-flight control message is visible as a
 // transient disagreement; and each class of deliberately injected
-// corruption is caught by exactly the check built for it.
+// corruption is caught by exactly the check built for it, by a cold
+// audit and by an incremental one whose memo was warmed first.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "audit/invariants.hpp"
+#include "audit_match.hpp"
 #include "baseline/dvmrp.hpp"
 #include "express/host.hpp"
 #include "express/router.hpp"
@@ -126,35 +130,42 @@ TEST(Audit, SeesInFlightJoinAsDisagreement) {
   EXPECT_TRUE(run_audit(sim).clean());
 }
 
-TEST(Audit, DetectsAdvertisedCountMismatch) {
-  SettledTree t;
-  Channel* state =
-      t.interior_router().corrupt_subscriptions_for_test().find(t.ch);
+// Each corruption below breaks a settled tree and hands back the edit
+// that undoes it. Both go through corrupt_subscriptions_for_test(),
+// which notes the router for the audit's memo, so the same cases serve
+// a cold audit (a fresh network) and a warm one (after a clean audit).
+using Revert = std::function<void()>;
+
+void corrupt_advertised_count(SettledTree& t, Revert& revert) {
+  ExpressRouter& router = t.interior_router();
+  Channel* state = router.corrupt_subscriptions_for_test().find(t.ch);
   ASSERT_NE(state, nullptr);
   state->advertised_upstream += 3;
-
-  const AuditReport report = run_audit(t.sim);
-  EXPECT_GE(report.count(Check::kCountConservation), 1u) << report.to_string();
+  revert = [&router, ch = t.ch] {
+    router.corrupt_subscriptions_for_test().find(ch)->advertised_upstream -= 3;
+  };
 }
 
-TEST(Audit, DetectsHostCountMismatch) {
-  SettledTree t;
+void corrupt_host_count(SettledTree& t, Revert& revert) {
   ExpressRouter& leaf = t.leaf_router();
   Channel* state = leaf.corrupt_subscriptions_for_test().find(t.ch);
   ASSERT_NE(state, nullptr);
   for (auto& [neighbor, entry] : state->downstream) {
     if (t.sim.net().topology().node(neighbor).kind == net::NodeKind::kHost) {
       entry.count += 1;  // claims 2 apps; the host has 1
-      break;
+      revert = [&leaf, ch = t.ch, host = neighbor] {
+        leaf.corrupt_subscriptions_for_test()
+            .find(ch)
+            ->downstream.at(host)
+            .count -= 1;
+      };
+      return;
     }
   }
-
-  const AuditReport report = run_audit(t.sim);
-  EXPECT_GE(report.count(Check::kCountConservation), 1u) << report.to_string();
+  FAIL() << "the leaf has no host entry";
 }
 
-TEST(Audit, DetectsRpfViolation) {
-  SettledTree t;
+void corrupt_rpf(SettledTree& t, Revert& revert) {
   ExpressRouter& victim = t.interior_router();
   Channel* state = victim.corrupt_subscriptions_for_test().find(t.ch);
   ASSERT_NE(state, nullptr);
@@ -171,38 +182,39 @@ TEST(Audit, DetectsRpfViolation) {
   }
   ASSERT_TRUE(wrong.has_value());
   state->upstream = *wrong;
-
-  const AuditReport report = run_audit(t.sim);
-  EXPECT_GE(report.count(Check::kRpfConsistency), 1u) << report.to_string();
+  revert = [&victim, ch = t.ch, real_upstream] {
+    victim.corrupt_subscriptions_for_test().find(ch)->upstream = real_upstream;
+  };
 }
 
-TEST(Audit, DetectsZeroSubtreeOrphan) {
-  SettledTree t;
-  Channel* state = t.leaf_router().corrupt_subscriptions_for_test().find(t.ch);
+void corrupt_zero_subtree(SettledTree& t, Revert& revert) {
+  ExpressRouter& leaf = t.leaf_router();
+  Channel* state = leaf.corrupt_subscriptions_for_test().find(t.ch);
   ASSERT_NE(state, nullptr);
+  const std::map<net::NodeId, DownstreamEntry> saved = state->downstream;
   for (auto& [neighbor, entry] : state->downstream) entry.count = 0;
-
-  const AuditReport report = run_audit(t.sim);
-  EXPECT_GE(report.count(Check::kOrphanState), 1u) << report.to_string();
+  revert = [&leaf, ch = t.ch, saved] {
+    leaf.corrupt_subscriptions_for_test().find(ch)->downstream = saved;
+  };
 }
 
-TEST(Audit, DetectsOrphanFibEntry) {
-  SettledTree t;
+void corrupt_orphan_fib(SettledTree& t, Revert& revert) {
   ExpressRouter& leaf = t.leaf_router();
   ASSERT_NE(leaf.fib().find(t.ch), nullptr);
+  const Channel saved = *leaf.subscriptions().find(t.ch);
   // Membership evaporates; the FIB entry lingers.
   leaf.corrupt_subscriptions_for_test().erase(t.ch);
-
-  const AuditReport report = run_audit(t.sim);
-  EXPECT_GE(report.count(Check::kOrphanState), 1u) << report.to_string();
+  revert = [&leaf, ch = t.ch, saved] {
+    bool created = false;
+    leaf.corrupt_subscriptions_for_test().get_or_create(ch, created) = saved;
+  };
 }
 
-TEST(Audit, DetectsForwardingLoop) {
-  SettledTree t;
+void corrupt_loop(SettledTree& t, Revert& revert) {
   // Make an interior router and its (router) upstream point at each
   // other: a two-node cycle no walk toward the source can escape.
   ExpressRouter& child = t.interior_router();
-  Channel* child_state = child.corrupt_subscriptions_for_test().find(t.ch);
+  const Channel* child_state = child.subscriptions().find(t.ch);
   ASSERT_NE(child_state, nullptr);
   const net::NodeId parent_id = child_state->upstream;
   std::optional<net::NodeId> child_id;
@@ -215,10 +227,147 @@ TEST(Audit, DetectsForwardingLoop) {
   ASSERT_TRUE(child_id.has_value());
   Channel* parent_state = parent->corrupt_subscriptions_for_test().find(t.ch);
   ASSERT_NE(parent_state, nullptr);
+  const net::NodeId real_upstream = parent_state->upstream;
   parent_state->upstream = *child_id;
+  revert = [parent, ch = t.ch, real_upstream] {
+    parent->corrupt_subscriptions_for_test().find(ch)->upstream = real_upstream;
+  };
+}
 
+struct CorruptionCase {
+  const char* name;
+  Check check;  ///< the check built to catch it
+  void (*corrupt)(SettledTree&, Revert&);
+};
+
+constexpr CorruptionCase kCorruptions[] = {
+    {"advertised count", Check::kCountConservation, corrupt_advertised_count},
+    {"host count", Check::kCountConservation, corrupt_host_count},
+    {"rpf", Check::kRpfConsistency, corrupt_rpf},
+    {"zero subtree", Check::kOrphanState, corrupt_zero_subtree},
+    {"orphan fib", Check::kOrphanState, corrupt_orphan_fib},
+    {"loop", Check::kForwardingLoop, corrupt_loop},
+};
+
+/// A cold audit (the first on a fresh network) catches `c`.
+void expect_caught_cold(const CorruptionCase& c) {
+  SettledTree t;
+  Revert revert;
+  c.corrupt(t, revert);
   const AuditReport report = run_audit(t.sim);
-  EXPECT_GE(report.count(Check::kForwardingLoop), 1u) << report.to_string();
+  EXPECT_GE(report.count(c.check), 1u) << report.to_string();
+}
+
+TEST(Audit, DetectsAdvertisedCountMismatch) {
+  expect_caught_cold(kCorruptions[0]);
+}
+
+TEST(Audit, DetectsHostCountMismatch) { expect_caught_cold(kCorruptions[1]); }
+
+TEST(Audit, DetectsRpfViolation) { expect_caught_cold(kCorruptions[2]); }
+
+TEST(Audit, DetectsZeroSubtreeOrphan) { expect_caught_cold(kCorruptions[3]); }
+
+TEST(Audit, DetectsOrphanFibEntry) { expect_caught_cold(kCorruptions[4]); }
+
+TEST(Audit, DetectsForwardingLoop) { expect_caught_cold(kCorruptions[5]); }
+
+// The same corruptions after a clean audit has warmed the memo: each is
+// caught by the check built for it, with the full walk's exact report,
+// by a sample that re-walks only a few routers; and each violation
+// clears on the first sample after the revert, so the memo never keeps
+// a stale one.
+TEST(Audit, WarmMemoCatchesEachCorruptionAndClearsOnRevert) {
+  for (const CorruptionCase& c : kCorruptions) {
+    SCOPED_TRACE(c.name);
+    SettledTree t;
+    const InvariantAuditor auditor(t.sim.net());
+    const AuditReport warm = auditor.run();
+    ASSERT_TRUE(warm.clean()) << warm.to_string();
+    EXPECT_EQ(warm.routers_walked, t.sim.router_count());
+
+    Revert revert;
+    c.corrupt(t, revert);
+    ASSERT_TRUE(revert);
+    const AuditReport caught = auditor.run();
+    EXPECT_GE(caught.count(c.check), 1u) << caught.to_string();
+    EXPECT_TRUE(same_verdict(caught, auditor.full_walk()));
+    EXPECT_LT(caught.routers_walked, t.sim.router_count());
+
+    revert();
+    const AuditReport cleared = auditor.run();
+    EXPECT_TRUE(cleared.clean()) << cleared.to_string();
+    EXPECT_TRUE(same_verdict(cleared, auditor.full_walk()));
+  }
+}
+
+// Between a host's change and its router's reaction the host's own note
+// is what re-walks the router: the warm audit sees the in-flight leave
+// as the full walk does. Then the router drops the entry but keeps the
+// channel (its other host stays), which only its FIB refresh notes.
+TEST(Audit, WarmMemoFollowsAHostLeaveThatKeepsTheChannel) {
+  ExpressNetwork sim(workload::make_kary_tree(2, 2, {}, 2));
+  const ip::ChannelId ch = sim.source().allocate_channel();
+  sim.receiver(0).new_subscription(ch);
+  sim.receiver(1).new_subscription(ch);  // same leaf as receiver 0
+  sim.run_for(sim::seconds(2));
+  const InvariantAuditor auditor(sim.net());
+  const AuditReport warm = auditor.run();
+  ASSERT_TRUE(warm.clean()) << warm.to_string();
+
+  sim.receiver(0).delete_subscription(ch);
+  const AuditReport in_flight = auditor.run();
+  EXPECT_EQ(in_flight.count(Check::kCountConservation), 1u)
+      << in_flight.to_string();
+  EXPECT_TRUE(same_verdict(in_flight, auditor.full_walk()));
+
+  sim.run_for(sim::seconds(1));
+  const AuditReport settled = auditor.run();
+  EXPECT_TRUE(settled.clean()) << settled.to_string();
+  EXPECT_EQ(settled.edges_checked, warm.edges_checked - 1);
+  EXPECT_TRUE(same_verdict(settled, auditor.full_walk()));
+}
+
+// A pending route switch suspends the RPF check at its router (§3.2
+// hysteresis); scheduling one is noted, so the warm audit drops the
+// router's RPF violation exactly when the full walk does, with no
+// routing change to force a wider walk.
+TEST(Audit, WarmMemoSeesAPendingRouteSwitch) {
+  SettledTree t;
+  const InvariantAuditor auditor(t.sim.net());
+  ASSERT_TRUE(auditor.run().clean());
+
+  // Point an interior router's upstream at one of its own children, a
+  // neighbour that is not its RPF neighbour toward the source.
+  ExpressRouter& victim = t.interior_router();
+  Channel* state = victim.corrupt_subscriptions_for_test().find(t.ch);
+  ASSERT_NE(state, nullptr);
+  std::optional<net::NodeId> child;
+  for (const auto& [neighbor, entry] : state->downstream) {
+    if (t.sim.net().topology().node(neighbor).kind == net::NodeKind::kRouter) {
+      child = neighbor;
+    }
+  }
+  ASSERT_TRUE(child.has_value());
+  state->upstream = *child;
+  const AuditReport corrupted = auditor.run();
+  EXPECT_EQ(corrupted.count(Check::kRpfConsistency), 1u)
+      << corrupted.to_string();
+  EXPECT_TRUE(same_verdict(corrupted, auditor.full_walk()));
+
+  // The router finds its RPF neighbour differs and holds the switch.
+  victim.on_routing_change();
+  ASSERT_EQ(victim.pending_route_switches(), 1u);
+  const AuditReport pending = auditor.run();
+  EXPECT_EQ(pending.count(Check::kRpfConsistency), 0u) << pending.to_string();
+  EXPECT_TRUE(same_verdict(pending, auditor.full_walk()));
+
+  // The switch back to the RPF neighbour repairs the tree.
+  t.sim.run_for(sim::seconds(3));
+  EXPECT_EQ(victim.pending_route_switches(), 0u);
+  const AuditReport repaired = auditor.run();
+  EXPECT_TRUE(repaired.clean()) << repaired.to_string();
+  EXPECT_TRUE(same_verdict(repaired, auditor.full_walk()));
 }
 
 // Pins the whole report, not just per-check counts: violations come out
@@ -312,6 +461,25 @@ TEST(Audit, ReportIsExactAndOrdered) {
   EXPECT_EQ(report.routers_audited, 15u);
   EXPECT_EQ(report.channels_audited, 20u);  // 14 on ch1 + 6 on ch2
   EXPECT_EQ(report.edges_checked, 30u);
+}
+
+// The first run() counts the EXPRESS routers by walking every node;
+// later ones learn of a router attached since from its attach note.
+TEST(Audit, WarmMemoCountsARouterAttachedAfterTheFirstRun) {
+  net::Topology topo;
+  const net::NodeId r0 = topo.add_router();
+  const net::NodeId r1 = topo.add_router();
+  topo.add_link(r0, r1);
+  net::Network network(std::move(topo));
+  network.attach<ExpressRouter>(r0);
+  const InvariantAuditor auditor(network);
+  EXPECT_EQ(auditor.run().routers_audited, 1u);
+
+  network.attach<ExpressRouter>(r1);
+  const AuditReport report = auditor.run();
+  EXPECT_EQ(report.routers_audited, 2u);
+  EXPECT_EQ(report.routers_walked, 1u);
+  EXPECT_TRUE(same_verdict(report, auditor.full_walk()));
 }
 
 TEST(Audit, ReportFormattingNamesEveryCheck) {

@@ -246,9 +246,10 @@ TEST(PimSm, LeavePrunesSharedTree) {
   }
 }
 
-TEST(PimSm, RpKeepsAnEmptyEntryAfterAPruneButNotAfterAHostLeave) {
-  // The RP erases an emptied (*,G) when its last member host leaves,
-  // and keeps it when its last downstream router prunes.
+TEST(PimSm, RpErasesAnEmptyEntryAfterAPruneAndAfterAHostLeave) {
+  // The RP erases an emptied (*,G) whether its last downstream router
+  // prunes or its last member host leaves: no stale entry is left for
+  // on_shared_tree() to report or state_entries() to count.
   auto topo = workload::make_kary_tree(2, 2);
   const net::NodeId rp_node =
       topo.topology.neighbor_via(topo.receiver_hosts[0], 0);
@@ -265,7 +266,7 @@ TEST(PimSm, RpKeepsAnEmptyEntryAfterAPruneButNotAfterAHostLeave) {
   sim.run_for(sim::seconds(1));
   sim.receivers[3]->leave_group(kGroup, ip::Protocol::kPim);
   sim.run_for(sim::seconds(1));
-  EXPECT_TRUE(rp->on_shared_tree(kGroup));
+  EXPECT_FALSE(rp->on_shared_tree(kGroup));
 
   sim.receivers[0]->join_group(kGroup, ip::Protocol::kPim);
   sim.run_for(sim::seconds(1));

@@ -1,7 +1,9 @@
 // Chaos campaigns (workload/chaos) and the convergence property they
 // gate: after a fault heals, the EXPRESS tree returns to an audit-clean
-// state within the route-change hysteresis plus propagation slack — and
-// the same driver works at delivery level for the PIM-SM baseline.
+// state within the route-change hysteresis plus propagation slack; at
+// every sample of a campaign the incremental audit reports what a full
+// walk does — and the same driver works at delivery level for the
+// PIM-SM baseline.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,9 +11,11 @@
 #include <vector>
 
 #include "audit/invariants.hpp"
+#include "audit_match.hpp"
 #include "baseline/group_host.hpp"
 #include "baseline/pim_sm.hpp"
 #include "helpers.hpp"
+#include "net/lan.hpp"
 #include "testbed/delivery_log.hpp"
 #include "workload/chaos.hpp"
 #include "workload/churn.hpp"
@@ -321,6 +325,154 @@ TEST(Chaos, LinkFlapOnTenThousandNodeTreeConvergesClean) {
   EXPECT_EQ(report.unconverged, 0u);
   EXPECT_GT(report.audits_run, 1u);
   EXPECT_EQ(routers_audited, sim.router_count());
+}
+
+// ------------------------------------------------ incremental audit
+
+/// Audit callback proving the incremental audit against the full walk
+/// at every sample of a campaign. It counts the samples that held
+/// violations and those the memo served without walking every router,
+/// so a campaign that never exercised either cannot pass.
+struct IncrementalOracle {
+  explicit IncrementalOracle(const net::Network& network)
+      : auditor(network) {}
+
+  std::size_t operator()() {
+    const audit::AuditReport incremental = auditor.run();
+    const audit::AuditReport full = auditor.full_walk();
+    const testing::AssertionResult match = same_verdict(incremental, full);
+    if (!match && mismatches++ == 0) {
+      ADD_FAILURE() << "sample " << samples << ": " << match.message();
+    }
+    ++samples;
+    if (!incremental.clean()) ++unclean;
+    if (incremental.routers_walked < full.routers_walked) ++partial;
+    return incremental.violations.size();
+  }
+
+  audit::InvariantAuditor auditor;
+  std::size_t samples = 0;
+  std::size_t mismatches = 0;
+  std::size_t unclean = 0;
+  std::size_t partial = 0;
+};
+
+/// A seeded campaign on `bed` of every fault kind in turn (link flap,
+/// router death, partition) under churn over every receiver, with a
+/// lossy data plane carrying a packet train into each fault, sampled
+/// through the oracle.
+void run_oracle_campaign(ExpressNetwork& bed, std::uint64_t seed,
+                         std::size_t fault_count) {
+  const ip::ChannelId ch = bed.source().allocate_channel();
+  for (std::size_t i = 0; i < bed.receiver_count(); i += 3) {
+    bed.receiver(i).new_subscription(ch);
+  }
+  bed.run_for(sim::seconds(2));
+
+  sim::Rng fault_rng(seed);
+  std::vector<Fault> schedule;
+  for (std::size_t i = 0; i < fault_count; ++i) {
+    FaultPlanConfig plan;
+    plan.fault_count = 1;
+    plan.link_flap_weight = i % 3 == 0;
+    plan.router_down_weight = i % 3 == 1;
+    plan.partition_weight = i % 3 == 2;
+    for (Fault& fault : workload::make_fault_schedule(
+             bed.net().topology(), plan, fault_rng)) {
+      schedule.push_back(std::move(fault));
+    }
+  }
+  ASSERT_EQ(schedule.size(), fault_count);
+
+  ChaosConfig chaos;
+  net::ImpairmentConfig lossy;
+  lossy.loss.kind = net::LossModel::Kind::kBernoulli;
+  lossy.loss.p = 0.02;
+  chaos.link_impairments = lossy;
+  bed.net().seed_impairments(seed);
+
+  sim::Rng churn_rng(seed + 1);
+  std::uint64_t sequence = 0;
+  auto churn = [&](std::size_t) {
+    const auto events = workload::poisson_churn(
+        static_cast<std::uint32_t>(bed.receiver_count()), sim::seconds(4),
+        sim::seconds(2), sim::seconds(2), churn_rng);
+    for (const auto& ev : events) {
+      bed.net().scheduler().schedule_at(
+          bed.net().now() + (ev.at - sim::Time{}), [&bed, ev, ch] {
+            if (ev.join) {
+              bed.receiver(ev.host_index).new_subscription(ch);
+            } else {
+              bed.receiver(ev.host_index).delete_subscription(ch);
+            }
+          });
+    }
+    for (int k = 0; k < 10; ++k) {
+      bed.net().scheduler().schedule_at(
+          bed.net().now() + sim::milliseconds(100 * (k + 1)),
+          [&bed, &sequence, ch] { bed.source().send(ch, 300, ++sequence); });
+    }
+  };
+
+  IncrementalOracle oracle(bed.net());
+  const ChaosReport report = workload::run_chaos_campaign(
+      bed.net(), schedule, chaos, [&oracle] { return oracle(); }, churn);
+
+  EXPECT_EQ(report.faults_injected, fault_count);
+  EXPECT_EQ(oracle.mismatches, 0u) << "of " << oracle.samples << " samples";
+  EXPECT_EQ(oracle.samples, report.audits_run);
+  EXPECT_GT(oracle.unclean, 0u) << "no transient violation was compared";
+  EXPECT_GT(oracle.partial, oracle.samples / 2)
+      << "the memo served too few samples";
+  EXPECT_GT(bed.net().stats().packets_dropped_loss, 0u);
+}
+
+TEST(IncrementalAudit, MatchesTheFullWalkOnTransitStubCampaigns) {
+  sim::Rng topo_rng(1);
+  ExpressNetwork bed(workload::make_transit_stub(16, 8, 4, topo_rng));
+  run_oracle_campaign(bed, 7919, 6);
+}
+
+TEST(IncrementalAudit, MatchesTheFullWalkOnKaryTreeCampaigns) {
+  // Proactive counting (§6) with a short curve: drift timers move
+  // advertisements between the protocol's own events.
+  RouterConfig config;
+  config.proactive = counting::CurveParams{0.3, 2, 4};
+  ExpressNetwork bed(workload::make_kary_tree(3, 4, {}, 2), config);
+  run_oracle_campaign(bed, 2, 6);
+}
+
+TEST(IncrementalAudit, MatchesTheFullWalkOnLanSegmentCampaigns) {
+  // A transit-stub graph whose stub routers each also serve a LAN
+  // segment of three hosts in UDP mode: a member's note must reach its
+  // router across the hub, and soft-state expiry adds its own changes.
+  sim::Rng topo_rng(3);
+  workload::GeneratedTopology generated =
+      workload::make_transit_stub(4, 2, 2, topo_rng);
+  std::vector<net::NodeId> stubs;
+  for (const net::NodeId host : generated.receiver_hosts) {
+    const net::NodeId stub = generated.topology.neighbor_via(host, 0);
+    if (stubs.empty() || stubs.back() != stub) stubs.push_back(stub);
+  }
+  std::vector<net::LanSegment> segments;
+  for (const net::NodeId stub : stubs) {
+    segments.push_back(net::add_lan_segment(generated.topology, stub, 3));
+    for (const net::NodeId host : segments.back().hosts) {
+      generated.receiver_hosts.push_back(host);
+    }
+  }
+  ExpressNetwork bed(std::move(generated));
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    bed.net().attach<net::LanHub>(segments[s].hub);
+    for (std::size_t i = 0; i < bed.router_count(); ++i) {
+      if (bed.roles().routers[i] != stubs[s]) continue;
+      const auto iface =
+          bed.net().topology().interface_to(stubs[s], segments[s].hub);
+      ASSERT_TRUE(iface.has_value());
+      bed.router(i).set_interface_mode(*iface, ecmp::Mode::kUdp);
+    }
+  }
+  run_oracle_campaign(bed, 11, 6);
 }
 
 // The same driver at delivery level for the PIM-SM baseline: the RP

@@ -6,7 +6,8 @@
 // touches the allocator zero times; that a topology requests a few
 // hundred bytes a node and building the network fabric over it costs
 // no per-node allocation; that an invariant audit's scratch is sized by
-// the on-tree state, not by the network; and that the group-model
+// the on-tree state, not by the network, and a warm audit re-walks only
+// the routers a change touched; and that the group-model
 // baselines attach cheaply and forward a warmed-up flow without
 // touching the allocator. It is its own test
 // binary so the counting overrides cannot perturb (or be perturbed by)
@@ -204,8 +205,65 @@ TEST(AuditAllocation, AuditOfALargeTreeIsSizedByItsOnTreeState) {
   const std::uint64_t bytes = allocated_bytes() - before;
   EXPECT_TRUE(report.clean()) << report.to_string();
   EXPECT_EQ(report.routers_audited, 5461u);
+  EXPECT_EQ(report.routers_walked, 5461u);  // cold: every router
   EXPECT_GT(report.channels_audited, 4u);
   EXPECT_LT(bytes, 64u * 1024u) << bytes << " bytes for one audit";
+}
+
+/// The /6 tree of the test above with its four receivers settled and
+/// one warm audit behind it.
+struct WarmLargeTree {
+  WarmLargeTree() : bed(workload::make_kary_tree(4, 6, {}, 10)) {
+    channel = bed.source().allocate_channel();
+    for (std::size_t i = 0; i < bed.receiver_count(); i += 10'000) {
+      bed.receiver(i).new_subscription(channel);
+    }
+    bed.run_for(sim::seconds(2));
+    const audit::AuditReport cold = audit::InvariantAuditor(bed.net()).run();
+    EXPECT_TRUE(cold.clean()) << cold.to_string();
+    EXPECT_EQ(cold.routers_walked, 5461u);
+  }
+  Testbed bed;
+  ip::ChannelId channel;
+};
+
+TEST(AuditAllocation, OneJoinAfterAWarmAuditWalksAFewRouters) {
+  // Receiver 10 hangs off the sibling of receiver 0's leaf: its join
+  // grows the tree by one router below an on-tree one. The memo
+  // re-walks the routers the join touched and their on-tree
+  // neighbours; only the audit's own heap traffic is counted.
+  WarmLargeTree t;
+  t.bed.receiver(10).new_subscription(t.channel);
+  t.bed.run_for(sim::seconds(1));
+  const audit::InvariantAuditor auditor(t.bed.net());
+  const std::uint64_t before = allocated_bytes();
+  const audit::AuditReport report = auditor.run();
+  const std::uint64_t bytes = allocated_bytes() - before;
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_EQ(report.routers_audited, 5461u);
+  EXPECT_GE(report.routers_walked, 2u);
+  EXPECT_LE(report.routers_walked, 8u);
+  EXPECT_LT(bytes, 4u * 1024u) << bytes << " bytes for one audit";
+}
+
+TEST(AuditAllocation, WalkAfterARoutingChangeVisitsOnlyRoutersWithState) {
+  // A routing change re-walks every router holding channel or FIB
+  // state, and none of the thousands that hold nothing.
+  WarmLargeTree t;
+  net::Network& network = t.bed.net();
+  // The last leaf's uplink (its first port): no receiver sits below it.
+  const net::LinkId uplink =
+      network.topology().port(t.bed.roles().routers.back(), 0).link;
+  network.set_link_up(uplink, false);
+  network.set_link_up(uplink, true);
+  t.bed.run_for(sim::seconds(2));
+  const audit::InvariantAuditor auditor(network);
+  const audit::AuditReport report = auditor.run();
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_EQ(report.routers_audited, 5461u);
+  // One channel: one pair per on-tree router.
+  EXPECT_EQ(report.routers_walked, report.channels_audited);
+  EXPECT_LT(report.routers_walked, 100u);
 }
 
 }  // namespace
