@@ -18,6 +18,11 @@ Architecture conformance (config: scripts/lint/layers.toml)
                          an include surface).
   arch-private-header    #include of a [private]-listed header from a
                          module not on its allow list.
+  arch-link              a target_link_libraries edge in a module's
+                         CMakeLists.txt between two scanned modules
+                         that layers.toml does not declare: the
+                         build graph and the declared DAG must be the
+                         same graph, declared once.
   arch-pragma-once       header without `#pragma once`.
   arch-self-containment  a header that names another module's
                          namespace (net::, obs::, sim::, ...)
@@ -213,6 +218,53 @@ def check_architecture(tree: Tree, findings: list) -> None:
                     "arch-private-header", sf.path, inc.line, inc.col,
                     f"`{target}` is private to `{tmod}` (shared with: "
                     f"{', '.join(cfg.private[target]) or 'nobody'})"))
+
+
+CMAKE_COMMENT_RE = re.compile(r"#[^\n]*")
+CMAKE_CALL_RE = re.compile(
+    r"\b(add_library|target_link_libraries)\s*\(([^)]*)\)", re.I)
+
+
+def check_link_edges(cfg: Config, findings: list) -> None:
+    """Every library a module's CMakeLists.txt links from another scanned
+    module must be a declared dependency of that module."""
+    lists = {}  # module -> (path, comment-stripped text)
+    for r in cfg.roots:
+        base = os.path.join(cfg.root, r)
+        if not os.path.isdir(base):
+            continue
+        for mod in sorted(os.listdir(base)):
+            path = os.path.join(base, mod, "CMakeLists.txt")
+            if os.path.isfile(path):
+                with open(path, encoding="utf-8") as fh:
+                    lists[mod] = (path, CMAKE_COMMENT_RE.sub("", fh.read()))
+    owner = {}  # library target -> module defining it
+    for mod, (_path, text) in lists.items():
+        for m in CMAKE_CALL_RE.finditer(text):
+            if m.group(1).lower() == "add_library":
+                args = m.group(2).split()
+                if args:
+                    owner[args[0]] = mod
+    for mod, (path, text) in sorted(lists.items()):
+        if mod not in cfg.modules:
+            continue  # reported as arch-unknown-module
+        allowed = set(cfg.modules[mod])
+        for m in CMAKE_CALL_RE.finditer(text):
+            if m.group(1).lower() != "target_link_libraries":
+                continue
+            args = m.group(2).split()
+            for dep in args[1:]:
+                dmod = owner.get(dep)
+                if dmod is None or dmod == mod or dmod in allowed:
+                    continue
+                off = m.start(2) + m.group(2).index(dep)
+                line = text.count("\n", 0, off) + 1
+                col = off - text.rfind("\n", 0, off)
+                findings.append(Finding(
+                    "arch-link", path, line, col,
+                    f"`{args[0]}` links `{dep}`, but layers.toml does not "
+                    f"declare `{mod}` -> `{dmod}` (allowed: "
+                    f"{', '.join(sorted(allowed)) or 'none'})"))
 
 
 HEADER_EXT = (".hpp", ".h")
@@ -663,6 +715,7 @@ def run(root: str, config_path: str, only=None) -> list:
             "declared layer DAG has a cycle: " + " -> ".join(cyc)))
 
     check_architecture(tree, findings)
+    check_link_edges(cfg, findings)
     check_headers(tree, findings)
     check_doc_banners(tree, findings)
     check_handle_leaks(tree, findings)
@@ -695,6 +748,8 @@ ARCH_SELF_TESTS = {
     "src/high/not_self_contained.hpp": {"arch-self-containment"},
     "src/high/includes_cpp.hpp": {"arch-include-cpp"},
     "src/low/no_banner.hpp": {"doc-banner"},
+    "src/high/CMakeLists.txt": set(),
+    "src/low/CMakeLists.txt": {"arch-link"},
 }
 
 FILE_SELF_TESTS = {
@@ -713,6 +768,7 @@ WIRE_SELF_TESTS = {
 
 SELF_TEST_MIN_COUNTS = {
     "src/low/bad_upward.hpp": 1,
+    "src/low/CMakeLists.txt": 2,  # one-line link + multi-line link
     "handle_leak.cpp": 2,        # discarded handle + uncancelled member
     "partial_switch.cpp": 2,     # no-default gap + unjustified default
     "drop_untraced.cpp": 2,      # ++ bump + compound-assignment bump

@@ -4,13 +4,13 @@
 #include <memory>
 
 #include "net/replicate.hpp"
+#include "obs/obs.hpp"
 
 namespace express::baseline {
 
 CbtRouter::CbtRouter(net::Network& network, net::NodeId id, CbtConfig config)
-    : GroupRouter(network, id, ip::Protocol::kCbt), config_(config),
-      scope_(network.node_scope(id)) {
-  stats_ = scope_.bind<CbtStats>({
+    : GroupRouter(network, id, ip::Protocol::kCbt), config_(config) {
+  stats_ = scope().bind<CbtStats>({
       {&CbtStats::joins_sent, "baseline.cbt.joins_sent"},
       {&CbtStats::prunes_sent, "baseline.cbt.prunes_sent"},
       {&CbtStats::data_copies_sent, "baseline.cbt.data_copies_sent"},
@@ -105,9 +105,9 @@ void CbtRouter::inject(const net::Packet& packet, std::uint32_t except_iface) {
   auto it = trees_.find(packet.dst);
   if (it == trees_.end()) {
     ++stats_->drops;
-    scope_.emit(network().now(), obs::TraceType::kPacketDropped,
-                static_cast<std::uint64_t>(obs::DropReason::kNoRoute),
-                packet.wire_size());
+    scope().emit(network().now(), obs::TraceType::kPacketDropped,
+                 static_cast<std::uint64_t>(obs::DropReason::kNoRoute),
+                 packet.wire_size());
     return;
   }
   net::ReplicateOptions opts;
@@ -130,9 +130,9 @@ void CbtRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
   // packet to the core, which injects it into the tree.
   if (!iface_is_host(in_iface)) {
     ++stats_->drops;
-    scope_.emit(network().now(), obs::TraceType::kPacketDropped,
-                static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
-                packet.wire_size());
+    scope().emit(network().now(), obs::TraceType::kPacketDropped,
+                 static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
+                 packet.wire_size());
     return;
   }
   if (is_core()) {

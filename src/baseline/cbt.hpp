@@ -18,7 +18,6 @@
 #include "ip/address.hpp"
 #include "net/interface_set.hpp"
 #include "net/network.hpp"
-#include "obs/obs.hpp"
 
 namespace express::baseline {
 
@@ -66,7 +65,6 @@ class CbtRouter : public GroupRouter {
   void join_toward_core(ip::Address group);
 
   CbtConfig config_;
-  obs::Scope scope_;
   CbtStats* stats_ = nullptr;  ///< registry-owned block
   std::unordered_map<ip::Address, Tree> trees_;
 };

@@ -1,14 +1,14 @@
 #include "baseline/dvmrp.hpp"
 
 #include "net/replicate.hpp"
+#include "obs/obs.hpp"
 
 namespace express::baseline {
 
 DvmrpRouter::DvmrpRouter(net::Network& network, net::NodeId id,
                          DvmrpConfig config)
-    : GroupRouter(network, id, ip::Protocol::kIgmp), config_(config),
-      scope_(network.node_scope(id)) {
-  stats_ = scope_.bind<DvmrpStats>({
+    : GroupRouter(network, id, ip::Protocol::kIgmp), config_(config) {
+  stats_ = scope().bind<DvmrpStats>({
       {&DvmrpStats::data_packets_forwarded,
        "baseline.dvmrp.data_packets_forwarded"},
       {&DvmrpStats::data_copies_sent, "baseline.dvmrp.data_copies_sent"},
@@ -103,9 +103,9 @@ void DvmrpRouter::forward_data(const net::Packet& packet,
   auto rpf = network().routing().rpf_interface(id(), *src_node);
   if (!rpf || *rpf != in_iface) {
     ++stats_->rpf_drops;
-    scope_.emit(network().now(), obs::TraceType::kPacketDropped,
-                static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
-                packet.wire_size());
+    scope().emit(network().now(), obs::TraceType::kPacketDropped,
+                 static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
+                 packet.wire_size());
     return;
   }
 

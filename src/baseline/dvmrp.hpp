@@ -18,7 +18,6 @@
 #include "ip/channel.hpp"
 #include "net/interface_set.hpp"
 #include "net/network.hpp"
-#include "obs/obs.hpp"
 #include "sim/time.hpp"
 
 namespace express::baseline {
@@ -67,7 +66,6 @@ class DvmrpRouter : public GroupRouter {
   void forward_data(const net::Packet& packet, std::uint32_t in_iface);
 
   DvmrpConfig config_;
-  obs::Scope scope_;
   DvmrpStats* stats_ = nullptr;  ///< registry-owned block
   std::unordered_map<ip::Address, net::InterfaceSet> members_;
   std::map<ip::ChannelId, SgState> sg_;  ///< keyed (S, G); grafts go in order

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace express::baseline {
 
 GroupHost::GroupHost(net::Network& network, net::NodeId id)
@@ -9,8 +11,7 @@ GroupHost::GroupHost(net::Network& network, net::NodeId id)
   if (network.topology().interface_count(id) != 1) {
     throw std::logic_error("group hosts are single-homed in this simulator");
   }
-  scope_ = network.node_scope(id);
-  stats_ = scope_.bind<GroupHostStats>({
+  stats_ = scope().bind<GroupHostStats>({
       {&GroupHostStats::data_received, "baseline.group_host.data_received"},
       {&GroupHostStats::data_filtered, "baseline.group_host.data_filtered"},
       {&GroupHostStats::unwanted_data, "baseline.group_host.unwanted_data"},
@@ -29,15 +30,15 @@ void GroupHost::set_data_handler(DataHandler handler) {
 
 void GroupHost::join_group(ip::Address group, ip::Protocol control) {
   groups_.insert(group);
-  scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
-              std::uint64_t{group.value()}, 1);
+  scope().emit(network().now(), obs::TraceType::kSubscriptionChange,
+               std::uint64_t{group.value()}, 1);
   send_membership(MsgType::kMembershipReport, group, control);
 }
 
 void GroupHost::leave_group(ip::Address group, ip::Protocol control) {
   groups_.erase(group);
-  scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
-              std::uint64_t{group.value()}, 0);
+  scope().emit(network().now(), obs::TraceType::kSubscriptionChange,
+               std::uint64_t{group.value()}, 0);
   filters_.erase(group);
   send_membership(MsgType::kLeaveGroup, group, control);
 }

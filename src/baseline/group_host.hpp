@@ -21,7 +21,6 @@
 #include "ip/header.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
-#include "obs/obs.hpp"
 #include "sim/time.hpp"
 
 namespace express::baseline {
@@ -76,7 +75,6 @@ class GroupHost : public net::Node {
   std::unordered_set<ip::Address> groups_;
   std::unordered_map<ip::Address, std::unordered_set<ip::Address>> filters_;
   DataHandler data_handler_;
-  obs::Scope scope_;
   GroupHostStats* stats_ = nullptr;  ///< registry-owned block
 };
 

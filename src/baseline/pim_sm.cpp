@@ -4,14 +4,14 @@
 #include <memory>
 
 #include "net/replicate.hpp"
+#include "obs/obs.hpp"
 
 namespace express::baseline {
 
 PimSmRouter::PimSmRouter(net::Network& network, net::NodeId id,
                          PimConfig config)
-    : GroupRouter(network, id, ip::Protocol::kPim), config_(config),
-      scope_(network.node_scope(id)) {
-  stats_ = scope_.bind<PimStats>({
+    : GroupRouter(network, id, ip::Protocol::kPim), config_(config) {
+  stats_ = scope().bind<PimStats>({
       {&PimStats::joins_star_g, "baseline.pim.joins_star_g"},
       {&PimStats::joins_sg, "baseline.pim.joins_sg"},
       {&PimStats::prunes, "baseline.pim.prunes"},
@@ -230,9 +230,9 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
     auto rpf = rpf_iface_toward(packet.src);
     if (!rpf || *rpf != in_iface) {
       ++stats_->drops;
-      scope_.emit(network().now(), obs::TraceType::kPacketDropped,
-                  static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
-                  packet.wire_size());
+      scope().emit(network().now(), obs::TraceType::kPacketDropped,
+                   static_cast<std::uint64_t>(obs::DropReason::kRpfFail),
+                   packet.wire_size());
       return;
     }
     deliver(packet, inherited_oifs(sg, &it->second), in_iface);
@@ -266,9 +266,9 @@ void PimSmRouter::on_data(const net::Packet& packet, std::uint32_t in_iface) {
     }
   }
   ++stats_->drops;
-  scope_.emit(network().now(), obs::TraceType::kPacketDropped,
-              static_cast<std::uint64_t>(obs::DropReason::kNoRoute),
-              packet.wire_size());
+  scope().emit(network().now(), obs::TraceType::kPacketDropped,
+               static_cast<std::uint64_t>(obs::DropReason::kNoRoute),
+               packet.wire_size());
 }
 
 void PimSmRouter::on_register(const net::Packet& packet) {

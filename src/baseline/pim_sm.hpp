@@ -23,7 +23,6 @@
 #include "ip/channel.hpp"
 #include "net/interface_set.hpp"
 #include "net/network.hpp"
-#include "obs/obs.hpp"
 
 namespace express::baseline {
 
@@ -102,7 +101,6 @@ class PimSmRouter : public GroupRouter {
       ip::Address addr) const;
 
   PimConfig config_;
-  obs::Scope scope_;
   PimStats* stats_ = nullptr;  ///< registry-owned block
   std::unordered_map<ip::Address, net::InterfaceSet> members_;
   std::unordered_map<ip::Address, StarG> star_g_;

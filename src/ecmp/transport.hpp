@@ -44,6 +44,9 @@
 
 namespace express::ecmp {
 
+/// Unanswered UDP refresh intervals before a downstream entry expires.
+inline constexpr std::uint32_t kUdpRobustness = 2;
+
 /// Retry/timeout policy for ECMP sessions: every duration the transport
 /// (or a layer above, via accessors) uses to arm a timer.
 struct TransportPolicy {
@@ -52,10 +55,8 @@ struct TransportPolicy {
   sim::Duration neighbor_query_interval = sim::seconds(30);
   sim::Duration neighbor_timeout = sim::seconds(95);
 
-  /// UDP-mode soft state: per-channel refresh query interval and the
-  /// number of unanswered intervals before a downstream entry expires.
+  /// UDP-mode soft state: per-channel refresh query interval.
   sim::Duration udp_query_interval = sim::seconds(60);
-  std::uint32_t udp_robustness = 2;
 
   /// TCP-mode segment batching (§5.3): coalesce ECMP messages to each
   /// neighbor for up to this window (or until a 1480-byte segment
@@ -64,7 +65,7 @@ struct TransportPolicy {
 
   /// How long a UDP-mode downstream entry lives without a refresh.
   [[nodiscard]] sim::Duration udp_lifetime() const {
-    return udp_query_interval * udp_robustness + udp_query_interval / 2;
+    return udp_query_interval * kUdpRobustness + udp_query_interval / 2;
   }
   /// Reply deadline carried in UDP refresh queries.
   [[nodiscard]] sim::Duration udp_reply_timeout() const {

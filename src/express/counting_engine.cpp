@@ -41,11 +41,8 @@ bool CountingEngine::start_round(const ip::ChannelId& channel,
     }
     return false;
   }
-  const std::uint64_t key = round_key(channel, count_id, query_seq);
+  const RoundKey key{channel, count_id, query_seq};
   PendingRound& round = pending_[key];
-  round.channel = channel;
-  round.count_id = count_id;
-  round.query_seq = query_seq;
   round.requester = requester;
   round.sum = local;
   round.outstanding = children;
@@ -62,7 +59,7 @@ bool CountingEngine::start_round(const ip::ChannelId& channel,
 bool CountingEngine::absorb(const ip::ChannelId& channel,
                             ecmp::CountId count_id, std::uint32_t query_seq,
                             std::int64_t value) {
-  const std::uint64_t key = round_key(channel, count_id, query_seq);
+  const RoundKey key{channel, count_id, query_seq};
   auto it = pending_.find(key);
   if (it == pending_.end()) return false;  // late reply after timeout
   it->second.sum += value;
@@ -70,7 +67,7 @@ bool CountingEngine::absorb(const ip::ChannelId& channel,
   return true;
 }
 
-void CountingEngine::finish_round(std::uint64_t key, bool timed_out) {
+void CountingEngine::finish_round(RoundKey key, bool timed_out) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;
   PendingRound round = std::move(it->second);
@@ -83,14 +80,14 @@ void CountingEngine::finish_round(std::uint64_t key, bool timed_out) {
   }
   const sim::Time now = scheduler_->now();
   round_ns_.observe(static_cast<std::uint64_t>((now - round.started).count()));
-  scope_.emit(now, obs::TraceType::kCountRoundEnd, round.channel.packed(),
-              round.query_seq, timed_out ? 1 : 0);
+  scope_.emit(now, obs::TraceType::kCountRoundEnd, key.channel.packed(),
+              key.query_seq, timed_out ? 1 : 0);
 
   if (round.requester) {
     // Partial or complete, the sum goes upstream (§3.1: a router that
     // times out sends a partial reply before its parent times out).
-    reply_(*round.requester, round.channel, round.count_id, round.sum,
-           round.query_seq);
+    reply_(*round.requester, key.channel, key.count_id, round.sum,
+           key.query_seq);
   } else if (round.local_done) {
     round.local_done(CountResult{round.sum, !timed_out});
   }
@@ -150,15 +147,14 @@ void CountingEngine::erase_channel(const ip::ChannelId& channel) {
   proactive_.erase(it);
 }
 
-std::uint64_t CountingEngine::round_key(const ip::ChannelId& channel,
-                                        ecmp::CountId count_id,
-                                        std::uint32_t query_seq) {
-  std::uint64_t x = std::hash<ip::ChannelId>{}(channel);
-  x ^= (static_cast<std::uint64_t>(count_id) << 32) ^ query_seq;
+std::size_t CountingEngine::RoundKeyHash::operator()(
+    const RoundKey& key) const noexcept {
+  std::uint64_t x = std::hash<ip::ChannelId>{}(key.channel);
+  x ^= (static_cast<std::uint64_t>(key.count_id) << 32) ^ key.query_seq;
   x ^= x >> 29;
   x *= 0xbf58476d1ce4e5b9ULL;
   x ^= x >> 32;
-  return x;
+  return static_cast<std::size_t>(x);
 }
 
 }  // namespace express

@@ -132,10 +132,20 @@ class CountingEngine {
   [[nodiscard]] CountingStats stats() const { return *stats_; }
 
  private:
-  struct PendingRound {
+  /// A round's exact identity: the (channel, countId, sequence) its
+  /// query and every Count reply carry (§3.1).
+  struct RoundKey {
     ip::ChannelId channel;
     ecmp::CountId count_id = ecmp::kSubscriberId;
     std::uint32_t query_seq = 0;
+
+    friend bool operator==(const RoundKey&, const RoundKey&) = default;
+  };
+  struct RoundKeyHash {
+    std::size_t operator()(const RoundKey& key) const noexcept;
+  };
+
+  struct PendingRound {
     std::optional<net::NodeId> requester;  ///< upstream; nullopt = local origin
     std::int64_t sum = 0;
     std::uint32_t outstanding = 0;
@@ -152,16 +162,12 @@ class CountingEngine {
         : state(params) {}
   };
 
-  void finish_round(std::uint64_t key, bool timed_out);
-
-  [[nodiscard]] static std::uint64_t round_key(const ip::ChannelId& channel,
-                                               ecmp::CountId count_id,
-                                               std::uint32_t query_seq);
+  void finish_round(RoundKey key, bool timed_out);
 
   sim::Scheduler* scheduler_;
   ReplyFn reply_;
   RecheckFn recheck_;
-  std::unordered_map<std::uint64_t, PendingRound> pending_;
+  std::unordered_map<RoundKey, PendingRound, RoundKeyHash> pending_;
   std::unordered_map<ip::ChannelId, ProactiveChannel> proactive_;
   obs::Scope scope_;
   CountingStats* stats_;  ///< registry-owned block

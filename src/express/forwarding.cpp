@@ -8,11 +8,12 @@ bool ForwardingPlane::forward(const net::Packet& packet,
   const net::InterfaceSet* oifs = fib_.lookup(channel, in_iface);
   if (oifs == nullptr) {
     // Counted by the FIB; classify the drop for the trace.
-    scope_.emit(network_->now(), obs::TraceType::kPacketDropped,
-                static_cast<std::uint64_t>(
-                    fib_.find(channel) == nullptr ? obs::DropReason::kNoFibEntry
-                                                  : obs::DropReason::kRpfFail),
-                channel.packed());
+    scope().emit(network_->now(), obs::TraceType::kPacketDropped,
+                 static_cast<std::uint64_t>(
+                     fib_.find(channel) == nullptr
+                         ? obs::DropReason::kNoFibEntry
+                         : obs::DropReason::kRpfFail),
+                 channel.packed());
     return false;
   }
   ++stats_->data_packets_forwarded;

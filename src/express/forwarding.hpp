@@ -42,9 +42,8 @@ class ForwardingPlane {
  public:
   ForwardingPlane(net::Network& network, net::NodeId node)
       : network_(&network), node_(node),
-        scope_(network.node_scope(node)),
-        fib_(scope_),
-        stats_(scope_.bind<ForwardingStats>({
+        fib_(scope()),
+        stats_(scope().bind<ForwardingStats>({
             {&ForwardingStats::data_packets_forwarded,
              "express.fwd.data_packets_forwarded"},
             {&ForwardingStats::data_copies_sent,
@@ -71,9 +70,12 @@ class ForwardingPlane {
   [[nodiscard]] ForwardingStats stats() const { return *stats_; }
 
  private:
+  [[nodiscard]] obs::Scope scope() const {
+    return network_->node_scope(node_);
+  }
+
   net::Network* network_;
   net::NodeId node_;
-  obs::Scope scope_;
   Fib fib_;
   ForwardingStats* stats_;  ///< registry-owned block
 };

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace express {
 
 ExpressHost::ExpressHost(net::Network& network, net::NodeId id)
@@ -13,10 +15,7 @@ ExpressHost::ExpressHost(net::Network& network, net::NodeId id)
   if (info.ports.size() != 1) {
     throw std::logic_error("hosts are single-homed in this simulator");
   }
-  first_hop_ = network.topology().neighbor_via(id, 0);
-  on_lan_ = network.topology().node(first_hop_).kind == net::NodeKind::kLanHub;
-  scope_ = network.node_scope(id);
-  stats_ = scope_.bind<HostStats>({
+  stats_ = scope().bind<HostStats>({
       {&HostStats::data_received, "express.host.data_received"},
       {&HostStats::data_sent, "express.host.data_sent"},
       {&HostStats::unwanted_data, "express.host.unwanted_data"},
@@ -185,8 +184,8 @@ void ExpressHost::new_subscription(const ip::ChannelId& channel,
   join.count = sub.local_count;
   join.key = sub.key;
   ++stats_->counts_sent;
-  scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
-              channel.packed(), static_cast<std::uint64_t>(sub.local_count));
+  scope().emit(network().now(), obs::TraceType::kSubscriptionChange,
+               channel.packed(), static_cast<std::uint64_t>(sub.local_count));
   send_ecmp(join);
 }
 
@@ -203,8 +202,8 @@ void ExpressHost::delete_subscription(const ip::ChannelId& channel) {
     subscriptions_.erase(it);
   }
   ++stats_->counts_sent;
-  scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
-              channel.packed(), static_cast<std::uint64_t>(update.count));
+  scope().emit(network().now(), obs::TraceType::kSubscriptionChange,
+               channel.packed(), static_cast<std::uint64_t>(update.count));
   send_ecmp(update);
 }
 
@@ -259,7 +258,7 @@ void ExpressHost::handle_packet(const net::Packet& packet,
   if (packet.dst.is_single_source()) {
     const ip::ChannelId channel{packet.src, packet.dst};
     if (!subscribed(channel)) {
-      if (on_lan_) return;  // normal on shared media: the NIC filters
+      if (on_lan()) return;  // normal on shared media: the NIC filters
       // On a point-to-point access link the channel model guarantees we
       // only receive from sources we designated; count any violation
       // (tests assert zero).
@@ -368,8 +367,8 @@ void ExpressHost::send_ecmp(const ecmp::Message& msg) {
   // On a point-to-point access link the peer is the router; on a shared
   // LAN the hub repeats to everyone, so control goes to the well-known
   // ECMP address (§3.2) and the router picks it up.
-  packet.dst = on_lan_ ? ip::kEcmpAllRouters
-                       : network().topology().address(first_hop_);
+  packet.dst = on_lan() ? ip::kEcmpAllRouters
+                        : network().topology().address(first_hop());
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = ecmp::encode(msg);
   stats_->control_bytes_sent += packet.payload.size();

@@ -26,7 +26,6 @@
 #include "ip/channel.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
-#include "obs/obs.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
@@ -175,11 +174,19 @@ class ExpressHost final : public net::Node {
   void on_query(const ecmp::CountQuery& query);
   void on_count(const ecmp::Count& count);
   void on_response(const ecmp::CountResponse& response);
-  [[nodiscard]] net::NodeId first_hop() const { return first_hop_; }
+  /// Interface 0's peer: the first-hop router, or a LAN hub.
+  [[nodiscard]] net::NodeId first_hop() const {
+    return network().topology().port(id(), 0).peer;
+  }
+  /// The first hop is a shared-media segment.
+  [[nodiscard]] bool on_lan() const {
+    return network().topology().node(first_hop()).kind ==
+           net::NodeKind::kLanHub;
+  }
 
-  net::NodeId first_hop_ = net::kInvalidNode;
   std::uint32_t next_channel_index_ = 1;  ///< local allocation database
   std::uint32_t next_query_seq_ = 1;
+  bool silent_ = false;
   /// Ordered: a general query re-announces in channel order.
   std::map<ip::ChannelId, Subscription> subscriptions_;
   std::unordered_map<std::uint32_t,
@@ -190,10 +197,7 @@ class ExpressHost final : public net::Node {
       count_handlers_;
   DataHandler data_handler_;
   DataHandler unicast_handler_;
-  obs::Scope scope_;
   HostStats* stats_ = nullptr;  ///< registry-owned block
-  bool silent_ = false;
-  bool on_lan_ = false;  ///< first hop is a shared-media segment
 };
 
 }  // namespace express

@@ -29,9 +29,8 @@ ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
     : net::Node(network, router_node(network, id)),
       route_change_hysteresis_(config.route_change_hysteresis),
       proactive_(config.proactive),
-      scope_(network.node_scope(id)),
       forwarding_(network, id),
-      table_(scope_),
+      table_(scope()),
       counting_(
           network.scheduler(),
           [this](net::NodeId requester, const ip::ChannelId& channel,
@@ -43,14 +42,14 @@ ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
           [this](const ip::ChannelId& channel) {
             maybe_send_proactive(channel);
           },
-          scope_),
+          scope()),
       transport_(network, id, config,
                  ecmp::TransportHooks{
                      [this]() { return udp_refresh_round(); },
                      [this](net::NodeId neighbor) { neighbor_died(neighbor); },
                  }),
-      stats_(scope_.bind<RouterStats>({
-          {&RouterStats::unresolved_neighbor_updates,
+      own_stats_(scope().bind<OwnStats>({
+          {&OwnStats::unresolved_neighbor_updates,
            "express.router.unresolved_neighbor_updates"},
       })) {}
 

@@ -105,21 +105,11 @@ class ExpressRouter final : public net::Node {
   [[nodiscard]] RouterStats stats() const {
     return RouterStats{table_.stats(), transport_.stats(), forwarding_.stats(),
                        counting_.stats().proactive_updates_sent,
-                       stats_->unresolved_neighbor_updates};
+                       own_stats_->unresolved_neighbor_updates};
   }
-  // Per-module views are returned by value: each is a copy of the
-  // module's registry-bound block.
-  [[nodiscard]] ForwardingStats forwarding_stats() const {
-    return forwarding_.stats();
-  }
-  [[nodiscard]] SubscriptionStats subscription_stats() const {
-    return table_.stats();
-  }
+  /// Copy of the counting engine's registry-bound block.
   [[nodiscard]] CountingStats counting_stats() const {
     return counting_.stats();
-  }
-  [[nodiscard]] ecmp::TransportStats transport_stats() const {
-    return transport_.stats();
   }
   [[nodiscard]] bool on_tree(const ip::ChannelId& channel) const {
     return table_.contains(channel);
@@ -169,14 +159,6 @@ class ExpressRouter final : public net::Node {
     return pending_switches_.size();
   }
 
-  /// Observer invoked whenever a channel's subtree count changes at this
-  /// router; Fig. 8 samples this at the tree root.
-  using TotalObserver =
-      std::function<void(const ip::ChannelId&, std::int64_t, sim::Time)>;
-  void set_total_observer(TotalObserver observer) {
-    total_observer_ = std::move(observer);
-  }
-
  private:
   // --- message handling ----------------------------------------------
   void handle_ecmp(const net::Packet& packet, std::uint32_t in_iface);
@@ -196,11 +178,8 @@ class ExpressRouter final : public net::Node {
   void refresh_fib(const ip::ChannelId& channel, const Channel& state);
   void notify_total(const ip::ChannelId& channel, const Channel& state) {
     const std::int64_t total = state.subtree_count();
-    scope_.emit(network().now(), obs::TraceType::kSubscriptionChange,
-                channel.packed(), static_cast<std::uint64_t>(total));
-    if (total_observer_) {
-      total_observer_(channel, total, network().now());
-    }
+    scope().emit(network().now(), obs::TraceType::kSubscriptionChange,
+                 channel.packed(), static_cast<std::uint64_t>(total));
   }
   /// Validation outcome flowing back down (CountResponse from upstream).
   void resolve_validation(const ip::ChannelId& channel, ecmp::Status status);
@@ -254,21 +233,21 @@ class ExpressRouter final : public net::Node {
     return network().node_of(channel.source).value_or(net::kInvalidNode);
   }
 
+  struct OwnStats {
+    std::uint64_t unresolved_neighbor_updates = 0;
+  };
+
   sim::Duration route_change_hysteresis_;
   std::optional<counting::CurveParams> proactive_;
-  /// Bound before the modules so their constructors can register
-  /// against this router's entity.
-  obs::Scope scope_;
   ForwardingPlane forwarding_;
   SubscriptionTable table_;
   CountingEngine counting_;
   ecmp::Transport transport_;
   /// Hysteresis timers for pending upstream switches (§3.2).
   std::unordered_map<ip::ChannelId, sim::EventHandle> pending_switches_;
-  /// Registry-owned block; only unresolved_neighbor_updates is bound,
-  /// the rest of RouterStats is assembled from the modules by stats().
-  RouterStats* stats_;
-  TotalObserver total_observer_;
+  /// The router's one counter of its own (registry-owned block); the
+  /// rest of RouterStats is assembled from the modules by stats().
+  OwnStats* own_stats_;
 };
 
 }  // namespace express

@@ -61,7 +61,7 @@ void ExpressRouter::neighbor_died(net::NodeId neighbor) {
       // the death fired). Applying the zero-count with a made-up
       // interface would mutate the wrong interface's state; leave the
       // entry for soft-state expiry / reconnection to settle instead.
-      ++stats_->unresolved_neighbor_updates;
+      ++own_stats_->unresolved_neighbor_updates;
       continue;
     }
     apply_subscriber_count(channel, neighbor, *iface, 0, std::nullopt);
@@ -82,7 +82,7 @@ void ExpressRouter::on_routing_change() {
       // hub link died): skip rather than misattribute the zero-count to
       // interface 0 — UDP soft state expires the entry if the outage
       // persists, and a heal leaves the subscription intact.
-      ++stats_->unresolved_neighbor_updates;
+      ++own_stats_->unresolved_neighbor_updates;
       continue;
     }
     apply_subscriber_count(channel, neighbor, *iface, 0, std::nullopt);

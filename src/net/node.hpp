@@ -13,6 +13,7 @@
 #include "ip/address.hpp"
 #include "net/packet.hpp"
 #include "net/topology.hpp"
+#include "obs/obs.hpp"
 
 namespace express::net {
 
@@ -37,6 +38,10 @@ class Node {
   /// The fabric this node is attached to (middleware layered on a host,
   /// like the session relay, needs the scheduler and topology).
   [[nodiscard]] Network& network() const { return *network_; }
+
+  /// The obs scope this node registers and traces through: derived from
+  /// (network, id) on each call, never stored (Network::node_scope).
+  [[nodiscard]] obs::Scope scope() const;
 
  protected:
   Node(Network& network, NodeId id);

@@ -91,9 +91,7 @@ void Participant::arm_failover_timer() {
   if (config_.standby == StandbyMode::kNone || !backup_) return;
   failover_timer_.cancel();
   failover_timer_ = host_.network().scheduler().schedule_after(
-      config_.heartbeat_interval * config_.failover_after_missed +
-          config_.heartbeat_interval / 2,
-      [this]() { fail_over(); });
+      kHeartbeatDeadline, [this]() { fail_over(); });
 }
 
 void Participant::fail_over() {

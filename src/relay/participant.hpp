@@ -24,10 +24,8 @@ namespace express::relay {
 enum class StandbyMode : std::uint8_t { kNone, kHot, kCold };
 
 struct ParticipantConfig {
+  /// Fails over after kHeartbeatDeadline without a primary beacon.
   StandbyMode standby = StandbyMode::kNone;
-  /// Heartbeats missed before declaring the primary SR dead.
-  std::uint32_t failover_after_missed = 3;
-  sim::Duration heartbeat_interval = sim::seconds(1);
 };
 
 /// One data frame a participant delivered: the record its delivery

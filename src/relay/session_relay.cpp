@@ -38,7 +38,7 @@ void SessionRelay::heartbeat() {
   host_.send(channel_, 0, beat.relay_seq, encode(beat));
   ++stats_->heartbeats_sent;
   heartbeat_timer_ = host_.network().scheduler().schedule_after(
-      config_.heartbeat_interval, [this]() { heartbeat(); });
+      kHeartbeatInterval, [this]() { heartbeat(); });
 }
 
 void SessionRelay::send_as_primary(std::uint32_t bytes) {

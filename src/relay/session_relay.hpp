@@ -34,8 +34,6 @@ struct RelayConfig {
   bool floor_control = false;
   /// §4.2: "no member disrupts the session with excessive questions".
   std::uint32_t max_floor_grants_per_member = 1000;
-  /// Liveness beacons multicast on the channel (standby failover cue).
-  sim::Duration heartbeat_interval = sim::seconds(1);
 };
 
 struct RelayStats {

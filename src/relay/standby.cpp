@@ -3,11 +3,8 @@
 namespace express::relay {
 
 StandbyCluster::StandbyCluster(SessionRelay& primary, SessionRelay& backup,
-                               ExpressHost& backup_host, StandbyConfig config)
-    : primary_(primary),
-      backup_(backup),
-      backup_host_(backup_host),
-      config_(config) {}
+                               ExpressHost& backup_host)
+    : primary_(primary), backup_(backup), backup_host_(backup_host) {}
 
 void StandbyCluster::start() {
   backup_host_.new_subscription(primary_.channel());
@@ -21,9 +18,7 @@ void StandbyCluster::start() {
 void StandbyCluster::arm_timer() {
   timer_.cancel();
   timer_ = backup_host_.network().scheduler().schedule_after(
-      config_.heartbeat_interval * config_.activate_after_missed +
-          config_.heartbeat_interval / 2,
-      [this]() { promote(); });
+      kHeartbeatDeadline, [this]() { promote(); });
 }
 
 void StandbyCluster::promote() {

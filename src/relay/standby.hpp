@@ -18,17 +18,13 @@
 
 namespace express::relay {
 
-struct StandbyConfig {
-  std::uint32_t activate_after_missed = 3;
-  sim::Duration heartbeat_interval = sim::seconds(1);
-};
-
 class StandbyCluster {
  public:
   /// `backup_host` must be a different host than the primary SR's; it
-  /// runs `backup` (inactive) and promotes it on primary failure.
+  /// runs `backup` (inactive) and promotes it after kHeartbeatDeadline
+  /// without a primary beacon.
   StandbyCluster(SessionRelay& primary, SessionRelay& backup,
-                 ExpressHost& backup_host, StandbyConfig config = {});
+                 ExpressHost& backup_host);
   ~StandbyCluster() { stop(); }
 
   [[nodiscard]] bool backup_active() const { return backup_.active(); }
@@ -49,7 +45,6 @@ class StandbyCluster {
   SessionRelay& primary_;
   SessionRelay& backup_;
   ExpressHost& backup_host_;
-  StandbyConfig config_;
   std::optional<sim::Time> promoted_at_;
   sim::EventHandle timer_;
 };

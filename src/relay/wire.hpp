@@ -14,8 +14,20 @@
 
 #include "ip/address.hpp"
 #include "ip/channel.hpp"
+#include "sim/time.hpp"
 
 namespace express::relay {
+
+/// The SR's liveness beacon (kHeartbeat frames multicast on its channel)
+/// and the watchdog every watcher of it arms — a participant before
+/// failing over, a standby before promoting its backup relay.
+inline constexpr sim::Duration kHeartbeatInterval = sim::seconds(1);
+/// Beacons missed before a watcher declares the SR dead.
+inline constexpr std::uint32_t kHeartbeatsMissed = 3;
+/// Watchdog deadline after the last beacon seen: the missed beacons plus
+/// half a period of slack.
+inline constexpr sim::Duration kHeartbeatDeadline =
+    kHeartbeatInterval * kHeartbeatsMissed + kHeartbeatInterval / 2;
 
 enum class FrameType : std::uint8_t {
   kData = 1,            ///< relayed application data

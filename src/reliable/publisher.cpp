@@ -5,18 +5,19 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/obs.hpp"
+
 namespace express::reliable {
 
 Publisher::Publisher(ExpressHost& host, ip::ChannelId channel,
                      PublisherConfig config)
     : host_(host),
       channel_(channel),
-      config_(std::move(config)),
-      scope_(host.network().node_scope(host.id())) {}
+      config_(std::move(config)) {}
 
 void Publisher::publish(std::uint32_t count) {
   for (std::uint32_t block = 1; block <= count; ++block) {
-    host_.send(channel_, config_.block_bytes, block);
+    host_.send(channel_, kBlockBytes, block);
   }
   blocks_ = std::max(blocks_, count);
 }
@@ -25,9 +26,9 @@ void Publisher::retransmit(std::uint32_t block) {
   ++retransmissions_;
   if (config_.repair_point) {
     // Subcast (§2.1): only the subtree below the relay point pays.
-    host_.subcast(channel_, *config_.repair_point, config_.block_bytes, block);
+    host_.subcast(channel_, *config_.repair_point, kBlockBytes, block);
   } else {
-    host_.send(channel_, config_.block_bytes, block);
+    host_.send(channel_, kBlockBytes, block);
   }
 }
 
@@ -43,9 +44,8 @@ void Publisher::run_repair_round(std::function<void(RepairReport)> done) {
   for (std::uint32_t block = 1; block <= blocks_; ++block) {
     const auto count_id = static_cast<ecmp::CountId>(kNackBase + block);
     host_.count_query(
-        channel_, count_id, config_.nack_timeout,
-        [this, block, report, outstanding,
-         done](CountResult result) {
+        channel_, count_id, kNackTimeout,
+        [this, block, report, outstanding, done](CountResult result) {
           if (result.count > 0) {
             report->blocks_missing.push_back(block);
             report->total_nacks += result.count;
@@ -72,7 +72,7 @@ void Publisher::collect_nacks(std::uint32_t round,
   auto outstanding = std::make_shared<std::uint32_t>(blocks_);
   for (std::uint32_t block = 1; block <= blocks_; ++block) {
     const auto count_id = static_cast<ecmp::CountId>(kNackBase + block);
-    host_.count_query(channel_, count_id, config_.nack_timeout,
+    host_.count_query(channel_, count_id, kNackTimeout,
                       [block, report, outstanding, done](CountResult result) {
                         if (result.count > 0) {
                           report->blocks_missing.push_back(block);
@@ -108,15 +108,15 @@ void Publisher::run_to_completion(std::function<void(CompletionReport)> done) {
 void Publisher::completion_round() {
   const std::uint32_t round = ++rounds_;
   ++completion_.rounds;
-  scope_.emit(host_.network().now(), obs::TraceType::kRepairRoundStart, round,
-              blocks_);
+  host_.scope().emit(host_.network().now(), obs::TraceType::kRepairRoundStart,
+                     round, blocks_);
   collect_nacks(round, [this](RepairReport report) {
     if (report.total_nacks == 0) {
       // Every block's NACK count reached zero: done.
       completion_.complete = true;
       completion_.residual_nacks = 0;
-      scope_.emit(host_.network().now(), obs::TraceType::kRepairRoundEnd,
-                  report.round, 0);
+      host_.scope().emit(host_.network().now(),
+                         obs::TraceType::kRepairRoundEnd, report.round, 0);
       finish_completion();
       return;
     }
@@ -136,7 +136,7 @@ void Publisher::select_repair_path(
   // kNackTotalId query tunnelled to the router aggregates "blocks still
   // missing" over its subtree only.
   host_.count_query_at(
-      router, channel_, kNackTotalId, config_.nack_timeout,
+      router, channel_, kNackTotalId, kNackTimeout,
       [this, report, candidate, router](CountResult result) {
         // Covering test: the candidate's subtree holds ALL the loss iff
         // its missing-block total equals the channel-wide NACK total
@@ -158,16 +158,17 @@ void Publisher::apply_round_repairs(const RepairReport& report,
     ++completion_.retransmissions;
     if (via) {
       ++completion_.subcast_repairs;
-      host_.subcast(channel_, *via, config_.block_bytes, block);
+      host_.subcast(channel_, *via, kBlockBytes, block);
     } else {
       ++completion_.channel_repairs;
-      host_.send(channel_, config_.block_bytes, block);
+      host_.send(channel_, kBlockBytes, block);
     }
-    scope_.emit(host_.network().now(), obs::TraceType::kRetransmit, block,
-                via ? 1 : 0);
+    host_.scope().emit(host_.network().now(), obs::TraceType::kRetransmit,
+                       block, via ? 1 : 0);
   }
-  scope_.emit(host_.network().now(), obs::TraceType::kRepairRoundEnd,
-              report.round, static_cast<std::uint64_t>(report.total_nacks));
+  host_.scope().emit(host_.network().now(), obs::TraceType::kRepairRoundEnd,
+                     report.round,
+                     static_cast<std::uint64_t>(report.total_nacks));
   if (completion_.rounds >= config_.max_rounds) {
     completion_.complete = false;
     completion_.residual_nacks = report.total_nacks;

@@ -20,7 +20,6 @@
 #include "ecmp/count_id.hpp"
 #include "express/host.hpp"
 #include "ip/channel.hpp"
-#include "obs/obs.hpp"
 #include "sim/time.hpp"
 
 namespace express::reliable {
@@ -36,9 +35,12 @@ inline constexpr ecmp::CountId kNackBase = ecmp::kAppRangeBegin + 0x200;
 /// aggregate equals the channel-wide per-block total.
 inline constexpr ecmp::CountId kNackTotalId = kNackBase - 1;
 
+/// Application bytes per published block.
+inline constexpr std::uint32_t kBlockBytes = 1400;
+/// Timeout of every NACK CountQuery, per-block and remote subtree alike.
+inline constexpr sim::Duration kNackTimeout = sim::seconds(2);
+
 struct PublisherConfig {
-  std::uint32_t block_bytes = 1400;
-  sim::Duration nack_timeout = sim::seconds(2);  ///< per CountQuery
   /// Optional subcast relay: repairs are tunnelled through this on-tree
   /// router instead of retransmitted on the whole channel.
   std::optional<ip::Address> repair_point;
@@ -121,7 +123,6 @@ class Publisher {
   ExpressHost& host_;
   ip::ChannelId channel_;
   PublisherConfig config_;
-  obs::Scope scope_;
   std::uint32_t blocks_ = 0;
   std::uint32_t rounds_ = 0;
   std::uint64_t retransmissions_ = 0;

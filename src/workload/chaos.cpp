@@ -156,7 +156,7 @@ ChaosReport run_chaos_campaign(net::Network& network,
     // event-driven sampling makes the measurement exact, not
     // poll-interval-quantized.
     std::optional<sim::Time> first_clean;
-    const sim::Time deadline = outcome.healed_at + config.settle_cap;
+    const sim::Time deadline = outcome.healed_at + kSettleCap;
     while (true) {
       const std::size_t violations = audit();
       ++outcome.audits;

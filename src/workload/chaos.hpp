@@ -69,10 +69,11 @@ struct FaultPlanConfig {
     const net::Topology& topology, const FaultPlanConfig& config,
     sim::Rng& rng);
 
+/// Settle budget after each heal: if the network has not quiesced
+/// within this, the fault is recorded as unconverged.
+inline constexpr sim::Duration kSettleCap = sim::seconds(30);
+
 struct ChaosConfig {
-  /// Settle budget after each heal: if the network has not quiesced
-  /// within this, the fault is recorded as unconverged.
-  sim::Duration settle_cap = sim::seconds(30);
   /// Optional per-link impairments applied to every link at campaign
   /// start (loss-enabled fault campaigns): the protocol must converge
   /// through faults *and* a lossy data plane at once. std::nullopt
@@ -88,7 +89,11 @@ struct FaultOutcome {
   bool converged = false;
   /// Heal -> first audit-clean instant that then *stayed* clean through
   /// quiescence (a clean sample later invalidated by in-flight control
-  /// traffic does not count).
+  /// traffic does not count). The last transient violation is whatever
+  /// the network handled last, fault or workload: under a churn schedule
+  /// that outlasts the heal (workload::poisson_churn makes every member
+  /// still joined leave at its horizon), this measures that mass leave,
+  /// not the fault's repair.
   sim::Duration convergence{};
   std::uint64_t violations = 0;  ///< outstanding at quiescence
   std::uint64_t audits = 0;      ///< auditor invocations for this fault

@@ -147,7 +147,7 @@ TEST(Chaos, SmokeCampaignConvergesWithZeroViolations) {
   for (const auto& outcome : report.outcomes) {
     EXPECT_TRUE(outcome.converged) << "fault " << outcome.index;
     EXPECT_GE(outcome.convergence.count(), 0);
-    EXPECT_LE(outcome.convergence, ChaosConfig{}.settle_cap);
+    EXPECT_LE(outcome.convergence, workload::kSettleCap);
   }
 }
 

@@ -14,7 +14,6 @@ using workload::make_star;
 RouterConfig udp_config() {
   RouterConfig config;
   config.udp_query_interval = sim::seconds(2);
-  config.udp_robustness = 2;
   return config;
 }
 

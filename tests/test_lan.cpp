@@ -105,7 +105,6 @@ TEST(Lan, UdpGeneralQueryGetsAnswerFromEveryMember) {
 TEST(Lan, SilentLanMemberExpiresIndividually) {
   RouterConfig config;
   config.udp_query_interval = sim::seconds(2);
-  config.udp_robustness = 2;
   LanNet lan(config);
   const ip::ChannelId ch = lan.source->allocate_channel();
   lan.edge->set_interface_mode(1, ecmp::Mode::kUdp);
@@ -132,7 +131,6 @@ TEST(Lan, DeadHostLinkIsSkippedNotMisattributed) {
   // wire healed (UDP refresh never re-queries a removed channel).
   RouterConfig config;
   config.udp_query_interval = sim::seconds(5);
-  config.udp_robustness = 2;
   LanNet lan(config);
   const ip::ChannelId ch = lan.source->allocate_channel();
   lan.edge->set_interface_mode(1, ecmp::Mode::kUdp);

@@ -7,7 +7,8 @@
 // hundred bytes a node and building the network fabric over it costs
 // no per-node allocation; that an invariant audit's scratch is sized by
 // the on-tree state, not by the network, and a warm audit re-walks only
-// the routers a change touched; and that the group-model
+// the routers a change touched; that EXPRESS routers and hosts attach
+// for a pinned number of bytes; and that the group-model
 // baselines attach cheaply and forward a warmed-up flow without
 // touching the allocator. It is its own test
 // binary so the counting overrides cannot perturb (or be perturbed by)
@@ -23,6 +24,8 @@
 #include "baseline/cbt.hpp"
 #include "baseline/dvmrp.hpp"
 #include "baseline/pim_sm.hpp"
+#include "express/host.hpp"
+#include "express/router.hpp"
 #include "group_net.hpp"
 #include "net/network.hpp"
 #include "sim/inline_function.hpp"
@@ -327,6 +330,34 @@ TEST(BaselineAllocation, AttachRequestsFewBytesPerRouter) {
                 baseline::CbtConfig{root}),
             550.0);
   EXPECT_LT(attach_bytes_per_router<baseline::DvmrpRouter>(), 700.0);
+}
+
+TEST(ExpressAllocation, AttachRequestsFewBytesPerNode) {
+  // Heap bytes an EXPRESS router and an EXPRESS host request at attach:
+  // the object, its module tables and its registry-bound stats blocks
+  // and rows. The tree is large enough (5,461 routers, 40,961 hosts)
+  // that the registry's 16 KiB arena chunks average out. Measured with
+  // g++ 12 and libstdc++: 2,727 B a router, 620 B a host. The ceilings
+  // sit within 8 B of that, so a stored copy of a derivable fact (a
+  // node's obs scope, a whole RouterStats block bound for its one
+  // published row) fails the gate.
+  auto generated = workload::make_kary_tree(4, 6, {}, 10);
+  net::Network network(std::move(generated.topology));
+  std::vector<net::NodeId> hosts = generated.receiver_hosts;
+  hosts.push_back(generated.source_host);
+
+  std::uint64_t before = allocated_bytes();
+  for (net::NodeId r : generated.routers) network.attach<ExpressRouter>(r);
+  const double per_router = static_cast<double>(allocated_bytes() - before) /
+                            static_cast<double>(generated.routers.size());
+  before = allocated_bytes();
+  for (net::NodeId h : hosts) network.attach<ExpressHost>(h);
+  const double per_host = static_cast<double>(allocated_bytes() - before) /
+                          static_cast<double>(hosts.size());
+
+  EXPECT_EQ(generated.routers.size(), 5461u);
+  EXPECT_LT(per_router, 2734.0);
+  EXPECT_LT(per_host, 627.0);
 }
 
 TEST(BaselineAllocation, SteadyStateDataPacketIsAllocationFree) {
