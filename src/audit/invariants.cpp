@@ -286,12 +286,12 @@ void check_conservation(Walk& w, net::NodeId self, const ExpressRouter& router,
 
 // --- (b) RPF consistency ---------------------------------------------
 
-void check_rpf(Walk& w, net::NodeId self, const ExpressRouter& router,
+/// `settling`: the router holds a route switch back (§3.2 hysteresis)
+/// and so is not in violation yet.
+void check_rpf(Walk& w, net::NodeId self, bool settling,
                const ip::ChannelId& channel, const Channel& state,
                std::optional<net::NodeId> rpf) {
-  // Hysteresis (§3.2) intentionally delays the switch; an unsettled
-  // router is not in violation yet.
-  if (router.pending_route_switches() > 0) return;
+  if (settling) return;
   if (!rpf) return;  // source unresolvable or unreachable
   if (state.upstream != net::kInvalidNode && state.upstream != *rpf) {
     w.flag(Finding::kRpfMismatch, self, channel, state.upstream, *rpf);
@@ -344,10 +344,11 @@ void walk_router(Walk& w, net::NodeId self, const ExpressRouter& router,
   share.edges = 0;
   w.share = &share;
   w.verdicts.clear();
+  const bool settling = router.pending_route_switches() > 0;
   for (const auto& [channel, state] : router.subscriptions().channels()) {
     const auto rpf = resolve_rpf(*w.network, self, channel);
     check_conservation(w, self, router, channel, state, rpf);
-    check_rpf(w, self, router, channel, state, rpf);
+    check_rpf(w, self, settling, channel, state, rpf);
     ++share.pairs;
   }
   check_orphans(w, self, router);

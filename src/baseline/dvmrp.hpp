@@ -50,10 +50,6 @@ class DvmrpRouter : public GroupRouter {
   /// (S,G) forwarding-cache entries — present at every router the flood
   /// reached, the group model's state-scaling problem.
   [[nodiscard]] std::size_t state_entries() const { return sg_.size(); }
-  [[nodiscard]] bool has_members(ip::Address group) const {
-    auto it = members_.find(group);
-    return it != members_.end() && !it->second.empty();
-  }
 
  private:
   struct SgState {

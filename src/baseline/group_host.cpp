@@ -63,8 +63,6 @@ void GroupHost::set_include_filter(ip::Address group,
   for (ip::Address s : sources) set.insert(s);
 }
 
-void GroupHost::clear_filter(ip::Address group) { filters_.erase(group); }
-
 void GroupHost::send_to_group(ip::Address group, std::uint32_t bytes,
                               std::uint64_t sequence) {
   net::Packet packet;

@@ -48,7 +48,6 @@ class GroupHost : public net::Node {
   /// last-hop link (counted in bytes_on_last_hop / data_filtered).
   void set_include_filter(ip::Address group,
                           std::vector<ip::Address> sources);
-  void clear_filter(ip::Address group);
 
   /// Any host may send to any group — the group model's open-sender
   /// property (and its abuse vector).
@@ -64,9 +63,6 @@ class GroupHost : public net::Node {
 
   /// Copy of the registry-bound block (see DESIGN.md §11).
   [[nodiscard]] GroupHostStats stats() const { return *stats_; }
-  [[nodiscard]] bool member_of(ip::Address group) const {
-    return groups_.contains(group);
-  }
 
  private:
   /// Send a membership report or leave for `group` to the first hop.

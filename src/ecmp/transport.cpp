@@ -177,7 +177,7 @@ void Transport::ensure_udp_refresh() {
 
 void Transport::schedule_neighbor_discovery() {
   // lint: fire-and-forget (periodic neighbor-discovery tick; transport lives as long as its router)
-  network_->scheduler().schedule_after(policy_.neighbor_query_interval,
+  network_->scheduler().schedule_after(kNeighborQueryInterval,
                                        [this]() { neighbor_discovery_tick(); });
 }
 
@@ -195,12 +195,12 @@ void Transport::neighbor_discovery_tick() {
     query.channel = ip::ChannelId{network_->topology().address(node_),
                                   ip::kEcmpAllRouters};
     query.count_id = kNeighborsId;
-    query.timeout = policy_.neighbor_query_interval;
+    query.timeout = kNeighborQueryInterval;
     query.query_seq = (next_seq_++ & 0xFFFF) | 0x40000000U;
     send(peer, query);
   }
   for (const auto& dead :
-       neighbors_.expire(network_->now(), policy_.neighbor_timeout)) {
+       neighbors_.expire(network_->now(), kNeighborTimeout)) {
     // Keepalives cover router-router sessions only: hosts do not answer
     // neighbor queries; their liveness is UDP-mode soft state (§3.2) or
     // link failure.

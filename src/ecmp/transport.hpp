@@ -47,13 +47,16 @@ namespace express::ecmp {
 /// Unanswered UDP refresh intervals before a downstream entry expires.
 inline constexpr std::uint32_t kUdpRobustness = 2;
 
+/// Period of the neighbor-discovery / keepalive queries (§3.3).
+inline constexpr sim::Duration kNeighborQueryInterval = sim::seconds(30);
+/// Silence after which a router neighbor's session expires (§3.3).
+inline constexpr sim::Duration kNeighborTimeout = sim::seconds(95);
+
 /// Retry/timeout policy for ECMP sessions: every duration the transport
 /// (or a layer above, via accessors) uses to arm a timer.
 struct TransportPolicy {
   /// Enable periodic neighbor discovery / keepalive queries (§3.3).
   bool neighbor_discovery = false;
-  sim::Duration neighbor_query_interval = sim::seconds(30);
-  sim::Duration neighbor_timeout = sim::seconds(95);
 
   /// UDP-mode soft state: per-channel refresh query interval.
   sim::Duration udp_query_interval = sim::seconds(60);

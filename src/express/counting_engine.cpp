@@ -15,8 +15,6 @@ constexpr sim::Duration kMinQueryTimeout = sim::milliseconds(10);
 CountingEngine::~CountingEngine() {
   // lint: order-independent (timer cancellations commute)
   for (auto& [key, round] : pending_) round.timer.cancel();
-  // lint: order-independent (timer cancellations commute)
-  for (auto& [channel, p] : proactive_) p.check.cancel();
 }
 
 sim::Duration CountingEngine::decremented_timeout(sim::Duration timeout,
@@ -91,60 +89,6 @@ void CountingEngine::finish_round(RoundKey key, bool timed_out) {
   } else if (round.local_done) {
     round.local_done(CountResult{round.sum, !timed_out});
   }
-}
-
-void CountingEngine::enable_proactive(const ip::ChannelId& channel,
-                                      const counting::CurveParams& params) {
-  proactive_.try_emplace(channel, params);
-}
-
-bool CountingEngine::evaluate(const ip::ChannelId& channel, std::int64_t total,
-                              bool validated_upstream) {
-  auto it = proactive_.find(channel);
-  if (it == proactive_.end()) return false;
-  ProactiveChannel& p = it->second;
-  if (total == 0) return false;  // handled by the prune path
-  const sim::Time now = scheduler_->now();
-  if (!validated_upstream) {
-    // Hold updates until the join is accepted; re-check shortly.
-    p.check.cancel();
-    p.check = scheduler_->schedule_after(
-        sim::milliseconds(100), [this, channel]() { recheck_(channel); });
-    return false;
-  }
-  if (p.state.should_send(total, now)) return true;
-  // Drift exists but is tolerated for now; re-check when the decaying
-  // tolerance crosses the current drift (always within tau of the last
-  // update). Arrivals in between re-evaluate and pull the check earlier.
-  p.check.cancel();
-  if (auto delay = p.state.next_send_delay(total, now)) {
-    p.check = scheduler_->schedule_after(
-        *delay + sim::microseconds(1), [this, channel]() { recheck_(channel); });
-  }
-  return false;
-}
-
-void CountingEngine::note_advertised(const ip::ChannelId& channel,
-                                     std::int64_t total) {
-  auto it = proactive_.find(channel);
-  if (it == proactive_.end()) return;
-  it->second.state.mark_sent(total, scheduler_->now());
-}
-
-void CountingEngine::proactive_update_sent(const ip::ChannelId& channel,
-                                           std::int64_t total) {
-  auto it = proactive_.find(channel);
-  if (it == proactive_.end()) return;
-  ++stats_->proactive_updates_sent;
-  it->second.state.mark_sent(total, scheduler_->now());
-  it->second.check.cancel();
-}
-
-void CountingEngine::erase_channel(const ip::ChannelId& channel) {
-  auto it = proactive_.find(channel);
-  if (it == proactive_.end()) return;
-  it->second.check.cancel();
-  proactive_.erase(it);
 }
 
 std::size_t CountingEngine::RoundKeyHash::operator()(

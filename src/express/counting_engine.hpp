@@ -1,20 +1,18 @@
-// Count collection and proactive-count drift tracking (paper §3.1, §6).
+// Count collection (paper §3.1).
 //
 // CountingEngine owns the *aggregation* side of ECMP counting at one
 // router: the table of pending CountQuery rounds (per-subtree partial
 // sums, outstanding-child counters, and the timeout timer producing
-// partial replies), plus the §6 proactive-counting state — one
-// error-tolerance curve per channel deciding when subscriber-count
-// drift is large enough to push upstream, and the recheck timers that
-// re-evaluate when the decaying tolerance crosses the current drift.
+// partial replies). The §6 proactive-count state lives on each Channel
+// (express/subscription) and the router arms its recheck timer; the
+// engine only holds the registry row that counts the resulting updates.
 //
 // Module seam: the engine schedules timers and aggregates integers; it
 // sends nothing and holds no channel membership. Replies leave through
-// the two callbacks injected at construction (ReplyFn for upstream
-// Counts, RecheckFn re-entering the router's proactive evaluation), and
-// membership facts (subtree totals, upstream validation) are passed in
-// per call. It therefore needs no Network and no SubscriptionTable,
-// which keeps query aggregation testable against a bare Scheduler (see
+// the ReplyFn injected at construction, and membership facts (this
+// router's contribution, the children to wait for) are passed in per
+// call. It therefore needs no Network and no SubscriptionTable, which
+// keeps query aggregation testable against a bare Scheduler (see
 // tests/test_counting_engine.cpp).
 #pragma once
 
@@ -23,7 +21,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "counting/error_curve.hpp"
 #include "ecmp/count_id.hpp"
 #include "ip/channel.hpp"
 #include "net/topology.hpp"
@@ -36,7 +33,7 @@ struct CountingStats {
   std::uint64_t rounds_started = 0;    ///< pending aggregation rounds created
   std::uint64_t rounds_completed = 0;  ///< all children replied in time
   std::uint64_t rounds_timed_out = 0;  ///< partial reply after timeout
-  std::uint64_t proactive_updates_sent = 0;
+  std::uint64_t proactive_updates_sent = 0;  ///< §6 drift updates sent up
 };
 
 /// Aggregate result of a count collection.
@@ -52,19 +49,15 @@ class CountingEngine {
                                      const ip::ChannelId& channel,
                                      ecmp::CountId count_id, std::int64_t sum,
                                      std::uint32_t query_seq)>;
-  /// Re-enter the router's proactive evaluation for a channel (fired by
-  /// the drift-recheck timers).
-  using RecheckFn = std::function<void(const ip::ChannelId& channel)>;
   using LocalDone = std::function<void(CountResult)>;
 
   /// `scope` binds the engine's counters (express.counting.*) and
   /// count-round trace records to an observability plane; the default
   /// resolves to the global plane under a fresh anonymous entity.
-  CountingEngine(sim::Scheduler& scheduler, ReplyFn reply, RecheckFn recheck,
+  CountingEngine(sim::Scheduler& scheduler, ReplyFn reply,
                  obs::Scope scope = {})
       : scheduler_(&scheduler),
         reply_(std::move(reply)),
-        recheck_(std::move(recheck)),
         scope_(scope.resolved()),
         stats_(scope_.bind<CountingStats>({
             {&CountingStats::rounds_started,
@@ -104,24 +97,8 @@ class CountingEngine {
   bool absorb(const ip::ChannelId& channel, ecmp::CountId count_id,
               std::uint32_t query_seq, std::int64_t value);
 
-  // --- proactive counting (§6) ---------------------------------------
-  void enable_proactive(const ip::ChannelId& channel,
-                        const counting::CurveParams& params);
-  [[nodiscard]] bool proactive_enabled(const ip::ChannelId& channel) const {
-    return proactive_.contains(channel);
-  }
-  /// Evaluate drift for a channel: true when the router should push an
-  /// update Count upstream *now* (then call proactive_update_sent);
-  /// otherwise the appropriate recheck timer has been (re)armed.
-  bool evaluate(const ip::ChannelId& channel, std::int64_t total,
-                bool validated_upstream);
-  /// The aggregate just went upstream on the join path: reset the curve.
-  void note_advertised(const ip::ChannelId& channel, std::int64_t total);
-  /// A proactive update was sent: reset the curve and the recheck timer.
-  void proactive_update_sent(const ip::ChannelId& channel, std::int64_t total);
-
-  /// Channel torn down: drop its proactive state and recheck timer.
-  void erase_channel(const ip::ChannelId& channel);
+  /// The router pushed a proactive update Count upstream (§6).
+  void note_proactive_update() { ++stats_->proactive_updates_sent; }
 
   // --- introspection -------------------------------------------------
   [[nodiscard]] std::size_t pending_rounds() const {
@@ -154,21 +131,11 @@ class CountingEngine {
     LocalDone local_done;
   };
 
-  struct ProactiveChannel {
-    counting::ProactiveState state;
-    sim::EventHandle check;  ///< drift-recheck timer
-
-    explicit ProactiveChannel(const counting::CurveParams& params)
-        : state(params) {}
-  };
-
   void finish_round(RoundKey key, bool timed_out);
 
   sim::Scheduler* scheduler_;
   ReplyFn reply_;
-  RecheckFn recheck_;
   std::unordered_map<RoundKey, PendingRound, RoundKeyHash> pending_;
-  std::unordered_map<ip::ChannelId, ProactiveChannel> proactive_;
   obs::Scope scope_;
   CountingStats* stats_;  ///< registry-owned block
   obs::Histogram round_ns_;

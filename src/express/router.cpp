@@ -1,5 +1,7 @@
 #include "express/router.hpp"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -39,9 +41,6 @@ ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
             send_count(requester, channel, sum, std::nullopt, count_id,
                        query_seq);
           },
-          [this](const ip::ChannelId& channel) {
-            maybe_send_proactive(channel);
-          },
           scope()),
       transport_(network, id, config,
                  ecmp::TransportHooks{
@@ -53,9 +52,10 @@ ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
            "express.router.unresolved_neighbor_updates"},
       })) {}
 
-ExpressRouter::~ExpressRouter() {
-  // lint: order-independent (timer cancellations commute)
-  for (auto& [channel, handle] : pending_switches_) handle.cancel();
+std::size_t ExpressRouter::pending_route_switches() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      table_.channels(),
+      [](const auto& entry) { return entry.second.route_switch.pending(); }));
 }
 
 // ---------------------------------------------------------------------
@@ -187,7 +187,9 @@ void ExpressRouter::apply_subscriber_count(const ip::ChannelId& channel,
         state.rpf_iface = *rif;
       }
     }
-    if (proactive_) counting_.enable_proactive(channel, *proactive_);
+    if (proactive_) {
+      state.proactive = std::make_unique<Channel::Proactive>(*proactive_);
+    }
   }
 
   bool decidable = false;
@@ -195,7 +197,6 @@ void ExpressRouter::apply_subscriber_count(const ip::ChannelId& channel,
       channel, state, key, at_root(channel, state), decidable);
   if (decidable && !acceptable) {
     table_.reject_join(channel, created);
-    if (created) counting_.erase_channel(channel);
     send_response(from, channel, ecmp::Status::kInvalidKey);
     return;
   }
@@ -239,7 +240,10 @@ void ExpressRouter::update_upstream(
     case UpstreamSend::kJoin:
       if (network().topology().reach(id(), state.upstream).up) {
         send_count(state.upstream, channel, plan.total, plan.key);
-        counting_.note_advertised(channel, plan.total);
+        // The aggregate went upstream: restart the drift curve from it.
+        if (state.proactive) {
+          state.proactive->state.mark_sent(plan.total, network().now());
+        }
       } else {
         // Failed TCP write (§3.2): the upstream never saw this Count.
         // Leave the advertisement unsynced so the reconnection
@@ -265,17 +269,39 @@ void ExpressRouter::update_upstream(
 
 void ExpressRouter::maybe_send_proactive(const ip::ChannelId& channel) {
   Channel* state = table_.find(channel);
-  if (state == nullptr) return;
+  if (state == nullptr || state->proactive == nullptr) return;
   if (state->upstream == net::kInvalidNode ||
       !network().topology().reach(id(), state->upstream).up) {
     return;  // no live upstream connection: the drift waits for the heal
   }
   const std::int64_t total = state->subtree_count();
-  if (!counting_.evaluate(channel, total, state->validated_upstream)) return;
-  send_count(state->upstream, channel, total, state->cached_key);
-  counting_.proactive_update_sent(channel, total);
-  state->advertised_upstream = total;
-  note_state_change();
+  if (total == 0) return;  // handled by the prune path
+  Channel::Proactive& p = *state->proactive;
+  const sim::Time now = network().now();
+  std::optional<sim::Duration> recheck_in;
+  if (!state->validated_upstream) {
+    // Hold updates until the join is accepted; re-check shortly.
+    recheck_in = sim::milliseconds(100);
+  } else if (!p.state.should_send(total, now)) {
+    // Drift exists but is tolerated for now; re-check when the decaying
+    // tolerance crosses the current drift (always within tau of the
+    // last update). Arrivals in between re-evaluate and pull the check
+    // earlier.
+    if (auto delay = p.state.next_send_delay(total, now)) {
+      recheck_in = *delay + sim::microseconds(1);
+    }
+  } else {
+    send_count(state->upstream, channel, total, state->cached_key);
+    counting_.note_proactive_update();
+    p.state.mark_sent(total, now);
+    state->advertised_upstream = total;
+    note_state_change();
+  }
+  p.recheck.cancel();
+  if (recheck_in) {
+    p.recheck = network().scheduler().schedule_after(
+        *recheck_in, [this, channel]() { maybe_send_proactive(channel); });
+  }
 }
 
 void ExpressRouter::refresh_fib(const ip::ChannelId& channel,
@@ -294,15 +320,9 @@ void ExpressRouter::refresh_fib(const ip::ChannelId& channel,
   }
 }
 
-void ExpressRouter::remove_channel(const ip::ChannelId& channel) {
+void ExpressRouter::remove_channel(ip::ChannelId channel) {
   if (!table_.erase(channel)) return;
   note_state_change();
-  counting_.erase_channel(channel);
-  if (auto it = pending_switches_.find(channel);
-      it != pending_switches_.end()) {
-    it->second.cancel();
-    pending_switches_.erase(it);
-  }
   forwarding_.fib().erase(channel);
 }
 

@@ -6,23 +6,24 @@
 //
 //   ForwardingPlane    (express/forwarding)      §3.4 data fast path
 //   SubscriptionTable  (express/subscription)    §3.2/§3.5 hard state
-//   CountingEngine     (express/counting_engine) §3.1/§6 aggregation
+//   CountingEngine     (express/counting_engine) §3.1 aggregation
 //   ecmp::Transport    (ecmp/transport)          §3.2/§3.3/§5.3 sessions
 //
 // A packet flows: Transport::receive() decodes and attributes it; the
 // router dispatches each message; membership transitions go through the
 // SubscriptionTable, whose returned effect structs the router turns
 // into FIB refreshes (ForwardingPlane), upstream Counts (Transport),
-// and observer callbacks; CountQuery fan-out and proactive drift timers
-// live in the CountingEngine, which replies through a Transport-backed
-// callback. The modules never include one another — the router is the
-// only place their vocabularies meet.
+// and observer callbacks; CountQuery rounds live in the CountingEngine,
+// which replies through a Transport-backed callback. One channel's
+// control state is one Channel record in the table: the router arms its
+// §3.2 route-switch hysteresis and §6 drift-recheck timers there, and
+// erasing the record cancels both. The modules never include one
+// another — the router is the only place their vocabularies meet.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 
 #include "counting/error_curve.hpp"
 #include "ecmp/count_id.hpp"
@@ -71,8 +72,6 @@ struct RouterStats : SubscriptionStats, ecmp::TransportStats, ForwardingStats {
 class ExpressRouter final : public net::Node {
  public:
   ExpressRouter(net::Network& network, net::NodeId id, RouterConfig config = {});
-  /// Cancels any hysteresis timers still pending against the scheduler.
-  ~ExpressRouter() override;
 
   void handle_packet(const net::Packet& packet, std::uint32_t in_iface) override;
   void on_routing_change() override;
@@ -81,9 +80,6 @@ class ExpressRouter final : public net::Node {
   /// routers, UDP for edge interfaces with many end hosts).
   void set_interface_mode(std::uint32_t iface, ecmp::Mode mode) {
     transport_.set_mode(iface, mode);
-  }
-  [[nodiscard]] ecmp::Mode interface_mode(std::uint32_t iface) const {
-    return transport_.mode(iface);
   }
   /// True while the UDP soft-state refresh clock is armed (it runs dry
   /// when no UDP downstream state remains; see TransportHooks).
@@ -155,9 +151,7 @@ class ExpressRouter final : public net::Node {
   }
   /// Route switches currently held back by hysteresis — nonzero means
   /// the RPF invariant is legitimately unsettled (§3.2).
-  [[nodiscard]] std::size_t pending_route_switches() const {
-    return pending_switches_.size();
-  }
+  [[nodiscard]] std::size_t pending_route_switches() const;
 
  private:
   // --- message handling ----------------------------------------------
@@ -174,7 +168,9 @@ class ExpressRouter final : public net::Node {
                               std::optional<ip::ChannelKey> key);
   void update_upstream(const ip::ChannelId& channel, Channel& state,
                        std::optional<ip::ChannelKey> key_to_forward);
-  void remove_channel(const ip::ChannelId& channel);
+  /// Tear down and drop the channel and its FIB entry. By value: the
+  /// caller's id may be the table's own key, which the erase frees.
+  void remove_channel(ip::ChannelId channel);
   void refresh_fib(const ip::ChannelId& channel, const Channel& state);
   void notify_total(const ip::ChannelId& channel, const Channel& state) {
     const std::int64_t total = state.subtree_count();
@@ -225,8 +221,8 @@ class ExpressRouter final : public net::Node {
   void execute_route_switch(const ip::ChannelId& channel);
 
   /// Report a change of the hard state the invariant audit reads (the
-  /// table, the FIB, the pending route switches) to the network's state
-  /// observer. Bookkeeping only; never called on the data path.
+  /// table with its pending route switches, the FIB) to the network's
+  /// state observer. Bookkeeping only; never called on the data path.
   void note_state_change() const { network().note_state_change(id()); }
 
   [[nodiscard]] net::NodeId source_node(const ip::ChannelId& channel) const {
@@ -243,8 +239,6 @@ class ExpressRouter final : public net::Node {
   SubscriptionTable table_;
   CountingEngine counting_;
   ecmp::Transport transport_;
-  /// Hysteresis timers for pending upstream switches (§3.2).
-  std::unordered_map<ip::ChannelId, sim::EventHandle> pending_switches_;
   /// The router's one counter of its own (registry-owned block); the
   /// rest of RouterStats is assembled from the modules by stats().
   OwnStats* own_stats_;

@@ -112,10 +112,8 @@ void ExpressRouter::on_routing_change() {
 
     auto new_up = network().routing().rpf_neighbor(id(), src);
     if (!new_up || *new_up == state.upstream) {
-      if (auto pending = pending_switches_.find(channel);
-          pending != pending_switches_.end()) {
-        pending->second.cancel();
-        pending_switches_.erase(pending);
+      if (state.route_switch.pending()) {
+        state.route_switch.cancel();
         note_state_change();
       }
       // Connection re-established with the same upstream after an
@@ -126,10 +124,9 @@ void ExpressRouter::on_routing_change() {
       }
       continue;
     }
-    sim::EventHandle& handle = pending_switches_[channel];
-    if (handle.pending()) continue;  // already scheduled
+    if (state.route_switch.pending()) continue;  // already scheduled
     const ip::ChannelId ch = channel;
-    handle = network().scheduler().schedule_after(
+    state.route_switch = network().scheduler().schedule_after(
         route_change_hysteresis_,
         [this, ch]() { execute_route_switch(ch); });
     note_state_change();
@@ -137,8 +134,7 @@ void ExpressRouter::on_routing_change() {
 }
 
 void ExpressRouter::execute_route_switch(const ip::ChannelId& channel) {
-  pending_switches_.erase(channel);
-  note_state_change();
+  note_state_change();  // the switch is no longer pending
   Channel* state = table_.find(channel);
   if (state == nullptr) return;
   const net::NodeId src = source_node(channel);

@@ -5,6 +5,10 @@
 
 namespace express {
 
+SubscriptionTable::~SubscriptionTable() {
+  for (auto& [channel, state] : channels_) state.teardown();
+}
+
 Channel* SubscriptionTable::find(const ip::ChannelId& channel) {
   auto it = channels_.find(channel);
   return it == channels_.end() ? nullptr : &it->second;

@@ -9,7 +9,11 @@
 // join/prune planning, and the validation-verdict bookkeeping.
 //
 // Module seam: the table is pure hard state. It sends no messages,
-// owns no timers, and installs no FIB entries — each mutating method
+// arms no timers, and installs no FIB entries. Each Channel carries the
+// router's per-channel timer handles (the §3.2 route-switch hysteresis
+// and the §6 drift recheck) so one record holds one channel's whole
+// control state, but only the router arms them; erasing a channel from
+// the table cancels them (Channel::teardown). Each mutating method
 // instead returns an effect description (who to acknowledge, who to
 // reject, whether to rejoin upstream) that the router turns into ECMP
 // messages, FIB refreshes, and observer callbacks. Topology queries it
@@ -23,14 +27,17 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "counting/error_curve.hpp"
 #include "ecmp/count_id.hpp"
 #include "ip/channel.hpp"
 #include "net/topology.hpp"
 #include "obs/obs.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace express {
@@ -51,8 +58,19 @@ struct DownstreamEntry {
   sim::Time last_refresh{0};  ///< UDP-mode soft-state timestamp
 };
 
-/// One channel's hard state at this router.
+/// One channel's control state at this router: its hard state plus the
+/// router's timer handles for it. Move-only: a copy would share the
+/// timers of the record it came from.
 struct Channel {
+  /// §6 proactive-count record: the error-tolerance curve deciding when
+  /// drift goes upstream, and the timer re-evaluating it.
+  struct Proactive {
+    counting::ProactiveState state;
+    sim::EventHandle recheck;
+
+    explicit Proactive(const counting::CurveParams& params) : state(params) {}
+  };
+
   /// Ordered by neighbor id: downstream sweeps emit messages and pick
   /// retry keys, so iteration order is protocol-visible — a hash map
   /// here would make accept/reject/rejoin behaviour depend on the hash
@@ -68,11 +86,22 @@ struct Channel {
   std::int64_t advertised_upstream = 0;  ///< last Count sent up (0 = off-tree)
   net::NodeId upstream = net::kInvalidNode;
   std::uint32_t rpf_iface = 0;
+  /// Hysteresis timer of a held-back upstream switch (§3.2).
+  sim::EventHandle route_switch;
+  /// Null unless the router counts proactively (§6).
+  std::unique_ptr<Proactive> proactive;
 
   [[nodiscard]] std::int64_t subtree_count() const {
     std::int64_t total = 0;
     for (const auto& [neighbor, entry] : downstream) total += entry.count;
     return total;
+  }
+
+  /// Cancel the channel's pending timers; the table calls this on every
+  /// channel it drops.
+  void teardown() {
+    route_switch.cancel();
+    if (proactive) proactive->recheck.cancel();
   }
 };
 
@@ -133,16 +162,23 @@ class SubscriptionTable {
             {&SubscriptionStats::key_registrations,
              "express.sub.key_registrations"},
         })) {}
+  /// Tears down every channel still held.
+  ~SubscriptionTable();
+
+  SubscriptionTable(const SubscriptionTable&) = delete;
+  SubscriptionTable& operator=(const SubscriptionTable&) = delete;
 
   // --- storage -------------------------------------------------------
   [[nodiscard]] Channel* find(const ip::ChannelId& channel);
   [[nodiscard]] const Channel* find(const ip::ChannelId& channel) const;
   Channel& get_or_create(const ip::ChannelId& channel, bool& created);
-  /// False when the channel was not in the table. Erases through the
-  /// found node: `map::erase(key)` walks the tree again for the range.
+  /// Tear the channel down and drop it. False when the channel was not
+  /// in the table. Erases through the found node: `map::erase(key)`
+  /// walks the tree again for the range.
   bool erase(const ip::ChannelId& channel) {
     auto it = channels_.find(channel);
     if (it == channels_.end()) return false;
+    it->second.teardown();
     channels_.erase(it);
     return true;
   }

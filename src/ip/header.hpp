@@ -1,17 +1,12 @@
-// Minimal IPv4 header encode/decode with the real RFC 791 checksum.
+// IPv4 protocol numbers and the header size the simulator prices.
 //
-// The simulator mostly passes structured packets around, but the wire
-// codec is exercised by the ECMP message codec, the subcast IP-in-IP
-// encapsulation, and the codec tests — it keeps the byte-level story
-// honest without simulating full IP fragmentation.
+// The simulator passes structured packets around and never serializes
+// an IP header; it only charges its 20 bytes to every packet on the
+// wire (net::Packet::wire_size).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
-#include <vector>
-
-#include "ip/address.hpp"
 
 namespace express::ip {
 
@@ -27,28 +22,9 @@ enum class Protocol : std::uint8_t {
   kEcmp = 143,   ///< our ECMP-over-raw demo protocol number (experimental range)
 };
 
+/// An IPv4 header without options.
 struct Header {
-  Address source;
-  Address dest;
-  Protocol protocol = Protocol::kUdp;
-  std::uint8_t ttl = 64;
-  std::uint16_t payload_length = 0;  ///< bytes following the 20-byte header
-  std::uint16_t identification = 0;
-
   static constexpr std::size_t kSize = 20;
-
-  /// Serialize into exactly kSize bytes (header checksum computed).
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-
-  /// Append the encoded header to `out`.
-  void encode_to(std::vector<std::uint8_t>& out) const;
-
-  /// Parse and checksum-verify a header from the front of `bytes`.
-  /// Returns nullopt on truncation, bad version/IHL, or checksum failure.
-  static std::optional<Header> decode(std::span<const std::uint8_t> bytes);
 };
-
-/// RFC 1071 internet checksum over an arbitrary byte span.
-[[nodiscard]] std::uint16_t internet_checksum(std::span<const std::uint8_t> bytes);
 
 }  // namespace express::ip

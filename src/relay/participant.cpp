@@ -158,7 +158,7 @@ void Participant::on_channel_data(const net::Packet& packet, sim::Time at) {
       const ip::ChannelId direct = announced_channel(*frame);
       if (direct.source == host_.address()) return;  // our own announce
       announced_.push_back(direct);
-      if (auto_subscribe_) host_.new_subscription(direct);
+      host_.new_subscription(direct);
       return;
     }
     case FrameType::kFloorRequest:

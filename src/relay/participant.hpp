@@ -58,12 +58,10 @@ class Participant {
   // --- §4.1 direct-channel switchover -------------------------------
   /// For a secondary sender "going to transmit for an extended period":
   /// allocate an own channel and ask the SR to announce it to the
-  /// session. Other participants with auto-subscribe (default) join it.
+  /// session. Every other participant joins it.
   ip::ChannelId create_direct_channel();
   /// Transmit on the direct channel created above (bypasses the SR).
   void send_direct(std::uint32_t bytes);
-  /// Opt out of automatically joining announced direct channels.
-  void set_auto_subscribe(bool enabled) { auto_subscribe_ = enabled; }
   [[nodiscard]] const std::vector<ip::ChannelId>& announced_channels() const {
     return announced_;
   }
@@ -86,9 +84,6 @@ class Participant {
   }
   /// Gap detection over relay sequence numbers (§4.2 reliable relaying).
   [[nodiscard]] std::vector<std::uint64_t> missing_seqs() const;
-  [[nodiscard]] bool received_seq(std::uint64_t seq) const {
-    return seen_seqs_.contains(seq);
-  }
 
  private:
   void on_channel_data(const net::Packet& packet, sim::Time at);
@@ -110,7 +105,6 @@ class Participant {
 
   bool joined_ = false;
   bool failed_over_ = false;
-  bool auto_subscribe_ = true;
   std::optional<sim::Time> failover_at_;
   std::optional<ip::Address> floor_holder_;
   std::optional<ip::ChannelId> direct_channel_;  ///< this host's own (§4.1)

@@ -83,10 +83,6 @@ class SessionRelay {
   /// "either resides on the SR or relays its packets to it").
   void send_as_primary(std::uint32_t bytes);
 
-  /// Next sequence number for *data* frames (contiguous, so receivers
-  /// detect losses by gaps); control frames use a separate space.
-  [[nodiscard]] std::uint64_t next_data_seq() const { return next_data_seq_; }
-
  private:
   void on_unicast(const net::Packet& packet);
   void relay_frame(ip::Address original_sender, std::uint32_t bytes);

@@ -23,7 +23,6 @@ void StandbyCluster::arm_timer() {
 
 void StandbyCluster::promote() {
   if (backup_.active()) return;
-  promoted_at_ = backup_host_.network().now();
   backup_.start();
 }
 

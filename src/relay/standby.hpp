@@ -9,12 +9,9 @@
 // detection).
 #pragma once
 
-#include <optional>
-
 #include "relay/participant.hpp"
 #include "relay/session_relay.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/time.hpp"
 
 namespace express::relay {
 
@@ -28,9 +25,6 @@ class StandbyCluster {
   ~StandbyCluster() { stop(); }
 
   [[nodiscard]] bool backup_active() const { return backup_.active(); }
-  [[nodiscard]] std::optional<sim::Time> promoted_at() const {
-    return promoted_at_;
-  }
 
   /// Start monitoring (subscribes the backup host to the primary channel).
   void start();
@@ -45,7 +39,6 @@ class StandbyCluster {
   SessionRelay& primary_;
   SessionRelay& backup_;
   ExpressHost& backup_host_;
-  std::optional<sim::Time> promoted_at_;
   sim::EventHandle timer_;
 };
 

@@ -101,7 +101,6 @@ class Publisher {
   /// One completion run at a time.
   void run_to_completion(std::function<void(CompletionReport)> done);
 
-  [[nodiscard]] std::uint32_t blocks_published() const { return blocks_; }
   [[nodiscard]] std::uint32_t rounds_run() const { return rounds_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
 

@@ -201,12 +201,15 @@ void corrupt_zero_subtree(SettledTree& t, Revert& revert) {
 void corrupt_orphan_fib(SettledTree& t, Revert& revert) {
   ExpressRouter& leaf = t.leaf_router();
   ASSERT_NE(leaf.fib().find(t.ch), nullptr);
-  const Channel saved = *leaf.subscriptions().find(t.ch);
+  // A Channel is move-only; the revert keeps it behind a shared pointer.
+  auto saved = std::make_shared<Channel>(
+      std::move(*leaf.corrupt_subscriptions_for_test().find(t.ch)));
   // Membership evaporates; the FIB entry lingers.
   leaf.corrupt_subscriptions_for_test().erase(t.ch);
   revert = [&leaf, ch = t.ch, saved] {
     bool created = false;
-    leaf.corrupt_subscriptions_for_test().get_or_create(ch, created) = saved;
+    leaf.corrupt_subscriptions_for_test().get_or_create(ch, created) =
+        std::move(*saved);
   };
 }
 

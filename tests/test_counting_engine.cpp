@@ -28,7 +28,7 @@ struct Reply {
   ecmp::CountId count_id;
 };
 
-/// A CountingEngine wired to recording callbacks.
+/// A CountingEngine wired to a recording reply callback.
 struct Harness {
   Harness()
       : engine(scheduler,
@@ -37,12 +37,10 @@ struct Harness {
                       std::uint32_t query_seq) {
                  replies.push_back(
                      {requester, sum, query_seq, channel, count_id});
-               },
-               [this](const ip::ChannelId&) { ++rechecks; }) {}
+               }) {}
 
   sim::Scheduler scheduler;
   std::vector<Reply> replies;
-  int rechecks = 0;
   CountingEngine engine;
 };
 
@@ -205,30 +203,6 @@ TEST(CountingEngine, RoundsWithEqualMixedWordsStayApart) {
   EXPECT_EQ(h.replies[1].count_id, id_b);
   EXPECT_EQ(h.replies[1].query_seq, seq_b);
   EXPECT_EQ(h.replies[1].sum, 20);
-}
-
-TEST(CountingEngine, ProactiveHoldsUntilValidatedThenRechecks) {
-  Harness h;
-  counting::CurveParams params;
-  h.engine.enable_proactive(kCh, params);
-  EXPECT_TRUE(h.engine.proactive_enabled(kCh));
-
-  // Unvalidated upstream: never send now, re-check shortly instead.
-  EXPECT_FALSE(h.engine.evaluate(kCh, 5, /*validated_upstream=*/false));
-  h.scheduler.run_until(sim::Time{} + sim::seconds(1));
-  EXPECT_EQ(h.rechecks, 1);
-
-  // A channel without proactive state never asks to send.
-  const ip::ChannelId other{ip::Address(10, 0, 0, 2),
-                            ip::Address::single_source(2)};
-  EXPECT_FALSE(h.engine.evaluate(other, 5, true));
-
-  // Teardown cancels the recheck timer.
-  EXPECT_FALSE(h.engine.evaluate(kCh, 5, false));
-  h.engine.erase_channel(kCh);
-  EXPECT_FALSE(h.engine.proactive_enabled(kCh));
-  h.scheduler.run_until(sim::Time{} + sim::seconds(2));
-  EXPECT_EQ(h.rechecks, 1);
 }
 
 }  // namespace

@@ -291,12 +291,13 @@ TEST(Discovery, NeighborQueriesFlowAndSessionsStayAlive) {
   // replies keep sessions alive in the NeighborTable.
   RouterConfig config;
   config.neighbor_discovery = true;
-  config.neighbor_query_interval = sim::seconds(5);
-  config.neighbor_timeout = sim::seconds(16);
   ExpressNetwork sim(make_kary_tree(2, 2), config);
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
-  sim.run_for(sim::seconds(60));  // many discovery rounds
+  // Seven discovery rounds, over twice the keepalive timeout: a session
+  // the replies did not refresh would have expired.
+  sim.run_for(7 * ecmp::kNeighborQueryInterval + sim::seconds(5));
+  ASSERT_GT(sim.net().now(), 2 * ecmp::kNeighborTimeout);
 
   // Queries were exchanged continuously and nothing expired: the
   // subscription and tree survive untouched.

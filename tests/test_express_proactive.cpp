@@ -18,6 +18,65 @@ RouterConfig proactive_config(double alpha, double tau_seconds = 5.0) {
   return config;
 }
 
+// While the upstream has not validated a router's join, drift is held
+// and re-checked every 100 ms; the first recheck after the verdict
+// sends it. A router without a curve keeps no proactive record and
+// never pushes drift, and tearing a channel down cancels its recheck.
+TEST(Proactive, HoldsUntilValidatedThenRechecks) {
+  // Source router -> leaf router with two hosts; the 200 ms link delays
+  // the verdict on the leaf's join until ~400 ms.
+  workload::LinkParams slow;
+  slow.core_delay = sim::milliseconds(200);
+  ExpressNetwork sim(make_kary_tree(1, 1, slow, 2), proactive_config(4.0));
+  ExpressRouter& leaf = sim.router(1);
+  const ip::ChannelId ch = sim.source().allocate_channel();
+  sim.receiver(0).new_subscription(ch);
+  sim.receiver(1).new_subscription(ch);
+  sim.run_for(sim::milliseconds(50));
+
+  // Unvalidated upstream: the drift (2 members, 1 advertised) is not
+  // sent now; a recheck is armed instead.
+  const Channel* state = leaf.subscriptions().find(ch);
+  ASSERT_NE(state, nullptr);
+  ASSERT_NE(state->proactive, nullptr);
+  EXPECT_FALSE(state->validated_upstream);
+  EXPECT_TRUE(state->proactive->recheck.pending());
+  EXPECT_EQ(leaf.counting_stats().proactive_updates_sent, 0u);
+  sim.run_for(sim::seconds(1));
+  EXPECT_TRUE(state->validated_upstream);
+  EXPECT_EQ(leaf.counting_stats().proactive_updates_sent, 1u);
+  EXPECT_EQ(sim.source_router().subtree_count(ch), 2);
+
+  // A router without proactive state never pushes the drift: the root
+  // keeps the join's count.
+  ExpressNetwork plain(make_kary_tree(1, 1, slow, 2));
+  const ip::ChannelId plain_ch = plain.source().allocate_channel();
+  plain.receiver(0).new_subscription(plain_ch);
+  plain.receiver(1).new_subscription(plain_ch);
+  plain.run_for(sim::seconds(2));
+  const Channel* plain_state = plain.router(1).subscriptions().find(plain_ch);
+  ASSERT_NE(plain_state, nullptr);
+  EXPECT_EQ(plain_state->proactive, nullptr);
+  EXPECT_EQ(plain.router(1).counting_stats().proactive_updates_sent, 0u);
+  EXPECT_EQ(plain.source_router().subtree_count(plain_ch), 1);
+
+  // Teardown cancels the recheck timer: on a fresh channel whose drift
+  // is held, the step that removes it cancels exactly that one timer.
+  const ip::ChannelId held = sim.source().allocate_channel();
+  sim.receiver(0).new_subscription(held);
+  sim.receiver(1).new_subscription(held);
+  sim.run_for(sim::milliseconds(50));
+  const Channel* held_state = leaf.subscriptions().find(held);
+  ASSERT_NE(held_state, nullptr);
+  ASSERT_TRUE(held_state->proactive->recheck.pending());
+  sim.receiver(0).delete_subscription(held);
+  sim.receiver(1).delete_subscription(held);
+  EXPECT_EQ(cancelled_by_teardown(sim.net(), leaf, held), 1u);
+  EXPECT_FALSE(leaf.on_tree(held));
+  sim.run_for(sim::seconds(2));
+  EXPECT_EQ(leaf.counting_stats().proactive_updates_sent, 1u);
+}
+
 TEST(Proactive, RootConvergesWithinTau) {
   ExpressNetwork sim(make_kary_tree(2, 3), proactive_config(4.0));
   const ip::ChannelId ch = sim.source().allocate_channel();

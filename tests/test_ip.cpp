@@ -1,10 +1,9 @@
-// Unit tests for IPv4 addressing, the single-source range, channel ids,
-// and the IP header codec.
+// Unit tests for IPv4 addressing, the single-source range and channel
+// ids.
 #include <gtest/gtest.h>
 
 #include "ip/address.hpp"
 #include "ip/channel.hpp"
-#include "ip/header.hpp"
 
 namespace express::ip {
 namespace {
@@ -93,58 +92,6 @@ TEST(Channel, IdentityIsThePair) {
   const ChannelId a2{Address(10, 0, 0, 1), e};
   EXPECT_EQ(a, a2);
   EXPECT_EQ(std::hash<ChannelId>{}(a), std::hash<ChannelId>{}(a2));
-}
-
-TEST(Header, EncodeDecodeRoundTrip) {
-  Header h;
-  h.source = Address(10, 1, 1, 1);
-  h.dest = Address(232, 0, 0, 7);
-  h.protocol = Protocol::kEcmp;
-  h.ttl = 17;
-  h.payload_length = 1000;
-  h.identification = 0xBEEF;
-  const auto bytes = h.encode();
-  ASSERT_EQ(bytes.size(), Header::kSize);
-  const auto parsed = Header::decode(bytes);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->source, h.source);
-  EXPECT_EQ(parsed->dest, h.dest);
-  EXPECT_EQ(parsed->protocol, h.protocol);
-  EXPECT_EQ(parsed->ttl, h.ttl);
-  EXPECT_EQ(parsed->payload_length, h.payload_length);
-  EXPECT_EQ(parsed->identification, h.identification);
-}
-
-TEST(Header, ChecksumDetectsCorruption) {
-  Header h;
-  h.source = Address(10, 1, 1, 1);
-  h.dest = Address(232, 0, 0, 7);
-  auto bytes = h.encode();
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    auto corrupted = bytes;
-    corrupted[i] ^= 0x01;
-    EXPECT_FALSE(Header::decode(corrupted)) << "flip at byte " << i;
-  }
-}
-
-TEST(Header, DecodeRejectsTruncated) {
-  Header h;
-  auto bytes = h.encode();
-  bytes.pop_back();
-  EXPECT_FALSE(Header::decode(bytes));
-  EXPECT_FALSE(Header::decode({}));
-}
-
-TEST(Header, InternetChecksumKnownVector) {
-  // RFC 1071 example: checksum of 00 01 f2 03 f4 f5 f6 f7 = 0x220d.
-  const std::uint8_t data[] = {0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7};
-  EXPECT_EQ(internet_checksum(data), 0x220d);
-}
-
-TEST(Header, ChecksumHandlesOddLength) {
-  const std::uint8_t data[] = {0xAB};
-  // 0xAB00 summed; complement is 0x54FF.
-  EXPECT_EQ(internet_checksum(data), 0x54FF);
 }
 
 }  // namespace

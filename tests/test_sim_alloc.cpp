@@ -7,8 +7,9 @@
 // hundred bytes a node and building the network fabric over it costs
 // no per-node allocation; that an invariant audit's scratch is sized by
 // the on-tree state, not by the network, and a warm audit re-walks only
-// the routers a change touched; that EXPRESS routers and hosts attach
-// for a pinned number of bytes; and that the group-model
+// the routers a change touched; that EXPRESS routers and hosts attach,
+// and routers join a channel, for a pinned number of bytes; and that
+// the group-model
 // baselines attach cheaply and forward a warmed-up flow without
 // touching the allocator. It is its own test
 // binary so the counting overrides cannot perturb (or be perturbed by)
@@ -337,10 +338,11 @@ TEST(ExpressAllocation, AttachRequestsFewBytesPerNode) {
   // the object, its module tables and its registry-bound stats blocks
   // and rows. The tree is large enough (5,461 routers, 40,961 hosts)
   // that the registry's 16 KiB arena chunks average out. Measured with
-  // g++ 12 and libstdc++: 2,727 B a router, 620 B a host. The ceilings
+  // g++ 12 and libstdc++: 2,567 B a router, 620 B a host. The ceilings
   // sit within 8 B of that, so a stored copy of a derivable fact (a
   // node's obs scope, a whole RouterStats block bound for its one
-  // published row) fails the gate.
+  // published row, a per-channel map beside the channel table) fails
+  // the gate.
   auto generated = workload::make_kary_tree(4, 6, {}, 10);
   net::Network network(std::move(generated.topology));
   std::vector<net::NodeId> hosts = generated.receiver_hosts;
@@ -356,8 +358,35 @@ TEST(ExpressAllocation, AttachRequestsFewBytesPerNode) {
                           static_cast<double>(hosts.size());
 
   EXPECT_EQ(generated.routers.size(), 5461u);
-  EXPECT_LT(per_router, 2734.0);
+  EXPECT_LT(per_router, 2574.0);
   EXPECT_LT(per_host, 627.0);
+}
+
+TEST(ExpressAllocation, JoinAllRequestsFewBytesPerOnTreeRouter) {
+  // Heap bytes requested while every receiver of make_kary_tree(4, 4,
+  // {}, 4) (341 routers, 1,024 receivers) joins one channel and the
+  // tree settles, per on-tree router: each router's Channel record (its
+  // map node carries the route-switch and proactive-recheck slots), its
+  // downstream entries and FIB entry, the hosts' subscriptions and the
+  // Counts in flight. Measured with g++ 12 and libstdc++: 3,317 B (3,293
+  // B before the timer slots moved into Channel). The ceiling sits
+  // within 8 B of that, so a larger channel record fails the gate.
+  Testbed bed(workload::make_kary_tree(4, 4, {}, 4));
+  const ip::ChannelId channel = bed.source().allocate_channel();
+  const std::uint64_t before = allocated_bytes();
+  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+    bed.receiver(i).new_subscription(channel);
+  }
+  bed.run_for(sim::seconds(2));
+  const auto bytes = static_cast<double>(allocated_bytes() - before);
+
+  std::size_t on_tree = 0;
+  for (std::size_t i = 0; i < bed.router_count(); ++i) {
+    if (bed.router(i).on_tree(channel)) ++on_tree;
+  }
+  EXPECT_EQ(on_tree, 341u);
+  const double per_router = bytes / static_cast<double>(on_tree);
+  EXPECT_LT(per_router, 3324.0);
 }
 
 TEST(BaselineAllocation, SteadyStateDataPacketIsAllocationFree) {
