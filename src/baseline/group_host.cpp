@@ -53,7 +53,7 @@ void GroupHost::send_membership(MsgType type, ip::Address group,
   packet.dst = group;
   packet.protocol = control;
   packet.payload = encode(msg);
-  network().send_on_interface(id(), 0, std::move(packet));
+  network().send_on_interface(id(), 0, packet);
 }
 
 void GroupHost::set_include_filter(ip::Address group,
@@ -72,7 +72,7 @@ void GroupHost::send_to_group(ip::Address group, std::uint32_t bytes,
   packet.data_bytes = bytes;
   packet.sequence = sequence;
   ++stats_->data_sent;
-  network().send_on_interface(id(), 0, std::move(packet));
+  network().send_on_interface(id(), 0, packet);
 }
 
 void GroupHost::handle_packet(const net::Packet& packet,

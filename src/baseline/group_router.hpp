@@ -28,7 +28,7 @@ class GroupRouter : public net::Node {
     packet.dst = network().topology().address(neighbor);
     packet.protocol = control_;
     packet.payload = encode(msg);
-    network().send_to_neighbor(id(), neighbor, std::move(packet));
+    network().send_to_neighbor(id(), neighbor, packet);
   }
 
   /// True when interface `iface` leads to a host.

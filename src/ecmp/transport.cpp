@@ -76,7 +76,7 @@ void Transport::transmit(net::NodeId neighbor,
   stats_->control_bytes_sent += packet.payload.size();
   const auto iface = network_->topology().reach(node_, neighbor).iface;
   if (!iface) return;  // unreachable (partition); like a failed TCP write
-  network_->send_on_interface(node_, *iface, std::move(packet));
+  network_->send_on_interface(node_, *iface, packet);
 }
 
 void Transport::send_lan_query(std::uint32_t iface, const CountQuery& query) {
@@ -86,7 +86,7 @@ void Transport::send_lan_query(std::uint32_t iface, const CountQuery& query) {
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = encode(Message{query});
   stats_->control_bytes_sent += packet.payload.size();
-  network_->send_on_interface(node_, iface, std::move(packet));
+  network_->send_on_interface(node_, iface, packet);
   ++stats_->queries_sent;
 }
 

@@ -65,7 +65,7 @@ void ExpressHost::send(const ip::ChannelId& channel, std::uint32_t bytes,
   packet.sequence = sequence;
   packet.payload = std::move(header);
   ++stats_->data_sent;
-  network().send_on_interface(id(), 0, std::move(packet));
+  network().send_on_interface(id(), 0, packet);
 }
 
 void ExpressHost::send_app_unicast(ip::Address dest, std::uint32_t bytes,
@@ -372,7 +372,7 @@ void ExpressHost::send_ecmp(const ecmp::Message& msg) {
   packet.protocol = ip::Protocol::kEcmp;
   packet.payload = ecmp::encode(msg);
   stats_->control_bytes_sent += packet.payload.size();
-  network().send_on_interface(id(), 0, std::move(packet));
+  network().send_on_interface(id(), 0, packet);
 }
 
 }  // namespace express

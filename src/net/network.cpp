@@ -126,102 +126,98 @@ void Network::deliver_packet(NodeId to, const Packet& packet,
   if (Node* n = node(to)) n->handle_packet(packet, iface);
 }
 
-void Network::send_on_interface(NodeId from, std::uint32_t iface,
-                                Packet packet) {
+namespace {
+
+/// True when `b` can share `a`'s packet record: the same header fields,
+/// payload buffer and encapsulated packet.
+bool same_copy(const Packet& a, const Packet& b) {
+  return a.src == b.src && a.dst == b.dst && a.protocol == b.protocol &&
+         a.ttl == b.ttl && a.data_bytes == b.data_bytes &&
+         a.sequence == b.sequence && a.inner == b.inner &&
+         (a.payload.shares_buffer_with(b.payload) ||
+          (a.payload.empty() && b.payload.empty()));
+}
+
+}  // namespace
+
+void Network::schedule_delivery(sim::Time arrival, NodeId to,
+                                std::uint32_t iface, const Packet& packet) {
+  const bool joins = fanout_batching_ && open_.head != kNil &&
+                     open_.arrival == arrival &&
+                     open_.scheduled == scheduler_.scheduled_events();
+  std::uint32_t slot = kNil;
+  if (joins && same_copy(packets_[open_.tail->packet], packet)) {
+    slot = open_.tail->packet;
+  } else if (!free_packets_.empty()) {
+    slot = free_packets_.back();
+    free_packets_.pop_back();
+    packets_[slot] = packet;
+  } else {
+    slot = packets_.push(packet);
+  }
+  std::uint32_t copy = free_copy_;
+  if (copy == kNil) {
+    copy = copies_.push({});
+  } else {
+    free_copy_ = copies_[copy].next;
+  }
+  InFlight& record = copies_[copy];
+  record = InFlight{to, iface, slot};
+  peak_in_flight_ = std::max(peak_in_flight_, ++in_flight_);
+  if (joins) {
+    open_.tail->next = copy;
+    open_.tail = &record;
+    return;
+  }
+  // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
+  scheduler_.schedule_at(arrival, [this, copy] { deliver_batch(copy); });
+  open_ = OpenBatch{arrival, scheduler_.scheduled_events(), copy, &record};
+}
+
+void Network::deliver_batch(std::uint32_t head) {
+  if (open_.head == head) open_.head = kNil;  // dispatching: closed to joins
+  // Records are read by value and freed before each delivery: a handler
+  // may send, which reuses them.
+  Packet packet;
+  std::uint32_t held = kNil;  // the packets_ record `packet` came from
+  for (std::uint32_t i = head; i != kNil;) {
+    const InFlight copy = copies_[i];
+    copies_[i].next = free_copy_;
+    free_copy_ = i;
+    --in_flight_;
+    if (copy.packet != held) {
+      held = copy.packet;
+      packet = std::move(packets_[held]);
+      free_packets_.push_back(held);
+    }
+    deliver_packet(copy.to, packet, copy.iface);
+    i = copy.next;
+  }
+}
+
+DeliveryPoolStats Network::delivery_pool() const {
+  return {in_flight_, peak_in_flight_,
+          copies_.bytes() + packets_.bytes() +
+              free_packets_.capacity() * sizeof(std::uint32_t)};
+}
+
+bool Network::send_on_interface(NodeId from, std::uint32_t iface,
+                                const Packet& packet) {
   const Port& port = topology_.port(from, iface);
   const Crossing c =
       cross_link(from, port.link, packet, packet.wire_size(), scheduler_.now());
-  if (c.outcome != Crossing::kArrives) return;
-  // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-  scheduler_.schedule_at(
-      c.arrival, [this, to = port.peer, iface = port.peer_iface,
-                  p = std::move(packet)]() { deliver_packet(to, p, iface); });
-}
-
-std::uint32_t Network::acquire_fanout_batch() {
-  if (!fanout_free_.empty()) {
-    const std::uint32_t id = fanout_free_.back();
-    fanout_free_.pop_back();
-    return id;
-  }
-  fanout_pool_.emplace_back();
-  return static_cast<std::uint32_t>(fanout_pool_.size() - 1);
-}
-
-void Network::deliver_fanout_batch(std::uint32_t id) {
-  // One local Packet shared COW-style by every delivery (the payload
-  // refcount is bumped once here, not once per copy). The pool is
-  // re-indexed on every step because a handler may itself replicate
-  // and grow the pool — indices stay valid, references do not.
-  const Packet packet = fanout_pool_[id].packet;
-  for (std::size_t i = 0; i < fanout_pool_[id].targets.size(); ++i) {
-    const DeliveryTarget target = fanout_pool_[id].targets[i];
-    deliver_packet(target.to, packet, target.iface);
-  }
-  FanoutBatch& batch = fanout_pool_[id];
-  batch.packet = Packet{};
-  batch.targets.clear();  // keeps capacity for reuse
-  fanout_free_.push_back(id);
-}
-
-bool Network::Fanout::add(std::uint32_t iface) {
-  Network& net = *net_;
-  const Port& port = net.topology_.port(from_, iface);
-  const Crossing c = net.cross_link(from_, port.link, packet_, wire_bytes_,
-                                    net.scheduler_.now());
   if (c.outcome == Crossing::kLinkDown) return false;
-  if (c.outcome == Crossing::kLost) return true;  // consumed its wire slot
-  const DeliveryTarget target{port.peer, port.peer_iface};
-  if (!net.fanout_batching_) {
-    // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-    net.scheduler_.schedule_at(
-        c.arrival, [n = net_, target, p = packet_]() {
-          n->deliver_packet(target.to, p, target.iface);
-        });
-    return true;
+  if (c.outcome == Crossing::kArrives) {
+    schedule_delivery(c.arrival, port.peer, port.peer_iface, packet);
   }
-  if (queued_ != 0 && c.arrival == arrival_) {
-    if (batch_ == kNoBatch) {
-      batch_ = net.acquire_fanout_batch();
-      FanoutBatch& b = net.fanout_pool_[batch_];
-      b.packet = packet_;
-      b.targets.push_back(first_);
-    }
-    net.fanout_pool_[batch_].targets.push_back(target);
-    ++queued_;
-    return true;
-  }
-  flush();
-  arrival_ = c.arrival;
-  first_ = target;
-  queued_ = 1;
   return true;
 }
 
-void Network::Fanout::flush() {
-  if (queued_ == 0) return;
-  Network& net = *net_;
-  if (batch_ == kNoBatch) {
-    // Single copy at this arrival: same event shape as send_on_interface().
-    // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-    net.scheduler_.schedule_at(
-        arrival_, [n = net_, target = first_, p = packet_]() {
-          n->deliver_packet(target.to, p, target.iface);
-        });
-  } else {
-    // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-    net.scheduler_.schedule_at(arrival_, [n = net_, id = batch_]() {
-      n->deliver_fanout_batch(id);
-    });
-    batch_ = kNoBatch;
-  }
-  queued_ = 0;
-}
-
-void Network::send_to_neighbor(NodeId from, NodeId neighbor, Packet packet) {
+void Network::send_to_neighbor(NodeId from, NodeId neighbor,
+                               const Packet& packet) {
   auto iface = topology_.interface_to(from, neighbor);
   if (!iface) throw std::logic_error("send_to_neighbor: not adjacent");
-  send_on_interface(from, *iface, std::move(packet));
+  send_on_interface(from, *iface, packet);
 }
 
 void Network::send_unicast(NodeId from, Packet packet) {
@@ -233,11 +229,7 @@ void Network::send_unicast(NodeId from, Packet packet) {
   }
   if (from == *dest) {
     // Loopback delivery: interface index is irrelevant; use 0.
-    // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-    scheduler_.schedule_after(
-        sim::Duration{0}, [this, to = from, p = std::move(packet)]() {
-          deliver_packet(to, p, 0);
-        });
+    schedule_delivery(scheduler_.now(), from, 0, packet);
     return;
   }
   // Walk the next hops (a routed node's next hop is routed too),
@@ -262,10 +254,7 @@ void Network::send_unicast(NodeId from, Packet packet) {
     hop = next;
     iface = port.peer_iface;
   }
-  // lint: fire-and-forget (in-flight packet delivery; the scheduler owns the event)
-  scheduler_.schedule_at(at, [this, to = hop, iface, p = std::move(packet)]() {
-    deliver_packet(to, p, iface);
-  });
+  schedule_delivery(at, hop, iface, packet);
 }
 
 void Network::set_link_up(LinkId link, bool up) {

@@ -8,6 +8,20 @@
 // convenience routing walks the shortest path link by link so delay and
 // link accounting stay faithful without requiring every node to
 // implement an IP forwarding plane.
+//
+// In-flight copies: every copy the fabric hands to a node — a copy out
+// one interface, a replication copy, a unicast packet's last hop or
+// loopback — is a 16-byte record in a delivery batch, and the packet it
+// carries is shared with the copy before it in the batch when the two
+// are identical. A batch is one scheduler event. A copy joins the open
+// batch (the delivery event last put on the scheduler) when that batch
+// is due at the copy's arrival instant, nothing was scheduled since, and
+// it has not started dispatching; otherwise it opens a new batch. Alone,
+// the copy would have taken the very next sequence number at the same
+// instant, so the global (time, seq) dispatch order, every wire counter
+// and every trace record except kTimerFire stay as they were with one
+// event per copy (set_fanout_batching(false), the test oracle). All
+// senders of one tree level thus share one event per arrival instant.
 #pragma once
 
 #include <array>
@@ -61,10 +75,13 @@ class StateObserver {
   virtual void on_state_change(NodeId id) = 0;
 };
 
-/// One delivery destination of a batched fan-out.
-struct DeliveryTarget {
-  NodeId to = 0;
-  std::uint32_t iface = 0;  ///< arrival interface at `to`
+/// Storage of the copies in flight (see the header comment).
+struct DeliveryPoolStats {
+  std::uint64_t in_flight = 0;       ///< copies scheduled, not yet delivered
+  std::uint64_t peak_in_flight = 0;  ///< high-water mark of in_flight
+  /// Bytes of copy and packet records the pool holds, live or free. It
+  /// grows only with the peak number of records live at once.
+  std::uint64_t retained_bytes = 0;
 };
 
 class Network {
@@ -169,53 +186,23 @@ class Network {
     return topology_.find_by_address(address);
   }
 
-  /// Transmit `packet` from `from` out its interface `iface`. Dropped
-  /// (and counted) if the link is down.
-  void send_on_interface(NodeId from, std::uint32_t iface, Packet packet);
+  /// Transmit a copy of `packet` from `from` out its interface `iface`.
+  /// Returns false (and counts the drop) when the link is down; a copy
+  /// lost to impairments still took its wire slot and counts as sent.
+  /// TTL policy is the caller's business: the copy is sent as given.
+  bool send_on_interface(NodeId from, std::uint32_t iface,
+                         const Packet& packet);
 
-  /// Batched replication builder used by net::replicate. Each add()
-  /// crosses one interface exactly as send_on_interface() would;
-  /// consecutive copies arriving at the same instant are coalesced into
-  /// ONE scheduler event that walks the target list, instead of one
-  /// event (and one Packet copy) per copy. Coalescing only adjacent
-  /// equal arrivals keeps the delivery order bit-for-bit identical to
-  /// per-copy scheduling. The destructor flushes the open group.
-  class Fanout {
-   public:
-    Fanout(Network& network, NodeId from, Packet packet)
-        : net_(&network), from_(from), packet_(std::move(packet)),
-          wire_bytes_(packet_.wire_size()) {}
-    Fanout(const Fanout&) = delete;
-    Fanout& operator=(const Fanout&) = delete;
-    ~Fanout() { flush(); }
-
-    /// Queue a copy out `iface`; returns false (and counts the drop)
-    /// when the link is down. TTL policy is the caller's business —
-    /// the packet is sent exactly as constructed.
-    bool add(std::uint32_t iface);
-
-   private:
-    static constexpr std::uint32_t kNoBatch = ~std::uint32_t{0};
-
-    void flush();
-
-    Network* net_;
-    NodeId from_ = 0;
-    Packet packet_;
-    std::uint32_t wire_bytes_ = 0;
-    sim::Time arrival_{};            ///< arrival time of the open group
-    std::uint32_t batch_ = kNoBatch; ///< pooled record once the group is >1
-    DeliveryTarget first_{};         ///< sole target while the group is 1
-    std::uint32_t queued_ = 0;       ///< copies in the open group
-  };
-
-  /// Test/bench knob: disable same-arrival coalescing so every copy
-  /// gets its own delivery event (the pre-batching shape). Delivery
-  /// order is identical either way; only event counts differ.
+  /// Test/bench knob: give every copy its own delivery event (the
+  /// shape before batching). Delivery order is identical either way;
+  /// only event counts differ.
   void set_fanout_batching(bool on) { fanout_batching_ = on; }
 
+  /// Occupancy of the in-flight copy storage.
+  [[nodiscard]] DeliveryPoolStats delivery_pool() const;
+
   /// Transmit to a directly attached neighbor (resolves the interface).
-  void send_to_neighbor(NodeId from, NodeId neighbor, Packet packet);
+  void send_to_neighbor(NodeId from, NodeId neighbor, const Packet& packet);
 
   /// Route a unicast packet hop-by-hop from `from` to the topology node
   /// owning packet.dst, charging every traversed link, and deliver it
@@ -295,15 +282,59 @@ class Network {
   std::optional<sim::Duration> roll_impairment(NodeId from, LinkId link,
                                                const Packet& packet);
 
-  /// Pooled storage for multi-target fan-out groups. Records are
-  /// recycled through a free list with their target capacity intact,
-  /// so steady-state batched delivery never touches the allocator.
-  struct FanoutBatch {
-    Packet packet;
-    std::vector<DeliveryTarget> targets;
+  /// Hand a copy of `packet` to `to` on its interface `iface` at
+  /// `arrival`: join the open batch or open a new one (see the header
+  /// comment). The one place a delivery is scheduled.
+  void schedule_delivery(sim::Time arrival, NodeId to, std::uint32_t iface,
+                         const Packet& packet);
+  /// The event of the batch whose first copy is `head`.
+  void deliver_batch(std::uint32_t head);
+
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// One copy in flight. The copies of a batch, and the free records,
+  /// are singly linked through `next`.
+  struct InFlight {
+    NodeId to = 0;
+    std::uint32_t iface = 0;   ///< arrival interface at `to`
+    std::uint32_t packet = 0;  ///< index into packets_
+    std::uint32_t next = kNil;
   };
-  std::uint32_t acquire_fanout_batch();
-  void deliver_fanout_batch(std::uint32_t id);
+  /// Records addressed by a 32-bit index, held in fixed pages of 256:
+  /// an index costs a shift and a mask, growth never moves a record (so
+  /// references stay valid, and a large pool is never held twice while
+  /// it grows), and no record is released, so the store keeps the page
+  /// count it peaked at.
+  template <typename T>
+  class Paged {
+   public:
+    T& operator[](std::uint32_t i) { return pages_[i >> kBits][i & kMask]; }
+    /// Append `value`; returns its index.
+    std::uint32_t push(T value) {
+      if ((size_ & kMask) == 0) {
+        pages_.push_back(std::make_unique<T[]>(std::size_t{kMask} + 1));
+      }
+      (*this)[size_] = std::move(value);
+      return size_++;
+    }
+    [[nodiscard]] std::size_t bytes() const {
+      return pages_.size() * (std::size_t{kMask} + 1) * sizeof(T);
+    }
+
+   private:
+    static constexpr unsigned kBits = 8;
+    static constexpr std::uint32_t kMask = (1U << kBits) - 1;
+    std::vector<std::unique_ptr<T[]>> pages_;
+    std::uint32_t size_ = 0;
+  };
+
+  /// The batch copies may still join (head == kNil: none).
+  struct OpenBatch {
+    sim::Time arrival{};
+    std::uint64_t scheduled = 0;  ///< scheduler's count just after its event
+    std::uint32_t head = kNil;
+    InFlight* tail = nullptr;
+  };
 
   Topology topology_;
   UnicastRouting routing_;
@@ -318,8 +349,15 @@ class Network {
   /// Per link, per direction ([0]: a->b, [1]: b->a): when the
   /// transmitter becomes free (FIFO serialization).
   std::vector<std::array<sim::Time, 2>> link_free_;
-  std::vector<FanoutBatch> fanout_pool_;
-  std::vector<std::uint32_t> fanout_free_;  // recycled pool ids
+  /// In-flight copy and packet records, recycled through free lists:
+  /// the pool stays at its peak and the steady state allocates nothing.
+  Paged<InFlight> copies_;
+  std::uint32_t free_copy_ = kNil;
+  Paged<Packet> packets_;
+  std::vector<std::uint32_t> free_packets_;
+  OpenBatch open_;
+  std::uint64_t in_flight_ = 0;
+  std::uint64_t peak_in_flight_ = 0;
   bool fanout_batching_ = true;
   /// Impairment state. The vectors stay empty until a config is set,
   /// and impairments_armed_ keeps the lossless packet path at one

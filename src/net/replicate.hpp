@@ -6,9 +6,12 @@
 // specific knobs for TTL handling, arrival-interface exclusion, and
 // dead-link suppression. Before this header each protocol carried its
 // own copy of that loop; now they all call replicate() and differ only
-// in the ReplicateOptions they pass. The copies are cheap because
-// Packet payloads are copy-on-write (PR 1): a copy shares the payload
-// buffer and only the ~48-byte header is duplicated per interface.
+// in the ReplicateOptions they pass. The copies are cheap: a copy in
+// flight is a 16-byte delivery record, and copies identical to the one
+// before them in their delivery batch share its packet record (header,
+// copy-on-write payload and all), so one tree level of a data packet
+// costs one scheduler event and one packet record however many routers
+// send it.
 //
 // Module seam: this layer knows nothing about channels, groups, FIBs,
 // or membership — callers resolve "which interfaces" (that is routing
@@ -42,10 +45,12 @@ struct ReplicateOptions {
 /// (ascending order), applying `opts`. Returns the number of copies
 /// actually transmitted.
 ///
-/// Delivery is batched: TTL is applied once up front (every copy gets
-/// the same decremented value the per-copy loop used to compute), and
-/// copies whose arrival times coincide are delivered by one scheduler
-/// event via Network::Fanout rather than one event per copy.
+/// TTL is applied once up front (every copy gets the same decremented
+/// value the per-copy loop used to compute), and each copy goes through
+/// Network::send_on_interface like any other. Copies that arrive at the
+/// same instant, from this node or from every other node of a tree
+/// level, share one delivery event and one packet record (see the
+/// network.hpp header).
 inline std::size_t replicate(Network& network, NodeId node,
                              const Packet& packet, const InterfaceSet& oifs,
                              const ReplicateOptions& opts = {}) {
@@ -54,7 +59,6 @@ inline std::size_t replicate(Network& network, NodeId node,
     if (master.ttl == 0) return 0;  // expired: zero copies, as before
     --master.ttl;
   }
-  Network::Fanout fanout(network, node, std::move(master));
   std::size_t copies = 0;
   oifs.for_each([&](std::uint32_t iface) {
     if (opts.exclude_iface && iface == *opts.exclude_iface) return;
@@ -62,7 +66,7 @@ inline std::size_t replicate(Network& network, NodeId node,
       const LinkId link = network.topology().port(node, iface).link;
       if (!network.topology().link(link).up) return;
     }
-    if (fanout.add(iface)) ++copies;
+    if (network.send_on_interface(node, iface, master)) ++copies;
   });
   return copies;
 }
@@ -77,7 +81,6 @@ inline std::size_t replicate_all(Network& network, NodeId node,
     if (master.ttl == 0) return 0;
     --master.ttl;
   }
-  Network::Fanout fanout(network, node, std::move(master));
   std::size_t copies = 0;
   const auto ports = network.topology().interface_count(node);
   for (std::uint32_t iface = 0; iface < ports; ++iface) {
@@ -86,7 +89,7 @@ inline std::size_t replicate_all(Network& network, NodeId node,
       const LinkId link = network.topology().port(node, iface).link;
       if (!network.topology().link(link).up) continue;
     }
-    if (fanout.add(iface)) ++copies;
+    if (network.send_on_interface(node, iface, master)) ++copies;
   }
   return copies;
 }

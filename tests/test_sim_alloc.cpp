@@ -40,8 +40,8 @@ namespace {
 using test::allocated_bytes;
 using test::allocation_count;
 
-// A capture the size of the real transmit closures: a packet-sized blob
-// plus a couple of pointers. Must fit InlineFunction's inline buffer.
+// A large capture: a packet-sized blob plus a couple of pointers. Must
+// fit InlineFunction's inline buffer.
 struct Blob {
   unsigned char bytes[64];
 };
@@ -368,9 +368,10 @@ TEST(ExpressAllocation, JoinAllRequestsFewBytesPerOnTreeRouter) {
   // tree settles, per on-tree router: each router's Channel record (its
   // map node carries the route-switch and proactive-recheck slots), its
   // downstream entries and FIB entry, the hosts' subscriptions and the
-  // Counts in flight. Measured with g++ 12 and libstdc++: 3,317 B (3,293
-  // B before the timer slots moved into Channel). The ceiling sits
-  // within 8 B of that, so a larger channel record fails the gate.
+  // Counts in flight. Measured with g++ 12 and libstdc++: 2,614 B (3,317
+  // B while every copy in flight held its own 144-B scheduler record).
+  // The ceiling sits within 8 B of that, so a larger channel record
+  // fails the gate.
   Testbed bed(workload::make_kary_tree(4, 4, {}, 4));
   const ip::ChannelId channel = bed.source().allocate_channel();
   const std::uint64_t before = allocated_bytes();
@@ -386,7 +387,48 @@ TEST(ExpressAllocation, JoinAllRequestsFewBytesPerOnTreeRouter) {
   }
   EXPECT_EQ(on_tree, 341u);
   const double per_router = bytes / static_cast<double>(on_tree);
-  EXPECT_LT(per_router, 3324.0);
+  EXPECT_LT(per_router, 2622.0);
+}
+
+TEST(DeliveryPoolAllocation, RetainedBytesFollowThePeakOfCopiesInFlight) {
+  // Every receiver of make_kary_tree(4, 6, {}, 1) (5,461 routers, 4,096
+  // receivers) joins one channel, then the source sends a 10-packet
+  // burst, twice. A copy in flight is a 16-byte record, and the copies
+  // of one tree level of one packet share one packet record. The pool
+  // peaks at 40,960 copies (the burst's host hop) and at ~4,100 packet
+  // records (the join's control messages, one each), and keeps what it
+  // peaked at: 22.8 B per copy measured with g++ 12 and libstdc++. The
+  // ceiling fails a packet stored per copy (~80 B) and a pool that
+  // doubles a contiguous array (up to 2x the copy records, ~32 B).
+  Testbed bed(workload::make_kary_tree(4, 6, {}, 1));
+  const ip::ChannelId channel = bed.source().allocate_channel();
+  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+    bed.receiver(i).new_subscription(channel);
+  }
+  bed.run_for(sim::seconds(2));
+  const auto burst = [&bed, &channel] {
+    for (std::uint64_t seq = 0; seq < 10; ++seq) {
+      bed.source().send(channel, 1000, seq);
+    }
+    bed.run_for(sim::seconds(2));
+  };
+  burst();
+  const std::uint64_t before = allocation_count();
+  burst();
+  EXPECT_EQ(allocation_count() - before, 0u) << "records are recycled";
+
+  std::uint64_t delivered = 0;
+  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+    delivered += bed.receiver(i).stats().data_received;
+  }
+  EXPECT_EQ(delivered, 2u * 10u * 4096u);
+  const net::DeliveryPoolStats pool = bed.net().delivery_pool();
+  EXPECT_EQ(pool.in_flight, 0u);
+  EXPECT_GE(pool.peak_in_flight, 10u * 4096u);
+  const double per_copy = static_cast<double>(pool.retained_bytes) /
+                          static_cast<double>(pool.peak_in_flight);
+  EXPECT_LT(per_copy, 24.0) << pool.retained_bytes << " bytes retained for "
+                            << pool.peak_in_flight << " copies in flight";
 }
 
 TEST(BaselineAllocation, SteadyStateDataPacketIsAllocationFree) {
