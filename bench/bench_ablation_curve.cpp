@@ -7,7 +7,7 @@
 #include <map>
 
 #include "common.hpp"
-#include "testbed/testbed.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/churn.hpp"
 
 namespace {
@@ -26,15 +26,7 @@ SweepPoint run(double alpha, double tau,
   config.proactive = counting::CurveParams{0.3, tau, alpha};
   Testbed bed(workload::make_kary_tree(2, 5, {}, 8), config);
   const ip::ChannelId ch = bed.source().allocate_channel();
-  for (const auto& event : schedule) {
-    bed.net().scheduler().schedule_at(event.at, [&bed, &ch, event]() {
-      if (event.join) {
-        bed.receiver(event.host_index).new_subscription(ch);
-      } else {
-        bed.receiver(event.host_index).delete_subscription(ch);
-      }
-    });
-  }
+  scenario::replay_churn(bed, ch, schedule);
   SweepPoint point;
   double error_sum = 0;
   int samples = 0;

@@ -9,11 +9,12 @@
 //   2. fanout     — ns per link transmission through the full network
 //                   stack on a 256-way star (the paper's worst-case
 //                   replication shape).
-//   3. churn      — end-to-end wall time of a 10k-subscriber join/leave
-//                   churn scenario with periodic channel data, the
-//                   shape every §5/§6 experiment takes. Deterministic
-//                   packet/byte counters are reported so substrate
-//                   rewrites can prove they preserved behavior.
+//   3. churn      — end-to-end wall time of scenario::run_seeded_churn
+//                   at 10k subscribers: join/leave churn with periodic
+//                   channel data, the shape every §5/§6 experiment
+//                   takes. Deterministic packet/byte counters are
+//                   reported so substrate rewrites can prove they
+//                   preserved behavior.
 //   4. fib        — (S,E) lookups/sec through the FlatFib.
 //
 // Output: a human table on stdout and machine-readable JSON (default
@@ -32,11 +33,9 @@
 
 #include "common.hpp"
 #include "express/fib.hpp"
-#include "testbed/testbed.hpp"
+#include "testbed/scenario.hpp"
 #include "obs/obs.hpp"
-#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
-#include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace {
@@ -179,7 +178,6 @@ FanoutScore measure_fanout(std::uint64_t sends) {
 
 struct ChurnScore {
   double wall_s = 0;
-  double sim_events_per_sec = 0;
   std::uint64_t sim_events = 0;
   std::uint64_t subscribers = 0;
   // Deterministic outcome counters: any substrate rewrite must
@@ -203,49 +201,28 @@ ChurnScore measure_churn(bool quick) {
   // receivers over 1365 routers (quick: depth 3 => 640 receivers).
   const std::uint32_t depth = quick ? 3 : 5;
   Testbed bed(workload::make_kary_tree(4, depth, {}, 10));
-  const ip::ChannelId channel = bed.source().allocate_channel();
-  const std::uint32_t receivers =
-      static_cast<std::uint32_t>(bed.receiver_count());
-
-  sim::Rng rng(42);
-  const sim::Duration horizon = sim::seconds(30);
-  const auto events = workload::poisson_churn(
-      receivers, horizon, sim::seconds(15), sim::seconds(10), rng);
 
   const auto t0 = Clock::now();
-  auto& sched = bed.net().scheduler();
-  for (const auto& ev : events) {
-    sched.schedule_at(ev.at, [&bed, &channel, ev] {
-      if (ev.join) {
-        bed.receiver(ev.host_index).new_subscription(channel);
-      } else {
-        bed.receiver(ev.host_index).delete_subscription(channel);
-      }
-    });
-  }
-  const std::vector<std::uint8_t> header(64, 0xCD);
-  std::uint64_t seq = 0;
-  for (sim::Time at = sim::milliseconds(100); at < horizon;
-       at += sim::milliseconds(100)) {
-    sched.schedule_at(at, [&bed, &channel, &header, s = seq++] {
-      bed.source().send(channel, 1200, s, header);
-    });
-  }
-  bed.net().run();
-  const double secs = elapsed_s(t0);
+  const scenario::ChurnOutcome outcome = scenario::run_seeded_churn(
+      bed, {.seed = 42,
+            .horizon = sim::seconds(30),
+            .mean_lifetime = sim::seconds(15),
+            .mean_offtime = sim::seconds(10),
+            .period = sim::milliseconds(100),
+            .bytes = 1200,
+            .header = std::vector<std::uint8_t>(64, 0xCD)});
 
   ChurnScore score;
-  score.wall_s = secs;
-  score.sim_events = sched.executed_events();
-  score.sim_events_per_sec = static_cast<double>(score.sim_events) / secs;
-  score.subscribers = receivers;
+  score.wall_s = elapsed_s(t0);
+  score.sim_events = outcome.executed_events;
+  score.subscribers = bed.receiver_count();
   // The per-module blocks come straight from the metrics registry (one
   // sum per metric name instead of a per-router accessor walk); the
   // JSON keys and semantics are unchanged.
   const obs::Registry& reg = bed.net().obs().registry;
-  score.packets_sent = bed.net().stats().packets_sent;
-  score.bytes_sent = bed.net().stats().bytes_sent;
-  score.total_link_bytes = bed.net().total_link_bytes();
+  score.packets_sent = outcome.packets_sent;
+  score.bytes_sent = outcome.bytes_sent;
+  score.total_link_bytes = outcome.total_link_bytes;
   score.data_delivered = reg.sum("express.host.data_received");
   score.fwd_packets = reg.sum("express.fwd.data_packets_forwarded");
   score.fwd_copies = reg.sum("express.fwd.data_copies_sent");
@@ -296,8 +273,6 @@ void write_json(const std::string& path, bool quick, const SchedulerScore& nw,
   std::fprintf(f, "    \"wall_s\": %.3f,\n", churn.wall_s);
   std::fprintf(f, "    \"sim_events\": %llu,\n",
                static_cast<unsigned long long>(churn.sim_events));
-  std::fprintf(f, "    \"sim_events_per_sec\": %.0f,\n",
-               churn.sim_events_per_sec);
   std::fprintf(f, "    \"packets_sent\": %llu,\n",
                static_cast<unsigned long long>(churn.packets_sent));
   std::fprintf(f, "    \"bytes_sent\": %llu,\n",
@@ -372,7 +347,6 @@ int main(int argc, char** argv) {
   table.row({"churn", "subscribers", fmt_int(churn.subscribers)});
   table.row({"churn", "wall s", fmt(churn.wall_s, 3)});
   table.row({"churn", "sim events", fmt_int(churn.sim_events)});
-  table.row({"churn", "events/sec", fmt(churn.sim_events_per_sec / 1e6, 2) + "M"});
   table.row({"churn", "packets_sent", fmt_int(churn.packets_sent)});
   table.row({"churn", "bytes_sent", fmt_int(churn.bytes_sent)});
   table.row({"churn", "data_delivered", fmt_int(churn.data_delivered)});

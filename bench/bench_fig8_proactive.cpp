@@ -9,7 +9,7 @@
 #include <map>
 
 #include "common.hpp"
-#include "testbed/testbed.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/churn.hpp"
 
 namespace {
@@ -34,15 +34,7 @@ Series run(double alpha, const std::vector<workload::ChurnEvent>& schedule) {
   Testbed bed(workload::make_kary_tree(2, 5, {}, 8), config);  // 256 hosts
   const ip::ChannelId ch = bed.source().allocate_channel();
 
-  for (const auto& event : schedule) {
-    bed.net().scheduler().schedule_at(event.at, [&bed, &ch, event]() {
-      if (event.join) {
-        bed.receiver(event.host_index).new_subscription(ch);
-      } else {
-        bed.receiver(event.host_index).delete_subscription(ch);
-      }
-    });
-  }
+  scenario::replay_churn(bed, ch, schedule);
 
   Series series;
   ExpressRouter& root = bed.source_router();

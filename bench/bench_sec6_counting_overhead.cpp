@@ -11,7 +11,7 @@
 
 #include "common.hpp"
 #include "costmodel/counting_cost.hpp"
-#include "testbed/testbed.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/churn.hpp"
 
 namespace {
@@ -70,16 +70,10 @@ Outcome run(std::optional<double> poll_period,
   // 200 subscribers over 64 hosts: reuse hosts round-robin as extra
   // local apps, which ECMP counts exactly (per-host local counts).
   const ip::ChannelId ch = bed.source().allocate_channel();
-  for (const auto& event : schedule) {
-    const std::size_t host = event.host_index % bed.receiver_count();
-    bed.net().scheduler().schedule_at(event.at, [&bed, &ch, event, host]() {
-      if (event.join) {
-        bed.receiver(host).new_subscription(ch);
-      } else {
-        bed.receiver(host).delete_subscription(ch);
-      }
-    });
-  }
+  scenario::replay_churn(bed, ch, schedule, sim::Time{},
+                         [n = bed.receiver_count()](std::uint32_t i) {
+                           return i % n;
+                         });
 
   // The source's current belief about the audience.
   auto belief = std::make_shared<std::int64_t>(0);

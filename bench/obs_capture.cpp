@@ -1,6 +1,8 @@
 // obs_capture: record the observability plane for a pinned seeded
-// scenario and export it as artifacts. The default run is the same
-// seeded-churn scenario test_determinism pins counter-by-counter:
+// scenario and export it as artifacts. Both scenarios are declared in
+// src/testbed/scenario.hpp and run on its capture_tree(): the default
+// is scenario::run_seeded_churn, the run test_determinism pins
+// counter-by-counter; --scenario chaos is scenario::run_capture_chaos.
 //
 //   --seed N            scenario RNG seed (default 7, the pinned run)
 //   --trace-out P       event trace JSONL (default trace.jsonl)
@@ -20,9 +22,7 @@
 #include <string>
 
 #include "obs/obs.hpp"
-#include "obs_scenarios.hpp"
-#include "testbed/testbed.hpp"
-#include "workload/topo_gen.hpp"
+#include "testbed/scenario.hpp"
 
 namespace {
 
@@ -89,13 +89,13 @@ bool write_file(const std::string& path, const std::string& body) {
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
 
-  Testbed bed(workload::make_kary_tree(2, 3, {}, 2));
+  Testbed bed(scenario::capture_tree());
   net::Network& net = bed.net();
   net.obs().trace.enable(opt.trace_cap);
 
   if (opt.scenario == "chaos") {
     const workload::ChaosReport report =
-        obs_scenarios::run_chaos(bed, opt.seed);
+        scenario::run_capture_chaos(bed, opt.seed);
     if (report.unconverged != 0 || report.violations != 0) {
       std::fprintf(stderr, "obs_capture: chaos campaign dirty (%llu/%llu)\n",
                    static_cast<unsigned long long>(report.unconverged),
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    obs_scenarios::run_churn(bed, opt.seed);
+    scenario::run_seeded_churn(bed, {.seed = opt.seed});
   }
 
   if (!write_file(opt.trace_out, net.obs().trace.to_jsonl()) ||

@@ -20,9 +20,8 @@
 #include "audit/invariants.hpp"
 #include "obs/obs.hpp"
 #include "common.hpp"
-#include "testbed/testbed.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/chaos.hpp"
-#include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace {
@@ -141,26 +140,13 @@ int main(int argc, char** argv) {
   const auto schedule =
       workload::make_fault_schedule(bed.net().topology(), plan, fault_rng);
 
-  // Churn horizon deliberately outlasts the churn window + hold: joins
+  // The chaos churn window outlasts the campaign's window + hold: joins
   // and leaves keep arriving while links are down and while the heal
   // settles, so every fault hits a network mid-churn (the auditor then
   // measures convergence of a *moving* tree, not a frozen one).
   sim::Rng churn_rng(opt.seed + 1);
   auto churn = [&](std::size_t) {
-    const auto events = workload::poisson_churn(
-        static_cast<std::uint32_t>(bed.receiver_count() - 1),
-        sim::seconds(4), sim::seconds(2), sim::seconds(2), churn_rng);
-    for (const auto& ev : events) {
-      bed.net().scheduler().schedule_at(
-          bed.net().now() + (ev.at - sim::Time{}), [&bed, ev, ch] {
-            auto& host = bed.receiver(ev.host_index + 1);
-            if (ev.join) {
-              host.new_subscription(ch);
-            } else {
-              host.delete_subscription(ch);
-            }
-          });
-    }
+    scenario::churn_window(bed, ch, churn_rng);
   };
   auto audit = [&] {
     return audit::InvariantAuditor(bed.net()).run().violations.size();

@@ -13,7 +13,7 @@
 
 #include "costmodel/fib_cost.hpp"
 #include "costmodel/mgmt_cost.hpp"
-#include "testbed/testbed.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/churn.hpp"
 
 int main() {
@@ -32,23 +32,13 @@ int main() {
   // A scaled trading day: 1 simulated hour of churn (mean subscription
   // 20 min, mean off-time 10 min), quotes every 10 s.
   const auto day = sim::seconds(3600);
-  auto churn = workload::poisson_churn(
-      static_cast<std::uint32_t>(bed.receiver_count()), day,
-      sim::seconds(1200), sim::seconds(600), rng);
-  for (const auto& event : churn) {
-    bed.net().scheduler().schedule_at(event.at, [&bed, &ticker, event]() {
-      if (event.join) {
-        bed.receiver(event.host_index).new_subscription(ticker);
-      } else {
-        bed.receiver(event.host_index).delete_subscription(ticker);
-      }
-    });
-  }
-  for (int i = 0; i < 360; ++i) {
-    bed.net().scheduler().schedule_at(
-        sim::seconds(10 * i),
-        [&exchange, &ticker, i]() { exchange.send(ticker, 300, static_cast<std::uint64_t>(i)); });
-  }
+  scenario::replay_churn(
+      bed, ticker,
+      workload::poisson_churn(static_cast<std::uint32_t>(bed.receiver_count()),
+                              day, sim::seconds(1200), sim::seconds(600), rng));
+  scenario::send_train(
+      bed, ticker,
+      {.period = sim::seconds(10), .count = 360, .bytes = 300});
 
   // The ISP samples the audience every 5 minutes from the head-end
   // router's proactively-maintained count, and the peak FIB footprint.

@@ -7,6 +7,16 @@
 // Hosts count deliveries (stats().data_received) but keep no per-packet
 // log; attach a DeliveryLog (testbed/delivery_log.hpp) to a receiver's
 // set_data_handler before the run to record its packets.
+//
+// Workloads come from the scenario vocabulary in testbed/scenario.hpp:
+// replay_churn (a workload::ChurnEvent schedule onto the receivers),
+// send_train (a source data train), churn_window (the chaos campaigns'
+// per-fault churn), and the two pinned scenarios on capture_tree().
+// scenario::run_seeded_churn at seed 7 is pinned counter-by-counter by
+// the Determinism tests and, as obs_capture's default capture, by the
+// churn digests in tests/golden/obs_capture.sha256;
+// scenario::run_capture_chaos is pinned by that file's chaos digests.
+// BENCH_soak.json pins soak_chaos, whose churn is churn_window's.
 #pragma once
 
 #include <memory>

@@ -1,5 +1,5 @@
-// Shared test scaffolding — the library Testbed under the name the
-// tests historically used, and a probe for channel teardown.
+// Shared test scaffolding: the library Testbed every EXPRESS test
+// builds on, and a probe for channel teardown.
 #pragma once
 
 #include <cstdint>
@@ -10,8 +10,6 @@
 #include "testbed/testbed.hpp"
 
 namespace express::test {
-
-using ExpressNetwork = ::express::Testbed;
 
 /// Runs `network` one event at a time until `router` no longer holds
 /// `channel`, and returns how many events that last step cancelled: the

@@ -20,6 +20,7 @@
 #include "helpers.hpp"
 #include "net/lan.hpp"
 #include "net/network.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
 
@@ -30,7 +31,7 @@ using audit::AuditReport;
 using audit::Check;
 using audit::InvariantAuditor;
 
-AuditReport run_audit(ExpressNetwork& sim) {
+AuditReport run_audit(Testbed& sim) {
   return InvariantAuditor(sim.net()).run();
 }
 
@@ -77,7 +78,7 @@ struct SettledTree {
     return sim.router(0);
   }
 
-  ExpressNetwork sim;
+  Testbed sim;
   ip::ChannelId ch;
 };
 
@@ -92,20 +93,13 @@ TEST(Audit, CleanAtQuiescence) {
 
 TEST(Audit, CleanAfterChurnSettles) {
   sim::Rng rng(7);
-  ExpressNetwork sim(workload::make_transit_stub(4, 2, 2, rng));
+  Testbed sim(workload::make_transit_stub(4, 2, 2, rng));
   const ip::ChannelId ch = sim.source().allocate_channel();
-  const auto schedule = workload::poisson_churn(
-      static_cast<std::uint32_t>(sim.receiver_count()), sim::seconds(20),
-      sim::seconds(6), sim::seconds(3), rng);
-  for (const auto& ev : schedule) {
-    sim.net().scheduler().schedule_at(ev.at, [&sim, ev, ch] {
-      if (ev.join) {
-        sim.receiver(ev.host_index).new_subscription(ch);
-      } else {
-        sim.receiver(ev.host_index).delete_subscription(ch);
-      }
-    });
-  }
+  scenario::replay_churn(
+      sim, ch,
+      workload::poisson_churn(static_cast<std::uint32_t>(sim.receiver_count()),
+                              sim::seconds(20), sim::seconds(6),
+                              sim::seconds(3), rng));
   sim.run_for(sim::seconds(25));
   const AuditReport report = run_audit(sim);
   EXPECT_TRUE(report.clean()) << report.to_string();
@@ -115,7 +109,7 @@ TEST(Audit, CleanAfterChurnSettles) {
 // leaf has advertised a count the parent has not yet received, and the
 // conservation check reports exactly that disagreement.
 TEST(Audit, SeesInFlightJoinAsDisagreement) {
-  ExpressNetwork sim(workload::make_kary_tree(2, 2));
+  Testbed sim(workload::make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   // Edge (host->leaf) links are 1 ms, core links 5 ms: at t = 2 ms the
@@ -309,7 +303,7 @@ TEST(Audit, WarmMemoCatchesEachCorruptionAndClearsOnRevert) {
 // as the full walk does. Then the router drops the entry but keeps the
 // channel (its other host stays), which only its FIB refresh notes.
 TEST(Audit, WarmMemoFollowsAHostLeaveThatKeepsTheChannel) {
-  ExpressNetwork sim(workload::make_kary_tree(2, 2, {}, 2));
+  Testbed sim(workload::make_kary_tree(2, 2, {}, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.receiver(1).new_subscription(ch);  // same leaf as receiver 0
@@ -381,7 +375,7 @@ TEST(Audit, WarmMemoSeesAPendingRouteSwitch) {
 TEST(Audit, ReportIsExactAndOrdered) {
   // Routers: root 0 (source host 1), d1 = 2..3, d2 = 4..7, leaves 8..15;
   // receiver i hangs off leaf 8 + i.
-  ExpressNetwork sim(workload::make_kary_tree(2, 3));
+  Testbed sim(workload::make_kary_tree(2, 3));
   const ip::ChannelId ch1 = sim.source().allocate_channel();
   const ip::ChannelId ch2 = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {

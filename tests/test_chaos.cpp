@@ -17,6 +17,7 @@
 #include "helpers.hpp"
 #include "net/lan.hpp"
 #include "testbed/delivery_log.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/chaos.hpp"
 #include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
@@ -99,30 +100,16 @@ struct ChaosBed {
     };
   }
 
-  /// Churn whose horizon outlasts the window + hold: the fault lands on
-  /// a network with joins and leaves still in flight.
+  /// The chaos churn window: the fault lands on a network with joins
+  /// and leaves still in flight.
   std::function<void(std::size_t)> churn_fn(sim::Rng& rng) {
     return [this, &rng](std::size_t) {
-      const auto events = workload::poisson_churn(
-          static_cast<std::uint32_t>(sim.receiver_count() - 1),
-          sim::seconds(4), sim::seconds(2), sim::seconds(2), rng);
-      for (const auto& ev : events) {
-        sim.net().scheduler().schedule_at(
-            sim.net().now() + (ev.at - sim::Time{}), [this, ev] {
-              // Churn over receivers 1..n-1; receiver 0 stays put.
-              auto& host = sim.receiver(ev.host_index + 1);
-              if (ev.join) {
-                host.new_subscription(ch);
-              } else {
-                host.delete_subscription(ch);
-              }
-            });
-      }
+      scenario::churn_window(sim, ch, rng);
     };
   }
 
   sim::Rng topo_rng;
-  ExpressNetwork sim;
+  Testbed sim;
   ip::ChannelId ch;
 };
 
@@ -173,16 +160,18 @@ TEST(Chaos, LossEnabledCampaignStaysCleanAndConverges) {
 
   sim::Rng churn_rng(43);
   auto churn = bed.churn_fn(churn_rng);
-  std::uint64_t seq = 0;
+  std::uint64_t seq = 1;
   auto churn_and_data = [&](std::size_t fault) {
     churn(fault);
     // Data flows into each fault: the packets fan out across the tree,
     // so the campaign exercises the loss model, not just control churn.
-    for (int k = 0; k < 20; ++k) {
-      bed.sim.net().scheduler().schedule_at(
-          bed.sim.net().now() + sim::milliseconds(50 * (k + 1)),
-          [&bed, &seq] { bed.sim.source().send(bed.ch, 300, ++seq); });
-    }
+    seq = scenario::send_train(
+        bed.sim, bed.ch,
+        {.start = bed.sim.net().now() + sim::milliseconds(50),
+         .period = sim::milliseconds(50),
+         .count = 20,
+         .bytes = 300,
+         .first_seq = seq});
   };
   const ChaosReport report = workload::run_chaos_campaign(
       bed.sim.net(), schedule, chaos, bed.audit_fn(), churn_and_data);
@@ -195,7 +184,7 @@ TEST(Chaos, LossEnabledCampaignStaysCleanAndConverges) {
 
 /// The on-tree core link a flap should target: `child`'s upstream is
 /// `parent` for the channel, and both ends are routers.
-std::optional<net::LinkId> on_tree_core_link(ExpressNetwork& sim,
+std::optional<net::LinkId> on_tree_core_link(Testbed& sim,
                                              const ip::ChannelId& ch) {
   const net::Topology& topo = sim.net().topology();
   for (std::size_t i = 0; i < sim.router_count(); ++i) {
@@ -221,7 +210,7 @@ TEST(Convergence, ExpressCleanWithinHysteresisAfterCoreFlap) {
   RouterConfig config;
   config.route_change_hysteresis = sim::milliseconds(500);
   sim::Rng topo_rng(11);
-  ExpressNetwork sim(workload::make_transit_stub(4, 2, 2, topo_rng), config);
+  Testbed sim(workload::make_transit_stub(4, 2, 2, topo_rng), config);
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); i += 2) {
     sim.receiver(i).new_subscription(ch);
@@ -240,19 +229,13 @@ TEST(Convergence, ExpressCleanWithinHysteresisAfterCoreFlap) {
   sim::Rng churn_rng(29);
   ChaosConfig chaos;
   auto churn = [&](std::size_t) {
-    const auto events = workload::poisson_churn(
-        static_cast<std::uint32_t>(sim.receiver_count()),
-        sim::milliseconds(800), sim::seconds(2), sim::seconds(2), churn_rng);
-    for (const auto& ev : events) {
-      sim.net().scheduler().schedule_at(
-          sim.net().now() + (ev.at - sim::Time{}), [&sim, ev, ch] {
-            if (ev.join) {
-              sim.receiver(ev.host_index).new_subscription(ch);
-            } else {
-              sim.receiver(ev.host_index).delete_subscription(ch);
-            }
-          });
-    }
+    scenario::replay_churn(
+        sim, ch,
+        workload::poisson_churn(
+            static_cast<std::uint32_t>(sim.receiver_count()),
+            sim::milliseconds(800), sim::seconds(2), sim::seconds(2),
+            churn_rng),
+        sim.net().now());
   };
   const ChaosReport report = workload::run_chaos_campaign(
       sim.net(), {flap}, chaos,
@@ -275,7 +258,7 @@ TEST(Convergence, ExpressCleanWithinHysteresisAfterCoreFlap) {
 // few — every 256th receiver — which keeps the run short, while each
 // audit after the heal still walks every node of the graph.
 TEST(Chaos, LinkFlapOnTenThousandNodeTreeConvergesClean) {
-  ExpressNetwork sim(workload::make_kary_tree(4, 5, {}, 10));
+  Testbed sim(workload::make_kary_tree(4, 5, {}, 10));
   ASSERT_GE(sim.net().topology().node_count(), 10000u);
   const ip::ChannelId ch = sim.source().allocate_channel();
   constexpr std::size_t kStride = 256;
@@ -303,19 +286,11 @@ TEST(Chaos, LinkFlapOnTenThousandNodeTreeConvergesClean) {
 
   sim::Rng churn_rng(31);
   auto churn = [&](std::size_t) {
-    const auto events = workload::poisson_churn(
-        members, sim::seconds(4), sim::seconds(2), sim::seconds(2), churn_rng);
-    for (const auto& ev : events) {
-      sim.net().scheduler().schedule_at(
-          sim.net().now() + (ev.at - sim::Time{}), [&sim, ev, ch] {
-            ExpressHost& host = sim.receiver(ev.host_index * kStride);
-            if (ev.join) {
-              host.new_subscription(ch);
-            } else {
-              host.delete_subscription(ch);
-            }
-          });
-    }
+    scenario::replay_churn(
+        sim, ch,
+        workload::poisson_churn(members, sim::seconds(4), sim::seconds(2),
+                                sim::seconds(2), churn_rng),
+        sim.net().now(), [](std::uint32_t i) { return i * kStride; });
   };
   const ChaosReport report = workload::run_chaos_campaign(
       sim.net(), {flap}, ChaosConfig{}, audit, churn);
@@ -361,7 +336,7 @@ struct IncrementalOracle {
 /// router death, partition) under churn over every receiver, with a
 /// lossy data plane carrying a packet train into each fault, sampled
 /// through the oracle.
-void run_oracle_campaign(ExpressNetwork& bed, std::uint64_t seed,
+void run_oracle_campaign(Testbed& bed, std::uint64_t seed,
                          std::size_t fault_count) {
   const ip::ChannelId ch = bed.source().allocate_channel();
   for (std::size_t i = 0; i < bed.receiver_count(); i += 3) {
@@ -392,26 +367,21 @@ void run_oracle_campaign(ExpressNetwork& bed, std::uint64_t seed,
   bed.net().seed_impairments(seed);
 
   sim::Rng churn_rng(seed + 1);
-  std::uint64_t sequence = 0;
+  std::uint64_t sequence = 1;
   auto churn = [&](std::size_t) {
-    const auto events = workload::poisson_churn(
-        static_cast<std::uint32_t>(bed.receiver_count()), sim::seconds(4),
-        sim::seconds(2), sim::seconds(2), churn_rng);
-    for (const auto& ev : events) {
-      bed.net().scheduler().schedule_at(
-          bed.net().now() + (ev.at - sim::Time{}), [&bed, ev, ch] {
-            if (ev.join) {
-              bed.receiver(ev.host_index).new_subscription(ch);
-            } else {
-              bed.receiver(ev.host_index).delete_subscription(ch);
-            }
-          });
-    }
-    for (int k = 0; k < 10; ++k) {
-      bed.net().scheduler().schedule_at(
-          bed.net().now() + sim::milliseconds(100 * (k + 1)),
-          [&bed, &sequence, ch] { bed.source().send(ch, 300, ++sequence); });
-    }
+    scenario::replay_churn(
+        bed, ch,
+        workload::poisson_churn(
+            static_cast<std::uint32_t>(bed.receiver_count()), sim::seconds(4),
+            sim::seconds(2), sim::seconds(2), churn_rng),
+        bed.net().now());
+    sequence = scenario::send_train(
+        bed, ch,
+        {.start = bed.net().now() + sim::milliseconds(100),
+         .period = sim::milliseconds(100),
+         .count = 10,
+         .bytes = 300,
+         .first_seq = sequence});
   };
 
   IncrementalOracle oracle(bed.net());
@@ -429,7 +399,7 @@ void run_oracle_campaign(ExpressNetwork& bed, std::uint64_t seed,
 
 TEST(IncrementalAudit, MatchesTheFullWalkOnTransitStubCampaigns) {
   sim::Rng topo_rng(1);
-  ExpressNetwork bed(workload::make_transit_stub(16, 8, 4, topo_rng));
+  Testbed bed(workload::make_transit_stub(16, 8, 4, topo_rng));
   run_oracle_campaign(bed, 7919, 6);
 }
 
@@ -438,7 +408,7 @@ TEST(IncrementalAudit, MatchesTheFullWalkOnKaryTreeCampaigns) {
   // advertisements between the protocol's own events.
   RouterConfig config;
   config.proactive = counting::CurveParams{0.3, 2, 4};
-  ExpressNetwork bed(workload::make_kary_tree(3, 4, {}, 2), config);
+  Testbed bed(workload::make_kary_tree(3, 4, {}, 2), config);
   run_oracle_campaign(bed, 2, 6);
 }
 
@@ -461,7 +431,7 @@ TEST(IncrementalAudit, MatchesTheFullWalkOnLanSegmentCampaigns) {
       generated.receiver_hosts.push_back(host);
     }
   }
-  ExpressNetwork bed(std::move(generated));
+  Testbed bed(std::move(generated));
   for (std::size_t s = 0; s < segments.size(); ++s) {
     bed.net().attach<net::LanHub>(segments[s].hub);
     for (std::size_t i = 0; i < bed.router_count(); ++i) {

@@ -30,7 +30,7 @@ constexpr std::uint64_t kPackets = 5;
 using DeliveryMatrix = std::vector<std::set<std::uint64_t>>;
 
 DeliveryMatrix run_express() {
-  ExpressNetwork sim(workload::make_kary_tree(2, 2));
+  Testbed sim(workload::make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::vector<DeliveryLog> logs(kReceiverCount);
   for (std::size_t i = 0; i < kReceiverCount; ++i) {

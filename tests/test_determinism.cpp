@@ -2,9 +2,10 @@
 //
 // The simulator promises bit-for-bit reproducible runs: same seed, same
 // scenario => the same events in the same order, hence identical packet
-// and byte counters. This test pins the exact counters of a seeded
-// churn scenario (16 receivers over a binary router tree, Poisson
-// join/leave churn, periodic channel data). Any substrate change — a
+// and byte counters. This test pins the exact counters of the seeded
+// churn scenario (scenario::run_seeded_churn: 16 receivers over a
+// binary router tree, Poisson join/leave churn, periodic channel data),
+// the one obs_capture records by default. Any substrate change — a
 // scheduler rewrite, a packet-copy optimization — must reproduce these
 // numbers exactly; a diff here means event order changed, which is a
 // correctness bug, not a perf tradeoff.
@@ -14,66 +15,20 @@
 // unchanged by the zero-allocation rewrite.
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "testbed/testbed.hpp"
-#include "workload/churn.hpp"
-#include "workload/topo_gen.hpp"
+#include "testbed/scenario.hpp"
 
 namespace express {
 namespace {
 
-struct Outcome {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t total_link_bytes = 0;
-  std::uint64_t executed_events = 0;
-  std::uint64_t data_delivered = 0;
-};
+using scenario::ChurnOutcome;
 
-Outcome run_seeded_churn(RouterConfig config = {}) {
-  Testbed bed(workload::make_kary_tree(2, 3, {}, 2), config);  // 16 receivers
-  const ip::ChannelId channel = bed.source().allocate_channel();
-
-  sim::Rng rng(7);
-  const sim::Duration horizon = sim::seconds(10);
-  const auto events = workload::poisson_churn(
-      static_cast<std::uint32_t>(bed.receiver_count()), horizon,
-      sim::seconds(5), sim::seconds(3), rng);
-
-  auto& sched = bed.net().scheduler();
-  for (const auto& ev : events) {
-    sched.schedule_at(ev.at, [&bed, &channel, ev] {
-      if (ev.join) {
-        bed.receiver(ev.host_index).new_subscription(channel);
-      } else {
-        bed.receiver(ev.host_index).delete_subscription(channel);
-      }
-    });
-  }
-  const std::vector<std::uint8_t> header(32, 0x5A);
-  std::uint64_t seq = 0;
-  for (sim::Time at = sim::milliseconds(200); at < horizon;
-       at += sim::milliseconds(200)) {
-    sched.schedule_at(at, [&bed, &channel, &header, s = seq++] {
-      bed.source().send(channel, 500, s, header);
-    });
-  }
-  bed.net().run();
-
-  Outcome out;
-  out.packets_sent = bed.net().stats().packets_sent;
-  out.bytes_sent = bed.net().stats().bytes_sent;
-  out.total_link_bytes = bed.net().total_link_bytes();
-  out.executed_events = sched.executed_events();
-  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
-    out.data_delivered += bed.receiver(i).stats().data_received;
-  }
-  return out;
+ChurnOutcome run_seeded_churn(RouterConfig config = {}) {
+  Testbed bed(scenario::capture_tree(), config);
+  return scenario::run_seeded_churn(bed);
 }
 
 TEST(Determinism, SeededChurnCountersArePinned) {
-  const Outcome out = run_seeded_churn();
+  const ChurnOutcome out = run_seeded_churn();
   EXPECT_EQ(out.packets_sent, 1082u);
   EXPECT_EQ(out.bytes_sent, 519864u);
   EXPECT_EQ(out.total_link_bytes, 519864u);
@@ -106,7 +61,7 @@ RouterConfig batched_config() {
 }
 
 TEST(Determinism, BatchedChurnCountersArePinned) {
-  const Outcome out = run_seeded_churn(batched_config());
+  const ChurnOutcome out = run_seeded_churn(batched_config());
   EXPECT_EQ(out.packets_sent, kBatchedPacketsSent);
   EXPECT_EQ(out.bytes_sent, kBatchedBytesSent);
   EXPECT_EQ(out.total_link_bytes, kBatchedBytesSent);
@@ -115,8 +70,8 @@ TEST(Determinism, BatchedChurnCountersArePinned) {
 }
 
 TEST(Determinism, BatchedRunsAreIdentical) {
-  const Outcome a = run_seeded_churn(batched_config());
-  const Outcome b = run_seeded_churn(batched_config());
+  const ChurnOutcome a = run_seeded_churn(batched_config());
+  const ChurnOutcome b = run_seeded_churn(batched_config());
   EXPECT_EQ(a.packets_sent, b.packets_sent);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
   EXPECT_EQ(a.executed_events, b.executed_events);
@@ -124,8 +79,8 @@ TEST(Determinism, BatchedRunsAreIdentical) {
 }
 
 TEST(Determinism, RepeatedRunsAreIdentical) {
-  const Outcome a = run_seeded_churn();
-  const Outcome b = run_seeded_churn();
+  const ChurnOutcome a = run_seeded_churn();
+  const ChurnOutcome b = run_seeded_churn();
   EXPECT_EQ(a.packets_sent, b.packets_sent);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
   EXPECT_EQ(a.total_link_bytes, b.total_link_bytes);

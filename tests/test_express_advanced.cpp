@@ -17,7 +17,7 @@ using workload::make_line;
 using workload::make_star;
 
 TEST(MultiChannel, ChannelsFromOneSourceAreIndependent) {
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId news = sim.source().allocate_channel();
   const ip::ChannelId sports = sim.source().allocate_channel();
   DeliveryLog log;
@@ -40,7 +40,7 @@ TEST(MultiChannel, ChannelsFromOneSourceAreIndependent) {
 }
 
 TEST(MultiChannel, TwoSourcesBuildDisjointTrees) {
-  ExpressNetwork sim(make_kary_tree(2, 3));
+  Testbed sim(make_kary_tree(2, 3));
   // receiver(7) doubles as a second broadcaster.
   ExpressHost& a = sim.source();
   ExpressHost& b = sim.receiver(7);
@@ -76,7 +76,7 @@ TEST(Batching, SegmentCoalescingReducesPackets) {
   auto run = [](std::optional<sim::Duration> window) {
     RouterConfig config;
     config.batch_window = window;
-    ExpressNetwork sim(make_kary_tree(2, 3, {}, 4), config);  // 32 hosts
+    Testbed sim(make_kary_tree(2, 3, {}, 4), config);  // 32 hosts
     // Many channels churned at once: lots of simultaneous upstream
     // Counts, the §5.3 segment-packing scenario.
     std::vector<ip::ChannelId> channels;
@@ -108,7 +108,7 @@ TEST(Batching, SegmentCoalescingReducesPackets) {
 TEST(Batching, DataStillFlowsWithBatchingEnabled) {
   RouterConfig config;
   config.batch_window = sim::milliseconds(5);
-  ExpressNetwork sim(make_kary_tree(2, 2), config);
+  Testbed sim(make_kary_tree(2, 2), config);
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);
@@ -130,7 +130,7 @@ TEST(Batching, DataStillFlowsWithBatchingEnabled) {
 }
 
 TEST(Subcast, ViaOffTreeRouterIsDropped) {
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);  // left side only
   sim.run_for(sim::seconds(1));
@@ -147,7 +147,7 @@ TEST(Subcast, ViaOffTreeRouterIsDropped) {
 }
 
 TEST(Subcast, RootRelayReachesEverySubscriber) {
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);
@@ -164,7 +164,7 @@ TEST(Subcast, RootRelayReachesEverySubscriber) {
 TEST(Ttl, DataDiesOnAbsurdlyLongPaths) {
   // 70 routers; default TTL 64: the packet must be dropped in transit
   // and never delivered, without disturbing protocol state.
-  ExpressNetwork sim(make_line(70));
+  Testbed sim(make_line(70));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(5));
@@ -175,7 +175,7 @@ TEST(Ttl, DataDiesOnAbsurdlyLongPaths) {
 }
 
 TEST(Counting, QueryDuringChurnStaysWithinBounds) {
-  ExpressNetwork sim(make_kary_tree(2, 3));
+  Testbed sim(make_kary_tree(2, 3));
   const ip::ChannelId ch = sim.source().allocate_channel();
   // Half join now, half join while the query is in flight.
   for (std::size_t i = 0; i < 4; ++i) sim.receiver(i).new_subscription(ch);
@@ -291,7 +291,7 @@ TEST(Discovery, NeighborQueriesFlowAndSessionsStayAlive) {
   // replies keep sessions alive in the NeighborTable.
   RouterConfig config;
   config.neighbor_discovery = true;
-  ExpressNetwork sim(make_kary_tree(2, 2), config);
+  Testbed sim(make_kary_tree(2, 2), config);
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   // Seven discovery rounds, over twice the keepalive timeout: a session
@@ -312,7 +312,7 @@ TEST(Scale, FiveHundredReceiversEndToEnd) {
   // Smoke test at a few hundred hosts: tree builds, data fans out to
   // everyone exactly once, count is exact, teardown leaves nothing.
   sim::Rng rng(99);
-  ExpressNetwork sim(workload::make_transit_stub(8, 4, 16, rng));  // 512 hosts
+  Testbed sim(workload::make_transit_stub(8, 4, 16, rng));  // 512 hosts
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);
@@ -341,7 +341,7 @@ TEST(Scale, FiveHundredReceiversEndToEnd) {
 }
 
 TEST(Counting, LocalRangeCountsAreNotForwardedToHosts) {
-  ExpressNetwork sim(make_star(2, 1));
+  Testbed sim(make_star(2, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));

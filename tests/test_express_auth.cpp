@@ -25,7 +25,7 @@ class AuthTest : public ::testing::Test {
     sim_.source().channel_key(channel_, kGoodKey);
     sim_.run_for(sim::seconds(1));
   }
-  ExpressNetwork sim_;
+  Testbed sim_;
   ip::ChannelId channel_;
 };
 
@@ -128,7 +128,7 @@ TEST_F(AuthTest, RejectionDoesNotDisturbValidatedSubtree) {
 
 TEST(AuthOpenChannel, KeyOnOpenChannelIsIgnored) {
   // Unauthenticated channel: a supplied key does not restrict anything.
-  ExpressNetwork sim(make_star(2, 1));
+  Testbed sim(make_star(2, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::optional<ecmp::Status> status;
   sim.receiver(0).new_subscription(ch, 0xABCDULL,
@@ -143,7 +143,7 @@ TEST(AuthOpenChannel, KeyOnOpenChannelIsIgnored) {
 
 TEST(AuthOpenChannel, OnlySourceMayRegisterKey) {
   // A non-source host attempting channelKey() must be ignored.
-  ExpressNetwork sim(make_star(2, 1));
+  Testbed sim(make_star(2, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   // receiver(1) tries to hijack the channel by registering a key for it.
   sim.receiver(1).channel_key(ch, kBadKey);
@@ -192,7 +192,7 @@ TEST(AuthProactive, ProactiveUpdatesCarryTheCachedKey) {
   // (they ride the validated session / carry the cached key).
   RouterConfig config;
   config.proactive = counting::CurveParams{0.3, 5.0, 4.0};
-  ExpressNetwork sim(make_kary_tree(2, 2), config);
+  Testbed sim(make_kary_tree(2, 2), config);
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.source().channel_key(ch, kGoodKey);
   sim.run_for(sim::seconds(1));
@@ -212,7 +212,7 @@ TEST(AuthProactive, ProactiveUpdatesCarryTheCachedKey) {
 TEST(AuthDeepTree, ValidationTraversesLongPath) {
   // On a 10-router line, the join carries the key all the way to the
   // root and the kOk flows all the way back.
-  ExpressNetwork sim(make_line(10));
+  Testbed sim(make_line(10));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.source().channel_key(ch, kGoodKey);
   sim.run_for(sim::seconds(1));

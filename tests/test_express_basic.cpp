@@ -18,7 +18,7 @@ using workload::make_line;
 using workload::make_star;
 
 TEST(ExpressBasic, SubscribeThenReceive) {
-  ExpressNetwork sim(make_star(4, 2));
+  Testbed sim(make_star(4, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
 
   std::vector<DeliveryLog> logs(sim.receiver_count());
@@ -43,7 +43,7 @@ TEST(ExpressBasic, SubscribeThenReceive) {
 }
 
 TEST(ExpressBasic, NoSubscribersNoDelivery) {
-  ExpressNetwork sim(make_star(3, 1));
+  Testbed sim(make_star(3, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.source().send(ch, 500, 1);
   sim.run_for(sim::seconds(1));
@@ -55,7 +55,7 @@ TEST(ExpressBasic, NoSubscribersNoDelivery) {
 }
 
 TEST(ExpressBasic, OnlySubscribersReceive) {
-  ExpressNetwork sim(make_star(6, 1));
+  Testbed sim(make_star(6, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.receiver(3).new_subscription(ch);
@@ -71,7 +71,7 @@ TEST(ExpressBasic, OnlySubscribersReceive) {
 }
 
 TEST(ExpressBasic, UnsubscribeStopsDelivery) {
-  ExpressNetwork sim(make_line(5));
+  Testbed sim(make_line(5));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -94,7 +94,7 @@ TEST(ExpressBasic, UnsubscribeStopsDelivery) {
 
 TEST(ExpressBasic, ChannelsWithSameDestAreUnrelated) {
   // §2 / Fig. 1: (S,E) and (S',E) are different channels.
-  ExpressNetwork sim(make_star(2, 1));
+  Testbed sim(make_star(2, 1));
   ExpressHost& other_source = sim.receiver(1);  // acts as S'
   const ip::ChannelId ch{sim.source().address(), ip::Address::single_source(9)};
   const ip::ChannelId other{other_source.address(), ip::Address::single_source(9)};
@@ -119,7 +119,7 @@ TEST(ExpressBasic, UnauthorizedSenderCannotInject) {
   // §1 problem three: a third party sending to the channel's E must not
   // reach subscribers. The injected traffic dies at the first router
   // whose FIB has no ((S'', E)) entry.
-  ExpressNetwork sim(make_star(3, 1));
+  Testbed sim(make_star(3, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < 2; ++i) sim.receiver(i).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -139,7 +139,7 @@ TEST(ExpressBasic, UnauthorizedSenderCannotInject) {
 TEST(ExpressBasic, JoinSplicesAtNearestOnTreeRouter) {
   // Fig. 3: a join travels only until it reaches a router already on
   // the distribution tree.
-  ExpressNetwork sim(make_kary_tree(2, 3));
+  Testbed sim(make_kary_tree(2, 3));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -160,7 +160,7 @@ TEST(ExpressBasic, JoinSplicesAtNearestOnTreeRouter) {
 TEST(ExpressBasic, FibStateMatchesTreeShape) {
   // A binary tree, all 8 leaves subscribed: every router is on the tree
   // exactly once -> FIB entries == router count.
-  ExpressNetwork sim(make_kary_tree(2, 3));
+  Testbed sim(make_kary_tree(2, 3));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);
@@ -180,7 +180,7 @@ TEST(ExpressBasic, FibStateMatchesTreeShape) {
 }
 
 TEST(ExpressBasic, SubscriberCountQuery) {
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);
@@ -197,7 +197,7 @@ TEST(ExpressBasic, SubscriberCountQuery) {
 }
 
 TEST(ExpressBasic, CountQueryOnEmptyChannelIsZero) {
-  ExpressNetwork sim(make_star(2, 1));
+  Testbed sim(make_star(2, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::optional<CountResult> result;
   sim.source().count_query(ch, ecmp::kSubscriberId, sim::seconds(2),
@@ -210,7 +210,7 @@ TEST(ExpressBasic, CountQueryOnEmptyChannelIsZero) {
 TEST(ExpressBasic, AppDefinedVoteCollection) {
   // §2.2.1: an Internet TV station polls its subscribers; app-defined
   // countIds reach the applications, which may answer or abstain.
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   const ecmp::CountId vote = ecmp::kAppRangeBegin + 1;
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
@@ -234,7 +234,7 @@ TEST(ExpressBasic, NetworkLayerLinkCount) {
   // §3.1: a router-initiated query counting tree links; on a binary
   // tree with all 4 leaves subscribed the tree has 6 router-router
   // links + 4 host links + 1 source link is NOT counted (upstream).
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);
@@ -261,7 +261,7 @@ TEST(ExpressBasic, NetworkLayerLinkCount) {
 TEST(ExpressBasic, SubcastReachesOnlySubtree) {
   // §2.1: the source unicasts an encapsulated packet to an on-channel
   // router, which forwards it to the downstream subscribers only.
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);
@@ -284,7 +284,7 @@ TEST(ExpressBasic, SubcastReachesOnlySubtree) {
 }
 
 TEST(ExpressBasic, SubcastFromNonSourceIsDropped) {
-  ExpressNetwork sim(make_star(2, 1));
+  Testbed sim(make_star(2, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -300,7 +300,7 @@ TEST(ExpressBasic, SubcastFromNonSourceIsDropped) {
 }
 
 TEST(ExpressBasic, ChannelAllocationIsLocalAndUnique) {
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   std::set<ip::ChannelId> seen;
   for (int i = 0; i < 1000; ++i) {
     const ip::ChannelId ch = sim.source().allocate_channel();
@@ -311,14 +311,14 @@ TEST(ExpressBasic, ChannelAllocationIsLocalAndUnique) {
 }
 
 TEST(ExpressBasic, SourceCannotSendToForeignChannel) {
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId foreign{sim.receiver(0).address(),
                               ip::Address::single_source(1)};
   EXPECT_THROW(sim.source().send(foreign, 10, 1), std::logic_error);
 }
 
 TEST(ExpressBasic, MultipleLocalAppsShareOneSubscription) {
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.receiver(0).new_subscription(ch);  // second app on the same host

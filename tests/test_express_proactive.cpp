@@ -27,7 +27,7 @@ TEST(Proactive, HoldsUntilValidatedThenRechecks) {
   // the verdict on the leaf's join until ~400 ms.
   workload::LinkParams slow;
   slow.core_delay = sim::milliseconds(200);
-  ExpressNetwork sim(make_kary_tree(1, 1, slow, 2), proactive_config(4.0));
+  Testbed sim(make_kary_tree(1, 1, slow, 2), proactive_config(4.0));
   ExpressRouter& leaf = sim.router(1);
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
@@ -49,7 +49,7 @@ TEST(Proactive, HoldsUntilValidatedThenRechecks) {
 
   // A router without proactive state never pushes the drift: the root
   // keeps the join's count.
-  ExpressNetwork plain(make_kary_tree(1, 1, slow, 2));
+  Testbed plain(make_kary_tree(1, 1, slow, 2));
   const ip::ChannelId plain_ch = plain.source().allocate_channel();
   plain.receiver(0).new_subscription(plain_ch);
   plain.receiver(1).new_subscription(plain_ch);
@@ -78,7 +78,7 @@ TEST(Proactive, HoldsUntilValidatedThenRechecks) {
 }
 
 TEST(Proactive, RootConvergesWithinTau) {
-  ExpressNetwork sim(make_kary_tree(2, 3), proactive_config(4.0));
+  Testbed sim(make_kary_tree(2, 3), proactive_config(4.0));
   const ip::ChannelId ch = sim.source().allocate_channel();
   // Staggered joins: 8 receivers, one every 100 ms.
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
@@ -95,7 +95,7 @@ TEST(Proactive, RootConvergesWithinTau) {
 }
 
 TEST(Proactive, TracksDeparturesToo) {
-  ExpressNetwork sim(make_kary_tree(2, 3), proactive_config(4.0));
+  Testbed sim(make_kary_tree(2, 3), proactive_config(4.0));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);
@@ -113,7 +113,7 @@ TEST(Proactive, TracksDeparturesToo) {
 TEST(Proactive, LargeChangesPropagateQuickly) {
   // A burst that doubles the membership exceeds e_max and must reach
   // the root in network time, not curve time.
-  ExpressNetwork sim(make_kary_tree(2, 3), proactive_config(4.0, 60.0));
+  Testbed sim(make_kary_tree(2, 3), proactive_config(4.0, 60.0));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -132,7 +132,7 @@ TEST(Proactive, TighterAlphaSendsMoreUpdates) {
   // Fig. 8's tradeoff: alpha = 4 tracks more closely and costs more
   // messages than alpha = 2.5 on the same workload.
   auto run = [](double alpha) {
-    ExpressNetwork sim(make_kary_tree(2, 3), proactive_config(alpha, 30.0));
+    Testbed sim(make_kary_tree(2, 3), proactive_config(alpha, 30.0));
     const ip::ChannelId ch = sim.source().allocate_channel();
     sim::Rng rng(99);
     // Slow trickle of many small changes (25 app-level subscriptions
@@ -163,7 +163,7 @@ TEST(Proactive, TighterAlphaSendsMoreUpdates) {
 }
 
 TEST(Proactive, QuiescentChannelSendsNothing) {
-  ExpressNetwork sim(make_kary_tree(2, 2), proactive_config(4.0));
+  Testbed sim(make_kary_tree(2, 2), proactive_config(4.0));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     sim.receiver(i).new_subscription(ch);

@@ -27,7 +27,7 @@ class UdpModeTest : public ::testing::Test {
     sim_.router(1).set_interface_mode(1, ecmp::Mode::kUdp);
     sim_.router(2).set_interface_mode(1, ecmp::Mode::kUdp);
   }
-  ExpressNetwork sim_;
+  Testbed sim_;
   ip::ChannelId channel_;
 };
 

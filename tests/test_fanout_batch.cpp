@@ -19,10 +19,8 @@
 #include "net/lan.hpp"
 #include "net/network.hpp"
 #include "net/replicate.hpp"
-#include "obs_scenarios.hpp"
 #include "sim/random.hpp"
-#include "testbed/testbed.hpp"
-#include "workload/churn.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express::net {
@@ -172,58 +170,15 @@ TEST(FanoutBatch, DownLinksAreCountedNotDelivered) {
 /// End-to-end equivalence on the full EXPRESS stack: the seeded-churn
 /// scenario from the determinism pin, batching on vs off. Everything
 /// the wire can observe must match; only the event count shrinks.
-struct ChurnOutcome {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t total_link_bytes = 0;
-  std::uint64_t executed_events = 0;
-  std::uint64_t data_delivered = 0;
-};
-
-ChurnOutcome run_seeded_churn(bool batching) {
-  Testbed bed(workload::make_kary_tree(2, 3, {}, 2), RouterConfig{});
+scenario::ChurnOutcome run_seeded_churn(bool batching) {
+  Testbed bed(scenario::capture_tree());
   bed.net().set_fanout_batching(batching);
-  const ip::ChannelId channel = bed.source().allocate_channel();
-
-  sim::Rng rng(7);
-  const sim::Duration horizon = sim::seconds(10);
-  const auto events = workload::poisson_churn(
-      static_cast<std::uint32_t>(bed.receiver_count()), horizon,
-      sim::seconds(5), sim::seconds(3), rng);
-  auto& sched = bed.net().scheduler();
-  for (const auto& ev : events) {
-    sched.schedule_at(ev.at, [&bed, &channel, ev] {
-      if (ev.join) {
-        bed.receiver(ev.host_index).new_subscription(channel);
-      } else {
-        bed.receiver(ev.host_index).delete_subscription(channel);
-      }
-    });
-  }
-  const std::vector<std::uint8_t> header(32, 0x5A);
-  std::uint64_t seq = 0;
-  for (sim::Time at = sim::milliseconds(200); at < horizon;
-       at += sim::milliseconds(200)) {
-    sched.schedule_at(at, [&bed, &channel, &header, s = seq++] {
-      bed.source().send(channel, 500, s, header);
-    });
-  }
-  bed.net().run();
-
-  ChurnOutcome out;
-  out.packets_sent = bed.net().stats().packets_sent;
-  out.bytes_sent = bed.net().stats().bytes_sent;
-  out.total_link_bytes = bed.net().total_link_bytes();
-  out.executed_events = sched.executed_events();
-  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
-    out.data_delivered += bed.receiver(i).stats().data_received;
-  }
-  return out;
+  return scenario::run_seeded_churn(bed);
 }
 
 TEST(FanoutBatch, SeededChurnMatchesPerEventMode) {
-  const ChurnOutcome batched = run_seeded_churn(true);
-  const ChurnOutcome per_event = run_seeded_churn(false);
+  const scenario::ChurnOutcome batched = run_seeded_churn(true);
+  const scenario::ChurnOutcome per_event = run_seeded_churn(false);
   EXPECT_EQ(batched.packets_sent, per_event.packets_sent);
   EXPECT_EQ(batched.bytes_sent, per_event.bytes_sent);
   EXPECT_EQ(batched.total_link_bytes, per_event.total_link_bytes);
@@ -324,13 +279,11 @@ TEST(FanoutBatch, KaryBroadcastCostsOneEventPerLevelPlusTheHostHop) {
   bed.run_for(sim::seconds(2));
   auto& sched = bed.net().scheduler();
   const std::uint64_t before = sched.executed_events();
-  for (std::uint64_t seq = 0; seq < kPackets; ++seq) {
-    sched.schedule_at(bed.net().now() + sim::milliseconds(50) *
-                                            static_cast<std::int64_t>(seq + 1),
-                      [&bed, &channel, seq] {
-                        bed.source().send(channel, 1000, seq);
-                      });
-  }
+  scenario::send_train(bed, channel,
+                       {.start = bed.net().now() + sim::milliseconds(50),
+                        .period = sim::milliseconds(50),
+                        .count = kPackets,
+                        .bytes = 1000});
   bed.run_for(sim::seconds(2));
   std::uint64_t delivered = 0;
   for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
@@ -500,16 +453,17 @@ TEST(FanoutBatch, ObsCaptureMatchesPerEventModeApartFromTimerFires) {
     std::vector<std::string> snapshot[2];
     std::uint64_t events[2] = {};
     for (const bool batching : {true, false}) {
-      Testbed bed(workload::make_kary_tree(2, 3, {}, 2));
+      Testbed bed(scenario::capture_tree());
       Network& net = bed.net();
       net.set_fanout_batching(batching);
       net.obs().trace.enable(std::size_t{1} << 16);
       if (chaos) {
-        const workload::ChaosReport report = obs_scenarios::run_chaos(bed, 7);
+        const workload::ChaosReport report =
+            scenario::run_capture_chaos(bed, 7);
         EXPECT_EQ(report.unconverged, 0u);
         EXPECT_EQ(report.violations, 0u);
       } else {
-        obs_scenarios::run_churn(bed, 7);
+        scenario::run_seeded_churn(bed);
       }
       ASSERT_LT(net.obs().trace.next_index(), std::size_t{1} << 16)
           << "the trace ring wrapped";

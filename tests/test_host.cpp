@@ -40,7 +40,7 @@ TEST(Host, ChannelSpaceExhaustionThrows) {
   // Not by allocating 2^24 channels — by checking the guard directly
   // via a tight loop on a fresh host is too slow; instead confirm the
   // allocator hands out strictly increasing channel indices.
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   std::uint32_t prev = 0;
   for (int i = 0; i < 100; ++i) {
     const auto ch = sim.source().allocate_channel();
@@ -50,7 +50,7 @@ TEST(Host, ChannelSpaceExhaustionThrows) {
 }
 
 TEST(Host, AppUnicastReachesHandler) {
-  ExpressNetwork sim(make_star(2, 1));
+  Testbed sim(make_star(2, 1));
   std::optional<std::uint64_t> got;
   sim.receiver(1).set_unicast_handler(
       [&](const net::Packet& packet, sim::Time) { got = packet.sequence; });
@@ -61,7 +61,7 @@ TEST(Host, AppUnicastReachesHandler) {
 }
 
 TEST(Host, DataHandlerSeesPayloadHeader) {
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -74,7 +74,7 @@ TEST(Host, DataHandlerSeesPayloadHeader) {
 }
 
 TEST(Host, SilentHostDeliversNothingToApp) {
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -96,7 +96,7 @@ TEST(Host, DataHandlerSlotHasOneOwner) {
   // A second install would silently disconnect whoever holds the slot
   // (a relay participant, a reliable subscriber): it throws instead, and
   // the first handler keeps receiving.
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -143,7 +143,7 @@ struct LoggedRun {
   }
   static constexpr std::uint64_t kPackets = 6;
   std::deque<DeliveryLog> logs;  ///< declared first: outlives the hosts
-  ExpressNetwork sim;
+  Testbed sim;
 };
 
 TEST(Host, DeliveryLogHoldsExactlyTheReceivedPackets) {
@@ -220,7 +220,7 @@ TEST(Host, GroupHostDeliveryLogSkipsFilteredPackets) {
 }
 
 TEST(Host, UnsubscribedDeleteIsANoop) {
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   const auto counts_before = sim.receiver(0).stats().counts_sent;
   sim.receiver(0).delete_subscription(ch);  // never subscribed
@@ -231,7 +231,7 @@ TEST(Host, UnsubscribedDeleteIsANoop) {
 TEST(Host, CountQueryGuardResolvesOnDeadNetwork) {
   // The first-hop link dies right after the query: the local guard
   // timer must still resolve the callback (partial, zero).
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -250,7 +250,7 @@ TEST(Host, CountQueryGuardResolvesOnDeadNetwork) {
 }
 
 TEST(Host, VoteHandlersReceiveDistinctCountIds) {
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);
   sim.run_for(sim::seconds(1));
@@ -271,7 +271,7 @@ TEST(Host, VoteHandlersReceiveDistinctCountIds) {
 }
 
 TEST(Host, ResubscribeAfterUnsubscribeWorks) {
-  ExpressNetwork sim(make_star(1, 1));
+  Testbed sim(make_star(1, 1));
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (int round = 0; round < 3; ++round) {
     sim.receiver(0).new_subscription(ch);

@@ -23,13 +23,12 @@
 #include "baseline/pim_sm.hpp"
 #include "group_net.hpp"
 #include "net/lan.hpp"
-#include "testbed/testbed.hpp"
 #include "obs/obs.hpp"
 #include "relay/participant.hpp"
 #include "relay/session_relay.hpp"
 #include "sim/random.hpp"
+#include "testbed/scenario.hpp"
 #include "workload/chaos.hpp"
-#include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
 
 namespace express {
@@ -351,34 +350,6 @@ TEST(ObsTrace, JsonlIsCanonical) {
 // Views over the registry: every stats() field reads back as its metric
 // ---------------------------------------------------------------------
 
-void run_churn(Testbed& bed, std::uint64_t seed) {
-  const ip::ChannelId channel = bed.source().allocate_channel();
-  sim::Rng rng(seed);
-  const sim::Duration horizon = sim::seconds(10);
-  const auto events = workload::poisson_churn(
-      static_cast<std::uint32_t>(bed.receiver_count()), horizon,
-      sim::seconds(5), sim::seconds(3), rng);
-  auto& sched = bed.net().scheduler();
-  for (const auto& ev : events) {
-    sched.schedule_at(ev.at, [&bed, &channel, ev] {
-      if (ev.join) {
-        bed.receiver(ev.host_index).new_subscription(channel);
-      } else {
-        bed.receiver(ev.host_index).delete_subscription(channel);
-      }
-    });
-  }
-  const std::vector<std::uint8_t> header(32, 0x5A);
-  std::uint64_t seq = 0;
-  for (sim::Time at = sim::milliseconds(200); at < horizon;
-       at += sim::milliseconds(200)) {
-    sched.schedule_at(at, [&bed, &channel, s = seq++] {
-      bed.source().send(channel, 500, s);
-    });
-  }
-  bed.net().run();
-}
-
 /// Every field of a stats view paired with the metric it must read back
 /// as. Written out here, independently of the module's bind() table, so
 /// a swapped, missing or misnamed row in that table is a mismatch.
@@ -547,27 +518,8 @@ void run_express_scenario(Testbed& bed) {
   const net::Topology& topo = net.topology();
   sim::Scheduler& sched = net.scheduler();
   const auto& roles = bed.roles();
-  const ip::ChannelId channel = bed.source().allocate_channel();
-  sim::Rng rng(7);
-  const sim::Duration horizon = sim::seconds(10);
-  for (const auto& ev : workload::poisson_churn(
-           static_cast<std::uint32_t>(bed.receiver_count()), horizon,
-           sim::seconds(5), sim::seconds(3), rng)) {
-    sched.schedule_at(ev.at, [&bed, channel, ev] {
-      if (ev.join) {
-        bed.receiver(ev.host_index).new_subscription(channel);
-      } else {
-        bed.receiver(ev.host_index).delete_subscription(channel);
-      }
-    });
-  }
-  std::uint64_t seq = 0;
-  for (sim::Time at = sim::milliseconds(200); at < horizon;
-       at += sim::milliseconds(200)) {
-    sched.schedule_at(at, [&bed, channel, s = seq++] {
-      bed.source().send(channel, 500, s);
-    });
-  }
+  const sim::Duration horizon = scenario::SeededChurn{}.horizon;
+  scenario::schedule_seeded_churn(bed);
   // Lossy and reordering links on the way down to two leaves.
   const auto leaf_link = [&](std::size_t receiver) {
     return topo.port(roles.receiver_hosts.at(receiver), 0).link;
@@ -650,7 +602,7 @@ TEST(ObsViews, RouterStatsEqualsRegistrySlotsAfterSeededChurn) {
   // slot, for every instance, after a scenario that moves every field.
   RouterConfig config;
   config.proactive = counting::CurveParams{0.3, 5.0, 4.0};
-  Testbed bed(workload::make_kary_tree(2, 3, {}, 2), config);
+  Testbed bed(scenario::capture_tree(), config);
   run_express_scenario(bed);
 
   const obs::Registry& reg = bed.net().obs().registry;
@@ -1045,9 +997,9 @@ TEST(ObsViews, MetricInventoryIsPinned) {
 
 /// Capture {metrics snapshot, trace JSONL} for a seeded churn run.
 std::pair<std::string, std::string> capture_churn(std::uint64_t seed) {
-  Testbed bed(workload::make_kary_tree(2, 3, {}, 2));
+  Testbed bed(scenario::capture_tree());
   bed.net().obs().trace.enable(1 << 16);
-  run_churn(bed, seed);
+  scenario::run_seeded_churn(bed, {.seed = seed});
   const obs::Plane& plane = bed.net().obs();
   return {plane.registry.snapshot_json(bed.net().now()),
           plane.trace.to_jsonl()};

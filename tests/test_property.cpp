@@ -22,7 +22,7 @@ workload::GeneratedTopology random_topology(sim::Rng& rng) {
 
 TEST_P(SeededProperty, DeliveryInvariants) {
   sim::Rng rng(GetParam());
-  ExpressNetwork sim(random_topology(rng));
+  Testbed sim(random_topology(rng));
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::vector<DeliveryLog> logs(sim.receiver_count());
 
@@ -88,7 +88,7 @@ TEST_P(SeededProperty, FibStateWithinStarBound) {
   // §5.1: an n-receiver channel occupies at most sum-of-path-hops FIB
   // entries; tree sharing only reduces it.
   sim::Rng rng(GetParam() * 7919 + 1);
-  ExpressNetwork sim(random_topology(rng));
+  Testbed sim(random_topology(rng));
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::uint64_t bound = 0;
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
@@ -106,7 +106,7 @@ TEST_P(SeededProperty, FibStateWithinStarBound) {
 
 TEST_P(SeededProperty, QuiescentCountIsExact) {
   sim::Rng rng(GetParam() * 104729 + 3);
-  ExpressNetwork sim(random_topology(rng));
+  Testbed sim(random_topology(rng));
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::int64_t members = 0;
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
@@ -128,7 +128,7 @@ TEST_P(SeededProperty, QuiescentCountIsExact) {
 TEST_P(SeededProperty, SimulationIsDeterministic) {
   auto run = [&]() {
     sim::Rng rng(GetParam() + 17);
-    ExpressNetwork sim(random_topology(rng));
+    Testbed sim(random_topology(rng));
     const ip::ChannelId ch = sim.source().allocate_channel();
     std::vector<DeliveryLog> logs(sim.receiver_count());
     for (std::size_t i = 0; i < sim.receiver_count(); ++i) {

@@ -47,7 +47,7 @@ class RelayTest : public ::testing::Test {
     sim_.run_for(sim::seconds(1));
   }
 
-  ExpressNetwork sim_;
+  Testbed sim_;
   SessionRelay sr_;
   std::vector<std::unique_ptr<Participant>> participants_;
   std::deque<Log> logs_;  ///< logs_[i] records participants_[i]
@@ -118,7 +118,7 @@ TEST_F(RelayTest, DeliveryHandlerHasOneOwner) {
 }
 
 TEST(RelayFloor, OneSpeakerAtATime) {
-  ExpressNetwork sim(make_star(4, 1));
+  Testbed sim(make_star(4, 1));
   RelayConfig config;
   config.floor_control = true;
   SessionRelay sr(sim.source(), config);
@@ -160,7 +160,7 @@ TEST(RelayFloor, OneSpeakerAtATime) {
 }
 
 TEST(RelayFloor, ExcessiveQuestionsAreDenied) {
-  ExpressNetwork sim(make_star(2, 1));
+  Testbed sim(make_star(2, 1));
   RelayConfig config;
   config.floor_control = true;
   config.max_floor_grants_per_member = 2;
@@ -207,7 +207,7 @@ TEST_F(RelayTest, InactiveRelayDropsEverything) {
 }
 
 TEST_F(RelayTest, OpenAccessModeRelaysAnyone) {
-  ExpressNetwork sim(make_star(3, 1));
+  Testbed sim(make_star(3, 1));
   RelayConfig config;
   config.access_control = false;  // e.g. an open jam session
   SessionRelay sr(sim.source(), config);
@@ -303,7 +303,7 @@ class StandbyTest : public ::testing::TestWithParam<StandbyMode> {};
 TEST_P(StandbyTest, FailoverDeliversViaBackup) {
   // receivers 0-1: participants; receiver 2: unused; receiver 3: backup
   // SR host. Heartbeats every 1 s; failover after ~3.5 s of silence.
-  ExpressNetwork sim(make_star(4, 1));
+  Testbed sim(make_star(4, 1));
   SessionRelay primary(sim.source(), RelayConfig{});
   SessionRelay backup(sim.receiver(3), RelayConfig{});
   StandbyCluster cluster(primary, backup, sim.receiver(3));
@@ -359,7 +359,7 @@ TEST(StandbyCost, HotStandbyDoublesChannelState) {
   // §4.5: "the use of a hot standby SR/channel adds additional state
   // (approximately twice as much)".
   auto measure = [](StandbyMode mode) {
-    ExpressNetwork sim(make_star(4, 1));
+    Testbed sim(make_star(4, 1));
     SessionRelay primary(sim.source(), RelayConfig{});
     SessionRelay backup(sim.receiver(3), RelayConfig{});
     ParticipantConfig pconfig;

@@ -22,8 +22,7 @@ using reliable::Subscriber;
 using workload::make_kary_tree;
 
 /// Bernoulli impairment on every receiver's drop cable.
-void impair_receiver_links(ExpressNetwork& sim, double p,
-                           std::uint64_t seed) {
+void impair_receiver_links(Testbed& sim, double p, std::uint64_t seed) {
   net::ImpairmentConfig lossy;
   lossy.loss.kind = net::LossModel::Kind::kBernoulli;
   lossy.loss.p = p;
@@ -35,7 +34,7 @@ void impair_receiver_links(ExpressNetwork& sim, double p,
 }
 
 TEST(Reliable, LosslessRunNeedsNoRepairs) {
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   Publisher publisher(sim.source(), ch);
   std::vector<std::unique_ptr<Subscriber>> subs;
@@ -59,7 +58,7 @@ TEST(Reliable, LosslessRunNeedsNoRepairs) {
 }
 
 TEST(Reliable, LateJoinerIsRepairedByRetransmission) {
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   Publisher publisher(sim.source(), ch);
   Subscriber early(sim.receiver(0), ch, 8);
@@ -87,7 +86,7 @@ TEST(Reliable, LateJoinerIsRepairedByRetransmission) {
 TEST(Reliable, SubcastRepairSparesCompleteSubtrees) {
   // Late joiners all sit under the last leaf router; a repair point
   // there keeps repair traffic off the rest of the tree.
-  ExpressNetwork sim(make_kary_tree(2, 2, {}, 2));  // 8 hosts, 2 per leaf
+  Testbed sim(make_kary_tree(2, 2, {}, 2));  // 8 hosts, 2 per leaf
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::vector<std::unique_ptr<Subscriber>> early;
   for (std::size_t i = 0; i < 6; ++i) {
@@ -125,7 +124,7 @@ TEST(Reliable, SubcastRepairSparesCompleteSubtrees) {
 }
 
 TEST(Reliable, RepairRoundsConvergeAndThenStayQuiet) {
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   Publisher publisher(sim.source(), ch);
   Subscriber early(sim.receiver(0), ch, 4);
@@ -150,7 +149,7 @@ TEST(Reliable, RunToCompletionRepairsBernoulliLoss) {
   // Every receiver's drop cable loses ~30% of data packets; the
   // completion loop must keep counting and retransmitting (repairs
   // cross the same lossy links) until every block's NACK count is zero.
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   Publisher publisher(sim.source(), ch);
   std::vector<std::unique_ptr<Subscriber>> subs;
@@ -186,7 +185,7 @@ TEST(Reliable, RunToCompletionSubcastsThroughFirstCoveringCandidate) {
   // subtree counts zero NACKs (not covering) and must be skipped; the
   // second counts the full total and carries all repairs by subcast,
   // keeping repair traffic off the six complete subtrees (§2.1).
-  ExpressNetwork sim(make_kary_tree(2, 2, {}, 2));  // 8 hosts, 2 per leaf
+  Testbed sim(make_kary_tree(2, 2, {}, 2));  // 8 hosts, 2 per leaf
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::vector<std::unique_ptr<Subscriber>> early;
   for (std::size_t i = 0; i < 6; ++i) {
@@ -231,7 +230,7 @@ TEST(Reliable, RunToCompletionFallsBackChannelWideWhenNoCandidateCovers) {
   // Loss split across two different leaf subtrees; the lone candidate
   // only covers one of them, so its kNackTotalId count (5) falls short
   // of the round total (10) and the round must repair channel-wide.
-  ExpressNetwork sim(make_kary_tree(2, 2, {}, 2));
+  Testbed sim(make_kary_tree(2, 2, {}, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   std::vector<std::unique_ptr<Subscriber>> early;
   for (std::size_t i : {1, 2, 3, 4, 5, 7}) {
@@ -264,7 +263,7 @@ TEST(Reliable, RunToCompletionFallsBackChannelWideWhenNoCandidateCovers) {
 }
 
 TEST(Reliable, RunToCompletionWithNothingPublishedCompletesImmediately) {
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   Publisher publisher(sim.source(), ch);
   std::optional<CompletionReport> done;
@@ -280,7 +279,7 @@ TEST(Reliable, RunToCompletionGivesUpAfterMaxRounds) {
   // NACK queries (control is TCP-modeled, unimpaired) but can never be
   // repaired: the loop must stop at max_rounds with complete = false
   // and report the outstanding NACKs.
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   const ip::ChannelId ch = sim.source().allocate_channel();
   Subscriber sub(sim.receiver(0), ch, 4);
   sim.run_for(sim::seconds(1));
@@ -319,7 +318,7 @@ TEST(Reliable, ComposesWithSessionRelayChannel) {
   // relay host: heartbeats (zero data bytes) share the channel without
   // corrupting block tracking, and run_to_completion repairs a late
   // joiner on the relay's channel.
-  ExpressNetwork sim(make_kary_tree(2, 2));
+  Testbed sim(make_kary_tree(2, 2));
   relay::SessionRelay relay(sim.source());
   relay.start();
   Publisher publisher(relay.host(), relay.channel());
